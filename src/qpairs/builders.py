@@ -20,8 +20,10 @@ coefficients polynomial in d, e and makes the per-order degree bounds
 declarable facts; the bounds in turn license substitutions like
 ``e -> 1/q`` on a base-``q^2`` series.
 
-Builders compute at a small internal guard order and truncate to the
-requested order on return.
+Builders work at exactly the requested order: each result's ``order`` is
+the order asked for, and it agrees with any higher-order build over that
+window.  Since :class:`QSeries` tracks the provable order of every
+operation, no slack order is needed to keep the window exact.
 """
 
 from __future__ import annotations
@@ -31,12 +33,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .poly import AlgebraError, ParamPoly, _as_fraction
 from .series import QSeries
-
-GUARD = 4  # internal slack against off-by-one window bugs
 
 # a parameter slot: None keeps the parameter symbolic, a number fixes it
 ParamValue = Union[None, int, Fraction]
@@ -119,7 +119,10 @@ def parse_monomial(text: str) -> Monomial:
                 pexps[name] = pexps.get(name, 0) + exp
             continue
         if _NUM_TOKEN.match(tok):
-            c *= Fraction(tok)
+            try:
+                c *= Fraction(tok)
+            except ZeroDivisionError:
+                raise AlgebraError(f"zero denominator in {text!r}") from None
             continue
         raise AlgebraError(f"cannot parse monomial factor {tok!r} in {text!r}")
     if neg:
@@ -236,7 +239,7 @@ def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QSeries:
     if total.denominator != 1:
         raise AlgebraError(f"fractional eta power q^({total}); not representable")
     shift = int(total)
-    work = order - shift + GUARD
+    work = max(order - shift, 0)
     out = QSeries.one((), work)
     for m, r in factors:
         p = poch_inf((), Monomial.make(1, m), work, m)
@@ -269,10 +272,9 @@ def jacobi_J(
     is an error.
     """
     params = tuple(params) if params is not None else a.param_names()
-    work = order + GUARD
-    first = pochhammer(params, a, None, work, base)
-    second = pochhammer(params, a.inverse().times_q(base), None, work, base)
-    return (first * second).truncate(order)
+    first = pochhammer(params, a, None, order, base)
+    second = pochhammer(params, a.inverse().times_q(base), None, order, base)
+    return first * second
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +450,23 @@ def _prefactor(params: Tuple[str, ...], d: ParamValue, e: ParamValue, order: int
     bottom = poch_inf(params, Monomial.make(1, base), order, base) * pochhammer(
         params, de, None, order, base
     )
-    return (top * bottom.invert()).truncate(order)
+    return top * bottom.invert()
+
+
+def _lambert_ratios(
+    params: Tuple[str, ...], d: ParamValue, e: ParamValue, order: int, base: int, lin: int
+) -> Iterator[Tuple[int, int, QSeries]]:
+    """Yield ``(m, E, R_m)`` for m = 1, 2, ... while the summand exponent
+    ``E = base * (m(m+1)/2 + lin*m)`` is at most ``order``, where
+    ``R_m = prod_{k<m} (d + Q^k)(e + Q^k) / (-dQ, -eQ; Q)_m``, Q = q^base."""
+    R = QSeries.one(params, order)
+    m = 1
+    while (E := base * (m * (m + 1) // 2 + lin * m)) <= order:
+        R = R * _dplus(params, "d", d, base * (m - 1), order) * _dplus(params, "e", e, base * (m - 1), order)
+        R = R * geometric_inverse(params, -_pfac(params, "d", d, base * m), order)
+        R = (R * geometric_inverse(params, -_pfac(params, "e", e, base * m), order)).truncate(order)
+        yield m, E, R
+        m += 1
 
 
 def _inv_x_pair(params: Tuple[str, ...], name: str, x: ParamValue, qexp: int, order: int) -> QSeries:
@@ -480,17 +498,16 @@ def rank_gf(
     d, e (Laurent in x).  Symbolic d, e carry validated degree bounds.
     """
     params = _sym_params(("d", d), ("e", e), ("x", x))
-    N = order + GUARD
-    acc = QSeries.one(params, N)
-    term = QSeries.one(params, N)
+    acc = QSeries.one(params, order)
+    term = QSeries.one(params, order)
     n = 1
-    while base * n <= N:
-        top = _dplus(params, "d", d, base * (n - 1), N) * _dplus(params, "e", e, base * (n - 1), N)
-        term = (term * top).shift(base).truncate(N)
-        term = (term * _inv_x_pair(params, "x", x, base * n, N)).truncate(N)
+    while base * n <= order:
+        top = _dplus(params, "d", d, base * (n - 1), order) * _dplus(params, "e", e, base * (n - 1), order)
+        term = (term * top).shift(base).truncate(order)
+        term = (term * _inv_x_pair(params, "x", x, base * n, order)).truncate(order)
         acc = acc + term
         n += 1
-    return _declare_de_bounds(acc.truncate(order), d, e, base)
+    return _declare_de_bounds(acc, d, e, base)
 
 
 def rank_gf_lambert(
@@ -509,27 +526,18 @@ def rank_gf_lambert(
     prefactor ``P`` (all in the base power).
     """
     params = _sym_params(("d", d), ("e", e), ("x", x))
-    N = order + GUARD
     xm = _pfac(params, "x", x)
     if xm.c == 0:
         raise AlgebraError("x = 0 is a pole of the rank refinement")
-    tail = QSeries.zero(params, N)
-    R = QSeries.one(params, N)
-    m = 1
-    while base * m * (m + 3) // 2 <= N:
-        R = R * _dplus(params, "d", d, base * (m - 1), N) * _dplus(params, "e", e, base * (m - 1), N)
-        R = R * geometric_inverse(params, -_pfac(params, "d", d, base * m), N)
-        R = (R * geometric_inverse(params, -_pfac(params, "e", e, base * m), N)).truncate(N)
-        E = base * m * (m + 3) // 2
-        first = geometric_inverse(params, xm.times_q(base * m), N - E).shift(E)
-        second = geometric_inverse(params, xm.inverse().times_q(base * m), N - E).shift(E)
+    tail = QSeries.zero(params, order)
+    for m, E, R in _lambert_ratios(params, d, e, order, base, 1):
+        first = geometric_inverse(params, xm.times_q(base * m), order - E).shift(E)
+        second = geometric_inverse(params, xm.inverse().times_q(base * m), order - E).shift(E)
         second = second * xm.inverse().as_poly(params)
         sign = -1 if m % 2 else 1
         tail = tail + (first - second) * R * sign
-        m += 1
-    body = QSeries.one(params, N) + linear_factor(params, xm, N) * tail
-    out = (_prefactor(params, d, e, N, base) * body).truncate(order)
-    return _declare_de_bounds(out, d, e, base)
+    body = QSeries.one(params, order) + linear_factor(params, xm, order) * tail
+    return _declare_de_bounds(_prefactor(params, d, e, order, base) * body, d, e, base)
 
 
 def n2v(
@@ -550,53 +558,40 @@ def n2v(
     if v < 1:
         raise AlgebraError("symmetrized moment index v must be >= 1")
     params = _sym_params(("d", d), ("e", e))
-    N = order + GUARD
-    acc = QSeries.zero(params, N)
-    R = QSeries.one(params, N)
-    m = 1
-    while base * (m * (m + 1) // 2 + v * m) <= N:
-        R = R * _dplus(params, "d", d, base * (m - 1), N) * _dplus(params, "e", e, base * (m - 1), N)
-        R = R * geometric_inverse(params, -_pfac(params, "d", d, base * m), N)
-        R = (R * geometric_inverse(params, -_pfac(params, "e", e, base * m), N)).truncate(N)
-        E = base * (m * (m + 1) // 2 + v * m)
-        body = geometric_inverse(params, Monomial.make(1, base * m), N - E, 2 * v).shift(E)
-        body = body * QSeries(params, N, {0: 1, base * m: 1})
+    acc = QSeries.zero(params, order)
+    for m, E, R in _lambert_ratios(params, d, e, order, base, v):
+        body = geometric_inverse(params, Monomial.make(1, base * m), order - E, 2 * v).shift(E)
+        body = body * QSeries(params, order, {0: 1, base * m: 1})
         sign = 1 if m % 2 else -1
-        acc = acc + (body * R).truncate(N) * sign
-        m += 1
-    out = (_prefactor(params, d, e, N, base) * acc).truncate(order)
-    return _declare_de_bounds(out, d, e, base)
+        acc = acc + (body * R).truncate(order) * sign
+    return _declare_de_bounds(_prefactor(params, d, e, order, base) * acc, d, e, base)
 
 
 def spt_gf(order: int, d: ParamValue = None, e: ParamValue = None) -> QSeries:
     """Smallest-parts generating function: prefactor times the divisor sum
     minus the second symmetrized moment series."""
     params = _sym_params(("d", d), ("e", e))
-    N = order + GUARD
-    head = (_prefactor(params, d, e, N, 1) * phi1(1, N, params)).truncate(order)
-    out = head - n2v(1, order, d, e)
-    return _declare_de_bounds(out, d, e, 1)
+    head = _prefactor(params, d, e, order, 1) * phi1(1, order, params)
+    return _declare_de_bounds(head - n2v(1, order, d, e), d, e, 1)
 
 
 def spt_gf_direct(order: int, d: ParamValue = None, e: ParamValue = None) -> QSeries:
     """Smallest-parts generating function as a single unilateral sum:
     ``P * sum_{n>=1} (q, deq)_n q^n / ((1-q^n)^2 (-dq, -eq)_n)``."""
     params = _sym_params(("d", d), ("e", e))
-    N = order + GUARD
     de = _pfac(params, "d", d) * _pfac(params, "e", e)
-    acc = QSeries.zero(params, N)
-    T = QSeries.one(params, N)
+    acc = QSeries.zero(params, order)
+    T = QSeries.one(params, order)
     n = 1
-    while n <= N:
-        T = T * linear_factor(params, Monomial.make(1, n), N)
-        T = T * linear_factor(params, de.times_q(n), N)
-        T = T * geometric_inverse(params, -_pfac(params, "d", d, n), N)
-        T = (T * geometric_inverse(params, -_pfac(params, "e", e, n), N)).truncate(N)
-        term = T * geometric_inverse(params, Monomial.make(1, n), N - n, 2).shift(n)
-        acc = acc + term.truncate(N)
+    while n <= order:
+        T = T * linear_factor(params, Monomial.make(1, n), order)
+        T = T * linear_factor(params, de.times_q(n), order)
+        T = T * geometric_inverse(params, -_pfac(params, "d", d, n), order)
+        T = (T * geometric_inverse(params, -_pfac(params, "e", e, n), order)).truncate(order)
+        term = T * geometric_inverse(params, Monomial.make(1, n), order - n, 2).shift(n)
+        acc = acc + term.truncate(order)
         n += 1
-    out = (_prefactor(params, d, e, N, 1) * acc).truncate(order)
-    return _declare_de_bounds(out, d, e, 1)
+    return _declare_de_bounds(_prefactor(params, d, e, order, 1) * acc, d, e, 1)
 
 
 def durfee_rhs(
@@ -619,26 +614,18 @@ def durfee_rhs(
         raise AlgebraError(f"expected {k} rank-variable slots, got {len(xs)}")
     xnames = tuple(f"x{j + 1}" for j in range(k))
     params = _sym_params(("d", d), ("e", e)) + _sym_params(*zip(xnames, xs))
-    N = order + GUARD
-    acc = QSeries.zero(params, N)
-    R = QSeries.one(params, N)
-    n = 1
-    while n * (n - 1) // 2 + k * n <= N:
-        R = R * _dplus(params, "d", d, n - 1, N) * _dplus(params, "e", e, n - 1, N)
-        R = R * geometric_inverse(params, -_pfac(params, "d", d, n), N)
-        R = (R * geometric_inverse(params, -_pfac(params, "e", e, n), N)).truncate(N)
-        E = n * (n - 1) // 2 + k * n
-        body = QSeries.one(params, N - E)
+    acc = QSeries.zero(params, order)
+    # n(n-1)/2 + kn = n(n+1)/2 + (k-1)n
+    for n, E, R in _lambert_ratios(params, d, e, order, 1, k - 1):
+        body = QSeries.one(params, order - E)
         for name, xv in zip(xnames, xs):
-            body = (body * _inv_x_pair(params, name, xv, n, N - E)).truncate(N - E)
+            body = (body * _inv_x_pair(params, name, xv, n, order - E)).truncate(order - E)
         body = body.shift(E)
         # (1 + q^n)(1 - q^n)^2 = 1 - q^n - q^{2n} + q^{3n}
-        poly = QSeries(params, N, {0: 1, n: -1, 2 * n: -1, 3 * n: 1})
+        poly = QSeries(params, order, {0: 1, n: -1, 2 * n: -1, 3 * n: 1})
         sign = 1 if n % 2 else -1
-        acc = acc + (body * R * poly).truncate(N) * sign
-        n += 1
-    out = (_prefactor(params, d, e, N, 1) * acc).truncate(order)
-    return _declare_de_bounds(out, d, e, 1)
+        acc = acc + (body * R * poly).truncate(order) * sign
+    return _declare_de_bounds(_prefactor(params, d, e, order, 1) * acc, d, e, 1)
 
 
 def rk_partial_fractions(
@@ -685,12 +672,11 @@ def crank_C(order: int, x: ParamValue = None, base: int = 1) -> QSeries:
     xm = _pfac(params, "x", x)
     if xm.c == 0:
         raise AlgebraError("x = 0 is a pole of the crank product")
-    N = order + GUARD
-    num = poch_inf(params, Monomial.make(1, base), N, base)
-    den = pochhammer(params, xm.times_q(base), None, N, base) * pochhammer(
-        params, xm.inverse().times_q(base), None, N, base
+    num = poch_inf(params, Monomial.make(1, base), order, base)
+    den = pochhammer(params, xm.times_q(base), None, order, base) * pochhammer(
+        params, xm.inverse().times_q(base), None, order, base
     )
-    return (num * den.invert()).truncate(order)
+    return num * den.invert()
 
 
 def crank_C_star(order: int, x, base: int = 1) -> QSeries:
@@ -714,23 +700,21 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
     b = _as_fraction(b)
     if b == 0:
         raise AlgebraError("b = 0 makes the reciprocal argument undefined")
-    N = order + GUARD
-    acc = QSeries.one((), N)
-    T = QSeries.one((), N)
+    lhs = QSeries.one((), order)
+    T = QSeries.one((), order)
     n = 1
-    while n * n + n <= N:
-        T = T * linear_factor((), Monomial(b, 2 * (n - 1)), N)
-        T = T * linear_factor((), Monomial(Fraction(1) / b, 2 * (n - 1)), N)
-        T = T * geometric_inverse((), Monomial(b, 2 * n), N)
-        T = (T * geometric_inverse((), Monomial(Fraction(1) / b, 2 * n), N)).truncate(N)
+    while n * n + n <= order:
+        T = T * linear_factor((), Monomial(b, 2 * (n - 1)), order)
+        T = T * linear_factor((), Monomial(Fraction(1) / b, 2 * (n - 1)), order)
+        T = T * geometric_inverse((), Monomial(b, 2 * n), order)
+        T = (T * geometric_inverse((), Monomial(Fraction(1) / b, 2 * n), order)).truncate(order)
         sign = -1 if n % 2 else 1
-        acc = acc + T * QSeries((), N, {n * n + n: sign, n * n + 3 * n: sign})
+        lhs = lhs + T * QSeries((), order, {n * n + n: sign, n * n + 3 * n: sign})
         n += 1
-    lhs = acc.truncate(order)
-    den = pochhammer((), Monomial(b, 2), None, N, 2) * pochhammer(
-        (), Monomial(Fraction(1) / b, 2), None, N, 2
+    den = pochhammer((), Monomial(b, 2), None, order, 2) * pochhammer(
+        (), Monomial(Fraction(1) / b, 2), None, order, 2
     )
-    rhs = (poch_inf((), Monomial.make(1, 2), N, 2) ** 2 * den.invert()).truncate(order)
+    rhs = poch_inf((), Monomial.make(1, 2), order, 2) ** 2 * den.invert()
     return lhs, rhs
 
 
@@ -826,10 +810,21 @@ def _split_id(spec: str) -> Tuple[str, dict, list]:
     return name, kw, pos
 
 
+# the keys each builder reads; "durfee" also reads x1 .. xk
+_BUILDER_KEYS = {
+    "qinf": (), "E2": (), "Phi1": ("m",), "eta": (), "J": ("base",),
+    "C": ("x", "base"), "Cstar": ("x", "base"),
+    "rank": ("d", "e", "x", "base"), "rank-lambert": ("d", "e", "x", "base"),
+    "n2v": ("v", "d", "e", "base"), "moment": ("k", "d", "e"),
+    "spt": ("d", "e"), "spt-direct": ("d", "e"), "durfee": ("k", "d", "e"),
+}
+_POSITIONAL = ("eta", "J")  # builders that take one positional argument
+
+
 def _value_or_mono(text: str) -> Union[Fraction, Monomial]:
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         return parse_monomial(text)
 
 
@@ -851,6 +846,18 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
 
     def intval(key, default):
         return int(kw[key]) if key in kw else default
+
+    if name not in _BUILDER_KEYS:
+        raise AlgebraError(f"unknown builder {name!r}")
+    keys = set(_BUILDER_KEYS[name])
+    if name == "durfee":
+        keys.update(f"x{j + 1}" for j in range(intval("k", 2)))
+    unread = sorted(set(kw) - keys)
+    if unread:
+        raise AlgebraError(f"builder {name!r} does not take {', '.join(unread)}")
+    extra = pos[1:] if name in _POSITIONAL else pos
+    if extra:
+        raise AlgebraError(f"builder {name!r} does not take argument {extra[0]!r}")
 
     base = intval("base", 1)
     if name == "qinf":
@@ -921,7 +928,7 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
         s = spt_gf(work_order, fixed["d"], fixed["e"])
     elif name == "spt-direct":
         s = spt_gf_direct(work_order, fixed["d"], fixed["e"])
-    elif name == "durfee":
+    else:  # durfee
         k = intval("k", 2)
         xs = []
         for j in range(k):
@@ -930,8 +937,6 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
                 raise AlgebraError("marked-symbol rank variables take rational points")
             xs.append(vj)
         s = durfee_rhs(k, work_order, xs, fixed["d"], fixed["e"])
-    else:
-        raise AlgebraError(f"unknown builder {name!r}")
     for pname, mono in subs:
         s = _apply_sub(s, pname, mono)
-    return s.truncate(order) if s.order > order else s
+    return s.truncate(order)

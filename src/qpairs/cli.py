@@ -311,10 +311,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "v", 1) < 1:
         print("error: --v must be at least 1", file=sys.stderr)
         return 2
-    order = getattr(args, "order", None)
-    if order is not None and order < 0:
-        print("error: --order must be nonnegative", file=sys.stderr)
-        return 2
+    for flag in ("order", "n_max"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            print(f"error: --{flag.replace('_', '-')} must be nonnegative", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -913,7 +913,7 @@ def report_text(results: Sequence[CheckResult]) -> str:
     lines = []
     for r in results:
         flag = {"pass": "PASS", "fail": "FAIL", "error": "ERR "}[r.status]
-        lines.append(f"{flag}  {r.id}  {r.name}  order={r.order}  ({r.millis} ms)")
+        lines.append(f"{flag}  {r.id}  {r.name}  order={r.order}")
         if r.first_mismatch:
             lines.append(f"      first mismatch: {r.first_mismatch}")
     passed = sum(1 for r in results if r.status == "pass")

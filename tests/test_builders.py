@@ -70,6 +70,13 @@ def test_eta_quotient_fractional_rejected():
         B.eta_quotient([(1, 1)], 5)
 
 
+def test_eta_quotient_below_its_q_shift_is_zero():
+    # eta(z)^240 / eta(2z)^48 starts at q^6, above the requested order
+    s = B.eta_quotient([(1, 240), (2, -48)], 1)
+    assert s.order == 1 and s.is_zero()
+    assert str(s) == "0 + O(q^2)"
+
+
 def test_eta_quotient_inverse_pair():
     s = B.eta_quotient([(8, 1), (16, -2)], 8) * B.eta_quotient([(16, 2), (8, -1)], 8)
     ok, report = s.equal_to_order(QSeries.one((), s.order), s.order)
@@ -334,6 +341,26 @@ def test_build_identifiers():
 def test_build_unknown_rejected():
     with pytest.raises((AlgebraError, KeyError, ValueError)):
         B.build("bogus", 5)
+
+
+@pytest.mark.parametrize("spec, assignments", [
+    ("n2v:vv=2", None),
+    ("n2v:v=1:x=2", None),
+    ("durfee:k=2:base=2", None),
+    ("durfee:k=2:x3=1", None),
+    ("rank:2", None),
+    ("eta:1^24:2", None),
+    ("E2", {"d": "0"}),
+])
+def test_build_rejects_what_it_does_not_read(spec, assignments):
+    with pytest.raises(AlgebraError, match="does not take"):
+        B.build(spec, 4, assignments)
+
+
+@pytest.mark.parametrize("spec", ["spt:d=1/0", "rank:e=-2/0", "J:1/0*x"])
+def test_build_zero_denominator_rejected(spec):
+    with pytest.raises(AlgebraError, match="zero denominator"):
+        B.build(spec, 4)
 
 
 def test_build_monomial_assignment():

@@ -38,6 +38,21 @@ def test_coeffs_bogus_is_usage_error(capsys):
     assert "bogus" in err
 
 
+def test_coeffs_eta_quotient_below_its_q_shift(capsys):
+    code, out, _ = run(capsys, "coeffs", "eta:1^240,2^-48", "--order", "1",
+                       "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["order"] == 1 and obj["coeffs"] == {}
+
+
+@pytest.mark.parametrize("spec", ["spt:d=1/0", "n2v:vv=2", "durfee:k=2:base=2"])
+def test_coeffs_bad_identifier_is_one_line_usage_error(capsys, spec):
+    code, out, err = run(capsys, "coeffs", spec, "--order", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_coeffs_json_round_trips(capsys):
     code, out, _ = run(capsys, "coeffs", "qinf", "--order", "5", "--format", "json")
     assert code == 0
@@ -125,6 +140,14 @@ def test_spt_totals(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[2][2] == "1"
     assert rows[3][2] == "3"
+
+
+@pytest.mark.parametrize("argv", [("moments", "--n-max", "-2"), ("spt", "--n-max", "-1"),
+                                  ("enumerate", "pairs", "--n", "-1")])
+def test_negative_n_max_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --n-max must be nonnegative\n"
 
 
 # -- verify and report ----------------------------------------------------

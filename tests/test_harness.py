@@ -57,6 +57,11 @@ def test_report_text_mentions_status():
     assert "PASS" in text and "C12" in text
 
 
+def test_report_text_has_no_timing():
+    res = harness.CheckResult("C00", "timed", "ref", "symbolic", 3, [], "pass", None, 98765)
+    assert harness.report_text([res]) == "PASS  C00  timed  order=3\n1/1 checks passed"
+
+
 def test_failing_check_reports_first_mismatch():
     res = harness.negative_control(order=12)
     assert res.status == "fail"
