@@ -13,7 +13,7 @@ from qpairs import harness
 def main():
     pattern = sys.argv[1] if len(sys.argv) > 1 else "*"
     results = harness.run_suite(pattern)
-    print(harness.report_text(results))
+    print(harness.report_text([r.body() for r in results]))
     print()
     control = harness.negative_control()
     print(f"negative control (corrupted identity) status: {control.status}")

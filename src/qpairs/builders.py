@@ -718,17 +718,6 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
     return lhs, rhs
 
 
-def watson_whipple_pair(x, d, e, order: int) -> Tuple[QSeries, QSeries]:
-    """The rank bridge at a rational point: the unilateral display and the
-    bilateral Lambert display of the same refinement, as a pair.
-
-    The underlying transformation degenerates at the parameter values the
-    theory uses, so both sides are the pre-simplified displays.
-    """
-    x, d, e = _as_fraction(x), _as_fraction(d), _as_fraction(e)
-    return rank_gf(order, d, e, x), rank_gf_lambert(order, d, e, x)
-
-
 # ---------------------------------------------------------------------------
 # moment extraction
 

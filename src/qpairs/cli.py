@@ -86,7 +86,9 @@ def cmd_coeffs(args) -> int:
     if args.format == "json":
         _emit(json.dumps(series.to_obj(), indent=2, sort_keys=True), args.out)
         return 0
-    rows = [[str(n), str(series.coefficient(n))] for n in range(series.valuation, series.order + 1)]
+    # a series that is zero in its window still gets its order row
+    start = min(series.valuation, series.order)
+    rows = [[str(n), str(series.coefficient(n))] for n in range(start, series.order + 1)]
     _rows_out(["exponent", "coefficient"], rows, args.format, args.out)
     return 0
 
@@ -219,8 +221,20 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit(harness.report_json(results), args.out)
     else:
-        _emit(harness.report_text(results), args.out)
+        _emit(harness.report_text([r.body() for r in results]), args.out)
     return 0 if all(r.status == "pass" for r in results) else 1
+
+
+def _report_items(path: str, obj) -> List[dict]:
+    """The check bodies of one report file, or a usage error if malformed."""
+    items = obj.get("checks", []) if isinstance(obj, dict) else None
+    if not isinstance(items, list):
+        raise UsageError(f"report {path} is not an object with a list of checks")
+    for item in items:
+        if not (isinstance(item, dict) and isinstance(item.get("check"), str)
+                and item.get("status") in ("pass", "fail", "error")):
+            raise UsageError(f"report {path} has a check without a name or a pass/fail/error status")
+    return items
 
 
 def cmd_report(args) -> int:
@@ -231,17 +245,15 @@ def cmd_report(args) -> int:
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read report {path}: {exc}")
-        for item in obj.get("checks", []):
+        for item in _report_items(path, obj):
             checks[item["check"]] = item
     items = [checks[k] for k in sorted(checks)]
-    summary = {
-        "total": len(items),
-        "passed": sum(1 for i in items if i["status"] == "pass"),
-        "failed": sum(1 for i in items if i["status"] == "fail"),
-        "errors": sum(1 for i in items if i["status"] == "error"),
-    }
-    _emit(json.dumps({"summary": summary, "checks": items}, indent=2, sort_keys=True),
-          args.out)
+    summary = harness.summarize(items)
+    if args.format == "text":
+        _emit(harness.report_text(items), args.out)
+    else:
+        _emit(json.dumps({"summary": summary, "checks": items}, indent=2, sort_keys=True),
+              args.out)
     return 0 if summary["failed"] == 0 and summary["errors"] == 0 else 1
 
 
@@ -255,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact q-series coefficients, enumeration, and identity checks.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    def common(sp, formats=("json", "csv", "text"), default="text"):
+        sp.add_argument("--format", choices=formats, default=default)
         sp.add_argument("--out", metavar="PATH", default=None)
 
     sp = sub.add_parser("coeffs", help="expand a named series to a coefficient table")
@@ -296,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="merge JSON check reports")
     sp.add_argument("files", nargs="+", metavar="REPORT.json")
-    common(sp)
+    common(sp, formats=("json", "text"), default="json")
     sp.set_defaults(fn=cmd_report)
 
     return p

@@ -881,6 +881,9 @@ def run_check(check_id: str, order: Optional[int] = None) -> CheckResult:
         mismatch = ctx.failed
     except AlgebraError as exc:
         mode, points, status, mismatch = "symbolic", [], "error", {"label": str(exc)}
+    except Exception as exc:  # a broken check is reported, not allowed to abort the suite
+        label = f"{type(exc).__name__}: {exc}"
+        mode, points, status, mismatch = "symbolic", [], "error", {"label": label}
     millis = int((time.monotonic() - t0) * 1000)
     return CheckResult(spec.id, spec.name, spec.reference, mode, n, points, status, mismatch, millis)
 
@@ -893,6 +896,17 @@ def run_suite(pattern: str = "*", order: Optional[int] = None) -> List[CheckResu
     return out
 
 
+def summarize(bodies: Sequence[dict]) -> dict:
+    """Pass/fail/error counts over report bodies."""
+    statuses = [b["status"] for b in bodies]
+    return {
+        "total": len(statuses),
+        "passed": statuses.count("pass"),
+        "failed": statuses.count("fail"),
+        "errors": statuses.count("error"),
+    }
+
+
 def report_json(results: Sequence[CheckResult], include_timing: bool = False) -> str:
     items = []
     for r in results:
@@ -900,24 +914,18 @@ def report_json(results: Sequence[CheckResult], include_timing: bool = False) ->
         if include_timing:
             body["millis"] = r.millis
         items.append(body)
-    summary = {
-        "total": len(results),
-        "passed": sum(1 for r in results if r.status == "pass"),
-        "failed": sum(1 for r in results if r.status == "fail"),
-        "errors": sum(1 for r in results if r.status == "error"),
-    }
-    return json.dumps({"summary": summary, "checks": items}, indent=2, sort_keys=True)
+    return json.dumps({"summary": summarize(items), "checks": items}, indent=2, sort_keys=True)
 
 
-def report_text(results: Sequence[CheckResult]) -> str:
+def report_text(bodies: Sequence[dict]) -> str:
+    """One line per report body (see ``CheckResult.body``) and a pass count."""
     lines = []
-    for r in results:
-        flag = {"pass": "PASS", "fail": "FAIL", "error": "ERR "}[r.status]
-        lines.append(f"{flag}  {r.id}  {r.name}  order={r.order}")
-        if r.first_mismatch:
-            lines.append(f"      first mismatch: {r.first_mismatch}")
-    passed = sum(1 for r in results if r.status == "pass")
-    lines.append(f"{passed}/{len(results)} checks passed")
+    for b in bodies:
+        flag = {"pass": "PASS", "fail": "FAIL", "error": "ERR "}[b["status"]]
+        lines.append(f"{flag}  {b['check']}  {b.get('name', '?')}  order={b.get('order', '?')}")
+        if b.get("first_mismatch"):
+            lines.append(f"      first mismatch: {b['first_mismatch']}")
+    lines.append(f"{summarize(bodies)['passed']}/{len(bodies)} checks passed")
     return "\n".join(lines)
 
 

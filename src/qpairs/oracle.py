@@ -9,12 +9,14 @@ enumerators are exponential in n and are intended for small n only.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .poly import ParamPoly
+from .poly import ParamPoly, Scalar
 
 # an overpartition: parts in weakly decreasing order plus the set of
 # part values whose first occurrence is overlined
@@ -125,39 +127,30 @@ def gbinom(top: int, k: int) -> Fraction:
     return Fraction(num, math.factorial(k))
 
 
-def rank_poly(
-    tally: Dict[Tuple[int, int, int], int], params: Tuple[str, ...] = ("d", "e", "x")
-) -> ParamPoly:
+def _summed_poly(params: Tuple[str, ...], items: Iterable[Tuple[Tuple[int, ...], Scalar]]) -> ParamPoly:
+    """One ParamPoly from (exponent vector, coefficient) pairs, adding the
+    coefficients of repeated vectors."""
+    terms: Dict[Tuple[int, ...], Scalar] = {}
+    for vec, c in items:
+        terms[vec] = terms.get(vec, 0) + c
+    return ParamPoly(params, terms)
+
+
+def rank_poly(tally: Dict[Tuple[int, int, int], int]) -> ParamPoly:
     """``sum N(r,s,m,n) d^r e^s x^m`` for one weight n."""
-    acc = ParamPoly.zero(params)
-    for (r, s, m), c in tally.items():
-        acc = acc + ParamPoly.monomial(params, {"d": r, "e": s, "x": m}, c)
-    return acc
+    return ParamPoly(("d", "e", "x"), tally)
 
 
-def moment_poly(
-    tally: Dict[Tuple[int, int, int], int], k: int, params: Tuple[str, ...] = ("d", "e")
-) -> ParamPoly:
+def moment_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPoly:
     """k-th power-of-rank moment ``sum m^k N(r,s,m,n) d^r e^s`` for one n."""
-    acc = ParamPoly.zero(params)
-    for (r, s, m), c in tally.items():
-        w = c * m ** k
-        if w:
-            acc = acc + ParamPoly.monomial(params, {"d": r, "e": s}, w)
-    return acc
+    return _summed_poly(("d", "e"), (((r, s), c * m ** k) for (r, s, m), c in tally.items()))
 
 
-def symmetrized_poly(
-    tally: Dict[Tuple[int, int, int], int], k: int, params: Tuple[str, ...] = ("d", "e")
-) -> ParamPoly:
+def symmetrized_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPoly:
     """k-th symmetrized moment ``sum C(m + floor((k-1)/2), k) N(r,s,m,n) d^r e^s``."""
     shift = (k - 1) // 2
-    acc = ParamPoly.zero(params)
-    for (r, s, m), c in tally.items():
-        w = gbinom(m + shift, k) * c
-        if w:
-            acc = acc + ParamPoly.monomial(params, {"d": r, "e": s}, w)
-    return acc
+    return _summed_poly(("d", "e"), (
+        ((r, s), gbinom(m + shift, k) * c) for (r, s, m), c in tally.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +197,12 @@ class DurfeeSymbol:
         )
 
     def full_rank(self) -> int:
-        return sum((i + 1) * rho for i, rho in enumerate(self.ranks()))
+        return full_rank(self.ranks())
+
+
+def full_rank(ranks: Tuple[int, ...]) -> int:
+    """``sum_i i * rho_i`` over a rank vector (rho_1, ..., rho_k)."""
+    return sum(i * rho for i, rho in enumerate(ranks, 1))
 
 
 def is_valid_durfee(sym: DurfeeSymbol) -> bool:
@@ -229,7 +227,6 @@ def is_valid_durfee(sym: DurfeeSymbol) -> bool:
     M = [0] * k
     for v, i in sym.top:
         M[i - 1] = max(M[i - 1], v)
-    lo = 1
     for v, i in sym.bottom:
         lower = 1 if i == 1 else M[i - 2]
         upper = S if i == k else M[i - 1]
@@ -268,46 +265,45 @@ def _distinct_subsets(
 
 
 def _bounded_parts(
-    total: int, count: int, lo: int, hi: int
+    total: int, count: int | None, lo: int, hi: int
 ) -> List[Tuple[int, ...]]:
-    """Weakly decreasing tuples of exactly count values in [lo, hi] summing
-    to total."""
-    if count == 0:
-        return [()] if total == 0 else []
-    if hi < lo or total < lo * count or total > hi * count:
+    """Weakly decreasing tuples of values in [lo, hi] summing to total:
+    exactly count values, or any number of them when count is None."""
+    if total == 0 and not count:
+        return [()]
+    if count == 0 or (count is not None and total > hi * count):
         return []
+    rest = None if count is None else count - 1
     out: List[Tuple[int, ...]] = []
-    for v in range(min(hi, total - lo * (count - 1)), lo - 1, -1):
-        for rest in _bounded_parts(total - v, count - 1, lo, v):
-            out.append((v,) + rest)
+    for v in range(min(hi, total - lo * (rest or 0)), lo - 1, -1):
+        for tail in _bounded_parts(total - v, rest, lo, v):
+            out.append((v,) + tail)
     return out
 
 
-def _bottoms_with_counts(
-    k: int, S: int, M: List[int], counts: List[int], total: int
+def _bottoms(
+    bounds: List[Tuple[int, int]], counts: List[int] | None, total: int
 ) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Bottom rows with exactly counts[i-1] parts of subscript i summing to
-    total.  Subscript blocks run k down to 1; the interval bounds make the
+    """Bottom rows summing to total whose parts of subscript i lie in
+    bounds[i-1]: counts[i-1] of them, or any number when counts is None.
+    Subscript blocks run k down to 1; the interval bounds make the
     cross-block value ordering automatic."""
-    bounds = []
-    for i in range(1, k + 1):
-        lo = 1 if i == 1 else max(1, M[i - 2])
-        hi = S if i == k else M[i - 1]
-        bounds.append((lo, hi))
+    k = len(bounds)
+    if counts is None:
+        counts = [None] * k
+    spans = [(0, total) if c is None else (c * lo, c * hi) for c, (lo, hi) in zip(counts, bounds)]
+    # least and greatest sum of the blocks below subscript i
+    below_min = list(accumulate((a for a, _ in spans), initial=0))
+    below_max = list(accumulate((b for _, b in spans), initial=0))
 
     def rec(i: int, left: int, acc: Tuple[Tuple[int, int], ...]):
         if i == 0:
-            if left == 0:
-                yield acc
+            yield acc  # the block-1 range below forces left == 0 here
             return
-        c = counts[i - 1]
         lo, hi = bounds[i - 1]
-        if c and hi < lo:
-            return
-        rest_min = sum(counts[j] * bounds[j][0] for j in range(i - 1))
-        rest_max = sum(counts[j] * bounds[j][1] for j in range(i - 1))
-        for t in range(max(c * lo, left - rest_max), min(c * hi, left - rest_min) + 1):
-            for block in _bounded_parts(t, c, lo, hi):
+        a, b = spans[i - 1]
+        for t in range(max(a, left - below_max[i - 1]), min(b, left - below_min[i - 1]) + 1):
+            for block in _bounded_parts(t, counts[i - 1], lo, hi):
                 yield from rec(i - 1, left - t, acc + tuple((v, i) for v in block))
     yield from rec(k, total, ())
 
@@ -324,7 +320,9 @@ def enumerate_durfee(
     Fixing r or s restricts the decoration sizes up front, and fixing the
     rank vector determines the bottom row's subscript counts from the
     top row's; together these prune the search enough to reach weights
-    far beyond the unconstrained cap.
+    far beyond the unconstrained cap.  Decorations are grouped by the
+    weight they leave for the rows, so each (top, bottom) pair is built
+    once per group.
     """
     if k < 2:
         raise ValueError("marked symbols need k >= 2")
@@ -338,122 +336,58 @@ def enumerate_durfee(
             continue
         if nu_size is not None and not 0 <= nu_size <= S:
             continue
-        decorations = []
+        groups: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
         for mu in _distinct_subsets(S, n - S, mu_size):
             for nu in _distinct_subsets(S, n - S - sum(mu), nu_size):
-                decorations.append((mu, nu, n - S - sum(mu) - sum(nu)))
-        if not decorations:
+                groups.setdefault(n - S - sum(mu) - sum(nu), []).append((mu, nu))
+        if not groups:
             continue
-        if ranks is not None:
-            out.extend(_ranked_symbols(k, S, decorations, ranks))
-            continue
-        for mu, nu, budget in decorations:
-            for top in _marked_rows(S, k, budget):
-                if not set(range(1, k)) <= {i for _, i in top}:
+        for top in _marked_rows(S, k, max(groups)):
+            taus = [0] * k
+            M = [0] * k  # M[i] = largest top-row part with subscript i+1
+            for v, i in top:
+                taus[i - 1] += 1
+                M[i - 1] = max(M[i - 1], v)
+            if not all(taus[: k - 1]):
+                continue
+            # closed intervals; every top has subscripts 1..k-1, so lo <= hi
+            bounds = [(1 if i == 0 else M[i - 1], S if i == k - 1 else M[i]) for i in range(k)]
+            if ranks is None:
+                counts, low, high = None, 0, n
+            else:
+                counts = [taus[i] - ranks[i] - (1 if i < k - 1 else 0) for i in range(k)]
+                if min(counts) < 0:
                     continue
-                rest = budget - sum(v for v, _ in top)
-                M = [0] * k
-                for v, i in top:
-                    M[i - 1] = max(M[i - 1], v)
-                for bottom in _marked_rows(S, k, rest):
-                    if sum(v for v, _ in bottom) != rest:
-                        continue
-                    ok = True
-                    for v, i in bottom:
-                        lower = 1 if i == 1 else M[i - 2]
-                        upper = S if i == k else M[i - 1]
-                        if not lower <= v <= upper:
-                            ok = False
-                            break
-                    if ok:
+                low = sum(c * lo for c, (lo, _) in zip(counts, bounds))
+                high = sum(c * hi for c, (_, hi) in zip(counts, bounds))
+            used = sum(v for v, _ in top)
+            for budget, decorations in groups.items():
+                if not low <= budget - used <= high:
+                    continue
+                for bottom in _bottoms(bounds, counts, budget - used):
+                    for mu, nu in decorations:
                         out.append(DurfeeSymbol(k, S, top, bottom, mu, nu))
     return out
 
 
-def _ranked_symbols(
-    k: int,
-    S: int,
-    decorations: List[Tuple[Tuple[int, ...], Tuple[int, ...], int]],
-    ranks: Tuple[int, ...],
-) -> List[DurfeeSymbol]:
-    """Symbols with a fixed rank vector: the bottom row's subscript counts
-    are determined by the top row's, so each candidate top is prescreened
-    by a vectorized weight-window test before any bottom is built."""
-    import numpy as np
-
-    budget_max = max(b for _, _, b in decorations)
-    need = set(range(1, k))
-    tops = []
-    meta = []
-    for top in _marked_rows(S, k, budget_max):
-        if not need <= {i for _, i in top}:
-            continue
-        taus = [0] * k
-        for _, i in top:
-            taus[i - 1] += 1
-        counts = [taus[i] - ranks[i] - (1 if i < k - 1 else 0) for i in range(k)]
-        if any(c < 0 for c in counts):
-            continue
-        M = [0] * k
-        for v, i in top:
-            M[i - 1] = max(M[i - 1], v)
-        cmin = cmax = 0
-        feasible = True
-        for i in range(1, k + 1):
-            lo = 1 if i == 1 else max(1, M[i - 2])
-            hi = S if i == k else M[i - 1]
-            c = counts[i - 1]
-            if c and hi < lo:
-                feasible = False
-                break
-            cmin += c * lo
-            cmax += c * hi
-        if not feasible:
-            continue
-        tops.append((top, M, counts))
-        meta.append((sum(v for v, _ in top), cmin, cmax))
-    out: List[DurfeeSymbol] = []
-    if not tops:
-        return out
-    arr = np.array(meta, dtype=np.int64)
-    for mu, nu, budget in decorations:
-        rest = budget - arr[:, 0]
-        hits = np.flatnonzero((arr[:, 1] <= rest) & (rest <= arr[:, 2]))
-        for idx in hits:
-            top, M, counts = tops[idx]
-            for bottom in _bottoms_with_counts(k, S, M, counts, int(rest[idx])):
-                out.append(DurfeeSymbol(k, S, top, bottom, mu, nu))
-    return out
+@lru_cache(maxsize=None)
+def durfee_tally(k: int, n: int) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
+    """Counts of the weight-n k-marked symbols by (r, s, rank vector)."""
+    return Counter(sym.stats() + (sym.ranks(),) for sym in enumerate_durfee(k, n))
 
 
 def durfee_rank_poly(k: int, n: int) -> ParamPoly:
     """``sum d^r e^s x_1^{rho_1} ... x_k^{rho_k}`` over symbols of weight n."""
     params = ("d", "e") + tuple(f"x{j + 1}" for j in range(k))
-    acc = ParamPoly.zero(params)
-    for sym in enumerate_durfee(k, n):
-        r, s = sym.stats()
-        exps = {"d": r, "e": s}
-        for j, rho in enumerate(sym.ranks()):
-            exps[f"x{j + 1}"] = rho
-        acc = acc + ParamPoly.monomial(params, exps)
-    return acc
+    return ParamPoly(params, {(r, s) + rho: c for (r, s, rho), c in durfee_tally(k, n).items()})
 
 
 def durfee_fullrank_poly(k: int, n: int) -> ParamPoly:
     """``sum d^r e^s x^{FR}`` over symbols of weight n, FR the full rank."""
-    params = ("d", "e", "x")
-    acc = ParamPoly.zero(params)
-    for sym in enumerate_durfee(k, n):
-        r, s = sym.stats()
-        acc = acc + ParamPoly.monomial(params, {"d": r, "e": s, "x": sym.full_rank()})
-    return acc
+    return _summed_poly(("d", "e", "x"), (
+        ((r, s, full_rank(rho)), c) for (r, s, rho), c in durfee_tally(k, n).items()))
 
 
 def durfee_stats_poly(k: int, n: int) -> ParamPoly:
     """``sum d^r e^s`` over symbols of weight n."""
-    params = ("d", "e")
-    acc = ParamPoly.zero(params)
-    for sym in enumerate_durfee(k, n):
-        r, s = sym.stats()
-        acc = acc + ParamPoly.monomial(params, {"d": r, "e": s})
-    return acc
+    return _summed_poly(("d", "e"), (((r, s), c) for (r, s, _), c in durfee_tally(k, n).items()))

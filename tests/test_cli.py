@@ -46,6 +46,15 @@ def test_coeffs_eta_quotient_below_its_q_shift(capsys):
     assert obj["order"] == 1 and obj["coeffs"] == {}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_coeffs_table_of_zero_series_ends_at_its_order(capsys, fmt):
+    code, out, _ = run(capsys, "coeffs", "Phi1:m=3", "--order", "2", "--format", fmt)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out))) if fmt == "csv" else [
+        line.split() for line in out.splitlines()]
+    assert rows == [["exponent", "coefficient"], ["2", "0"]]
+
+
 @pytest.mark.parametrize("spec", ["spt:d=1/0", "n2v:vv=2", "durfee:k=2:base=2"])
 def test_coeffs_bad_identifier_is_one_line_usage_error(capsys, spec):
     code, out, err = run(capsys, "coeffs", spec, "--order", "3")
@@ -190,6 +199,34 @@ def test_report_merges_two_files(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["summary"]["total"] == 2
     assert [c["check"] for c in obj["checks"]] == ["C12", "C17"]
+
+
+def test_report_text_format_matches_verify_text(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    run(capsys, "verify", "--filter", "C12", "--format", "json", "--out", str(report))
+    _, verify_text, _ = run(capsys, "verify", "--filter", "C12")
+    code, out, _ = run(capsys, "report", str(report), "--format", "text")
+    assert code == 0
+    assert out == verify_text
+
+
+def test_report_csv_is_usage_error(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    run(capsys, "verify", "--filter", "C12", "--format", "json", "--out", str(report))
+    code, out, err = run(capsys, "report", str(report), "--format", "csv")
+    assert code == 2 and out == ""
+    assert "'csv'" in err
+
+
+@pytest.mark.parametrize("text", ['{"checks":[{}]}', "[1]", '{"checks": 5}',
+                                  '{"checks":[{"check": "C01", "status": "ok"}]}',
+                                  '{"checks":[{"check": 1, "status": "pass"}]}'])
+def test_report_malformed_file_is_one_line_usage_error(tmp_path, capsys, text):
+    report = tmp_path / "r.json"
+    report.write_text(text)
+    code, out, err = run(capsys, "report", str(report))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_flag_is_usage_error(capsys):

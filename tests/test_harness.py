@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from qpairs import harness
+from qpairs.cli import main
 
 
 REDUCED = {
@@ -38,6 +40,25 @@ def test_suite_filter_by_glob():
     assert {r.id for r in results} == {"C30", "C31", "C32"}
 
 
+def test_broken_check_is_an_error_not_an_abort(monkeypatch, capsys):
+    spec = harness.REGISTRY["C12"]
+
+    def broken(order):
+        return 1 // 0
+
+    monkeypatch.setitem(harness.REGISTRY, "C12", dataclasses.replace(spec, fn=broken))
+    results = harness.run_suite("C1?", order=8)
+    assert [r.id for r in results] == [f"C1{i}" for i in range(10)]
+    (res,) = [r for r in results if r.id == "C12"]
+    assert res.status == "error"
+    assert res.first_mismatch == {"label": "ZeroDivisionError: integer division or modulo by zero"}
+    assert all(r.status == "pass" for r in results if r.id != "C12")
+
+    assert main(["verify", "--filter", "C12", "--order", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("ERR   C12") and "Traceback" not in out + err
+
+
 def test_report_determinism():
     a = harness.run_suite("C12", order=12)
     b = harness.run_suite("C12", order=12)
@@ -53,13 +74,13 @@ def test_report_body_excludes_timing():
 
 def test_report_text_mentions_status():
     res = harness.run_check("C12", order=12)
-    text = harness.report_text([res])
+    text = harness.report_text([res.body()])
     assert "PASS" in text and "C12" in text
 
 
 def test_report_text_has_no_timing():
     res = harness.CheckResult("C00", "timed", "ref", "symbolic", 3, [], "pass", None, 98765)
-    assert harness.report_text([res]) == "PASS  C00  timed  order=3\n1/1 checks passed"
+    assert harness.report_text([res.body()]) == "PASS  C00  timed  order=3\n1/1 checks passed"
 
 
 def test_failing_check_reports_first_mismatch():

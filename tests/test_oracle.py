@@ -162,6 +162,35 @@ def test_filtered_enumeration_matches_brute_force():
             assert got == expected
 
 
+def _brute_force_durfee(k, n):
+    """Every decorated pair of marked rows of weight n that is a valid symbol."""
+    out = []
+    for S in range(1, n + 1):
+        for mu in oracle._distinct_subsets(S, n - S):
+            for nu in oracle._distinct_subsets(S, n - S - sum(mu)):
+                budget = n - S - sum(mu) - sum(nu)
+                for top in oracle._marked_rows(S, k, budget):
+                    rest = budget - sum(v for v, _ in top)
+                    for bottom in oracle._marked_rows(S, k, rest):
+                        sym = DurfeeSymbol(k, S, top, bottom, mu, nu)
+                        if sym.weight() == n and oracle.is_valid_durfee(sym):
+                            out.append(sym)
+    return out
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 7), (3, 7), (4, 6)])
+def test_enumeration_matches_independent_reference(k, n_max):
+    for n in range(n_max + 1):
+        reference = _brute_force_durfee(k, n)
+        assert sorted(map(repr, oracle.enumerate_durfee(k, n))) == sorted(map(repr, reference))
+        keys = {x.stats() + (x.ranks(),) for x in reference}
+        for r, s, rk in keys:
+            expected = sorted(
+                repr(x) for x in reference if x.stats() == (r, s) and x.ranks() == rk)
+            got = sorted(repr(x) for x in oracle.enumerate_durfee(k, n, r, s, rk))
+            assert got == expected
+
+
 def test_filtered_enumeration_beyond_cap_is_consistent():
     syms = oracle.enumerate_durfee(3, 14, 1, 2, (-1, -1, -1))
     assert syms
