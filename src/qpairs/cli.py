@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +49,14 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             if not text.endswith("\n"):
                 fh.write("\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left early (``| head``): send the rest, and the
+            # flush at interpreter exit, to devnull instead of a traceback
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
 
 
 def _rows_out(header: Sequence[str], rows: List[Sequence[str]], fmt: str,
@@ -303,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run identity checks")
     sp.add_argument("--filter", default=None, metavar="GLOB")
     sp.add_argument("--order", type=int, default=None)
-    common(sp)
+    common(sp, formats=("json", "text"))
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("report", help="merge JSON check reports")

@@ -341,15 +341,13 @@ def _check_c08(order: int):
 
 
 def _delta_x_A_at_1(j: int) -> Fraction:
-    """Exact value of (x d/dx)^j applied to 4x/(1+x)^2, at x = 1."""
-    import sympy
+    """Exact value of (x d/dx)^j applied to 4x/(1+x)^2, at x = 1.
 
-    x = sympy.Symbol("x")
-    expr = 4 * x / (1 + x) ** 2
-    for _ in range(j):
-        expr = sympy.simplify(x * sympy.diff(expr, x))
-    val = sympy.Rational(sympy.simplify(expr.subs(x, 1)))
-    return F(int(val.p), int(val.q))
+    With x = e^t the operator x d/dx is d/dt, so the value is j! times the
+    t^j coefficient of 4e^t/(1+e^t)^2, expanded here as a series in t."""
+    et = QSeries((), j, {n: F(1, math.factorial(n)) for n in range(j + 1)})
+    a = 4 * et * ((et + 1) ** 2).invert()
+    return a.coefficient(j).constant_value() * math.factorial(j)
 
 
 def _check_c09(order: int):

@@ -133,7 +133,7 @@ def _summed_poly(params: Tuple[str, ...], items: Iterable[Tuple[Tuple[int, ...],
     terms: Dict[Tuple[int, ...], Scalar] = {}
     for vec, c in items:
         terms[vec] = terms.get(vec, 0) + c
-    return ParamPoly(params, terms)
+    return ParamPoly._from_sums(params, terms)
 
 
 def rank_poly(tally: Dict[Tuple[int, int, int], int]) -> ParamPoly:

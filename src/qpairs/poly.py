@@ -2,7 +2,10 @@
 
 These are the coefficient objects for the truncated q-series kernel: a
 fixed, ordered tuple of parameter names (e.g. ``("d", "e", "x")``) and a
-sparse map from integer exponent vectors to nonzero ``Fraction`` values.
+sparse map from integer exponent vectors to nonzero rationals.  A stored
+coefficient is an ``int`` when it is integral and a ``Fraction`` only
+otherwise, so the common all-integer case never pays for ``Fraction``
+arithmetic; ``constant_value`` still hands out a ``Fraction``.
 The coefficient domain is deliberately a ring, not a field; expressions
 with genuinely rational parameter dependence are handled by evaluating
 the parameters at rational points before any division happens.
@@ -11,6 +14,7 @@ the parameters at rational points before any division happens.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -29,19 +33,31 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
+def _canon(c: Scalar) -> Scalar:
+    """The stored form of a coefficient: an int when integral, else a Fraction."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+
+
+def _clean(terms: Mapping[ExpVec, Scalar]) -> dict[ExpVec, Scalar]:
+    """A summed term map without its zero sums, in canonical form."""
+    return {vec: c if type(c) is int else _canon(c) for vec, c in terms.items() if c}
+
+
 class ParamPoly:
     """Laurent polynomial in a fixed tuple of named parameters.
 
-    Invariants: no stored zero coefficients; every exponent vector has
-    arity ``len(params)``.  Instances are immutable by convention: no
-    method mutates ``self``.
+    Invariants: no stored zero coefficients; every coefficient is an int
+    when integral; every exponent vector has arity ``len(params)``.
+    Instances are immutable by convention: no method mutates ``self``.
     """
 
     __slots__ = ("params", "terms")
 
     def __init__(self, params: Iterable[str], terms: Optional[Mapping[ExpVec, Scalar]] = None):
         self.params: Tuple[str, ...] = tuple(params)
-        clean: dict[ExpVec, Fraction] = {}
+        sums: dict[ExpVec, Scalar] = {}
         if terms:
             arity = len(self.params)
             for exps, c in terms.items():
@@ -50,18 +66,17 @@ class ParamPoly:
                     raise AlgebraError(
                         f"exponent vector {vec} has arity {len(vec)}, expected {arity}"
                     )
-                c = _as_fraction(c)
-                if c:
-                    acc = clean.get(vec)
-                    if acc is None:
-                        clean[vec] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            clean[vec] = acc
-                        else:
-                            del clean[vec]
-        self.terms = clean
+                sums[vec] = sums.get(vec, 0) + _canon(c)
+        self.terms = _clean(sums)
+
+    @classmethod
+    def _from_sums(cls, params: Tuple[str, ...], terms: dict) -> "ParamPoly":
+        """A poly from a summed term map whose keys are already exponent
+        tuples of the right arity, without revalidating the keys."""
+        out = cls.__new__(cls)
+        out.params = params
+        out.terms = _clean(terms)
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -72,7 +87,7 @@ class ParamPoly:
     @classmethod
     def const(cls, params: Iterable[str], c: Scalar) -> "ParamPoly":
         params = tuple(params)
-        return cls(params, {(0,) * len(params): _as_fraction(c)})
+        return cls(params, {(0,) * len(params): c})
 
     @classmethod
     def monomial(cls, params: Iterable[str], exps: Mapping[str, int], c: Scalar = 1) -> "ParamPoly":
@@ -82,7 +97,7 @@ class ParamPoly:
             if name not in params:
                 raise AlgebraError(f"unknown parameter {name!r} (declared: {params})")
             vec[params.index(name)] = int(e)
-        return cls(params, {tuple(vec): _as_fraction(c)})
+        return cls(params, {tuple(vec): c})
 
     @classmethod
     def var(cls, params: Iterable[str], name: str, power: int = 1) -> "ParamPoly":
@@ -93,7 +108,7 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_monomial(self) -> Optional[Tuple[Fraction, ExpVec]]:
+    def as_monomial(self) -> Optional[Tuple[Scalar, ExpVec]]:
         """Return ``(coeff, exponents)`` if this is a single term, else None."""
         if len(self.terms) != 1:
             return None
@@ -107,7 +122,7 @@ class ParamPoly:
         mono = self.as_monomial()
         if mono is None or any(mono[1]):
             raise AlgebraError(f"not a constant: {self}")
-        return mono[0]
+        return Fraction(mono[0])
 
     def degree(self, name: str) -> int:
         """Largest exponent of ``name`` over all terms (0 for the zero poly)."""
@@ -133,19 +148,8 @@ class ParamPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for vec, c in other.terms.items():
-            acc = terms.get(vec)
-            if acc is None:
-                terms[vec] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[vec] = acc
-                else:
-                    del terms[vec]
-        out = ParamPoly.__new__(ParamPoly)
-        out.params = self.params
-        out.terms = terms
-        return out
+            terms[vec] = terms.get(vec, 0) + c
+        return ParamPoly._from_sums(self.params, terms)
 
     __radd__ = __add__
 
@@ -163,29 +167,15 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            out = ParamPoly.__new__(ParamPoly)
-            out.params = self.params
-            out.terms = {vec: v * c for vec, v in self.terms.items()} if c else {}
-            return out
+            c = _canon(other)
+            return ParamPoly._from_sums(self.params, {vec: v * c for vec, v in self.terms.items()})
         other = self._coerce(other)
-        terms: dict[ExpVec, Fraction] = {}
+        terms: dict[ExpVec, Scalar] = {}
         for v1, c1 in self.terms.items():
             for v2, c2 in other.terms.items():
-                vec = tuple(a + b for a, b in zip(v1, v2))
-                acc = terms.get(vec)
-                if acc is None:
-                    terms[vec] = c1 * c2
-                else:
-                    acc = acc + c1 * c2
-                    if acc:
-                        terms[vec] = acc
-                    else:
-                        del terms[vec]
-        out = ParamPoly.__new__(ParamPoly)
-        out.params = self.params
-        out.terms = terms
-        return out
+                vec = tuple(map(add, v1, v2))
+                terms[vec] = terms.get(vec, 0) + c1 * c2
+        return ParamPoly._from_sums(self.params, terms)
 
     __rmul__ = __mul__
 
@@ -225,18 +215,13 @@ class ParamPoly:
     def derivative(self, name: str) -> "ParamPoly":
         """Formal partial derivative with respect to one parameter."""
         i = self.params.index(name)
-        terms: dict[ExpVec, Fraction] = {}
+        terms: dict[ExpVec, Scalar] = {}
         for vec, c in self.terms.items():
             k = vec[i]
-            if k == 0:
-                continue
-            nvec = vec[:i] + (k - 1,) + vec[i + 1:]
-            acc = terms.get(nvec, Fraction(0)) + c * k
-            if acc:
-                terms[nvec] = acc
-            else:
-                terms.pop(nvec, None)
-        return ParamPoly(self.params, terms)
+            if k:
+                nvec = vec[:i] + (k - 1,) + vec[i + 1:]
+                terms[nvec] = terms.get(nvec, 0) + c * k
+        return ParamPoly._from_sums(self.params, terms)
 
     def delta(self, name: str) -> "ParamPoly":
         """The Euler operator p * d/dp: multiplies each term by its p-exponent."""
@@ -248,23 +233,20 @@ class ParamPoly:
 
     def eval(self, name: str, r: Scalar) -> "ParamPoly":
         """Replace ``name`` by the rational ``r``; arity is preserved."""
-        r = _as_fraction(r)
+        r = _as_fraction(r)  # a Fraction, so r ** -k stays exact
         i = self.params.index(name)
-        terms: dict[ExpVec, Fraction] = {}
+        powers: dict[int, Fraction] = {}
+        terms: dict[ExpVec, Scalar] = {}
         for vec, c in self.terms.items():
             k = vec[i]
-            if k < 0 and r == 0:
-                raise AlgebraError(f"pole at 0: {name}^{k} evaluated at 0")
-            val = c * r ** k
-            if not val:
-                continue
+            p = powers.get(k)
+            if p is None:
+                if k < 0 and r == 0:
+                    raise AlgebraError(f"pole at 0: {name}^{k} evaluated at 0")
+                p = powers[k] = r ** k
             nvec = vec[:i] + (0,) + vec[i + 1:]
-            acc = terms.get(nvec, Fraction(0)) + val
-            if acc:
-                terms[nvec] = acc
-            else:
-                terms.pop(nvec, None)
-        return ParamPoly(self.params, terms)
+            terms[nvec] = terms.get(nvec, 0) + c * p
+        return ParamPoly._from_sums(self.params, terms)
 
     def with_params(self, params: Iterable[str]) -> "ParamPoly":
         """Re-express over a new parameter tuple (a superset, possibly reordered)."""
@@ -273,7 +255,7 @@ class ParamPoly:
             idx = [params.index(p) for p in self.params]
         except ValueError as exc:
             raise AlgebraError(f"cannot lift {self.params} to {params}") from exc
-        terms: dict[ExpVec, Fraction] = {}
+        terms: dict[ExpVec, Scalar] = {}
         for vec, c in self.terms.items():
             nvec = [0] * len(params)
             for pos, e in zip(idx, vec):
@@ -283,7 +265,7 @@ class ParamPoly:
 
     # -- formatting and serialization -----------------------------------
 
-    def sorted_terms(self) -> list[Tuple[ExpVec, Fraction]]:
+    def sorted_terms(self) -> list[Tuple[ExpVec, Scalar]]:
         return sorted(self.terms.items())
 
     def __str__(self) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction
@@ -187,15 +188,19 @@ class QSeries:
             return QSeries(self.params, self.order, coeffs, bounds)
         self._check_params(other)
         order = min(self.order + other.valuation, other.order + self.valuation)
-        coeffs: dict[int, ParamPoly] = {}
+        right = [(j, b.terms.items()) for j, b in sorted(other.coeffs.items())]
+        sums: dict[int, dict] = {}  # exponent -> summed term map
         for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                n = i + j
-                if n > order:
-                    continue
-                prod = a * b
-                acc = coeffs.get(n)
-                coeffs[n] = prod if acc is None else acc + prod
+            left = a.terms.items()
+            for j, b in right:
+                if i + j > order:
+                    break
+                acc = sums.setdefault(i + j, {})
+                for v1, c1 in left:
+                    for v2, c2 in b:
+                        vec = tuple(map(add, v1, v2))
+                        acc[vec] = acc.get(vec, 0) + c1 * c2
+        coeffs = {n: ParamPoly._from_sums(self.params, t) for n, t in sums.items()}
         bounds = {}
         if self.valuation >= 0 and other.valuation >= 0:
             bounds = {

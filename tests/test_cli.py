@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,12 @@ def test_verify_reduced_order(capsys):
     assert code == 0
 
 
+def test_verify_csv_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--filter", "C12", "--order", "6", "--format", "csv")
+    assert code == 2 and out == ""
+    assert "'csv'" in err
+
+
 def test_verify_unknown_filter(capsys):
     code, _, err = run(capsys, "verify", "--filter", "nothing-matches")
     assert code == 2
@@ -237,3 +247,18 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_closed_stdout_ends_quietly():
+    # the listing is larger than a pipe buffer, so the writer meets the closed pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qpairs.cli", "enumerate", "pairs", "--n", "8", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == 0

@@ -1,11 +1,19 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qpairs import harness
 from qpairs.cli import main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 REDUCED = {
     "C01": 12, "C02": 12, "C03": 8, "C04": 8, "C05": 8, "C06": 10, "C07": 12,
@@ -92,3 +100,17 @@ def test_failing_check_reports_first_mismatch():
 
 def test_negative_control_must_fail():
     assert harness.negative_control().status == "fail"
+
+
+def test_c09_constants_are_exact():
+    assert [harness._delta_x_A_at_1(j) for j in range(5)] == [1, 0, Fraction(-1, 2), 0, 1]
+
+
+def test_c09_runs_without_sympy():
+    code = ("import sys; from qpairs.cli import main; "
+            "status = main(['verify', '--filter', 'C09', '--format', 'json']); "
+            "assert 'sympy' not in sys.modules; sys.exit(status)")
+    proc = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["checks"][0]["status"] == "pass"

@@ -80,3 +80,24 @@ def test_serialization_round_trip():
 def test_sorted_terms_deterministic():
     a = ParamPoly.var(P, "e") + ParamPoly.var(P, "d")
     assert a.sorted_terms() == sorted(a.terms.items())
+
+
+def test_eval_at_negative_power_is_exact():
+    p = ParamPoly.var(("x",), "x", -3).eval("x", Fraction(1, 2))
+    assert p.terms == {(0,): 8}
+    assert all(not isinstance(c, float) for c in p.terms.values())
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = ParamPoly.const(P, Fraction(6, 2)) + ParamPoly.var(P, "d") * Fraction(1, 2)
+    assert {vec: type(c) for vec, c in p.terms.items()} == {(0, 0): int, (1, 0): Fraction}
+    assert type((p * 2).terms[(1, 0)]) is int
+
+
+def test_constant_value_is_a_fraction():
+    assert type(ParamPoly.const(P, 3).constant_value()) is Fraction
+    assert type(ParamPoly.zero(P).constant_value()) is Fraction
+
+
+def test_to_obj_writes_integers_as_fractions():
+    assert ParamPoly.const(P, 3).to_obj() == [[[0, 0], "3/1"]]
