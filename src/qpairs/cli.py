@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -124,14 +125,20 @@ def _fmt_marked_row(row) -> str:
     return " ".join(f"{v}_{i}" for v, i in row) if row else "-"
 
 
+def _fmt_ints(seq) -> str:
+    return ",".join(map(str, seq)) or "-"
+
+
 def _parse_durfee_filter(text: str) -> Dict[str, object]:
     # "r=1,s=2,ranks=-1,-1,-1": bare tokens extend the previous key's list
-    out: Dict[str, object] = {}
+    out: Dict[str, List[str]] = {}
     key = None
     for tok in text.split(","):
         if "=" in tok:
             key, val = tok.split("=", 1)
             key = key.strip()
+            if key in out:
+                raise UsageError(f"filter key {key} given twice")
             out[key] = [val.strip()]
         elif key is not None:
             out[key].append(tok.strip())
@@ -139,14 +146,15 @@ def _parse_durfee_filter(text: str) -> Dict[str, object]:
             raise UsageError(f"bad filter token {tok!r}")
     parsed: Dict[str, object] = {}
     for k, vals in out.items():
-        if k in ("r", "s", "S", "full_rank"):
-            if len(vals) != 1:
-                raise UsageError(f"filter key {k} takes one value")
-            parsed[k] = int(vals[0])
-        elif k == "ranks":
-            parsed[k] = tuple(int(v) for v in vals)
-        else:
+        if k not in ("r", "s", "S", "full_rank", "ranks"):
             raise UsageError(f"unknown filter key {k!r}")
+        if k != "ranks" and len(vals) != 1:
+            raise UsageError(f"filter key {k} takes one value")
+        try:
+            ints = tuple(int(v) for v in vals)
+        except ValueError:
+            raise UsageError(f"filter key {k} takes integers, got {','.join(vals)!r}")
+        parsed[k] = ints if k == "ranks" else ints[0]
     return parsed
 
 
@@ -155,6 +163,8 @@ def cmd_enumerate(args) -> int:
     if n is None:
         raise UsageError("enumerate requires --n")
     if args.kind == "pairs":
+        if args.k is not None or args.filter is not None:
+            raise UsageError("--k and --filter apply to enumerate durfee only")
         if n > PAIR_CAP and not args.force:
             raise UsageError(
                 f"n={n} exceeds the enumeration cap {PAIR_CAP}; pass --force to override")
@@ -175,18 +185,31 @@ def cmd_enumerate(args) -> int:
     if n > DURFEE_CAP and not args.force and not pruned:
         raise UsageError(
             f"n={n} exceeds the enumeration cap {DURFEE_CAP}; pass --force to override")
+    # Symbols share rows, row pairs and decorations: each distinct one is
+    # formatted once, in caches that end with this call.
+    row_text = functools.cache(_fmt_marked_row)
+
+    @functools.cache
+    def pair_columns(top, bottom):  # top, bottom, ranks, full_rank columns; full rank
+        ranks = oracle.rank_vector(args.k, top, bottom)
+        full = oracle.full_rank(ranks)
+        return row_text(top), row_text(bottom), _fmt_ints(ranks), str(full), full
+
+    @functools.cache
+    def decoration_columns(S, mu, nu):  # S, mu, nu, r, s
+        return str(S), _fmt_ints(mu), _fmt_ints(nu), str(S - len(mu)), str(S - len(nu))
+
+    want_S, want_full = want.get("S"), want.get("full_rank")
     rows = []
     for sym in oracle.enumerate_durfee(args.k, n, want.get("r"), want.get("s"),
                                        want.get("ranks")):
-        r, s = sym.stats()
-        ranks = sym.ranks()
-        if want.get("S") is not None and sym.S != want["S"]:
+        if want_S is not None and sym.S != want_S:
             continue
-        if want.get("full_rank") is not None and sym.full_rank() != want["full_rank"]:
+        top, bottom, ranks, full_text, full = pair_columns(sym.top, sym.bottom)
+        if want_full is not None and full != want_full:
             continue
-        rows.append([str(sym.S), _fmt_marked_row(sym.top), _fmt_marked_row(sym.bottom),
-                     ",".join(map(str, sym.mu)) or "-", ",".join(map(str, sym.nu)) or "-",
-                     str(r), str(s), ",".join(map(str, ranks)), str(sym.full_rank())])
+        S, mu, nu, r, s = decoration_columns(sym.S, sym.mu, sym.nu)
+        rows.append([S, top, bottom, mu, nu, r, s, ranks, full_text])
     rows.sort()
     _rows_out(["S", "top", "bottom", "mu", "nu", "r", "s", "ranks", "full_rank"],
               rows, args.format, args.out,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .poly import ParamPoly, Scalar
 
@@ -157,7 +157,7 @@ def symmetrized_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPol
 # marked Durfee symbols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DurfeeSymbol:
     """A two-rowed array of subscripted parts with decoration (S, mu, nu).
 
@@ -186,18 +186,21 @@ class DurfeeSymbol:
         return self.S - len(self.mu), self.S - len(self.nu)
 
     def ranks(self) -> Tuple[int, ...]:
-        taus = [0] * self.k
-        betas = [0] * self.k
-        for _, i in self.top:
-            taus[i - 1] += 1
-        for _, i in self.bottom:
-            betas[i - 1] += 1
-        return tuple(
-            taus[i] - betas[i] - (1 if i < self.k - 1 else 0) for i in range(self.k)
-        )
+        return rank_vector(self.k, self.top, self.bottom)
 
     def full_rank(self) -> int:
         return full_rank(self.ranks())
+
+
+def rank_vector(k: int, top, bottom) -> Tuple[int, ...]:
+    """(rho_1, ..., rho_k): top-row parts of subscript i, minus bottom-row
+    parts of subscript i, minus one for i < k."""
+    counts = [0] * k
+    for _, i in top:
+        counts[i - 1] += 1
+    for _, i in bottom:
+        counts[i - 1] -= 1
+    return tuple(c - (i < k) for i, c in enumerate(counts, 1))
 
 
 def full_rank(ranks: Tuple[int, ...]) -> int:
@@ -258,54 +261,168 @@ def _distinct_subsets(
             out.append(acc)
         if size is not None and len(acc) >= size:
             return
-        for a in range(min(next_max, left), -1, -1):
+        # with a size, the values still due after a are distinct and below
+        # a, so a >= more and they weigh at least 0 + 1 + ... + (more - 1)
+        more = 0 if size is None else size - len(acc) - 1
+        for a in range(min(next_max, left - more * (more - 1) // 2), more - 1, -1):
             rec(a - 1, left - a, acc + (a,))
     rec(S - 1, budget, ())
     return out
 
 
 def _bounded_parts(
-    total: int, count: int | None, lo: int, hi: int
-) -> List[Tuple[int, ...]]:
-    """Weakly decreasing tuples of values in [lo, hi] summing to total:
-    exactly count values, or any number of them when count is None."""
+    total: int, count: int | None, lo: int, hi: int, sub: int
+) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Blocks of parts ``(value, sub)``, values weakly decreasing in [lo, hi]
+    and summing to total: exactly count parts, or any number when count
+    is None."""
     if total == 0 and not count:
-        return [()]
+        return ((),)
     if count == 0 or (count is not None and total > hi * count):
-        return []
+        return ()
     rest = None if count is None else count - 1
-    out: List[Tuple[int, ...]] = []
-    for v in range(min(hi, total - lo * (rest or 0)), lo - 1, -1):
-        for tail in _bounded_parts(total - v, rest, lo, v):
-            out.append((v,) + tail)
-    return out
+    return tuple(((v, sub),) + tail
+                 for v in range(min(hi, total - lo * (rest or 0)), lo - 1, -1)
+                 for tail in _bounded_parts(total - v, rest, lo, v, sub))
 
 
 def _bottoms(
-    bounds: List[Tuple[int, int]], counts: List[int] | None, total: int
-) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Bottom rows summing to total whose parts of subscript i lie in
-    bounds[i-1]: counts[i-1] of them, or any number when counts is None.
-    Subscript blocks run k down to 1; the interval bounds make the
-    cross-block value ordering automatic."""
+    bounds: List[Tuple[int, int]], counts: List[int] | None, least: int, most: int,
+    blocks: Callable[..., Tuple[Tuple[Tuple[int, int], ...], ...]],
+) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+    """``(total, row)`` for the bottom rows with total in [least, most] whose
+    parts of subscript i lie in bounds[i-1]: counts[i-1] of them, or any
+    number when counts is None.  Subscript blocks run k down to 1; the
+    interval bounds make the cross-block value ordering automatic.
+    ``blocks`` is ``_bounded_parts`` or a memoised copy of it."""
     k = len(bounds)
     if counts is None:
         counts = [None] * k
-    spans = [(0, total) if c is None else (c * lo, c * hi) for c, (lo, hi) in zip(counts, bounds)]
+    spans = [(0, most) if c is None else (c * lo, c * hi) for c, (lo, hi) in zip(counts, bounds)]
     # least and greatest sum of the blocks below subscript i
     below_min = list(accumulate((a for a, _ in spans), initial=0))
     below_max = list(accumulate((b for _, b in spans), initial=0))
-
-    def rec(i: int, left: int, acc: Tuple[Tuple[int, int], ...]):
-        if i == 0:
-            yield acc  # the block-1 range below forces left == 0 here
-            return
+    rows = [(0, ())]  # rows of blocks k..i+1 that can still reach [least, most]
+    for i in range(k, 0, -1):
         lo, hi = bounds[i - 1]
         a, b = spans[i - 1]
-        for t in range(max(a, left - below_max[i - 1]), min(b, left - below_min[i - 1]) + 1):
-            for block in _bounded_parts(t, counts[i - 1], lo, hi):
-                yield from rec(i - 1, left - t, acc + tuple((v, i) for v in block))
-    yield from rec(k, total, ())
+        rows = [(used + t, acc + block)
+                for used, acc in rows
+                for t in range(max(a, least - used - below_max[i - 1]),
+                               min(b, most - used - below_min[i - 1]) + 1)
+                for block in blocks(t, counts[i - 1], lo, hi, i)]
+    return rows  # the block-1 range puts every total in [least, most]
+
+
+def _top_rows(
+    k: int, S: int, limit: int, ranks: Tuple[int, ...] | None
+) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """Top rows with parts at most S and every subscript below k present
+    whose weight, plus the least bottom weight they force, is at most limit.
+
+    Rows are built block by block from subscript k down to 1, each block
+    part by part in decreasing order.  With a rank vector, subscript i
+    asks for c_i = tau_i - rho_i - [i < k] >= 0 bottom parts, each at
+    least the largest top part of subscript i - 1 (at least 1 for i = 1).
+    The bound counts that floor as 1 until the block below has its first
+    part, and the top parts still due (one per subscript below k, and
+    enough to make every c_i >= 0) as 1 each, so it never discards a row
+    that can reach limit.
+    """
+    def count(i: int, t: int) -> int:  # c_i for t top parts of subscript i
+        return 0 if ranks is None else t - ranks[i - 1] - (i < k)
+
+    # need[i]: least top parts of subscript i; due[i]: those of subscripts 1..i
+    need = [0] + [max(i < k, -count(i, 0)) for i in range(1, k + 1)]
+    due = list(accumulate(need))
+
+    def bound(i, t, used, low):
+        return used + low + max(0, count(i, t)) + max(0, need[i] - t) + due[i - 1]
+
+    def rec(i, cap, t, used, low, c_above, acc):
+        # block i holds t parts, the last at most cap; low is the least
+        # weight of bottom blocks i+1..k; c_above is c_{i+1}
+        if t >= need[i]:  # close block i
+            c = count(i, t)
+            if i == 1:
+                yield acc
+            elif bound(i - 1, 0, used, low + c) <= limit:
+                yield from rec(i - 1, cap, 0, used, low + c, c, acc)
+        for v in range(1, cap + 1):
+            # the first part of block i lifts block i+1's floor from 1 to v
+            low_v = low + c_above * (v - 1) if t == 0 else low
+            if bound(i, t + 1, used + v, low_v) > limit:
+                break  # the bound grows with v
+            yield from rec(i, v, t + 1, used + v, low_v, c_above, acc + ((v, i),))
+
+    if bound(k, 0, 0, 0) <= limit:
+        yield from rec(k, S, 0, 0, 0, 0, ())
+
+
+def _decorations(
+    S: int, room: int, r: int | None, s: int | None
+) -> Dict[int, Dict[Tuple[int, int], List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]]:
+    """Decorations (mu, nu) of side S with |mu| + |nu| at most room, grouped
+    by the weight they leave for the rows and then by their (r, s)."""
+    mu_size = None if r is None else S - r
+    nu_size = None if s is None else S - s
+    groups: Dict[int, Dict[Tuple[int, int], list]] = {}
+    if (mu_size is not None and not 0 <= mu_size <= S) or (
+            nu_size is not None and not 0 <= nu_size <= S):
+        return groups
+    for mu in _distinct_subsets(S, room, mu_size):
+        for nu in _distinct_subsets(S, room - sum(mu), nu_size):
+            budget = room - sum(mu) - sum(nu)
+            stats = (S - len(mu), S - len(nu))
+            groups.setdefault(budget, {}).setdefault(stats, []).append((mu, nu))
+    return groups
+
+
+def _durfee_rows(
+    k: int,
+    n: int,
+    r: int | None = None,
+    s: int | None = None,
+    ranks: Tuple[int, ...] | None = None,
+) -> Iterator[Tuple[int, Tuple, Tuple, Dict[Tuple[int, int], list]]]:
+    """``(S, top, bottom, decorations)`` for the weight-n k-marked symbols:
+    every pair of rows once, with the decorations that complete it to
+    weight n grouped by their (r, s)."""
+    if k < 2:
+        raise ValueError("marked symbols need k >= 2")
+    if ranks is not None and len(ranks) != k:
+        raise ValueError(f"rank vector must have {k} entries")
+    # top rows share their bottom blocks; the memo lives as long as this call
+    blocks = lru_cache(maxsize=None)(_bounded_parts)
+    for S in range(1, n + 1):
+        groups = _decorations(S, n - S, r, s)
+        if not groups:
+            continue
+        for top in _top_rows(k, S, max(groups), ranks):
+            taus = [0] * k
+            M = [0] * k  # M[i] = largest top-row part with subscript i+1
+            for v, i in top:
+                taus[i - 1] += 1
+                M[i - 1] = max(M[i - 1], v)
+            # closed intervals; every top has subscripts 1..k-1, so lo <= hi
+            bounds = [(1 if i == 0 else M[i - 1], S if i == k - 1 else M[i]) for i in range(k)]
+            if ranks is None:
+                counts, low, high = None, 0, n
+            else:
+                # nonnegative: _top_rows closes a block only then
+                counts = [taus[i] - ranks[i] - (1 if i < k - 1 else 0) for i in range(k)]
+                low = sum(c * lo for c, (lo, _) in zip(counts, bounds))
+                high = sum(c * hi for c, (_, hi) in zip(counts, bounds))
+            used = sum(v for v, _ in top)
+            # the decorations of each bottom-row total this top row can carry
+            wanted = {budget - used: decorations for budget, decorations in groups.items()
+                      if low <= budget - used <= high}
+            if not wanted:
+                continue
+            for total, bottom in _bottoms(bounds, counts, min(wanted), max(wanted), blocks):
+                decorations = wanted.get(total)
+                if decorations:
+                    yield S, top, bottom, decorations
 
 
 def enumerate_durfee(
@@ -320,60 +437,23 @@ def enumerate_durfee(
     Fixing r or s restricts the decoration sizes up front, and fixing the
     rank vector determines the bottom row's subscript counts from the
     top row's; together these prune the search enough to reach weights
-    far beyond the unconstrained cap.  Decorations are grouped by the
-    weight they leave for the rows, so each (top, bottom) pair is built
-    once per group.
+    far beyond the unconstrained cap.
     """
-    if k < 2:
-        raise ValueError("marked symbols need k >= 2")
-    if ranks is not None and len(ranks) != k:
-        raise ValueError(f"rank vector must have {k} entries")
-    out: List[DurfeeSymbol] = []
-    for S in range(1, n + 1):
-        mu_size = None if r is None else S - r
-        nu_size = None if s is None else S - s
-        if mu_size is not None and not 0 <= mu_size <= S:
-            continue
-        if nu_size is not None and not 0 <= nu_size <= S:
-            continue
-        groups: Dict[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = {}
-        for mu in _distinct_subsets(S, n - S, mu_size):
-            for nu in _distinct_subsets(S, n - S - sum(mu), nu_size):
-                groups.setdefault(n - S - sum(mu) - sum(nu), []).append((mu, nu))
-        if not groups:
-            continue
-        for top in _marked_rows(S, k, max(groups)):
-            taus = [0] * k
-            M = [0] * k  # M[i] = largest top-row part with subscript i+1
-            for v, i in top:
-                taus[i - 1] += 1
-                M[i - 1] = max(M[i - 1], v)
-            if not all(taus[: k - 1]):
-                continue
-            # closed intervals; every top has subscripts 1..k-1, so lo <= hi
-            bounds = [(1 if i == 0 else M[i - 1], S if i == k - 1 else M[i]) for i in range(k)]
-            if ranks is None:
-                counts, low, high = None, 0, n
-            else:
-                counts = [taus[i] - ranks[i] - (1 if i < k - 1 else 0) for i in range(k)]
-                if min(counts) < 0:
-                    continue
-                low = sum(c * lo for c, (lo, _) in zip(counts, bounds))
-                high = sum(c * hi for c, (_, hi) in zip(counts, bounds))
-            used = sum(v for v, _ in top)
-            for budget, decorations in groups.items():
-                if not low <= budget - used <= high:
-                    continue
-                for bottom in _bottoms(bounds, counts, budget - used):
-                    for mu, nu in decorations:
-                        out.append(DurfeeSymbol(k, S, top, bottom, mu, nu))
-    return out
+    return [DurfeeSymbol(k, S, top, bottom, mu, nu)
+            for S, top, bottom, decorations in _durfee_rows(k, n, r, s, ranks)
+            for group in decorations.values() for mu, nu in group]
 
 
 @lru_cache(maxsize=None)
 def durfee_tally(k: int, n: int) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
-    """Counts of the weight-n k-marked symbols by (r, s, rank vector)."""
-    return Counter(sym.stats() + (sym.ranks(),) for sym in enumerate_durfee(k, n))
+    """Counts of the weight-n k-marked symbols by (r, s, rank vector),
+    taken from each pair of rows without building its symbols."""
+    tally: Counter = Counter()
+    for _, top, bottom, decorations in _durfee_rows(k, n):
+        rho = rank_vector(k, top, bottom)
+        for (r, s), group in decorations.items():
+            tally[r, s, rho] += len(group)
+    return tally
 
 
 def durfee_rank_poly(k: int, n: int) -> ParamPoly:

@@ -235,7 +235,7 @@ class ParamPoly:
         """Replace ``name`` by the rational ``r``; arity is preserved."""
         r = _as_fraction(r)  # a Fraction, so r ** -k stays exact
         i = self.params.index(name)
-        powers: dict[int, Fraction] = {}
+        powers: dict[int, Scalar] = {}  # r ** k, an int when integral
         terms: dict[ExpVec, Scalar] = {}
         for vec, c in self.terms.items():
             k = vec[i]
@@ -243,7 +243,7 @@ class ParamPoly:
             if p is None:
                 if k < 0 and r == 0:
                     raise AlgebraError(f"pole at 0: {name}^{k} evaluated at 0")
-                p = powers[k] = r ** k
+                p = powers[k] = _canon(r ** k)
             nvec = vec[:i] + (0,) + vec[i + 1:]
             terms[nvec] = terms.get(nvec, 0) + c * p
         return ParamPoly._from_sums(self.params, terms)

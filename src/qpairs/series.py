@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
@@ -367,7 +367,8 @@ class QSeries:
         else:
             order = self.order
         i = self.params.index(name)
-        coeffs: dict[int, ParamPoly] = {}
+        powers: dict[int, Scalar] = {}
+        sums: dict[int, dict] = {}  # output exponent -> summed term map
         for n, poly in self.coeffs.items():
             for vec, v in poly.terms.items():
                 k = vec[i]
@@ -383,10 +384,13 @@ class QSeries:
                     raise AlgebraError(
                         f"exponent underflow: term {name}^{k} q^{n} lands at q^{ne}"
                     )
+                p = powers.get(k)
+                if p is None:
+                    p = powers[k] = _canon(c ** k)
                 nvec = vec[:i] + (0,) + vec[i + 1:]
-                term = ParamPoly(self.params, {nvec: v * c ** k})
-                acc = coeffs.get(ne)
-                coeffs[ne] = term if acc is None else acc + term
+                terms = sums.setdefault(ne, {})
+                terms[nvec] = terms.get(nvec, 0) + v * p
+        coeffs = {ne: ParamPoly._from_sums(self.params, terms) for ne, terms in sums.items()}
         return QSeries(self.params, order, coeffs)
 
     def delta_q(self) -> "QSeries":

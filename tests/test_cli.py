@@ -98,6 +98,23 @@ def test_enumerate_pairs_cap(capsys):
     assert "--force" in err
 
 
+@pytest.mark.parametrize("extra", [("--filter", "r=1"), ("--k", "2")])
+def test_enumerate_pairs_rejects_durfee_options(capsys, extra):
+    code, out, err = run(capsys, "enumerate", "pairs", "--n", "2", *extra)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and extra[0] in err
+
+
+@pytest.mark.parametrize("text,key", [("r=1,r=2", "r"), ("ranks=0,0,ranks=1,1", "ranks"),
+                                      ("ranks=", "ranks"), ("r=1,s=x", "s"),
+                                      ("ranks=0,y", "ranks")])
+def test_enumerate_durfee_bad_filter_is_one_line_usage_error(capsys, text, key):
+    code, out, err = run(capsys, "enumerate", "durfee", "--k", "2", "--n", "4",
+                         "--filter", text)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"filter key {key} " in err
+
+
 def test_enumerate_durfee_requires_k(capsys):
     code, _, err = run(capsys, "enumerate", "durfee", "--n", "4")
     assert code == 2
@@ -125,6 +142,7 @@ def test_enumerate_durfee_filter(capsys):
         assert (row[5], row[6], row[7]) == ("1", "1", "0,0")
 
 
+@pytest.mark.slow
 def test_enumerate_durfee_weight_43_filtered(capsys):
     # weight 43 with r, s, and all ranks fixed; the known symbol with
     # decoration mu=(3,2,0), nu=(2,1) must be listed

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -199,3 +200,35 @@ def test_filtered_enumeration_beyond_cap_is_consistent():
         assert sym.weight() == 14
         assert sym.stats() == (1, 2)
         assert sym.ranks() == (-1, -1, -1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_durfee_tally_counts_the_listing(k):
+    for n in range(9):
+        listed = Counter(x.stats() + (x.ranks(),) for x in oracle.enumerate_durfee(k, n))
+        assert oracle.durfee_tally(k, n) == listed
+
+
+def test_filtered_enumeration_is_a_slice_of_the_listing():
+    # past the brute-force reference's weights, where pruning cuts deeper
+    for n in range(8, 13):
+        slices = {}
+        for x in oracle.enumerate_durfee(3, n):
+            slices.setdefault(x.stats() + (x.ranks(),), []).append(repr(x))
+        for (r, s, rk), expected in slices.items():
+            got = sorted(map(repr, oracle.enumerate_durfee(3, n, r, s, rk)))
+            assert got == sorted(expected)
+
+
+@pytest.mark.parametrize("n,count", [(20, 2070), (26, 17111)])
+def test_filtered_enumeration_counts(n, count):
+    assert len(oracle.enumerate_durfee(3, n, 1, 2, (-1, -1, -1))) == count
+
+
+def test_durfee_symbol_has_slots_and_keeps_its_repr():
+    assert not hasattr(WEIGHT_43_SYMBOL, "__dict__")
+    assert repr(WEIGHT_43_SYMBOL) == (
+        "DurfeeSymbol(k=3, S=4, top=((4, 3), (3, 2), (3, 1), (2, 1), (1, 1)), "
+        "bottom=((4, 3), (4, 3), (3, 2), (3, 1), (3, 1), (1, 1)), mu=(3, 2, 0), nu=(2, 1))")
+    assert WEIGHT_43_SYMBOL == DurfeeSymbol(**{
+        f: getattr(WEIGHT_43_SYMBOL, f) for f in ("k", "S", "top", "bottom", "mu", "nu")})
