@@ -17,7 +17,7 @@ import io
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import builders, harness, oracle
 from .poly import AlgebraError
@@ -25,6 +25,7 @@ from .series import TruncationError
 
 PAIR_CAP = 14
 DURFEE_CAP = 12
+DURFEE_HEADER = ("S", "top", "bottom", "mu", "nu", "r", "s", "ranks", "full_rank")
 
 
 class UsageError(Exception):
@@ -44,20 +45,24 @@ def _parse_params(text: Optional[str]) -> Dict[str, str]:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
+    _write((text, "" if out_path and text.endswith("\n") else "\n"), out_path)
+
+
+def _write(chunks: Iterable[str], out_path: Optional[str]) -> None:
+    """Write the chunks to out_path, or to stdout as they come."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        try:
-            print(text)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader left early (``| head``): send the rest, and the
-            # flush at interpreter exit, to devnull instead of a traceback
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            fh.writelines(chunks)
+        return
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head``): send the rest, and the
+        # flush at interpreter exit, to devnull instead of a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
 
 
 def _rows_out(header: Sequence[str], rows: List[Sequence[str]], fmt: str,
@@ -185,36 +190,106 @@ def cmd_enumerate(args) -> int:
     if n > DURFEE_CAP and not args.force and not pruned:
         raise UsageError(
             f"n={n} exceeds the enumeration cap {DURFEE_CAP}; pass --force to override")
-    # Symbols share rows, row pairs and decorations: each distinct one is
-    # formatted once, in caches that end with this call.
-    row_text = functools.cache(_fmt_marked_row)
+    pairs, groups, count = _durfee_table(args.k, n, want)
+    if args.format == "json":
+        rows = [[S, top, bottom, *decoration, ranks, full]
+                for S, top, bottom, ranks, full, group in pairs for decoration in groups[group]]
+        _rows_out(DURFEE_HEADER, rows, "json", args.out)
+    else:
+        _write(_durfee_lines(pairs, groups, args.format,
+                             f"{count} symbols of weight {n} (k={args.k})"), args.out)
+    return 0
+
+
+def _durfee_table(k: int, n: int, want: Dict[str, object]):
+    """The ``enumerate durfee`` listing in its sorted order, built from the
+    row pairs with no symbol and no row sort.
+
+    Each (S, top, bottom) names one row pair and a pair's decorations are
+    distinct, so the rows, sorted as texts, are the pairs sorted by their
+    (S, top, bottom) texts, each followed by its decorations sorted by their
+    (mu, nu) texts.  A pair's decorations depend only on S and the pair's
+    weight, so each such group is formatted and sorted once.
+
+    Returns ``(pairs, groups, count)``: the sorted pairs as (S, top, bottom,
+    ranks, full_rank) texts plus their group's key, each group's sorted
+    (mu, nu, r, s) texts, and the number of rows.
+    """
+    want_S, want_full, want_ranks = want.get("S"), want.get("full_rank"), want.get("ranks")
 
     @functools.cache
-    def pair_columns(top, bottom):  # top, bottom, ranks, full_rank columns; full rank
-        ranks = oracle.rank_vector(args.k, top, bottom)
+    def rank_cells(ranks):
         full = oracle.full_rank(ranks)
-        return row_text(top), row_text(bottom), _fmt_ints(ranks), str(full), full
+        return _fmt_ints(ranks), str(full), full
 
-    @functools.cache
-    def decoration_columns(S, mu, nu):  # S, mu, nu, r, s
-        return str(S), _fmt_ints(mu), _fmt_ints(nu), str(S - len(mu)), str(S - len(nu))
-
-    want_S, want_full = want.get("S"), want.get("full_rank")
-    rows = []
-    for sym in oracle.enumerate_durfee(args.k, n, want.get("r"), want.get("s"),
-                                       want.get("ranks")):
-        if want_S is not None and sym.S != want_S:
+    # fixing the rank vector fixes the bottom row's subscript counts, so
+    # every pair the enumerator yields has that rank vector
+    fixed = None if want_ranks is None else rank_cells(want_ranks)
+    row_cells = functools.cache(lambda row: (_fmt_marked_row(row), sum(v for v, _ in row)))
+    groups: Dict[Tuple[int, int], List[Tuple[str, str, str, str]]] = {}
+    pairs = []
+    count = 0
+    last_S = last_top = None
+    for S, top, bottom, decorations in oracle._durfee_rows(
+            k, n, want.get("r"), want.get("s"), want_ranks):
+        if want_S is not None and S != want_S:
             continue
-        top, bottom, ranks, full_text, full = pair_columns(sym.top, sym.bottom)
+        ranks, full_text, full = fixed or rank_cells(oracle.rank_vector(k, top, bottom))
         if want_full is not None and full != want_full:
             continue
-        S, mu, nu, r, s = decoration_columns(sym.S, sym.mu, sym.nu)
-        rows.append([S, top, bottom, mu, nu, r, s, ranks, full_text])
-    rows.sort()
-    _rows_out(["S", "top", "bottom", "mu", "nu", "r", "s", "ranks", "full_rank"],
-              rows, args.format, args.out,
-              footer=f"{len(rows)} symbols of weight {n} (k={args.k})")
-    return 0
+        if top is not last_top or S != last_S:  # a top row's pairs come together
+            last_S, last_top = S, top
+            S_text = str(S)
+            top_text, top_weight = row_cells(top)
+        bottom_text, bottom_weight = row_cells(bottom)
+        group = (S, top_weight + bottom_weight)
+        members = groups.get(group)
+        if members is None:
+            members = groups[group] = sorted(
+                (_fmt_ints(mu), _fmt_ints(nu), str(r), str(s))
+                for (r, s), decorated in decorations.items() for mu, nu in decorated)
+        count += len(members)
+        pairs.append((S_text, top_text, bottom_text, ranks, full_text, group))
+    pairs.sort()
+    return pairs, groups, count
+
+
+def _durfee_lines(pairs, groups, fmt: str, footer: str) -> Iterator[str]:
+    """The csv or text listing of ``_durfee_table``'s pairs, in chunks.
+    Each distinct cell is escaped or padded once, and each group's
+    decoration cells are joined once."""
+    if fmt == "csv":
+        sep, end = ",", "\r\n"
+
+        # no cell is empty ("-" stands for an empty row or sequence), so a
+        # cell quoted on its own is quoted as it would be inside its row
+        def cell(i, text):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="").writerow((text,))
+            return buf.getvalue()
+    else:
+        sep, end = "  ", "\n"
+        pair_columns = list(zip(*pairs))
+        decoration_columns = list(zip(*(d for members in groups.values() for d in members)))
+        columns = pair_columns[:3] + decoration_columns + pair_columns[3:5] if pairs else [()] * 9
+        widths = [max([len(h), *map(len, set(col))]) for h, col in zip(DURFEE_HEADER, columns)]
+
+        def cell(i, text):
+            return text.ljust(widths[i])
+    cell = functools.cache(cell)
+    decorations = {group: [sep.join(cell(i, text) for i, text in enumerate(d, 3)) for d in members]
+                   for group, members in groups.items()}
+    batch = [sep.join(cell(i, h) for i, h in enumerate(DURFEE_HEADER)) + end]
+    for S, top, bottom, ranks, full, group in pairs:
+        head = cell(0, S) + sep + cell(1, top) + sep + cell(2, bottom) + sep
+        tail = sep + cell(7, ranks) + sep + cell(8, full) + end
+        batch.append(head + (tail + head).join(decorations[group]) + tail)
+        if len(batch) >= 1024:
+            yield "".join(batch)
+            batch = []
+    if fmt != "csv":
+        batch.append(footer + "\n")
+    yield "".join(batch)
 
 
 # ---------------------------------------------------------------------------

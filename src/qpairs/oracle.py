@@ -359,11 +359,15 @@ def _top_rows(
         yield from rec(k, S, 0, 0, 0, 0, ())
 
 
+@lru_cache(maxsize=1024)
 def _decorations(
     S: int, room: int, r: int | None, s: int | None
 ) -> Dict[int, Dict[Tuple[int, int], List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]]:
     """Decorations (mu, nu) of side S with |mu| + |nu| at most room, grouped
-    by the weight they leave for the rows and then by their (r, s)."""
+    by the weight they leave for the rows and then by their (r, s).
+
+    Cached, so filtered listings of one weight share it: callers must not
+    change the dicts or lists it returns."""
     mu_size = None if r is None else S - r
     nu_size = None if s is None else S - s
     groups: Dict[int, Dict[Tuple[int, int], list]] = {}

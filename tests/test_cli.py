@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qpairs import cli, oracle
 from qpairs.cli import main
 
 
@@ -142,6 +143,52 @@ def test_enumerate_durfee_filter(capsys):
         assert (row[5], row[6], row[7]) == ("1", "1", "0,0")
 
 
+def durfee_reference(capsys, k, n, text, fmt):
+    """The listing as symbols, one row each, sorted as lists of texts."""
+    want = cli._parse_durfee_filter(text) if text else {}
+    rows = []
+    for x in oracle.enumerate_durfee(k, n, want.get("r"), want.get("s"), want.get("ranks")):
+        if want.get("S", x.S) != x.S or want.get("full_rank", x.full_rank()) != x.full_rank():
+            continue
+        rows.append([str(x.S), cli._fmt_marked_row(x.top), cli._fmt_marked_row(x.bottom),
+                     cli._fmt_ints(x.mu), cli._fmt_ints(x.nu), *map(str, x.stats()),
+                     cli._fmt_ints(x.ranks()), str(x.full_rank())])
+    rows.sort()
+    cli._rows_out(["S", "top", "bottom", "mu", "nu", "r", "s", "ranks", "full_rank"], rows,
+                  fmt, None, footer=f"{len(rows)} symbols of weight {n} (k={k})")
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+@pytest.mark.parametrize("k,n,text", [
+    (2, 6, None), (3, 6, None),
+    (2, 11, None),  # S reaches 10, and "10" sorts before "2"
+    (3, 8, "r=1"), (3, 8, "s=2"), (3, 8, "S=3"), (3, 8, "full_rank=-2"),
+    (3, 9, "r=1,s=2,ranks=-1,-1,-1"), (2, 8, "ranks=0,0,S=4"),
+    (3, 6, "r=9"), (3, 9, "ranks=-1,-1,-1,full_rank=5"),  # empty
+])
+def test_enumerate_durfee_matches_sorted_symbol_rows(capsys, tmp_path, fmt, k, n, text):
+    expected = durfee_reference(capsys, k, n, text, fmt)
+    argv = ["enumerate", "durfee", "--k", str(k), "--n", str(n), "--format", fmt]
+    if text:
+        argv += ["--filter", text]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == expected
+    path = tmp_path / "listing"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes().decode() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+@pytest.mark.parametrize("argv", [("--k", "3", "--filter", "r=1,s=2,ranks=-1,-1"),
+                                  ("--k", "1",)])
+def test_enumerate_durfee_failure_writes_nothing(capsys, fmt, argv):
+    code, out, err = run(capsys, "enumerate", "durfee", "--n", "6", *argv, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.slow
 def test_enumerate_durfee_weight_43_filtered(capsys):
     # weight 43 with r, s, and all ranks fixed; the known symbol with
@@ -267,16 +314,34 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
-def test_closed_stdout_ends_quietly():
-    # the listing is larger than a pipe buffer, so the writer meets the closed pipe
+def read_first_line_then_close(*argv):
+    """Run the CLI with its stdout on a pipe, read one line and close the pipe;
+    returns that line, stderr and the exit code."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "qpairs.cli", "enumerate", "pairs", "--n", "8", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"[\n"
+    proc = subprocess.Popen([sys.executable, "-m", "qpairs.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    line = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
+    return line, err, proc.returncode
+
+
+def test_closed_stdout_ends_quietly():
+    # the listing is larger than a pipe buffer, so the writer meets the closed pipe
+    line, err, code = read_first_line_then_close("enumerate", "pairs", "--n", "8",
+                                                 "--format", "json")
+    assert line == b"[\n"
     assert b"Traceback" not in err, err.decode()
-    assert proc.returncode == 0
+    assert code == 0
+
+
+def test_closed_stdout_ends_streamed_listing_quietly():
+    # 2,070 rows, more than a pipe buffer holds
+    line, err, code = read_first_line_then_close(
+        "enumerate", "durfee", "--k", "3", "--n", "20", "--filter", "r=1,s=2,ranks=-1,-1,-1",
+        "--format", "csv")
+    assert line == b"S,top,bottom,mu,nu,r,s,ranks,full_rank\r\n"
+    assert b"Traceback" not in err, err.decode()
+    assert code == 0
