@@ -1,12 +1,11 @@
 """Constructors for the named q-series of the overpartition-pair toolkit.
 
 Every builder returns a :class:`QSeries` exact to the requested order.
-Products are assembled from two primitives:
-
-* ``linear_factor`` -- the polynomial ``1 - m`` for a monomial ``m``;
-* ``geometric_inverse`` -- ``(1 - m)^(-e)`` expanded with binomial
-  coefficients, requiring positive q-valuation so the expansion is a
-  genuine power series.
+Every q-Pochhammer factor ``(1 - m)^{+-e}`` goes through one kernel,
+:meth:`QSeries.mul_one_minus`: a two-term product for a positive power, a
+two-term recurrence (``g_n = f_n + m g_{n-k}``) for a negative one.  No
+builder expands a geometric series; only a negative-length Pochhammer
+symbol still inverts its finite product.
 
 Bilateral sums never divide by Laurent terms directly: the negative
 branch is folded into the positive one with the closed rewrite
@@ -134,31 +133,38 @@ def parse_monomial(text: str) -> Monomial:
 # product primitives
 
 
-def linear_factor(params: Sequence[str], mono: Monomial, order: int) -> QSeries:
-    """The series ``1 - mono``."""
-    s = QSeries.one(params, order)
-    if mono.c:
-        s = s - mono.as_series(params, order)
+def _times(s: QSeries, *factors: Tuple[Monomial, int]) -> QSeries:
+    """``s * prod (1 - m)^power`` over the ``(m, power)`` factors."""
+    for m, power in factors:
+        s = s.mul_one_minus(m.c, m.qexp, m.pexps, power)
     return s
 
 
 def geometric_inverse(params: Sequence[str], mono: Monomial, order: int, power: int = 1) -> QSeries:
-    """``(1 - mono)^(-power)`` for a monomial with positive q-valuation."""
-    if mono.c == 0:
-        return QSeries.one(params, order)
-    if mono.qexp < 1:
-        raise AlgebraError(
-            f"geometric expansion needs positive q-valuation, got q^{mono.qexp}"
-        )
-    coeffs: dict[int, ParamPoly] = {}
-    i = 0
-    while i * mono.qexp <= order:
-        t = mono.power(i)
-        coeffs[t.qexp] = ParamPoly.monomial(
-            params, dict(t.pexps), t.c * math.comb(power - 1 + i, power - 1)
-        )
-        i += 1
-    return QSeries(params, order, coeffs)
+    """``(1 - mono)^(-power)`` exact to ``order``."""
+    return _times(QSeries.one(params, order), (mono, -power))
+
+
+def times_poch(s: QSeries, *factors: Tuple[Monomial, int], n: Optional[int] = None, base: int = 1) -> QSeries:
+    """``s * prod (a; Q)_n^power`` over the ``(a, power)`` factors, Q = q^base and
+    ``n = None`` meaning infinity, one :func:`_times` factor at a time.  An
+    infinite product stops at the first factor that cannot reach the window."""
+    if base < 1:
+        raise AlgebraError("base must be a positive q-power")
+    reach = s.order - s.valuation
+    for a, power in factors:
+        k = 0
+        while a.c and (n is None or k < n):
+            qe = a.qexp + base * k
+            if n is None and qe > reach:
+                break
+            if qe < 0:
+                raise AlgebraError(f"Pochhammer factor with negative q-valuation q^{qe}")
+            if qe == 0 and n is None and not a.pexps and a.c == 1:
+                raise AlgebraError("(1; q)_infinity vanishes identically")
+            s = _times(s, (a.times_q(base * k), power))
+            k += 1
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +205,7 @@ def pochhammer(
         sign = -1 if m % 2 else 1
         return (inv.shift(tri) * sign).truncate(order)
 
-    out = QSeries.one(params, order)
-    k = 0
-    while n is None or k < n:
-        qe = a.qexp + base * k
-        if n is None and qe > order:
-            break
-        if qe < 0:
-            raise AlgebraError(f"Pochhammer factor with negative q-valuation q^{qe}")
-        if qe == 0 and n is None and not a.pexps and a.c == 1:
-            raise AlgebraError("(1; q)_infinity vanishes identically")
-        out = out * linear_factor(params, a.times_q(base * k), order)
-        k += 1
-    return out
+    return times_poch(QSeries.one(params, order), (a, 1), n=n, base=base)
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,8 +236,7 @@ def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QSeries:
     work = max(order - shift, 0)
     out = QSeries.one((), work)
     for m, r in factors:
-        p = poch_inf((), Monomial.make(1, m), work, m)
-        out = out * (p ** r if r >= 0 else p.invert() ** (-r))
+        out = times_poch(out, (Monomial.make(1, m), r), base=m)
     return out.shift(shift).truncate(order)
 
 
@@ -272,9 +265,7 @@ def jacobi_J(
     is an error.
     """
     params = tuple(params) if params is not None else a.param_names()
-    first = pochhammer(params, a, None, order, base)
-    second = pochhammer(params, a.inverse().times_q(base), None, order, base)
-    return first * second
+    return times_poch(pochhammer(params, a, None, order, base), (a.inverse().times_q(base), 1), base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +339,9 @@ def _lambert_term(
     scalar = spec.c * pval * spec.zeta ** n
     if spec.sign == -1 and n % 2:
         scalar = -scalar
-    if spec.den.c == 0:
-        if E > order:
-            return E, None
-        return E, QSeries(params, order, {E: scalar})
     M = spec.a * n + spec.b
-    if M > 0:
-        if E > order:
-            return E, None
-        body = geometric_inverse(params, spec.den.times_q(M), order - E, spec.e)
-        return E, body.shift(E) * scalar
-    if M == 0:
+    val, lead, den = E, scalar, spec.den.times_q(M)
+    if spec.den.c and M == 0:
         if spec.den.pexps:
             raise AlgebraError(
                 "denominator constant in q at a symbolic parameter; "
@@ -366,17 +349,14 @@ def _lambert_term(
             )
         if spec.den.c == 1:
             raise AlgebraError(f"zero denominator 1 - q^0 at n={n}")
-        if E > order:
-            return E, None
-        return E, QSeries(params, order, {E: scalar * (1 - spec.den.c) ** (-spec.e)})
-    # M < 0: rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
-    mm = -M
-    val = E + spec.e * mm
+    elif spec.den.c and M < 0:
+        # rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
+        val = E - spec.e * M
+        lead = (-spec.den).inverse().power(spec.e).as_poly(params) * scalar
+        den = spec.den.inverse().times_q(-M)
     if val > order:
         return val, None
-    front = (-spec.den).inverse().power(spec.e)
-    body = geometric_inverse(params, spec.den.inverse().times_q(mm), order - val, spec.e)
-    return val, body.shift(val) * front.as_poly(params) * scalar
+    return val, _times(QSeries(params, order, {val: lead}), (den, -spec.e))
 
 
 def lambert_sum(spec: LambertSpec, order: int, params: Sequence[str] = ()) -> QSeries:
@@ -443,14 +423,9 @@ def _declare_de_bounds(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> Q
 
 def _prefactor(params: Tuple[str, ...], d: ParamValue, e: ParamValue, order: int, base: int) -> QSeries:
     """``(-dQ, -eQ; Q)_inf / (Q, deQ; Q)_inf`` with Q = q^base."""
-    top = pochhammer(params, -_pfac(params, "d", d, base), None, order, base) * pochhammer(
-        params, -_pfac(params, "e", e, base), None, order, base
-    )
     de = (_pfac(params, "d", d) * _pfac(params, "e", e)).times_q(base)
-    bottom = poch_inf(params, Monomial.make(1, base), order, base) * pochhammer(
-        params, de, None, order, base
-    )
-    return top * bottom.invert()
+    return times_poch(QSeries.one(params, order), (-_pfac(params, "d", d, base), 1),
+                      (-_pfac(params, "e", e, base), 1), (Monomial.make(1, base), -1), (de, -1), base=base)
 
 
 def _lambert_ratios(
@@ -463,20 +438,17 @@ def _lambert_ratios(
     m = 1
     while (E := base * (m * (m + 1) // 2 + lin * m)) <= order:
         R = R * _dplus(params, "d", d, base * (m - 1), order) * _dplus(params, "e", e, base * (m - 1), order)
-        R = R * geometric_inverse(params, -_pfac(params, "d", d, base * m), order)
-        R = (R * geometric_inverse(params, -_pfac(params, "e", e, base * m), order)).truncate(order)
+        R = _times(R.truncate(order), (-_pfac(params, "d", d, base * m), -1), (-_pfac(params, "e", e, base * m), -1))
         yield m, E, R
         m += 1
 
 
-def _inv_x_pair(params: Tuple[str, ...], name: str, x: ParamValue, qexp: int, order: int) -> QSeries:
-    """``1 / ((1 - x q^j)(1 - q^j / x))`` for symbolic or rational nonzero x."""
+def _xvar(params: Tuple[str, ...], name: str, x: ParamValue, pole_of: str = "the rank refinement") -> Monomial:
+    """The variable ``name``, symbolic or a rational point other than 0, a pole of ``pole_of``."""
     xm = _pfac(params, name, x)
     if xm.c == 0:
-        raise AlgebraError(f"{name} = 0 is a pole of the rank refinement")
-    return geometric_inverse(params, xm.times_q(qexp), order) * geometric_inverse(
-        params, xm.inverse().times_q(qexp), order
-    )
+        raise AlgebraError(f"{name} = 0 is a pole of {pole_of}")
+    return xm
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +470,14 @@ def rank_gf(
     d, e (Laurent in x).  Symbolic d, e carry validated degree bounds.
     """
     params = _sym_params(("d", d), ("e", e), ("x", x))
+    xm = _xvar(params, "x", x)
     acc = QSeries.one(params, order)
     term = QSeries.one(params, order)
     n = 1
     while base * n <= order:
         top = _dplus(params, "d", d, base * (n - 1), order) * _dplus(params, "e", e, base * (n - 1), order)
         term = (term * top).shift(base).truncate(order)
-        term = (term * _inv_x_pair(params, "x", x, base * n, order)).truncate(order)
+        term = _times(term, (xm.times_q(base * n), -1), (xm.inverse().times_q(base * n), -1))
         acc = acc + term
         n += 1
     return _declare_de_bounds(acc, d, e, base)
@@ -526,17 +499,15 @@ def rank_gf_lambert(
     prefactor ``P`` (all in the base power).
     """
     params = _sym_params(("d", d), ("e", e), ("x", x))
-    xm = _pfac(params, "x", x)
-    if xm.c == 0:
-        raise AlgebraError("x = 0 is a pole of the rank refinement")
+    xm = _xvar(params, "x", x)
+    xinv = xm.inverse()
     tail = QSeries.zero(params, order)
     for m, E, R in _lambert_ratios(params, d, e, order, base, 1):
-        first = geometric_inverse(params, xm.times_q(base * m), order - E).shift(E)
-        second = geometric_inverse(params, xm.inverse().times_q(base * m), order - E).shift(E)
-        second = second * xm.inverse().as_poly(params)
-        sign = -1 if m % 2 else 1
-        tail = tail + (first - second) * R * sign
-    body = QSeries.one(params, order) + linear_factor(params, xm, order) * tail
+        R = R.truncate(order - E).shift(E)
+        first = _times(R, (xm.times_q(base * m), -1))
+        second = _times(R, (xinv.times_q(base * m), -1)) * xinv.as_poly(params)
+        tail = tail + (first - second) * (-1 if m % 2 else 1)
+    body = QSeries.one(params, order) + _times(tail, (xm, 1))
     return _declare_de_bounds(_prefactor(params, d, e, order, base) * body, d, e, base)
 
 
@@ -560,10 +531,8 @@ def n2v(
     params = _sym_params(("d", d), ("e", e))
     acc = QSeries.zero(params, order)
     for m, E, R in _lambert_ratios(params, d, e, order, base, v):
-        body = geometric_inverse(params, Monomial.make(1, base * m), order - E, 2 * v).shift(E)
-        body = body * QSeries(params, order, {0: 1, base * m: 1})
-        sign = 1 if m % 2 else -1
-        acc = acc + (body * R).truncate(order) * sign
+        Q = Monomial.make(1, base * m)
+        acc = acc + _times(R.truncate(order - E).shift(E), (-Q, 1), (Q, -2 * v)) * (1 if m % 2 else -1)
     return _declare_de_bounds(_prefactor(params, d, e, order, base) * acc, d, e, base)
 
 
@@ -582,15 +551,11 @@ def spt_gf_direct(order: int, d: ParamValue = None, e: ParamValue = None) -> QSe
     de = _pfac(params, "d", d) * _pfac(params, "e", e)
     acc = QSeries.zero(params, order)
     T = QSeries.one(params, order)
-    n = 1
-    while n <= order:
-        T = T * linear_factor(params, Monomial.make(1, n), order)
-        T = T * linear_factor(params, de.times_q(n), order)
-        T = T * geometric_inverse(params, -_pfac(params, "d", d, n), order)
-        T = (T * geometric_inverse(params, -_pfac(params, "e", e, n), order)).truncate(order)
-        term = T * geometric_inverse(params, Monomial.make(1, n), order - n, 2).shift(n)
-        acc = acc + term.truncate(order)
-        n += 1
+    for n in range(1, order + 1):
+        Q = Monomial.make(1, n)
+        T = _times(T, (Q, 1), (de.times_q(n), 1),
+                   (-_pfac(params, "d", d, n), -1), (-_pfac(params, "e", e, n), -1))
+        acc = acc + _times(T.truncate(order - n).shift(n), (Q, -2))
     return _declare_de_bounds(_prefactor(params, d, e, order, 1) * acc, d, e, 1)
 
 
@@ -614,17 +579,14 @@ def durfee_rhs(
         raise AlgebraError(f"expected {k} rank-variable slots, got {len(xs)}")
     xnames = tuple(f"x{j + 1}" for j in range(k))
     params = _sym_params(("d", d), ("e", e)) + _sym_params(*zip(xnames, xs))
+    xms = [_xvar(params, name, xv) for name, xv in zip(xnames, xs)]
     acc = QSeries.zero(params, order)
     # n(n-1)/2 + kn = n(n+1)/2 + (k-1)n
     for n, E, R in _lambert_ratios(params, d, e, order, 1, k - 1):
-        body = QSeries.one(params, order - E)
-        for name, xv in zip(xnames, xs):
-            body = (body * _inv_x_pair(params, name, xv, n, order - E)).truncate(order - E)
-        body = body.shift(E)
-        # (1 + q^n)(1 - q^n)^2 = 1 - q^n - q^{2n} + q^{3n}
-        poly = QSeries(params, order, {0: 1, n: -1, 2 * n: -1, 3 * n: 1})
-        sign = 1 if n % 2 else -1
-        acc = acc + (body * R * poly).truncate(order) * sign
+        Q = Monomial.make(1, n)
+        # (1 + q^n)(1 - q^n)^2 / prod_j (1 - x_j q^n)(1 - q^n / x_j)
+        factors = [(-Q, 1), (Q, 2)] + [(y.times_q(n), -1) for xm in xms for y in (xm, xm.inverse())]
+        acc = acc + _times(R.truncate(order - E).shift(E), *factors) * (1 if n % 2 else -1)
     return _declare_de_bounds(_prefactor(params, d, e, order, 1) * acc, d, e, 1)
 
 
@@ -669,14 +631,9 @@ def rk_partial_fractions(
 def crank_C(order: int, x: ParamValue = None, base: int = 1) -> QSeries:
     """The crank-type product ``(Q; Q)_inf / (xQ, Q/x; Q)_inf``, Q = q^base."""
     params = _sym_params(("x", x))
-    xm = _pfac(params, "x", x)
-    if xm.c == 0:
-        raise AlgebraError("x = 0 is a pole of the crank product")
+    xm = _xvar(params, "x", x, "the crank product")
     num = poch_inf(params, Monomial.make(1, base), order, base)
-    den = pochhammer(params, xm.times_q(base), None, order, base) * pochhammer(
-        params, xm.inverse().times_q(base), None, order, base
-    )
-    return num * den.invert()
+    return times_poch(num, (xm.times_q(base), -1), (xm.inverse().times_q(base), -1), base=base)
 
 
 def crank_C_star(order: int, x, base: int = 1) -> QSeries:
@@ -704,17 +661,13 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
     T = QSeries.one((), order)
     n = 1
     while n * n + n <= order:
-        T = T * linear_factor((), Monomial(b, 2 * (n - 1)), order)
-        T = T * linear_factor((), Monomial(Fraction(1) / b, 2 * (n - 1)), order)
-        T = T * geometric_inverse((), Monomial(b, 2 * n), order)
-        T = (T * geometric_inverse((), Monomial(Fraction(1) / b, 2 * n), order)).truncate(order)
-        sign = -1 if n % 2 else 1
-        lhs = lhs + T * QSeries((), order, {n * n + n: sign, n * n + 3 * n: sign})
+        T = _times(T, (Monomial(b, 2 * n - 2), 1), (Monomial(1 / b, 2 * n - 2), 1),
+                   (Monomial(b, 2 * n), -1), (Monomial(1 / b, 2 * n), -1))
+        term = _times(T.truncate(order - n * n - n).shift(n * n + n), (Monomial.make(-1, 2 * n), 1))
+        lhs = lhs + term * (-1 if n % 2 else 1)  # (1 + q^{2n}) q^{n^2 + n} T
         n += 1
-    den = pochhammer((), Monomial(b, 2), None, order, 2) * pochhammer(
-        (), Monomial(Fraction(1) / b, 2), None, order, 2
-    )
-    rhs = poch_inf((), Monomial.make(1, 2), order, 2) ** 2 * den.invert()
+    rhs = times_poch(poch_inf((), Monomial.make(1, 2), order, 2) ** 2, (Monomial(b, 2), -1),
+                     (Monomial(1 / b, 2), -1), base=2)
     return lhs, rhs
 
 
@@ -849,6 +802,8 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
         raise AlgebraError(f"builder {name!r} does not take argument {extra[0]!r}")
 
     base = intval("base", 1)
+    if base < 1:
+        raise AlgebraError(f"base must be a positive q-power, got base={base}")
     if name == "qinf":
         return q_inf(order)
     if name == "E2":

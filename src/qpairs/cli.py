@@ -191,13 +191,7 @@ def cmd_enumerate(args) -> int:
         raise UsageError(
             f"n={n} exceeds the enumeration cap {DURFEE_CAP}; pass --force to override")
     pairs, groups, count = _durfee_table(args.k, n, want)
-    if args.format == "json":
-        rows = [[S, top, bottom, *decoration, ranks, full]
-                for S, top, bottom, ranks, full, group in pairs for decoration in groups[group]]
-        _rows_out(DURFEE_HEADER, rows, "json", args.out)
-    else:
-        _write(_durfee_lines(pairs, groups, args.format,
-                             f"{count} symbols of weight {n} (k={args.k})"), args.out)
+    _write(_durfee_lines(pairs, groups, args.format, f"{count} symbols of weight {n} (k={args.k})"), args.out)
     return 0
 
 
@@ -255,40 +249,56 @@ def _durfee_table(k: int, n: int, want: Dict[str, object]):
 
 
 def _durfee_lines(pairs, groups, fmt: str, footer: str) -> Iterator[str]:
-    """The csv or text listing of ``_durfee_table``'s pairs, in chunks.
-    Each distinct cell is escaped or padded once, and each group's
+    """The csv, text or json listing of ``_durfee_table``'s pairs, in chunks.
+    Each distinct cell is escaped, padded or encoded once, and each group's
     decoration cells are joined once."""
-    if fmt == "csv":
-        sep, end = ",", "\r\n"
+    if fmt == "json":  # json.dumps(rows, indent=2, sort_keys=True): S, bottom, full_rank, mu, nu, r, ranks, s, top
+        cell = functools.cache(lambda i, text: f"    {json.dumps(DURFEE_HEADER[i])}: {json.dumps(text)},\n")
+        decorations = {group: [(cell(3, mu) + cell(4, nu) + cell(5, r), cell(6, s)) for mu, nu, r, s in members]
+                       for group, members in groups.items()}
 
-        # no cell is empty ("-" stands for an empty row or sequence), so a
-        # cell quoted on its own is quoted as it would be inside its row
-        def cell(i, text):
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="").writerow((text,))
-            return buf.getvalue()
+        def rows(S, top, bottom, ranks, full, group):
+            head, mid = "  {\n" + cell(0, S) + cell(2, bottom) + cell(8, full), cell(7, ranks)
+            tail = cell(1, top)[:-2] + "\n  }"
+            return ",\n".join(head + a + mid + b + tail for a, b in decorations[group])
+        opening, between, closing = ("[\n", ",\n", "\n]\n") if pairs else ("[", "", "]\n")
     else:
-        sep, end = "  ", "\n"
-        pair_columns = list(zip(*pairs))
-        decoration_columns = list(zip(*(d for members in groups.values() for d in members)))
-        columns = pair_columns[:3] + decoration_columns + pair_columns[3:5] if pairs else [()] * 9
-        widths = [max([len(h), *map(len, set(col))]) for h, col in zip(DURFEE_HEADER, columns)]
+        if fmt == "csv":
+            sep, end = ",", "\r\n"
 
-        def cell(i, text):
-            return text.ljust(widths[i])
-    cell = functools.cache(cell)
-    decorations = {group: [sep.join(cell(i, text) for i, text in enumerate(d, 3)) for d in members]
-                   for group, members in groups.items()}
-    batch = [sep.join(cell(i, h) for i, h in enumerate(DURFEE_HEADER)) + end]
-    for S, top, bottom, ranks, full, group in pairs:
-        head = cell(0, S) + sep + cell(1, top) + sep + cell(2, bottom) + sep
-        tail = sep + cell(7, ranks) + sep + cell(8, full) + end
-        batch.append(head + (tail + head).join(decorations[group]) + tail)
-        if len(batch) >= 1024:
+            # no cell is empty ("-" stands for an empty row or sequence), so a
+            # cell quoted on its own is quoted as it would be inside its row
+            def cell(i, text):
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="").writerow((text,))
+                return buf.getvalue()
+        else:
+            sep, end = "  ", "\n"
+            pair_columns = list(zip(*pairs))
+            decoration_columns = list(zip(*(d for members in groups.values() for d in members)))
+            columns = pair_columns[:3] + decoration_columns + pair_columns[3:5] if pairs else [()] * 9
+            widths = [max([len(h), *map(len, set(col))]) for h, col in zip(DURFEE_HEADER, columns)]
+
+            def cell(i, text):
+                return text.ljust(widths[i])
+        cell = functools.cache(cell)
+        decorations = {group: [sep.join(cell(i, text) for i, text in enumerate(d, 3)) for d in members]
+                       for group, members in groups.items()}
+
+        def rows(S, top, bottom, ranks, full, group):
+            head = cell(0, S) + sep + cell(1, top) + sep + cell(2, bottom) + sep
+            tail = sep + cell(7, ranks) + sep + cell(8, full) + end
+            return head + (tail + head).join(decorations[group]) + tail
+        opening = sep.join(cell(i, h) for i, h in enumerate(DURFEE_HEADER)) + end
+        between, closing = "", ("" if fmt == "csv" else footer + "\n")
+    batch, lead = [opening], ""
+    for pair in pairs:
+        batch += lead, rows(*pair)
+        lead = between
+        if len(batch) >= 2048:
             yield "".join(batch)
             batch = []
-    if fmt != "csv":
-        batch.append(footer + "\n")
+    batch.append(closing)
     yield "".join(batch)
 
 

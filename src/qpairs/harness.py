@@ -326,7 +326,7 @@ def _check_c08(order: int):
             sum(nn[n].values()) == ppbar.coefficient(n).constant_value(),
             f"pair total vs product coefficient at n={n}",
         )
-    ctx.true([sum(nn[n].values()) for n in (1, 2, 3)] == [4, 12, 32], "totals at n=1,2,3")
+    ctx.true(all(sum(nn[n].values()) == t for n, t in ((1, 4), (2, 12), (3, 32))[:order]), "totals at n=1,2,3")
     pts = []
     for x in X_POINTS:
         pts.append(f"x={x}")
@@ -381,11 +381,8 @@ def _check_c10(order: int):
         lhs = _lam(order, c=-(1 - x), sign=-1, A=1, den=x, a=1) + _lam(
             order, c=(1 - x), sign=-1, A=1, den=Monomial(-x), a=1
         )
-        den = (
-            B.pochhammer((), Monomial(x * x, 2), None, order, 2)
-            * B.pochhammer((), Monomial(1 / (x * x), 2), None, order, 2)
-        )
-        rhs = (_q2inf(order) ** 2) * den.invert() * F(-2, 1) * (F(1) / (1 + 1 / x))
+        rhs = B.times_poch(_q2inf(order) ** 2, (Monomial(x * x, 2), -1), (Monomial(1 / (x * x), 2), -1), base=2)
+        rhs = rhs * F(-2, 1) * (F(1) / (1 + 1 / x))
         ctx.equal(lhs, rhs, order, f"x={x}")
     return "rational-points", pts, ctx
 
@@ -603,13 +600,8 @@ def _check_c23(order: int):
         lhs = _lam(order, c=-1, sign=-1, A=2, B_=-1, den=x, a=2) + _lam(
             order, sign=-1, A=2, B_=1, den=Monomial(-x), a=2, b=1
         )
-        den = (
-            B.pochhammer((), Monomial(1 / x, 0), None, order, 2)
-            * B.pochhammer((), Monomial(x, 2), None, order, 2)
-            * B.pochhammer((), Monomial(-x, 1), None, order, 2)
-            * B.pochhammer((), Monomial(-1 / x, 1), None, order, 2)
-        )
-        rhs = (_aqodd(order) * _q2inf(order)) ** 2 * den.invert()
+        den = (Monomial(1 / x, 0), Monomial(x, 2), Monomial(-x, 1), Monomial(-1 / x, 1))
+        rhs = B.times_poch((_aqodd(order) * _q2inf(order)) ** 2, *((a, -1) for a in den), base=2)
         ctx.equal(lhs, rhs, order, f"x={x}")
     return "rational-points", pts, ctx
 
@@ -740,7 +732,7 @@ def _check_c32(order: int):
             4 * total == ppbar.coefficient(n).constant_value(),
             f"quarter law at n={n}",
         )
-    ctx.true(sum(table[1].values()) == 1 and sum(table[2].values()) == 3, "totals at n=1,2")
+    ctx.true(all(sum(table[n].values()) == t for n, t in ((1, 1), (2, 3))[:order]), "totals at n=1,2")
     return "symbolic", [], ctx
 
 

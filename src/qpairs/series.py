@@ -22,9 +22,36 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _clean
 
 CoeffLike = Union[int, Fraction, ParamPoly]
+
+
+def _one_minus_pass(terms: dict, c: Scalar, k: int, vec: Tuple[int, ...], power: int, order: int) -> dict:
+    """The term maps of ``g = f (1 - m)^power``, ``m = c p^vec q^k``.  With ``(1 - m)^e =
+    sum_j b_j m^j``, e = |power|, a positive power sums ``g_n = f_n + sum_{j>=1} b_j m^j f_{n-jk}``;
+    a negative one solves ``g (1 - m)^e = f`` by ``g_n = f_n - sum_{j>=1} b_j m^j g_{n-jk}``."""
+    e, sign, lo = abs(power), (1 if power > 0 else -1), min(terms)
+    steps = [(j * k, tuple(j * x for x in vec), _canon(sign * math.comb(e, j) * (-c) ** j))
+             for j in range(1, e + 1) if j * k <= order - lo]
+    shifted = any(vec)
+    out: dict[int, dict] = {}
+    source = terms if power > 0 else out
+    for n in range(lo, order + 1):
+        t = acc = terms.get(n)
+        for dn, w, b in steps:
+            prev = source.get(n - dn)
+            if prev:
+                if acc is t:
+                    acc = dict(t) if t else {}
+                for v, a in prev.items():
+                    key = tuple(map(add, v, w)) if shifted else v
+                    acc[key] = acc.get(key, 0) + a * b
+        if acc is not t:
+            acc = _clean(acc)
+        if acc:
+            out[n] = acc
+    return out
 
 
 class TruncationError(AlgebraError):
@@ -264,6 +291,20 @@ class QSeries:
             if not acc.is_zero():
                 out[n] = -(lead_inv * acc)
         return QSeries(self.params, self.order - 2 * v, {n - v: c for n, c in out.items()})
+
+    def mul_one_minus(self, c: Scalar, qexp: int, pexps=(), power: int = 1) -> "QSeries":
+        """Multiply by ``(1 - m)^power``, ``m = c * prod p^e * q^qexp`` with exponents ``pexps``
+        (a mapping or pairs).  Unless ``c = 0``, a positive power needs ``qexp >= 0`` and a negative
+        one ``qexp >= 1`` or a parameter-free ``m != 1``.  The result keeps ``self.order``, no bounds."""
+        (vec, _), = ParamPoly.monomial(self.params, dict(pexps)).terms.items()
+        if c and (qexp < 0 or (power < 0 and qexp == 0 and (any(vec) or c == 1))):
+            raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {vec}")
+        if power < 0 and qexp == 0:  # the scalar (1 - c)^power is 1 - c' for this c'
+            c, power = 1 - Fraction(1 - c) ** power, 1
+        c, terms = _canon(c), {n: p.terms for n, p in self.coeffs.items()}
+        if c and power and terms:
+            terms = _one_minus_pass(terms, c, qexp, vec, power, self.order)
+        return QSeries(self.params, self.order, {n: ParamPoly._from_sums(self.params, t) for n, t in terms.items()})
 
     # -- reshaping ------------------------------------------------------
 

@@ -52,6 +52,14 @@ def random_unit_series(rng: random.Random, params=PARAMS) -> QSeries:
     return QSeries.from_terms(params, terms, order)
 
 
+def canonical(s: QSeries) -> bool:
+    """Every stored coefficient is an int exactly when it is integral."""
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        for poly in s.coeffs.values() for c in poly.terms.values()
+    )
+
+
 def check_ring_axioms(rng: random.Random, rounds: int) -> int:
     done = 0
     for _ in range(rounds):

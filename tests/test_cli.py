@@ -67,6 +67,14 @@ def test_coeffs_bad_identifier_is_one_line_usage_error(capsys, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["rank", "rank-lambert", "n2v", "J:-x", "C", "Cstar:x=2"])
+@pytest.mark.parametrize("base", [0, -1])
+def test_coeffs_base_below_one_is_one_line_usage_error(capsys, spec, base):
+    code, out, err = run(capsys, "coeffs", f"{spec}:base={base}", "--order", "4")
+    assert code == 2 and out == ""
+    assert err == f"error: cannot build '{spec}:base={base}': base must be a positive q-power, got base={base}\n"
+
+
 def test_coeffs_json_round_trips(capsys):
     code, out, _ = run(capsys, "coeffs", "qinf", "--order", "5", "--format", "json")
     assert code == 0
