@@ -854,11 +854,9 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
                     raise AlgebraError(
                         f"substitution {pname} -> q^{v.qexp} needs base > {-v.qexp}"
                     )
-                # pre-substitution order large enough that shrinkage by
+                # the least pre-substitution order whose shrinkage by
                 # (base + qexp)/base still certifies the requested order
-                work_order = max(
-                    work_order, math.ceil((order + 1) * base / (base + v.qexp))
-                )
+                work_order = max(work_order, order * base // (base + v.qexp))
 
     if name == "rank":
         s = rank_gf(work_order, fixed["d"], fixed["e"], fixed["x"], base)

@@ -372,6 +372,25 @@ def test_build_monomial_assignment():
     assert ok, report
 
 
+@pytest.mark.parametrize("spec, order, built", [
+    ("rank:e=q^-1:base=2", 5, 10),
+    ("rank:e=q^-2:base=3", 4, 12),
+])
+def test_build_before_a_negative_substitution_at_the_least_certifiable_order(monkeypatch, spec, order, built):
+    # e -> q^j (j < 0) on base q^B keeps (B + j)/B of the window, so building
+    # at order * B // (B + j) is the least that certifies the requested order
+    seen = []
+    rank_gf = B.rank_gf
+
+    def spy(n, *args, **kwargs):
+        seen.append(n)
+        return rank_gf(n, *args, **kwargs)
+
+    monkeypatch.setattr(B, "rank_gf", spy)
+    assert B.build(spec, order).order == order
+    assert seen == [built]
+
+
 def test_bounds_declared_by_builders():
     s = B.rank_gf(6)
     assert s.bounds.get("d") is not None

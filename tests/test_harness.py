@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qpairs import harness
+from qpairs import QSeries, harness
 from qpairs.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -72,6 +72,42 @@ def test_no_check_errors_at_low_orders(order):
     # anchors such as C08's totals at n = 1, 2, 3 apply only inside the window
     results = harness.run_suite("*", order)
     assert [(r.id, r.first_mismatch) for r in results if r.status == "error"] == []
+
+
+def test_comparison_with_a_short_side_is_an_error(monkeypatch):
+    spec = harness.REGISTRY["C12"]
+
+    def short(order):
+        ctx = harness._Ctx()
+        one = QSeries.one((), order)
+        ctx.equal(one, one.truncate(order - 1), order, "short side")
+        return "symbolic", [], ctx
+
+    monkeypatch.setitem(harness.REGISTRY, "C12", dataclasses.replace(spec, fn=short))
+    res = harness.run_check("C12", 8)
+    assert res.status == "error"
+    assert res.first_mismatch == {"label": "comparison to order 8 exceeds mutual window 7"}
+
+
+def test_only_c09_and_c34_invert_a_series(monkeypatch):
+    # theta and Pochhammer quotients go through builders.times_poch; only C09's
+    # constants and C34's reciprocal reference invert a series
+    running, callers = [], set()
+    run_check, invert = harness.run_check, QSeries.invert
+
+    def tracked(check_id, order=None):
+        running.append(check_id)
+        return run_check(check_id, order)
+
+    def spy(self):
+        callers.add(running[-1])
+        return invert(self)
+
+    monkeypatch.setattr(harness, "run_check", tracked)
+    monkeypatch.setattr(QSeries, "invert", spy)
+    results = harness.run_suite("*", 4)
+    assert [r.id for r in results if r.status != "pass"] == []
+    assert callers == {"C09", "C34"}
 
 
 def test_report_determinism():
