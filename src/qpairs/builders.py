@@ -4,8 +4,8 @@ Every builder returns a :class:`QSeries` exact to the requested order.
 Every q-Pochhammer factor ``(1 - m)^{+-e}`` goes through one kernel,
 :meth:`QSeries.mul_one_minus`: a two-term product for a positive power, a
 two-term recurrence (``g_n = f_n + m g_{n-k}``) for a negative one.  No
-builder expands a geometric series; only a negative-length Pochhammer
-symbol still inverts its finite product.
+builder expands a geometric series or inverts a product: a negative-length
+Pochhammer symbol divides its monomial by ``(q/a)_m`` factor by factor.
 
 Bilateral sums never divide by Laurent terms directly: the negative
 branch is folded into the positive one with the closed rewrite
@@ -180,10 +180,10 @@ def pochhammer(
 ) -> QSeries:
     """The q-shifted factorial ``(a; q^base)_n``; ``n = None`` means infinity.
 
-    Negative length goes through the closed rewrite
-    ``(a)_{-m} = (-1)^m q^{m(m+1)/2} / (a^m (q/a)_m)`` (with q replaced by
-    the base power throughout) and fails with a pointer to rational-point
-    mode when ``(q/a)_m`` lacks a unit leading coefficient.
+    Negative length is the closed rewrite ``(a)_{-m} = (-1)^m a^{-m} q^{m(m+1)/2} / (q/a)_m``
+    (with q replaced by the base power throughout): the monomial divided by
+    ``(q/a)_m`` factor by factor through :func:`times_poch`.  It fails with a
+    pointer to rational-point mode when a factor of ``(q/a)_m`` is not a unit.
     """
     params = tuple(params)
     if base < 1:
@@ -192,18 +192,14 @@ def pochhammer(
         return QSeries.one(params, order)
     if n is not None and n < 0:
         m = -n
-        tri = base * m * (m + 1) // 2
+        lead = Monomial.make((-1) ** m, base * m * (m + 1) // 2) * a.power(-m)
         try:
-            qa = pochhammer(params, a.inverse().times_q(base), m, order + tri, base)
-            denom = a.power(m).as_series(params, qa.order) * qa
-            inv = denom.invert()
+            return times_poch(lead.as_series(params, order), (a.inverse().times_q(base), -1), n=m, base=base)
         except AlgebraError as exc:
             raise AlgebraError(
                 f"(a)_(-{m}) not computable symbolically ({exc}); "
                 "use rational-point mode"
             ) from exc
-        sign = -1 if m % 2 else 1
-        return (inv.shift(tri) * sign).truncate(order)
 
     return times_poch(QSeries.one(params, order), (a, 1), n=n, base=base)
 
@@ -733,8 +729,9 @@ between factors); omit a parameter to keep it symbolic.
   spt[:d=..:e=..] / spt-direct[...]  smallest-parts series, two forms
   durfee:k=K[:d=..:e=..:x1=..:..]    marked-symbol sum side
 
-d and e accept q-monomials c*q^j, applied by exact substitution; j < 0
-requires base > |j| so the declared degree bound keeps exponents provable.
+d and e accept q-monomials c*q^j, applied by exact substitution; the
+substitutions with j < 0 require base > the sum of their |j| so the declared
+degree bounds keep exponents provable.
 """
 
 
@@ -770,12 +767,6 @@ def _value_or_mono(text: str) -> Union[Fraction, Monomial]:
         return parse_monomial(text)
 
 
-def _apply_sub(s: QSeries, name: str, mono: Monomial) -> QSeries:
-    if mono.pexps:
-        raise AlgebraError(f"substitution value for {name} must be constant in parameters")
-    return drop_param(s.substitute_param(name, mono.c, mono.qexp), name)
-
-
 def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None) -> QSeries:
     """Construct a series from its string identifier (see BUILDER_GRAMMAR)."""
     name, kw, pos = _split_id(spec.strip())
@@ -784,7 +775,12 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
             kw.setdefault(k, str(v))
 
     def val(key):
-        return _value_or_mono(kw[key]) if key in kw else None
+        if key not in kw:
+            return None
+        v = _value_or_mono(kw[key])
+        if isinstance(v, Monomial) and v.pexps:
+            raise AlgebraError(f"value {kw[key]!r} for {key} carries a parameter; values are rationals or c*q^j")
+        return v
 
     def intval(key, default):
         return int(kw[key]) if key in kw else default
@@ -837,7 +833,6 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
         "d": val("d"), "e": val("e"), "x": val("x")
     }
     subs: list[Tuple[str, Monomial]] = []
-    work_order = order
     fixed: dict[str, ParamValue] = {}
     for pname, v in slots.items():
         if v is None:
@@ -846,17 +841,20 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
             fixed[pname] = v
         elif v.qexp == 0:
             fixed[pname] = v.c
+        elif pname == "x":  # x^-k terms above the window would land inside it
+            raise AlgebraError("x takes rational points: the series is Laurent in x")
         else:
             fixed[pname] = None
             subs.append((pname, v))
-            if v.qexp < 0:
-                if base <= -v.qexp:
-                    raise AlgebraError(
-                        f"substitution {pname} -> q^{v.qexp} needs base > {-v.qexp}"
-                    )
-                # the least pre-substitution order whose shrinkage by
-                # (base + qexp)/base still certifies the requested order
-                work_order = max(work_order, order * base // (base + v.qexp))
+    drop = sum(-v.qexp for _, v in subs if v.qexp < 0)
+    if drop >= base:
+        raise AlgebraError(
+            f"substitutions {', '.join(f'{p} -> q^{v.qexp}' for p, v in subs if v.qexp < 0)} "
+            f"need base > {drop}, the sum of their |j|"
+        )
+    # the least pre-substitution order whose shrinkage by (base - drop)/base,
+    # the product of the substitutions' shrinkages, still certifies the order
+    work_order = order * base // (base - drop)
 
     if name == "rank":
         s = rank_gf(work_order, fixed["d"], fixed["e"], fixed["x"], base)
@@ -879,6 +877,14 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
                 raise AlgebraError("marked-symbol rank variables take rational points")
             xs.append(vj)
         s = durfee_rhs(k, work_order, xs, fixed["d"], fixed["e"])
+    slopes = dict(s.bounds)  # the builder's declared degree bounds
     for pname, mono in subs:
-        s = _apply_sub(s, pname, mono)
+        if mono.qexp < 0 and pname in slopes:  # a substitution drops the bounds: re-declare
+            s = s.with_bounds({pname: slopes[pname]})
+        s = drop_param(s.substitute_param(pname, mono.c, mono.qexp), pname)
+        if mono.qexp < 0:
+            # p^a q^n with a <= slope_p*n lands at q^n', n' >= (1 + j*slope_p)*n, so the
+            # other slopes divide by that factor; a substitution with j > 0 keeps them
+            shrink = 1 + mono.qexp * slopes.pop(pname)
+            slopes = {p: v / shrink for p, v in slopes.items()}
     return s.truncate(order)

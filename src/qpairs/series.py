@@ -27,25 +27,27 @@ from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _clean
 CoeffLike = Union[int, Fraction, ParamPoly]
 
 
-def _one_minus_pass(terms: dict, c: Scalar, k: int, vec: Tuple[int, ...], power: int, order: int) -> dict:
-    """The term maps of ``g = f (1 - m)^power``, ``m = c p^vec q^k``.  With ``(1 - m)^e =
-    sum_j b_j m^j``, e = |power|, a positive power sums ``g_n = f_n + sum_{j>=1} b_j m^j f_{n-jk}``;
-    a negative one solves ``g (1 - m)^e = f`` by ``g_n = f_n - sum_{j>=1} b_j m^j g_{n-jk}``."""
-    e, sign, lo = abs(power), (1 if power > 0 else -1), min(terms)
-    steps = [(j * k, tuple(j * x for x in vec), _canon(sign * math.comb(e, j) * (-c) ** j))
-             for j in range(1, e + 1) if j * k <= order - lo]
-    shifted = any(vec)
+def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -> dict:
+    """The term maps of ``g_n = start_n + sum b p^w src_{n-dn}``, ``lo <= n <= order``, over the
+    steps ``(dn, w, b)`` sorted by dn.  ``src`` is a given term map (a product) or None for ``g``
+    itself (a division: every dn >= 1)."""
+    steps = [(dn, w if any(w) else (), b) for dn, w, b in steps]  # () skips the key shift
     out: dict[int, dict] = {}
-    source = terms if power > 0 else out
+    src_lo = lo if src is None else min(src, default=lo)
+    if src is None:
+        src = out
     for n in range(lo, order + 1):
-        t = acc = terms.get(n)
+        t = acc = start.get(n)
+        top = n - src_lo
         for dn, w, b in steps:
-            prev = source.get(n - dn)
+            if dn > top:
+                break
+            prev = src.get(n - dn)
             if prev:
                 if acc is t:
                     acc = dict(t) if t else {}
                 for v, a in prev.items():
-                    key = tuple(map(add, v, w)) if shifted else v
+                    key = tuple(map(add, v, w)) if w else v
                     acc[key] = acc.get(key, 0) + a * b
         if acc is not t:
             acc = _clean(acc)
@@ -215,18 +217,9 @@ class QSeries:
             return QSeries(self.params, self.order, coeffs, bounds)
         self._check_params(other)
         order = min(self.order + other.valuation, other.order + self.valuation)
-        right = [(j, b.terms.items()) for j, b in sorted(other.coeffs.items())]
-        sums: dict[int, dict] = {}  # exponent -> summed term map
-        for i, a in self.coeffs.items():
-            left = a.terms.items()
-            for j, b in right:
-                if i + j > order:
-                    break
-                acc = sums.setdefault(i + j, {})
-                for v1, c1 in left:
-                    for v2, c2 in b:
-                        vec = tuple(map(add, v1, v2))
-                        acc[vec] = acc.get(vec, 0) + c1 * c2
+        steps = [(j, v, b) for j, p in sorted(other.coeffs.items()) for v, b in p.terms.items()]
+        terms = {n: p.terms for n, p in self.coeffs.items()}
+        sums = _recur({}, steps, terms, self.valuation + other.valuation, order)
         coeffs = {n: ParamPoly._from_sums(self.params, t) for n, t in sums.items()}
         bounds = {}
         if self.valuation >= 0 and other.valuation >= 0:
@@ -277,20 +270,12 @@ class QSeries:
                 "not invertible symbolically; evaluate parameters first "
                 f"(leading coefficient {lead})"
             )
-        lead_inv = lead.monomial_inverse()
-        width = self.order - v  # window length in shifted exponents
-        shifted = {n - v: c for n, c in self.coeffs.items()}
-        out: dict[int, ParamPoly] = {0: lead_inv}
-        for n in range(1, width + 1):
-            acc = ParamPoly.zero(self.params)
-            for k, a in shifted.items():
-                if 1 <= k <= n:
-                    b = out.get(n - k)
-                    if b is not None:
-                        acc = acc + a * b
-            if not acc.is_zero():
-                out[n] = -(lead_inv * acc)
-        return QSeries(self.params, self.order - 2 * v, {n - v: c for n, c in out.items()})
+        # g = 1/self solves g_n = lead^-1 [n = 0] - sum_{k>=1} lead^-1 a_{v+k} g_{n-k}
+        ((inv, c),) = lead.monomial_inverse().terms.items()
+        steps = [(n - v, tuple(map(add, u, inv)), _canon(-a * c))
+                 for n, p in sorted(self.coeffs.items()) if n > v for u, a in p.terms.items()]
+        out = _recur({0: {inv: c}}, steps, None, 0, self.order - v)
+        return QSeries(self.params, self.order - 2 * v, {n - v: ParamPoly._from_sums(self.params, t) for n, t in out.items()})
 
     def mul_one_minus(self, c: Scalar, qexp: int, pexps=(), power: int = 1) -> "QSeries":
         """Multiply by ``(1 - m)^power``, ``m = c * prod p^e * q^qexp`` with exponents ``pexps``
@@ -303,7 +288,10 @@ class QSeries:
             c, power = 1 - Fraction(1 - c) ** power, 1
         c, terms = _canon(c), {n: p.terms for n, p in self.coeffs.items()}
         if c and power and terms:
-            terms = _one_minus_pass(terms, c, qexp, vec, power, self.order)
+            e, sign, lo = abs(power), (1 if power > 0 else -1), min(terms)
+            steps = [(j * qexp, tuple(j * x for x in vec), _canon(sign * math.comb(e, j) * (-c) ** j))
+                     for j in range(1, e + 1)]
+            terms = _recur(terms, steps, terms if power > 0 else None, lo, self.order)
         return QSeries(self.params, self.order, {n: ParamPoly._from_sums(self.params, t) for n, t in terms.items()})
 
     # -- reshaping ------------------------------------------------------

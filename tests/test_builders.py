@@ -48,6 +48,19 @@ def test_pochhammer_negative_length_reciprocal():
     assert ok, report
 
 
+def test_pochhammer_negative_length_inverts_no_series(monkeypatch):
+    calls = []
+    invert = QSeries.invert
+
+    def spy(self):
+        calls.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(QSeries, "invert", spy)
+    B.pochhammer((), Monomial(F(2)), -3, 8)
+    assert calls == []
+
+
 def test_pochhammer_negative_length_symbolic_rejected():
     with pytest.raises(AlgebraError, match="rational-point"):
         B.pochhammer(("d",), Monomial(F(-1), 1, (("d", 1),)), -2, 6)

@@ -67,6 +67,33 @@ def test_coeffs_bad_identifier_is_one_line_usage_error(capsys, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,value,key", [
+    (("spt:d=2*x",), "2*x", "d"),
+    (("rank:e=d",), "d", "e"),
+    (("rank:x=q*y",), "q*y", "x"),
+    (("rank:d=q^-1*e:base=2",), "q^-1*e", "d"),
+    (("durfee:k=2:x1=x",), "x", "x1"),
+    (("Cstar:x=2*d",), "2*d", "x"),
+    (("n2v:v=1", "--params", "d=e"), "e", "d"),
+])
+def test_coeffs_value_with_a_parameter_is_one_line_usage_error(capsys, argv, value, key):
+    code, out, err = run(capsys, "coeffs", *argv, "--order", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"value {value!r} for {key} carries a parameter" in err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("rank:d=q^-1:e=q^-1:base=2", "need base > 2, the sum of their |j|"),
+    ("rank:x=q^2:base=2", "x takes rational points"),
+    ("rank-lambert:x=q", "x takes rational points"),
+])
+def test_coeffs_substitution_without_a_provable_window_is_one_line_usage_error(capsys, spec, message):
+    code, out, err = run(capsys, "coeffs", spec, "--order", "2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize("spec", ["rank", "rank-lambert", "n2v", "J:-x", "C", "Cstar:x=2"])
 @pytest.mark.parametrize("base", [0, -1])
 def test_coeffs_base_below_one_is_one_line_usage_error(capsys, spec, base):

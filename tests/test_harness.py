@@ -90,8 +90,9 @@ def test_comparison_with_a_short_side_is_an_error(monkeypatch):
 
 
 def test_only_c09_and_c34_invert_a_series(monkeypatch):
-    # theta and Pochhammer quotients go through builders.times_poch; only C09's
-    # constants and C34's reciprocal reference invert a series
+    # theta and Pochhammer quotients, and a negative-length Pochhammer symbol,
+    # go through builders.times_poch; only C09's constants and C34's
+    # reciprocal reference invert a series
     running, callers = [], set()
     run_check, invert = harness.run_check, QSeries.invert
 

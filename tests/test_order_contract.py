@@ -3,7 +3,8 @@
 Every builder works at exactly the requested order, with no slack order:
 ``build(id, n)`` has ``order == n`` and agrees with any higher-order build
 over that window.  The ids cover every entry of ``BUILDER_GRAMMAR``,
-including base-q^2 forms, a ``q^-1`` substitution and rational points.
+including base-q^2 forms, ``q^-1`` substitutions alone and chained, and
+rational points.
 """
 
 from fractions import Fraction
@@ -34,11 +35,14 @@ IDS = (
     "rank:d=0:e=0",
     "rank:d=1/2:e=-1/3:x=3",
     "rank:e=q^-1:base=2",
+    "rank:d=q^-1:e=q^-1:base=3",  # chained: e's bound is re-declared after d's
+    "rank:d=q:e=q^-1:base=2",
     "rank-lambert",
     "rank-lambert:d=1:e=2:x=-2",
     "n2v:v=1",
     "n2v:v=2:d=0:e=1/2",
     "n2v:v=1:base=2:d=1:e=q^-1",
+    "n2v:v=1:d=q^-1:e=q^-1:base=3",
     "moment:k=2",
     "moment:k=4:d=1:e=1",
     "spt",
