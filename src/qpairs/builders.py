@@ -775,9 +775,7 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
             kw.setdefault(k, str(v))
 
     def val(key):
-        if key not in kw:
-            return None
-        v = _value_or_mono(kw[key])
+        v = _value_or_mono(kw[key]) if key in kw else None
         if isinstance(v, Monomial) and v.pexps:
             raise AlgebraError(f"value {kw[key]!r} for {key} carries a parameter; values are rationals or c*q^j")
         return v
@@ -846,12 +844,9 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
         else:
             fixed[pname] = None
             subs.append((pname, v))
-    drop = sum(-v.qexp for _, v in subs if v.qexp < 0)
+    drop = -sum(v.qexp for _, v in subs if v.qexp < 0)
     if drop >= base:
-        raise AlgebraError(
-            f"substitutions {', '.join(f'{p} -> q^{v.qexp}' for p, v in subs if v.qexp < 0)} "
-            f"need base > {drop}, the sum of their |j|"
-        )
+        raise AlgebraError(f"substitutions c*q^j with j < 0 need base > {drop}, the sum of their |j|")
     # the least pre-substitution order whose shrinkage by (base - drop)/base,
     # the product of the substitutions' shrinkages, still certifies the order
     work_order = order * base // (base - drop)

@@ -46,10 +46,14 @@ def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -
             if prev:
                 if acc is t:
                     acc = dict(t) if t else {}
-                for v, a in prev.items():
-                    key = tuple(map(add, v, w)) if w else v
-                    acc[key] = acc.get(key, 0) + a * b
-        if acc is not t:
+                if w:
+                    for v, a in prev.items():
+                        key = tuple(map(add, v, w))
+                        acc[key] = acc.get(key, 0) + a * b
+                else:
+                    for v, a in prev.items():
+                        acc[v] = acc.get(v, 0) + a * b
+        if acc is not t and src is out:  # g feeds itself: keep it clean (callers clean the rest)
             acc = _clean(acc)
         if acc:
             out[n] = acc
@@ -217,8 +221,10 @@ class QSeries:
             return QSeries(self.params, self.order, coeffs, bounds)
         self._check_params(other)
         order = min(self.order + other.valuation, other.order + self.valuation)
-        steps = [(j, v, b) for j, p in sorted(other.coeffs.items()) for v, b in p.terms.items()]
-        terms = {n: p.terms for n, p in self.coeffs.items()}
+        # the operand with fewer terms gives the steps: fewer visits of the inner loop
+        step, src = sorted((self, other), key=lambda s: sum(len(p.terms) for p in s.coeffs.values()))
+        steps = [(j, v, b) for j, p in sorted(step.coeffs.items()) for v, b in p.terms.items()]
+        terms = {n: p.terms for n, p in src.coeffs.items()}
         sums = _recur({}, steps, terms, self.valuation + other.valuation, order)
         coeffs = {n: ParamPoly._from_sums(self.params, t) for n, t in sums.items()}
         bounds = {}
