@@ -30,12 +30,11 @@ CoeffLike = Union[int, Fraction, ParamPoly]
 def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -> dict:
     """The term maps of ``g_n = start_n + sum b p^w src_{n-dn}``, ``lo <= n <= order``, over the
     steps ``(dn, w, b)`` sorted by dn.  ``src`` is a given term map (a product) or None for ``g``
-    itself (a division: every dn >= 1)."""
+    itself (a division: every dn >= 1).  Only a division cleans its maps as it goes; callers clean
+    the result with ``ParamPoly._from_sums``."""
     steps = [(dn, w if any(w) else (), b) for dn, w, b in steps]  # () skips the key shift
     out: dict[int, dict] = {}
-    src_lo = lo if src is None else min(src, default=lo)
-    if src is None:
-        src = out
+    src, src_lo = (out, lo) if src is None else (src, min(src, default=lo))
     for n in range(lo, order + 1):
         t = acc = start.get(n)
         top = n - src_lo
@@ -53,7 +52,7 @@ def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -
                 else:
                     for v, a in prev.items():
                         acc[v] = acc.get(v, 0) + a * b
-        if acc is not t and src is out:  # g feeds itself: keep it clean (callers clean the rest)
+        if acc is not t and src is out:
             acc = _clean(acc)
         if acc:
             out[n] = acc
