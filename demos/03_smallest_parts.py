@@ -36,8 +36,6 @@ def main():
     print()
 
     s = builders.spt_gf(20, d=Fraction(1), e=Fraction(1))
-    for name in ("d", "e"):
-        s = builders.drop_param(s, name)
     aq = builders.poch_inf((), Monomial(Fraction(-1), 1), 20)
     closed = (aq * builders.q_inf(20).invert()) ** 2 * Fraction(1, 4) - Fraction(1, 4)
     ok, _ = s.equal_to_order(closed, 20)

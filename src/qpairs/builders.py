@@ -17,7 +17,11 @@ The parameters d and e are never materialized with negative powers:
 coefficients polynomial in d, e and makes the per-order degree bounds
 (``deg_d``, ``deg_e`` of the coeff of q^n at most n over the base power)
 declarable facts; the bounds in turn license substitutions like
-``e -> 1/q`` on a base-``q^2`` series.
+``e -> 1/q`` on a base-``q^2`` series.  No operation but ``truncate``
+keeps a bound, so each builder declares its bounds as its last step, and
+``build`` declares a parameter's bound again before substituting it.
+Fixing a parameter, by a rational or a q-monomial, removes it from the
+series.
 
 Builders work at exactly the requested order: each result's ``order`` is
 the order asked for, and it agrees with any higher-order build over that
@@ -671,23 +675,6 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
 # moment extraction
 
 
-def drop_param(s: QSeries, name: str) -> QSeries:
-    """Remove a parameter that no longer occurs (exponent 0 everywhere)."""
-    if name not in s.params:
-        return s
-    i = s.params.index(name)
-    rest = tuple(p for p in s.params if p != name)
-    coeffs = {}
-    for n, c in s.coeffs.items():
-        terms = {}
-        for vec, v in c.terms.items():
-            if vec[i]:
-                raise AlgebraError(f"parameter {name} still occurs in coeff of q^{n}")
-            terms[vec[:i] + vec[i + 1:]] = v
-        coeffs[n] = ParamPoly(rest, terms)
-    return QSeries(rest, s.order, coeffs, {p: v for p, v in s.bounds.items() if p != name})
-
-
 def symmetrized_moment_series(
     k: int, order: int, d: ParamValue = None, e: ParamValue = None
 ) -> QSeries:
@@ -702,7 +689,7 @@ def symmetrized_moment_series(
     s = N * ParamPoly.monomial(N.params, {"x": (k - 1) // 2})
     for _ in range(k):
         s = s.d_dparam("x")
-    s = drop_param(s.eval_param("x", 1), "x") * Fraction(1, math.factorial(k))
+    s = s.eval_param("x", 1) * Fraction(1, math.factorial(k))
     return _declare_de_bounds(s, d, e, 1)
 
 
@@ -874,9 +861,9 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
         s = durfee_rhs(k, work_order, xs, fixed["d"], fixed["e"])
     slopes = dict(s.bounds)  # the builder's declared degree bounds
     for pname, mono in subs:
-        if mono.qexp < 0 and pname in slopes:  # a substitution drops the bounds: re-declare
+        if pname in slopes:  # a substitution returns no bounds: re-declare
             s = s.with_bounds({pname: slopes[pname]})
-        s = drop_param(s.substitute_param(pname, mono.c, mono.qexp), pname)
+        s = s.substitute_param(pname, mono.c, mono.qexp)
         if mono.qexp < 0:
             # p^a q^n with a <= slope_p*n lands at q^n', n' >= (1 + j*slope_p)*n, so the
             # other slopes divide by that factor; a substitution with j > 0 keeps them

@@ -232,9 +232,10 @@ class ParamPoly:
         )
 
     def eval(self, name: str, r: Scalar) -> "ParamPoly":
-        """Replace ``name`` by the rational ``r``; arity is preserved."""
+        """Replace ``name`` by the rational ``r``; the result is without ``name``."""
         r = _as_fraction(r)  # a Fraction, so r ** -k stays exact
         i = self.params.index(name)
+        params = self.params[:i] + self.params[i + 1:]
         powers: dict[int, Scalar] = {}  # r ** k, an int when integral
         terms: dict[ExpVec, Scalar] = {}
         for vec, c in self.terms.items():
@@ -244,9 +245,9 @@ class ParamPoly:
                 if k < 0 and r == 0:
                     raise AlgebraError(f"pole at 0: {name}^{k} evaluated at 0")
                 p = powers[k] = _canon(r ** k)
-            nvec = vec[:i] + (0,) + vec[i + 1:]
+            nvec = vec[:i] + vec[i + 1:]
             terms[nvec] = terms.get(nvec, 0) + c * p
-        return ParamPoly._from_sums(self.params, terms)
+        return ParamPoly._from_sums(params, terms)
 
     def with_params(self, params: Iterable[str]) -> "ParamPoly":
         """Re-express over a new parameter tuple (a superset, possibly reordered)."""

@@ -3,15 +3,21 @@
 A :class:`QSeries` stores a sparse map ``exponent -> ParamPoly`` together
 with the largest exponent whose coefficient it can certify (``order``).
 Truncation order is data, not convention: every operation computes the
-exact provable order of its result, so bilateral sums and ``q -> q^m``
+exact provable order of its result, so bilateral sums and ``p -> c*q^j``
 substitutions cannot silently report unproven coefficients.
 
 The zero series carries the sentinel valuation ``order + 1``.
 
-Optional per-parameter degree bounds record machine-checked facts of the
-form ``deg_p(coeff of q^n) <= slope * n`` (and all p-exponents >= 0).
-They are what makes substitutions like ``e -> 1/q`` on a base-``q^2``
-series sound: the bound caps how far any exponent can fall.
+Fixing a parameter removes it: ``eval_param`` and ``substitute_param``
+return a series over the remaining parameters.
+
+Per-parameter degree bounds record facts of the form
+``0 <= deg_p(coeff of q^n) <= slope * n``.  They enter only through
+:meth:`QSeries.with_bounds`, which checks them on every stored
+coefficient; :meth:`QSeries.truncate` keeps them and every other
+operation returns none.  Only :meth:`QSeries.substitute_param` reads
+them: a bound is what makes substitutions like ``e -> 1/q`` on a
+base-``q^2`` series sound, since it caps how far any exponent can fall.
 """
 
 from __future__ import annotations
@@ -73,7 +79,6 @@ class QSeries:
         params: Iterable[str],
         order: int,
         coeffs: Optional[Mapping[int, CoeffLike]] = None,
-        bounds: Optional[Mapping[str, Scalar]] = None,
     ):
         self.params: Tuple[str, ...] = tuple(params)
         self.order = int(order)
@@ -92,9 +97,7 @@ class QSeries:
                 if not c.is_zero():
                     clean[n] = c
         self.coeffs = clean
-        self.bounds: dict[str, Fraction] = {}
-        if bounds:
-            self.bounds = {p: _as_fraction(s) for p, s in bounds.items()}
+        self.bounds: dict[str, Fraction] = {}  # set by with_bounds, kept by truncate
 
     # -- basic views ----------------------------------------------------
 
@@ -187,19 +190,12 @@ class QSeries:
             c = b if a is None else (a if b is None else a + b)
             if not c.is_zero():
                 coeffs[n] = c
-        bounds = {
-            p: max(self.bounds[p], other.bounds[p])
-            for p in self.bounds
-            if p in other.bounds
-        }
-        return QSeries(self.params, order, coeffs, bounds)
+        return QSeries(self.params, order, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries(
-            self.params, self.order, {n: -c for n, c in self.coeffs.items()}, self.bounds
-        )
+        return QSeries(self.params, self.order, {n: -c for n, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "QSeries":
         return self + (-self._coerce(other))
@@ -209,15 +205,7 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction, ParamPoly)):
-            coeffs = {n: c * other for n, c in self.coeffs.items()}
-            bounds = self.bounds
-            if isinstance(other, ParamPoly):
-                touched = {
-                    p for p in self.params
-                    if any(vec[self.params.index(p)] for vec in other.terms)
-                }
-                bounds = {p: s for p, s in bounds.items() if p not in touched}
-            return QSeries(self.params, self.order, coeffs, bounds)
+            return QSeries(self.params, self.order, {n: c * other for n, c in self.coeffs.items()})
         self._check_params(other)
         order = min(self.order + other.valuation, other.order + self.valuation)
         # the operand with fewer terms gives the steps: fewer visits of the inner loop
@@ -225,15 +213,7 @@ class QSeries:
         steps = [(j, v, b) for j, p in sorted(step.coeffs.items()) for v, b in p.terms.items()]
         terms = {n: p.terms for n, p in src.coeffs.items()}
         sums = _recur({}, steps, terms, self.valuation + other.valuation, order)
-        coeffs = {n: ParamPoly._from_sums(self.params, t) for n, t in sums.items()}
-        bounds = {}
-        if self.valuation >= 0 and other.valuation >= 0:
-            bounds = {
-                p: max(self.bounds[p], other.bounds[p])
-                for p in self.bounds
-                if p in other.bounds
-            }
-        return QSeries(self.params, order, coeffs, bounds)
+        return QSeries(self.params, order, {n: ParamPoly._from_sums(self.params, t) for n, t in sums.items()})
 
     __rmul__ = __mul__
 
@@ -285,7 +265,7 @@ class QSeries:
     def mul_one_minus(self, c: Scalar, qexp: int, pexps=(), power: int = 1) -> "QSeries":
         """Multiply by ``(1 - m)^power``, ``m = c * prod p^e * q^qexp`` with exponents ``pexps``
         (a mapping or pairs).  Unless ``c = 0``, a positive power needs ``qexp >= 0`` and a negative
-        one ``qexp >= 1`` or a parameter-free ``m != 1``.  The result keeps ``self.order``, no bounds."""
+        one ``qexp >= 1`` or a parameter-free ``m != 1``.  The result keeps ``self.order``."""
         (vec, _), = ParamPoly.monomial(self.params, dict(pexps)).terms.items()
         if c and (qexp < 0 or (power < 0 and qexp == 0 and (any(vec) or c == 1))):
             raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {vec}")
@@ -306,7 +286,9 @@ class QSeries:
             raise TruncationError(
                 f"cannot extend provable order from {self.order} to {order}"
             )
-        return QSeries(self.params, order, self.coeffs, self.bounds)
+        out = QSeries(self.params, order, self.coeffs)
+        out.bounds = self.bounds  # the same series to a lower order: its bounds still hold
+        return out
 
     def shift(self, j: int) -> "QSeries":
         """Multiply by q^j (exact for any integer j)."""
@@ -318,18 +300,14 @@ class QSeries:
 
     def with_params(self, params: Iterable[str]) -> "QSeries":
         params = tuple(params)
-        return QSeries(
-            params,
-            self.order,
-            {n: c.with_params(params) for n, c in self.coeffs.items()},
-            {p: s for p, s in self.bounds.items() if p in params},
-        )
+        return QSeries(params, self.order, {n: c.with_params(params) for n, c in self.coeffs.items()})
 
     def with_bounds(self, bounds: Mapping[str, Scalar]) -> "QSeries":
         """Declare degree bounds, validating them on every stored coefficient.
 
         A bound ``p: slope`` asserts ``0 <= deg_p(coeff of q^n) <= slope*n``
-        for every exponent n in the window; construction fails otherwise.
+        for every exponent n, above the window too; it is checked on every
+        stored coefficient, and declaring it fails otherwise.
         """
         declared = {p: _as_fraction(s) for p, s in bounds.items()}
         if declared and self.valuation < 0:
@@ -345,87 +323,63 @@ class QSeries:
                         f"bound violated: deg_{p} of coeff of q^{n} is "
                         f"{c.degree(p)} > {slope}*{n}"
                     )
-        merged = dict(self.bounds)
-        merged.update(declared)
-        return QSeries(self.params, self.order, self.coeffs, merged)
+        out = QSeries(self.params, self.order, self.coeffs)
+        out.bounds = {**self.bounds, **declared}
+        return out
 
     # -- substitution and differentiation -------------------------------
 
-    def substitute_q_power(self, m: int) -> "QSeries":
-        """Replace q by q^m (m >= 1); exponents scale, the window is exact."""
-        if m < 1:
-            raise AlgebraError(f"q-power substitution needs m >= 1, got {m}")
-        if m == 1:
-            return self
-        # first unknown input exponent is order+1, landing at m*(order+1)
-        order = m * (self.order + 1) - 1
-        return QSeries(
-            self.params,
-            order,
-            {m * n: c for n, c in self.coeffs.items()},
-            {p: s / m for p, s in self.bounds.items()},
-        )
-
     def eval_param(self, name: str, r: Scalar) -> "QSeries":
-        """Replace one parameter by a rational number."""
-        coeffs = {n: c.eval(name, r) for n, c in self.coeffs.items()}
-        bounds = {p: s for p, s in self.bounds.items() if p != name}
-        return QSeries(self.params, self.order, coeffs, bounds)
+        """Replace one parameter by a rational number; the result is without it."""
+        params = tuple(p for p in self.params if p != name)
+        return QSeries(params, self.order, {n: c.eval(name, r) for n, c in self.coeffs.items()})
 
     def substitute_param(self, name: str, c: Scalar, qexp: int) -> "QSeries":
-        """Replace a parameter by the q-monomial ``c * q^qexp``.
+        """Replace a parameter by the q-monomial ``c * q^qexp``; the result is without it.
 
-        For ``qexp < 0`` a declared degree bound for the parameter is
-        required; it caps how far exponents can drop, which is what makes
-        the output order provable.
+        Unless ``qexp == 0`` or ``c == 0`` (an evaluation), a declared degree
+        bound for the parameter is required: it rules out negative exponents,
+        also above the window, and for ``qexp < 0`` caps how far exponents can
+        drop, which is what makes the output order provable.
         """
         c = _as_fraction(c)
         if qexp == 0 or c == 0:
             return self.eval_param(name, c if qexp == 0 else 0)
+        slope = self.bounds.get(name)
+        if slope is None:
+            raise AlgebraError(
+                f"substituting {name} -> {c}*q^{qexp} needs a declared "
+                f"degree bound for {name}"
+            )
+        order = self.order
         if qexp < 0:
-            slope = self.bounds.get(name)
-            if slope is None:
-                raise AlgebraError(
-                    f"substituting {name} -> {c}*q^{qexp} needs a declared "
-                    f"degree bound for {name}"
-                )
-            if self.valuation < 0:
-                raise AlgebraError("negative-power substitution needs valuation >= 0")
-            shrink = 1 + qexp * slope  # qexp < 0
+            shrink = 1 + qexp * slope
             if shrink <= 0:
                 raise AlgebraError(
                     f"substitution {name} -> q^{qexp} underflows the provable "
                     f"window (bound slope {slope})"
                 )
             order = math.ceil((self.order + 1) * shrink) - 1
-        else:
-            order = self.order
+        # the bound holds on every stored term, 0 <= k <= slope*n with n >= 0,
+        # so each term lands at n + qexp*k >= min(1, shrink)*n >= 0
         i = self.params.index(name)
+        params = self.params[:i] + self.params[i + 1:]
         powers: dict[int, Scalar] = {}
         sums: dict[int, dict] = {}  # output exponent -> summed term map
         for n, poly in self.coeffs.items():
             for vec, v in poly.terms.items():
                 k = vec[i]
-                if k < 0:
-                    raise AlgebraError(
-                        f"substitution of {name} requires nonnegative exponents; "
-                        f"found {name}^{k} in coeff of q^{n}"
-                    )
                 ne = n + qexp * k
                 if ne > order:
                     continue
-                if ne < 0:
-                    raise AlgebraError(
-                        f"exponent underflow: term {name}^{k} q^{n} lands at q^{ne}"
-                    )
                 p = powers.get(k)
                 if p is None:
                     p = powers[k] = _canon(c ** k)
-                nvec = vec[:i] + (0,) + vec[i + 1:]
+                nvec = vec[:i] + vec[i + 1:]
                 terms = sums.setdefault(ne, {})
                 terms[nvec] = terms.get(nvec, 0) + v * p
-        coeffs = {ne: ParamPoly._from_sums(self.params, terms) for ne, terms in sums.items()}
-        return QSeries(self.params, order, coeffs)
+        coeffs = {ne: ParamPoly._from_sums(params, terms) for ne, terms in sums.items()}
+        return QSeries(params, order, coeffs)
 
     def delta_q(self) -> "QSeries":
         """The Euler operator q d/dq: multiplies the coeff of q^n by n."""
@@ -433,7 +387,6 @@ class QSeries:
             self.params,
             self.order,
             {n: c * n for n, c in self.coeffs.items() if n},
-            self.bounds,
         )
 
     def d_dparam(self, name: str) -> "QSeries":
@@ -442,7 +395,6 @@ class QSeries:
             self.params,
             self.order,
             {n: c.derivative(name) for n, c in self.coeffs.items()},
-            self.bounds,
         )
 
     def delta_param(self, name: str) -> "QSeries":
@@ -451,7 +403,6 @@ class QSeries:
             self.params,
             self.order,
             {n: c.delta(name) for n, c in self.coeffs.items()},
-            self.bounds,
         )
 
     # -- comparison -----------------------------------------------------
@@ -537,7 +488,7 @@ class QSeries:
             for n, terms in obj["coeffs"].items()
         }
         bounds = {p: Fraction(s) for p, s in obj.get("bounds", {}).items()}
-        return cls(params, obj["order"], coeffs, bounds)
+        return cls(params, obj["order"], coeffs).with_bounds(bounds)
 
     @classmethod
     def from_json(cls, text: str) -> "QSeries":

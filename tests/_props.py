@@ -160,11 +160,10 @@ def check_substitution_resummation(rng: random.Random, rounds: int) -> int:
         c = Fraction(rng.choice([1, 2, -1]), rng.choice([1, 3]))
         j = rng.choice([0, 1])
         t = s.substitute_param("d", c, j)
+        assert t.params == ()
         total = Fraction(0)
         for n in range(t.valuation, t.order + 1):
-            coeff = t.coefficient(n)
-            for vec, cc in coeff.sorted_terms():
-                total += cc * c ** vec[coeff.params.index("d")] * q0 ** n
+            total += t.coefficient(n).constant_value() * q0 ** n
         expected = Fraction(0)
         for n, p in s.coeffs.items():
             for vec, cc in p.sorted_terms():

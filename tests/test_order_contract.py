@@ -3,8 +3,8 @@
 Every builder works at exactly the requested order, with no slack order:
 ``build(id, n)`` has ``order == n`` and agrees with any higher-order build
 over that window.  The ids cover every entry of ``BUILDER_GRAMMAR``,
-including base-q^2 forms, ``q^-1`` substitutions alone and chained, and
-rational points.
+including base-q^2 forms, ``q^-1`` substitutions alone and chained,
+``q^j`` substitutions with j > 0, and rational points.
 """
 
 from fractions import Fraction
@@ -37,6 +37,7 @@ IDS = (
     "rank:e=q^-1:base=2",
     "rank:d=q^-1:e=q^-1:base=3",  # chained: e's bound is re-declared after d's
     "rank:d=q:e=q^-1:base=2",
+    "rank:d=q^-1:e=q:base=2",  # j > 0 after j < 0: e's bound is re-declared
     "rank-lambert",
     "rank-lambert:d=1:e=2:x=-2",
     "n2v:v=1",
@@ -46,6 +47,7 @@ IDS = (
     "moment:k=2",
     "moment:k=4:d=1:e=1",
     "spt",
+    "spt:d=q",  # j > 0 alone on a base-1 builder
     "spt-direct:d=1/2:e=2",
     "durfee:k=2",
     "durfee:k=3:d=0:e=1:x1=2:x2=3:x3=-1/2",

@@ -126,26 +126,14 @@ def test_invert_zero_rejected():
 # -- substitutions --------------------------------------------------------
 
 
-def test_substitute_q_power():
-    s = QSeries.from_terms((), [(0, 1), (1, 1), (2, 1)], 2)
-    t = s.substitute_q_power(2)
-    assert t.order == 5
-    assert [t.coefficient(n).constant_value() for n in range(6)] == [1, 0, 1, 0, 1, 0]
-
-
-def test_substitute_q_power_identity_and_zero():
-    s = QSeries.from_terms((), [(1, 3)], 2)
-    assert s.substitute_q_power(1).coefficient(1).constant_value() == 3
-    assert QSeries.zero((), 4).substitute_q_power(3).is_zero()
-
-
 def test_substitute_param_negative_exponent():
     # (1 + e*Q) in base Q = q^2, e -> 1/q gives 1 + q
     p = ("e",)
     s = QSeries.from_terms(p, [(0, 1), (2, poly(p, {"e": 1}))], 4)
     s = s.with_bounds({"e": Fraction(1, 2)})
     t = s.substitute_param("e", 1, -1)
-    assert t.coefficient(1).terms == {(0,): 1}
+    assert t.params == ()
+    assert t.coefficient(1).terms == {(): 1}
 
 
 def test_substitute_param_requires_bound():
@@ -153,6 +141,12 @@ def test_substitute_param_requires_bound():
     s = QSeries.from_terms(p, [(0, 1), (2, poly(p, {"e": 1}))], 4)
     with pytest.raises(AlgebraError):
         s.substitute_param("e", 1, -1)
+
+
+def test_substitute_param_positive_power_requires_bound():
+    # rank_gf is Laurent in x: x^-k terms above the window would land inside it
+    with pytest.raises(AlgebraError, match="degree bound for x"):
+        builders.rank_gf(3, base=2).substitute_param("x", 1, 2)
 
 
 def test_substitute_param_bound_violation_rejected():
@@ -165,7 +159,8 @@ def test_substitute_param_bound_violation_rejected():
 
 def test_rank_specialization_constant_term():
     s = builders.rank_gf(8, base=2).substitute_param("e", 1, -1)
-    s = builders.drop_param(s, "e").eval_param("d", 1)
+    s = s.eval_param("d", 1)
+    assert s.params == ("x",)
     assert s.coefficient(0).eval("x", 2).constant_value() == 1
 
 
@@ -176,7 +171,8 @@ def test_eval_param():
     p = ("d", "e")
     s = QSeries.from_terms(p, [(0, 1), (1, poly(p, {"d": 1}) + poly(p, {"e": 1}))], 3)
     t = s.eval_param("d", 1)
-    assert t.coefficient(1).terms == {(0, 0): 1, (0, 1): 1}
+    assert t.params == ("e",)
+    assert t.coefficient(1).terms == {(0,): 1, (1,): 1}
 
 
 def test_eval_param_pole_at_zero():
@@ -264,3 +260,11 @@ def test_json_shape():
     assert obj["valuation"] == 1
     assert obj["order"] == 2
     assert obj["coeffs"]["1"] == [[[], "-1/2"]]
+
+
+def test_json_bounds_are_checked_on_load():
+    # deg_e of the coeff of q^2 is 2 > 1/2 * 2: the declared bound is false
+    text = ('{"params":["e"],"order":4,"coeffs":{"0":[[[0],"1/1"]],"2":[[[2],"1/1"]]},'
+            '"bounds":{"e":"1/2"}}')
+    with pytest.raises(AlgebraError, match="bound violated"):
+        QSeries.from_json(text)
