@@ -37,7 +37,8 @@ def main():
 
     s = builders.spt_gf(20, d=Fraction(1), e=Fraction(1))
     aq = builders.poch_inf((), Monomial(Fraction(-1), 1), 20)
-    closed = (aq * builders.q_inf(20).invert()) ** 2 * Fraction(1, 4) - Fraction(1, 4)
+    ratio = aq * builders.q_inf(20).invert()
+    closed = ratio * ratio * Fraction(1, 4) - Fraction(1, 4)
     ok, _ = s.equal_to_order(closed, 20)
     print(f"closed form at d=e=1 to order 20: {ok}")
 

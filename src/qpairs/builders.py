@@ -3,8 +3,10 @@
 Every builder returns a :class:`QSeries` exact to the requested order.
 Every q-Pochhammer factor ``(1 - m)^{+-e}`` goes through one kernel,
 :meth:`QSeries.mul_one_minus`: a two-term product for a positive power, a
-two-term recurrence (``g_n = f_n + m g_{n-k}``) for a negative one.  No
-builder expands a geometric series or inverts a product: a negative-length
+two-term recurrence (``g_n = f_n + m g_{n-k}``) for a negative one.  Every
+product, the prefactor ``(-dq, -eq)_inf / (q, deq)_inf`` included, is
+applied by :func:`times_poch` to the series it multiplies.  No builder
+expands a geometric series or inverts or powers a product: a negative-length
 Pochhammer symbol divides its monomial by ``(q/a)_m`` factor by factor.
 
 Bilateral sums never divide by Laurent terms directly: the negative
@@ -214,7 +216,7 @@ def _poch_inf_cached(params: Tuple[str, ...], mono: Monomial, base: int, order: 
 
 
 def poch_inf(params: Sequence[str], mono: Monomial, order: int, base: int = 1) -> QSeries:
-    """Memoized infinite Pochhammer product (hot path for common prefactors)."""
+    """Memoized infinite Pochhammer product ``(mono; q^base)_inf``."""
     return _poch_inf_cached(tuple(params), mono, base, order)
 
 
@@ -421,11 +423,11 @@ def _declare_de_bounds(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> Q
     return s.with_bounds(bounds) if bounds else s
 
 
-def _prefactor(params: Tuple[str, ...], d: ParamValue, e: ParamValue, order: int, base: int) -> QSeries:
-    """``(-dQ, -eQ; Q)_inf / (Q, deQ; Q)_inf`` with Q = q^base."""
-    de = (_pfac(params, "d", d) * _pfac(params, "e", e)).times_q(base)
-    return times_poch(QSeries.one(params, order), (-_pfac(params, "d", d, base), 1),
-                      (-_pfac(params, "e", e, base), 1), (Monomial.make(1, base), -1), (de, -1), base=base)
+def _prefactor(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> QSeries:
+    """``s * (-dQ, -eQ; Q)_inf / (Q, deQ; Q)_inf``, Q = q^base, applied to ``s`` by :func:`times_poch`."""
+    de = (_pfac(s.params, "d", d) * _pfac(s.params, "e", e)).times_q(base)
+    return times_poch(s, (-_pfac(s.params, "d", d, base), 1), (-_pfac(s.params, "e", e, base), 1),
+                      (Monomial.make(1, base), -1), (de, -1), base=base)
 
 
 def _lambert_ratios(
@@ -508,7 +510,7 @@ def rank_gf_lambert(
         second = _times(R, (xinv.times_q(base * m), -1)) * xinv.as_poly(params)
         tail = tail + (first - second) * (-1 if m % 2 else 1)
     body = QSeries.one(params, order) + _times(tail, (xm, 1))
-    return _declare_de_bounds(_prefactor(params, d, e, order, base) * body, d, e, base)
+    return _declare_de_bounds(_prefactor(body, d, e, base), d, e, base)
 
 
 def n2v(
@@ -533,14 +535,14 @@ def n2v(
     for m, E, R in _lambert_ratios(params, d, e, order, base, v):
         Q = Monomial.make(1, base * m)
         acc = acc + _times(R.truncate(order - E).shift(E), (-Q, 1), (Q, -2 * v)) * (1 if m % 2 else -1)
-    return _declare_de_bounds(_prefactor(params, d, e, order, base) * acc, d, e, base)
+    return _declare_de_bounds(_prefactor(acc, d, e, base), d, e, base)
 
 
 def spt_gf(order: int, d: ParamValue = None, e: ParamValue = None) -> QSeries:
     """Smallest-parts generating function: prefactor times the divisor sum
     minus the second symmetrized moment series."""
     params = _sym_params(("d", d), ("e", e))
-    head = _prefactor(params, d, e, order, 1) * phi1(1, order, params)
+    head = _prefactor(phi1(1, order, params), d, e, 1)
     return _declare_de_bounds(head - n2v(1, order, d, e), d, e, 1)
 
 
@@ -556,7 +558,7 @@ def spt_gf_direct(order: int, d: ParamValue = None, e: ParamValue = None) -> QSe
         T = _times(T, (Q, 1), (de.times_q(n), 1),
                    (-_pfac(params, "d", d, n), -1), (-_pfac(params, "e", e, n), -1))
         acc = acc + _times(T.truncate(order - n).shift(n), (Q, -2))
-    return _declare_de_bounds(_prefactor(params, d, e, order, 1) * acc, d, e, 1)
+    return _declare_de_bounds(_prefactor(acc, d, e, 1), d, e, 1)
 
 
 def durfee_rhs(
@@ -587,7 +589,7 @@ def durfee_rhs(
         # (1 + q^n)(1 - q^n)^2 / prod_j (1 - x_j q^n)(1 - q^n / x_j)
         factors = [(-Q, 1), (Q, 2)] + [(y.times_q(n), -1) for xm in xms for y in (xm, xm.inverse())]
         acc = acc + _times(R.truncate(order - E).shift(E), *factors) * (1 if n % 2 else -1)
-    return _declare_de_bounds(_prefactor(params, d, e, order, 1) * acc, d, e, 1)
+    return _declare_de_bounds(_prefactor(acc, d, e, 1), d, e, 1)
 
 
 def rk_partial_fractions(
@@ -666,7 +668,7 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
         term = _times(T.truncate(order - n * n - n).shift(n * n + n), (Monomial.make(-1, 2 * n), 1))
         lhs = lhs + term * (-1 if n % 2 else 1)  # (1 + q^{2n}) q^{n^2 + n} T
         n += 1
-    rhs = times_poch(poch_inf((), Monomial.make(1, 2), order, 2) ** 2, (Monomial(b, 2), -1),
+    rhs = times_poch(QSeries.one((), order), (Monomial.make(1, 2), 2), (Monomial(b, 2), -1),
                      (Monomial(1 / b, 2), -1), base=2)
     return lhs, rhs
 

@@ -179,19 +179,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "ParamPoly":
-        if n < 0:
-            return self.monomial_inverse() ** (-n)
-        result = ParamPoly.const(self.params, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def monomial_inverse(self) -> "ParamPoly":
         """Inverse of a single-term polynomial (a unit of the Laurent ring)."""
         mono = self.as_monomial()

@@ -217,28 +217,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            inv = Fraction(1) / _as_fraction(other)
-            return self * inv
-        if isinstance(other, QSeries):
-            return self * other.invert()
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            return self.invert() ** (-n)
-        # generous starting order; each multiply tightens it to the provable one
-        result = QSeries.one(self.params, self.order + abs(self.valuation) * (n + 1) + 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def invert(self) -> "QSeries":
         """Multiplicative inverse, valid when the leading coefficient is a unit.
 
@@ -305,14 +283,19 @@ class QSeries:
     def with_bounds(self, bounds: Mapping[str, Scalar]) -> "QSeries":
         """Declare degree bounds, validating them on every stored coefficient.
 
-        A bound ``p: slope`` asserts ``0 <= deg_p(coeff of q^n) <= slope*n``
-        for every exponent n, above the window too; it is checked on every
-        stored coefficient, and declaring it fails otherwise.
+        A bound ``p: slope``, for a parameter p and a slope >= 0, asserts
+        ``0 <= deg_p(coeff of q^n) <= slope*n`` for every exponent n, above
+        the window too; it is checked on every stored coefficient, and
+        declaring it fails otherwise.
         """
         declared = {p: _as_fraction(s) for p, s in bounds.items()}
         if declared and self.valuation < 0:
             raise AlgebraError("degree bounds require nonnegative valuation")
         for p, slope in declared.items():
+            if p not in self.params:
+                raise AlgebraError(f"degree bound for {p!r}, which is not a parameter of {self.params}")
+            if slope < 0:  # it would claim that every coefficient above q^0 vanishes
+                raise AlgebraError(f"degree bound for {p} has negative slope {slope}")
             for n, c in self.coeffs.items():
                 if c.min_degree(p) < 0:
                     raise AlgebraError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qpairs import AlgebraError, ParamPoly, QSeries
+from qpairs import AlgebraError, ParamPoly, QSeries, builders
 
 PARAMS = ("d", "e")
 
@@ -173,6 +173,32 @@ def check_substitution_resummation(rng: random.Random, rounds: int) -> int:
         assert total == expected
         done += 1
     return done
+
+
+def check_prefactor_reach(rng: random.Random, rounds: int) -> tuple[int, int, int]:
+    """``builders._prefactor(s, d, e, base)``, whose infinite products stop at
+    the window of ``s``, equals the dense product ``P * s`` with ``P`` built
+    factor by factor two orders past that window.  Returns the instance count
+    and how many draws were the zero series or had a negative valuation."""
+    values = (None, Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3))
+    zeros = laurent = 0
+    for _ in range(rounds):
+        d, e, base = rng.choice(values), rng.choice(values), rng.randint(1, 3)
+        params = tuple(p for p, v in (("d", d), ("e", e)) if v is None)
+        s = random_series(rng, params)
+        zeros += s.is_zero()
+        laurent += s.valuation < 0
+        # d and e as (coefficient, exponents), symbolic or rational
+        (dc, dx), (ec, ex) = ((1, {p: 1}) if v is None else (v, {}) for p, v in (("d", d), ("e", e)))
+        top = s.order - s.valuation + 2
+        P = QSeries.one(params, top)
+        for k in range(1, top // base + 1):
+            P = P.mul_one_minus(-dc, base * k, dx).mul_one_minus(-ec, base * k, ex)
+            P = P.mul_one_minus(1, base * k, (), -1).mul_one_minus(dc * ec, base * k, {**dx, **ex}, -1)
+        got, want = builders._prefactor(s, d, e, base), P * s
+        assert got.order == want.order == s.order, (got.order, want.order, s.order)
+        assert got == want, (s, d, e, base)
+    return rounds, zeros, laurent
 
 
 def run_all(seed: int = 20260825, scale: int = 1) -> int:

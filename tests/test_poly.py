@@ -32,21 +32,21 @@ def test_product_and_power():
     prod = a * b
     assert prod.terms[(1, 1)] == 1
     assert prod.terms[(0, 0)] == 1
-    sq = a ** 2
+    sq = a * a
     assert sq.terms[(2, 0)] == 1
     assert sq.terms[(1, 0)] == 2
 
 
 def test_negative_power_of_monomial():
     a = ParamPoly.monomial(P, {"d": 1}, 2)
-    inv = a ** -1
+    inv = a.monomial_inverse()
     assert (a * inv).constant_value() == 1
 
 
 def test_negative_power_of_sum_rejected():
     a = ParamPoly.var(P, "d") + 1
     with pytest.raises(AlgebraError):
-        a ** -1
+        a.monomial_inverse()
 
 
 def test_derivative_and_delta():

@@ -30,3 +30,8 @@ def test_bound_validation():
 
 def test_substitution_resummation():
     assert _props.check_substitution_resummation(random.Random(SEED + 5), 100) == 100
+
+
+def test_prefactor_reach():
+    done, zeros, laurent = _props.check_prefactor_reach(random.Random(SEED + 6), 400)
+    assert done == 400 and zeros and laurent  # the zero series and Laurent series were drawn

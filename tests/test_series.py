@@ -268,3 +268,20 @@ def test_json_bounds_are_checked_on_load():
             '"bounds":{"e":"1/2"}}')
     with pytest.raises(AlgebraError, match="bound violated"):
         QSeries.from_json(text)
+
+
+def test_negative_bound_slope_rejected():
+    # a slope below 0 would certify 1 + O(q^12) under e -> q^-3 from data known to q^2
+    text = '{"params":["e"],"order":2,"coeffs":{"0":[[[0],"1/1"]]},"bounds":{"e":"-1"}}'
+    with pytest.raises(AlgebraError, match="negative slope"):
+        QSeries.from_json(text)
+    with pytest.raises(AlgebraError, match="negative slope"):
+        QSeries.one(("e",), 2).with_bounds({"e": -1})
+
+
+def test_bound_for_a_name_that_is_not_a_parameter_rejected():
+    text = '{"params":["e"],"order":2,"coeffs":{"0":[[[0],"1/1"]]},"bounds":{"z":"1"}}'
+    with pytest.raises(AlgebraError, match="'z'"):
+        QSeries.from_json(text)
+    with pytest.raises(AlgebraError, match="'z'"):
+        QSeries.zero(("e",), 3).with_bounds({"z": 1})
