@@ -318,9 +318,7 @@ def cmd_spt(args) -> int:
     rows = []
     for n in range(args.n_max + 1):
         c = series.coefficient(n)
-        total = c
-        for name in c.params:
-            total = total.eval(name, 1)
+        total = c.eval(dict.fromkeys(c.params, 1))
         rows.append([str(n), str(c), str(total.constant_value())])
     _rows_out(["n", "refined", "total"], rows, args.format, args.out)
     return 0

@@ -1,9 +1,13 @@
-"""Brute-force combinatorial reference counts.
+"""Combinatorial reference counts.
 
-Everything here enumerates objects directly (overpartition pairs, marked
-Durfee symbols) and tallies statistics, with no q-series machinery, so
-the results are an independent check on the analytic builders.  The
-enumerators are exponential in n and are intended for small n only.
+Everything here is taken from the definitions of the objects (overpartition
+pairs, marked Durfee symbols) and of their statistics, with no q-series
+machinery, so the results are an independent check on the analytic
+builders.  The tables are counted: `rank_table` and `spt_table` count pairs
+part value by part value, and `durfee_tally` enumerates the top rows of the
+symbols and counts their bottom rows.  The listings, `overpartition_pairs`
+and `enumerate_durfee`, stay for the CLI and as the tests' reference; they
+are exponential in n and are intended for small n only.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
@@ -90,41 +93,115 @@ def spt_weight(lam: Overpartition, mu: Overpartition) -> int:
 
 
 # table layouts: rank_table(n)[r, s, m] and spt_table(n)[r, s] are counts
+#
+# A pair is counted value by value.  At a part value v it has a parts of v
+# in its first component and b in its second, and over_a, over_b say whether
+# each component overlines its first v.  By `pair_stats`, these parts add
+# over_a + b - over_b to r and b to s; by `pair_rank`, they add a + over_b to
+# c, the first component's part count plus the second's overlined count.
+# Up to weight n_max, each of these is at most n_max, so the counting keys
+# are ints with one digit of base n_max + 1 per statistic, weight first:
+# keys add digit by digit without carries.
+
+
+def _value_choices(v: int, room: int) -> Iterator[Tuple[int, int, int, int]]:
+    """``(a, b, over_a, over_b)`` for the parts of value v in a pair of
+    weight at most room."""
+    for a in range(room // v + 1):
+        for b in range(room // v - a + 1):
+            for over_a in (0, 1) if a else (0,):
+                for over_b in (0, 1) if b else (0,):
+                    yield a, b, over_a, over_b
+
+
+def _pack(base: int, *digits: int) -> int:
+    key = 0
+    for d in digits:
+        key = key * base + d
+    return key
+
+
+def _convolve(counts: Dict[int, int], steps: Counter, n_max: int, unit: int) -> Dict[int, int]:
+    """Counts of one value's parts, ``steps[weight, key]``, added to counts
+    of the others' by key; ``unit`` is the weight digit's place value, and
+    weights above n_max drop."""
+    steps = sorted(steps.items())
+    out: Dict[int, int] = {}
+    for key, x in counts.items():
+        room = n_max - key // unit
+        for (w, step), y in steps:
+            if w > room:
+                break
+            total = key + step
+            out[total] = out.get(total, 0) + x * y
+    return out
 
 
 @lru_cache(maxsize=None)
 def rank_table(n_max: int) -> Dict[int, Dict[Tuple[int, int, int], int]]:
-    out: Dict[int, Dict[Tuple[int, int, int], int]] = {}
-    for n in range(n_max + 1):
-        tally: Dict[Tuple[int, int, int], int] = {}
-        for lam, mu in overpartition_pairs(n):
-            r, s = pair_stats(lam, mu)
-            key = (r, s, pair_rank(lam, mu))
-            tally[key] = tally.get(key, 0) + 1
-        out[n] = tally
+    """Counts of the pairs of weight n <= n_max by (r, s, rank).
+
+    A nonempty pair has a largest part L, and rank L - c - chi.  ``below``
+    counts the pairs with every part below L by (weight, c, r, s).  chi is 1
+    when L is only in the second component and not overlined there, so
+    whenever a = 0 at L, its parts add 1 to c + chi, overlined or not.
+    """
+    base = n_max + 1
+    unit = base ** 3
+    out: Dict[int, Dict[Tuple[int, int, int], int]] = {n: {} for n in range(n_max + 1)}
+    out[0][0, 0, 0] = 1  # the empty pair
+    below = {0: 1}
+    for L in range(1, n_max + 1):
+        step, top = Counter(), Counter()
+        for a, b, over_a, over_b in _value_choices(L, n_max):
+            w, r = L * (a + b), over_a + b - over_b
+            step[w, _pack(base, w, a + over_b, r, b)] += 1
+            if w:
+                top[w, _pack(base, w, a + over_b if a else 1, r, b)] += 1
+        for key, x in _convolve(below, top, n_max, unit).items():
+            key, s = divmod(key, base)
+            key, r = divmod(key, base)
+            w, c = divmod(key, base)
+            tally = out[w]
+            tally[r, s, L - c] = tally.get((r, s, L - c), 0) + x
+        below = _convolve(below, step, n_max, unit)
     return out
 
 
 @lru_cache(maxsize=None)
 def spt_table(n_max: int) -> Dict[int, Dict[Tuple[int, int], int]]:
-    out: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for n in range(n_max + 1):
-        tally: Dict[Tuple[int, int], int] = {}
-        for lam, mu in overpartition_pairs(n):
-            w = spt_weight(lam, mu)
-            if w:
-                key = pair_stats(lam, mu)
-                tally[key] = tally.get(key, 0) + w
-        out[n] = tally
+    """Sums of `spt_weight` over the pairs of weight n <= n_max, by (r, s).
+
+    A pair of nonzero weight has a smallest first-component part v, of
+    multiplicity i, not overlined, and no second-component part at or below
+    v; its weight is i.  ``above`` counts the pairs with every part above v
+    by (weight, r, s); the parts equal to v add v * i to the weight only.
+    """
+    base = n_max + 1
+    unit = base ** 2
+    out: Dict[int, Dict[Tuple[int, int], int]] = {n: {} for n in range(n_max + 1)}
+    above = {0: 1}
+    for v in range(n_max, 0, -1):
+        for key, x in above.items():
+            key, s = divmod(key, base)
+            w, r = divmod(key, base)
+            for i in range(1, (n_max - w) // v + 1):
+                tally = out[w + v * i]
+                tally[r, s] = tally.get((r, s), 0) + i * x
+        step = Counter()
+        for a, b, over_a, over_b in _value_choices(v, n_max):
+            w = v * (a + b)
+            step[w, _pack(base, w, over_a + b - over_b, b)] += 1
+        above = _convolve(above, step, n_max, unit)
     return out
 
 
-def gbinom(top: int, k: int) -> Fraction:
+def gbinom(top: int, k: int) -> int:
     """Binomial coefficient with possibly negative integer top."""
     num = 1
     for i in range(k):
         num *= top - i
-    return Fraction(num, math.factorial(k))
+    return num // math.factorial(k)  # k! divides a product of k consecutive integers
 
 
 def _summed_poly(params: Tuple[str, ...], items: Iterable[Tuple[Tuple[int, ...], Scalar]]) -> ParamPoly:
@@ -138,7 +215,7 @@ def _summed_poly(params: Tuple[str, ...], items: Iterable[Tuple[Tuple[int, ...],
 
 def rank_poly(tally: Dict[Tuple[int, int, int], int]) -> ParamPoly:
     """``sum N(r,s,m,n) d^r e^s x^m`` for one weight n."""
-    return ParamPoly(("d", "e", "x"), tally)
+    return ParamPoly._from_sums(("d", "e", "x"), tally)
 
 
 def moment_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPoly:
@@ -359,6 +436,18 @@ def _top_rows(
         yield from rec(k, S, 0, 0, 0, 0, ())
 
 
+def _top_shape(k: int, S: int, top) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """``(taus, bounds)`` of a top row: its part count of each subscript, and
+    the closed interval each bottom part of that subscript must lie in."""
+    taus = [0] * k
+    M = [0] * k  # M[i] = largest top-row part with subscript i+1
+    for v, i in top:
+        taus[i - 1] += 1
+        M[i - 1] = max(M[i - 1], v)
+    # every top has subscripts 1..k-1, so lo <= hi
+    return taus, [(1 if i == 0 else M[i - 1], S if i == k - 1 else M[i]) for i in range(k)]
+
+
 @lru_cache(maxsize=1024)
 def _decorations(
     S: int, room: int, r: int | None, s: int | None
@@ -403,13 +492,7 @@ def _durfee_rows(
         if not groups:
             continue
         for top in _top_rows(k, S, max(groups), ranks):
-            taus = [0] * k
-            M = [0] * k  # M[i] = largest top-row part with subscript i+1
-            for v, i in top:
-                taus[i - 1] += 1
-                M[i - 1] = max(M[i - 1], v)
-            # closed intervals; every top has subscripts 1..k-1, so lo <= hi
-            bounds = [(1 if i == 0 else M[i - 1], S if i == k - 1 else M[i]) for i in range(k)]
+            taus, bounds = _top_shape(k, S, top)
             if ranks is None:
                 counts, low, high = None, 0, n
             else:
@@ -449,21 +532,98 @@ def enumerate_durfee(
 
 
 @lru_cache(maxsize=None)
+def _box_counts(parts: int, width: int) -> Tuple[int, ...]:
+    """``counts[m]``: the partitions of m into at most ``parts`` parts, each
+    at most ``width``.  Such a partition has no part equal to width, or it
+    is one more part equal to width on a partition with one part fewer."""
+    if parts == 0 or width == 0:
+        return (1,)
+    counts = list(_box_counts(parts, width - 1)) + [0] * parts
+    for m, c in enumerate(_box_counts(parts - 1, width), width):
+        counts[m] += c
+    return tuple(counts)
+
+
+def _bottom_counts(bounds: List[Tuple[int, int]], most: int, base: int) -> List[Tuple[int, int]]:
+    """The bottom rows with total at most ``most`` whose parts of subscript i
+    lie in bounds[i-1], counted by total t and subscript counts b_i, as
+    ``(t * base**k - sum_i b_i * base**(i-1), rows)``.
+
+    By the cross-block ordering of `_bottoms`, a row is one block of parts
+    per subscript, and b parts in [lo, hi] with total t are, less lo each,
+    a partition of t - b * lo into at most b parts, each at most hi - lo.
+    """
+    rows = {(0, 0): 1}
+    for i, (lo, hi) in enumerate(bounds):
+        unit = base ** i
+        grown: Dict[Tuple[int, int], int] = {}
+        for (t, packed), x in rows.items():
+            for b in range((most - t) // lo + 1):
+                least = t + b * lo
+                counts = _box_counts(b, hi - lo)
+                for m in range(min(len(counts), most - least + 1)):
+                    key = (least + m, packed + b * unit)
+                    grown[key] = grown.get(key, 0) + x * counts[m]
+        rows = grown
+    weight_unit = base ** len(bounds)
+    return [(t * weight_unit - packed, x) for (t, packed), x in rows.items()]
+
+
+@lru_cache(maxsize=None)
 def durfee_tally(k: int, n: int) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
-    """Counts of the weight-n k-marked symbols by (r, s, rank vector),
-    taken from each pair of rows without building its symbols."""
+    """Counts of the weight-n k-marked symbols by (r, s, rank vector).
+
+    Top rows are enumerated as for the listing (`_top_rows`); the bottom
+    rows each admits are counted by total and subscript counts, so the rank
+    vector follows without listing them (`_bottom_counts`).  Within one S,
+    the row pairs are counted by their weight and rank vector, packed into
+    one int: the weight times base**k plus rho_i + off in the digit of
+    base**(i-1).  The decorations that complete each weight to n then
+    multiply these counts.
+    """
+    if k < 2:
+        raise ValueError("marked symbols need k >= 2")
     tally: Counter = Counter()
-    for _, top, bottom, decorations in _durfee_rows(k, n):
-        rho = rank_vector(k, top, bottom)
-        for (r, s), group in decorations.items():
-            tally[r, s, rho] += len(group)
+    off = n + 1  # rho_i = tau_i - b_i - [i < k] lies in [-off, n]
+    base = 2 * n + 2
+    weight_unit = base ** k
+    for S in range(1, n + 1):
+        groups = _decorations(S, n - S, None, None)
+        if not groups:
+            continue
+        most = max(groups)
+        bottoms: Dict[tuple, List[Tuple[int, int]]] = {}
+        pairs: Dict[int, int] = {}
+        for top in _top_rows(k, S, most, None):
+            taus, bounds = _top_shape(k, S, top)
+            used = sum(v for v, _ in top)
+            key = (tuple(bounds), most - used)
+            counts = bottoms.get(key)
+            if counts is None:
+                counts = bottoms[key] = _bottom_counts(bounds, most - used, base)
+            start = used * weight_unit + sum(
+                (tau - (i < k - 1) + off) * base ** i for i, tau in enumerate(taus))
+            for packed, x in counts:
+                packed += start
+                pairs[packed] = pairs.get(packed, 0) + x
+        for packed, x in pairs.items():
+            weight, digits = divmod(packed, weight_unit)
+            decorations = groups.get(weight)
+            if decorations:
+                rho = []
+                for _ in range(k):
+                    digits, d = divmod(digits, base)
+                    rho.append(d - off)
+                rho = tuple(rho)
+                for (r, s), group in decorations.items():
+                    tally[r, s, rho] += x * len(group)
     return tally
 
 
 def durfee_rank_poly(k: int, n: int) -> ParamPoly:
     """``sum d^r e^s x_1^{rho_1} ... x_k^{rho_k}`` over symbols of weight n."""
     params = ("d", "e") + tuple(f"x{j + 1}" for j in range(k))
-    return ParamPoly(params, {(r, s) + rho: c for (r, s, rho), c in durfee_tally(k, n).items()})
+    return ParamPoly._from_sums(params, {(r, s) + rho: c for (r, s, rho), c in durfee_tally(k, n).items()})
 
 
 def durfee_fullrank_poly(k: int, n: int) -> ParamPoly:

@@ -13,8 +13,9 @@ the parameters at rational points before any division happens.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -38,6 +39,26 @@ def _canon(c: Scalar) -> Scalar:
     if isinstance(c, (int, Fraction)):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+
+
+def _integer(value, what: str) -> int:
+    """An int read from a file: an int, or the text of one."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise AlgebraError(f"{what} {value!r} is not an integer")
+
+
+def _rational(text, what: str) -> Fraction:
+    """A rational read from a file, from its text such as ``"-1/2"``."""
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise AlgebraError(f"{what} {text!r} is not a rational number") from None
 
 
 def _clean(terms: Mapping[ExpVec, Scalar]) -> dict[ExpVec, Scalar]:
@@ -218,23 +239,41 @@ class ParamPoly:
             {vec: c * vec[i] for vec, c in self.terms.items() if vec[i]},
         )
 
-    def eval(self, name: str, r: Scalar) -> "ParamPoly":
-        """Replace ``name`` by the rational ``r``; the result is without ``name``."""
-        r = _as_fraction(r)  # a Fraction, so r ** -k stays exact
-        i = self.params.index(name)
-        params = self.params[:i] + self.params[i + 1:]
-        powers: dict[int, Scalar] = {}  # r ** k, an int when integral
-        terms: dict[ExpVec, Scalar] = {}
+    def eval(self, values: Mapping[str, Scalar]) -> "ParamPoly":
+        """Replace each named parameter by its rational value; the result is
+        without those names.
+
+        One pass in integers: at x = p/q, with the exponents of x in
+        [lo, hi], x^e is the integer p^(e - lo) * q^(hi - e) times the
+        common factor p^lo / q^hi.  The coefficients are scaled to integers
+        by the lcm of their denominators, so each result term is an integer
+        sum, turned into one Fraction by the common factors at the end.
+        """
+        fixed = {self.params.index(name): _as_fraction(r) for name, r in values.items()}
+        keep = [i for i in range(len(self.params)) if i not in fixed]
+        params = tuple(self.params[i] for i in keep)
+        pick = itemgetter(*keep) if len(keep) > 1 else lambda vec: tuple(vec[i] for i in keep)
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        scale = Fraction(1, den)
+        powers = []  # (index, {e: p^(e - lo) * q^(hi - e)})
+        for i, r in fixed.items():
+            exps = {vec[i] for vec in self.terms}
+            lo, hi = min(exps, default=0), max(exps, default=0)
+            p, q = r.numerator, r.denominator
+            if lo < 0 and p == 0:
+                raise AlgebraError(f"pole at 0: {self.params[i]}^{lo} evaluated at 0")
+            powers.append((i, {e: p ** (e - lo) * q ** (hi - e) for e in exps}))
+            scale *= Fraction(p) ** lo / Fraction(q) ** hi
+        sums: dict[ExpVec, int] = {}
         for vec, c in self.terms.items():
-            k = vec[i]
-            p = powers.get(k)
-            if p is None:
-                if k < 0 and r == 0:
-                    raise AlgebraError(f"pole at 0: {name}^{k} evaluated at 0")
-                p = powers[k] = _canon(r ** k)
-            nvec = vec[:i] + vec[i + 1:]
-            terms[nvec] = terms.get(nvec, 0) + c * p
-        return ParamPoly._from_sums(params, terms)
+            c = c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for i, table in powers:
+                c *= table[vec[i]]
+            nvec = pick(vec)
+            sums[nvec] = sums.get(nvec, 0) + c
+        a, b = scale.numerator, scale.denominator
+        return ParamPoly._from_sums(
+            params, {vec: c * a if b == 1 else Fraction(c * a, b) for vec, c in sums.items()})
 
     def with_params(self, params: Iterable[str]) -> "ParamPoly":
         """Re-express over a new parameter tuple (a superset, possibly reordered)."""
@@ -280,5 +319,11 @@ class ParamPoly:
 
     @classmethod
     def from_obj(cls, params: Iterable[str], obj: list) -> "ParamPoly":
-        terms = {tuple(vec): Fraction(s) for vec, s in obj}
+        """The poly of a ``to_obj`` list; a malformed one raises AlgebraError."""
+        terms = {}
+        for term in obj:
+            if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], list)):
+                raise AlgebraError(f"term {term!r} is not [exponents, coefficient]")
+            vec, text = term
+            terms[tuple(_integer(e, "exponent") for e in vec)] = _rational(text, "coefficient")
         return cls(params, terms)

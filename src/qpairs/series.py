@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _clean
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _clean, _integer, _rational
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
@@ -315,7 +315,7 @@ class QSeries:
     def eval_param(self, name: str, r: Scalar) -> "QSeries":
         """Replace one parameter by a rational number; the result is without it."""
         params = tuple(p for p in self.params if p != name)
-        return QSeries(params, self.order, {n: c.eval(name, r) for n, c in self.coeffs.items()})
+        return QSeries(params, self.order, {n: c.eval({name: r}) for n, c in self.coeffs.items()})
 
     def substitute_param(self, name: str, c: Scalar, qexp: int) -> "QSeries":
         """Replace a parameter by the q-monomial ``c * q^qexp``; the result is without it.
@@ -465,14 +465,33 @@ class QSeries:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "QSeries":
-        params = tuple(obj["params"])
-        coeffs = {
-            int(n): ParamPoly.from_obj(params, terms)
-            for n, terms in obj["coeffs"].items()
-        }
-        bounds = {p: Fraction(s) for p, s in obj.get("bounds", {}).items()}
-        return cls(params, obj["order"], coeffs).with_bounds(bounds)
+        """The series of a ``to_obj`` object; a malformed one raises AlgebraError."""
+        if not isinstance(obj, Mapping):
+            raise AlgebraError(f"a series object is a mapping, not {type(obj).__name__}")
+        missing = [key for key in ("params", "order", "coeffs") if key not in obj]
+        if missing:
+            raise AlgebraError(f"series object has no {', '.join(map(repr, missing))}")
+        params = obj["params"]
+        if not (isinstance(params, list) and all(isinstance(p, str) for p in params)):
+            raise AlgebraError(f"params {params!r} is not a list of names")
+        params = tuple(params)
+        order = _integer(obj["order"], "order")
+        for key in ("coeffs", "bounds"):
+            if not isinstance(obj.get(key, {}), Mapping):
+                raise AlgebraError(f"{key} is not a mapping")
+        coeffs = {}
+        for key, terms in obj["coeffs"].items():
+            n = _integer(key, "exponent key")
+            if n > order:
+                raise AlgebraError(f"a term at q^{n} lies above the order {order}")
+            coeffs[n] = ParamPoly.from_obj(params, terms)
+        bounds = {p: _rational(s, "bound") for p, s in obj.get("bounds", {}).items()}
+        return cls(params, order, coeffs).with_bounds(bounds)
 
     @classmethod
     def from_json(cls, text: str) -> "QSeries":
-        return cls.from_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise AlgebraError(f"series text is not JSON: {exc}") from None
+        return cls.from_obj(obj)

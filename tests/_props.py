@@ -212,3 +212,33 @@ def run_all(seed: int = 20260825, scale: int = 1) -> int:
     total += check_bound_validation(rng, 50 * scale)
     total += check_substitution_resummation(rng, 100 * scale)
     return total
+
+
+
+def check_eval_many(rng: random.Random, rounds: int):
+    """One multi-name ``eval`` against single-name evaluations in a random
+    order: equal polys with equal texts, or an AlgebraError where a named
+    value is 0 and the poly has a negative power of that name.  Returns the
+    rounds done, and how many drew the zero poly, a pole and a Fraction
+    result coefficient."""
+    params = ("d", "e", "x")
+    zeros = poles = fractions = 0
+    for _ in range(rounds):
+        p = random_poly(rng, params, max_terms=5, exp_range=(-3, 3))
+        names = rng.sample(params, rng.randint(0, len(params)))
+        values = {name: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for name in names}
+        zeros += p.is_zero()
+        if any(r == 0 and p.min_degree(name) < 0 for name, r in values.items()):
+            poles += 1
+            try:
+                p.eval(values)
+            except AlgebraError:
+                continue
+            raise AssertionError(f"no pole for {p} at {values}")
+        got = p.eval(values)
+        want = p
+        for name in rng.sample(names, len(names)):
+            want = want.eval({name: values[name]})
+        assert got == want and str(got) == str(want), (p, values)
+        fractions += any(type(c) is Fraction for c in got.terms.values())
+    return rounds, zeros, poles, fractions

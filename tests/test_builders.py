@@ -250,9 +250,7 @@ def test_spt_forms_agree():
 def test_spt_total_q1():
     s = B.spt_gf(4)
     c = s.coefficient(1)
-    total = c
-    for name in c.params:
-        total = total.eval(name, 1)
+    total = c.eval(dict.fromkeys(c.params, 1))
     assert total.constant_value() == 1
 
 

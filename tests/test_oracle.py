@@ -1,8 +1,10 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import _listing
 from qpairs import oracle
 from qpairs.oracle import DurfeeSymbol
 
@@ -91,6 +93,15 @@ def test_gbinom_negative_top():
     assert oracle.gbinom(-1, 2) == 1
     assert oracle.gbinom(2, 2) == 1
     assert oracle.gbinom(0, 3) == 0
+
+
+def test_gbinom_is_an_exact_int():
+    for top in range(-6, 7):
+        for k in range(5):
+            g = oracle.gbinom(top, k)
+            assert type(g) is int
+            assert g * math.factorial(k) == math.prod(top - i for i in range(k))
+    assert all(type(c) is int for c in oracle.symmetrized_poly(oracle.rank_table(6)[6], 4).terms.values())
 
 
 def test_second_moment_double_relation():
@@ -232,3 +243,17 @@ def test_durfee_symbol_has_slots_and_keeps_its_repr():
         "bottom=((4, 3), (4, 3), (3, 2), (3, 1), (3, 1), (1, 1)), mu=(3, 2, 0), nu=(2, 1))")
     assert WEIGHT_43_SYMBOL == DurfeeSymbol(**{
         f: getattr(WEIGHT_43_SYMBOL, f) for f in ("k", "S", "top", "bottom", "mu", "nu")})
+
+
+# -- counted tables against the listing ------------------------------------
+
+
+def test_counted_pair_tables_equal_the_listing():
+    assert oracle.rank_table(12) == _listing.rank_table(12)
+    assert oracle.spt_table(12) == _listing.spt_table(12)
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 12), (3, 12), (4, 9)])
+def test_counted_durfee_tally_equals_the_listing(k, n_max):
+    for n in range(n_max + 1):
+        assert oracle.durfee_tally(k, n) == _listing.durfee_tally(k, n), n

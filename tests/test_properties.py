@@ -35,3 +35,8 @@ def test_substitution_resummation():
 def test_prefactor_reach():
     done, zeros, laurent = _props.check_prefactor_reach(random.Random(SEED + 6), 400)
     assert done == 400 and zeros and laurent  # the zero series and Laurent series were drawn
+
+
+def test_eval_many_names_in_one_pass():
+    done, zeros, poles, fractions = _props.check_eval_many(random.Random(SEED + 7), 600)
+    assert done == 600 and zeros and poles and fractions

@@ -161,7 +161,7 @@ def test_rank_specialization_constant_term():
     s = builders.rank_gf(8, base=2).substitute_param("e", 1, -1)
     s = s.eval_param("d", 1)
     assert s.params == ("x",)
-    assert s.coefficient(0).eval("x", 2).constant_value() == 1
+    assert s.coefficient(0).eval({"x": 2}).constant_value() == 1
 
 
 # -- parameter evaluation and derivatives ---------------------------------
@@ -285,3 +285,24 @@ def test_bound_for_a_name_that_is_not_a_parameter_rejected():
         QSeries.from_json(text)
     with pytest.raises(AlgebraError, match="'z'"):
         QSeries.zero(("e",), 3).with_bounds({"z": 1})
+
+
+def test_json_without_params_rejected():
+    with pytest.raises(AlgebraError, match="'params'"):
+        QSeries.from_json('{"order":2,"coeffs":{"0":[[[],"1/1"]]}}')
+
+
+def test_json_exponent_key_that_is_not_an_integer_rejected():
+    with pytest.raises(AlgebraError, match="exponent key 'a'"):
+        QSeries.from_json('{"params":["e"],"order":2,"coeffs":{"a":[[[0],"1/1"]]}}')
+
+
+def test_json_coefficient_with_zero_denominator_rejected():
+    with pytest.raises(AlgebraError, match="'1/0'"):
+        QSeries.from_json('{"params":["e"],"order":2,"coeffs":{"0":[[[0],"1/0"]]}}')
+
+
+def test_json_term_above_the_order_rejected():
+    # it loaded as 0 + O(q^3), the term dropped without a word
+    with pytest.raises(AlgebraError, match="q\\^5 lies above the order 2"):
+        QSeries.from_json('{"params":["e"],"order":2,"coeffs":{"5":[[[0],"1/1"]]}}')
