@@ -2,12 +2,14 @@
 
 Every builder returns a :class:`QSeries` exact to the requested order.
 Every q-Pochhammer factor ``(1 - m)^{+-e}`` goes through one kernel,
-:meth:`QSeries.mul_one_minus`: a two-term product for a positive power, a
+:meth:`QSeries.mul_one_minus`, and a chain of them is one kernel call in
+integer arithmetic: per factor a two-term product for a positive power, a
 two-term recurrence (``g_n = f_n + m g_{n-k}``) for a negative one.  Every
 product, the prefactor ``(-dq, -eq)_inf / (q, deq)_inf`` included, is
-applied by :func:`times_poch` to the series it multiplies.  No builder
-expands a geometric series or inverts or powers a product: a negative-length
-Pochhammer symbol divides its monomial by ``(q/a)_m`` factor by factor.
+applied by :func:`times_poch` to the series it multiplies, all its linear
+factors as one chain.  No builder expands a geometric series or inverts or
+powers a product: a negative-length Pochhammer symbol divides its monomial
+by the chain of factors of ``(q/a)_m``.
 
 Bilateral sums never divide by Laurent terms directly: the negative
 branch is folded into the positive one with the closed rewrite
@@ -140,10 +142,8 @@ def parse_monomial(text: str) -> Monomial:
 
 
 def _times(s: QSeries, *factors: Tuple[Monomial, int]) -> QSeries:
-    """``s * prod (1 - m)^power`` over the ``(m, power)`` factors."""
-    for m, power in factors:
-        s = s.mul_one_minus(m.c, m.qexp, m.pexps, power)
-    return s
+    """``s * prod (1 - m)^power`` over the ``(m, power)`` factors, in one kernel call."""
+    return s.mul_one_minus([(m.c, m.qexp, m.pexps, power) for m, power in factors])
 
 
 def geometric_inverse(params: Sequence[str], mono: Monomial, order: int, power: int = 1) -> QSeries:
@@ -153,11 +153,13 @@ def geometric_inverse(params: Sequence[str], mono: Monomial, order: int, power: 
 
 def times_poch(s: QSeries, *factors: Tuple[Monomial, int], n: Optional[int] = None, base: int = 1) -> QSeries:
     """``s * prod (a; Q)_n^power`` over the ``(a, power)`` factors, Q = q^base and
-    ``n = None`` meaning infinity, one :func:`_times` factor at a time.  An
-    infinite product stops at the first factor that cannot reach the window."""
+    ``n = None`` meaning infinity, as one chain of linear factors in one
+    :func:`_times` call.  An infinite product stops at the first factor that
+    cannot reach the window."""
     if base < 1:
         raise AlgebraError("base must be a positive q-power")
     reach = s.order - s.valuation
+    chain = []
     for a, power in factors:
         k = 0
         while a.c and (n is None or k < n):
@@ -168,9 +170,9 @@ def times_poch(s: QSeries, *factors: Tuple[Monomial, int], n: Optional[int] = No
                 raise AlgebraError(f"Pochhammer factor with negative q-valuation q^{qe}")
             if qe == 0 and n is None and not a.pexps and a.c == 1:
                 raise AlgebraError("(1; q)_infinity vanishes identically")
-            s = _times(s, (a.times_q(base * k), power))
+            chain.append((a.times_q(base * k), power))
             k += 1
-    return s
+    return _times(s, *chain)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def pochhammer(
 
     Negative length is the closed rewrite ``(a)_{-m} = (-1)^m a^{-m} q^{m(m+1)/2} / (q/a)_m``
     (with q replaced by the base power throughout): the monomial divided by
-    ``(q/a)_m`` factor by factor through :func:`times_poch`.  It fails with a
+    ``(q/a)_m``, one chain of factors through :func:`times_poch`.  It fails with a
     pointer to rational-point mode when a factor of ``(q/a)_m`` is not a unit.
     """
     params = tuple(params)
@@ -267,7 +269,7 @@ def jacobi_J(
     is an error.
     """
     params = tuple(params) if params is not None else a.param_names()
-    return times_poch(pochhammer(params, a, None, order, base), (a.inverse().times_q(base), 1), base=base)
+    return times_poch(QSeries.one(params, order), (a, 1), (a.inverse().times_q(base), 1), base=base)
 
 
 # ---------------------------------------------------------------------------

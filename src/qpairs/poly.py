@@ -61,6 +61,14 @@ def _rational(text, what: str) -> Fraction:
         raise AlgebraError(f"{what} {text!r} is not a rational number") from None
 
 
+def _index(params: Tuple[str, ...], name: str) -> int:
+    """The position of ``name`` in ``params``; an AlgebraError names it if it is not there."""
+    try:
+        return params.index(name)
+    except ValueError:
+        raise AlgebraError(f"unknown parameter {name!r} (declared: {params})") from None
+
+
 def _clean(terms: Mapping[ExpVec, Scalar]) -> dict[ExpVec, Scalar]:
     """A summed term map without its zero sums, in canonical form."""
     return {vec: c if type(c) is int else _canon(c) for vec, c in terms.items() if c}
@@ -115,9 +123,7 @@ class ParamPoly:
         params = tuple(params)
         vec = [0] * len(params)
         for name, e in exps.items():
-            if name not in params:
-                raise AlgebraError(f"unknown parameter {name!r} (declared: {params})")
-            vec[params.index(name)] = int(e)
+            vec[_index(params, name)] = int(e)
         return cls(params, {tuple(vec): c})
 
     @classmethod
@@ -147,11 +153,11 @@ class ParamPoly:
 
     def degree(self, name: str) -> int:
         """Largest exponent of ``name`` over all terms (0 for the zero poly)."""
-        i = self.params.index(name)
+        i = _index(self.params, name)
         return max((vec[i] for vec in self.terms), default=0)
 
     def min_degree(self, name: str) -> int:
-        i = self.params.index(name)
+        i = _index(self.params, name)
         return min((vec[i] for vec in self.terms), default=0)
 
     # -- ring operations ------------------------------------------------
@@ -222,7 +228,7 @@ class ParamPoly:
 
     def derivative(self, name: str) -> "ParamPoly":
         """Formal partial derivative with respect to one parameter."""
-        i = self.params.index(name)
+        i = _index(self.params, name)
         terms: dict[ExpVec, Scalar] = {}
         for vec, c in self.terms.items():
             k = vec[i]
@@ -233,7 +239,7 @@ class ParamPoly:
 
     def delta(self, name: str) -> "ParamPoly":
         """The Euler operator p * d/dp: multiplies each term by its p-exponent."""
-        i = self.params.index(name)
+        i = _index(self.params, name)
         return ParamPoly(
             self.params,
             {vec: c * vec[i] for vec, c in self.terms.items() if vec[i]},
@@ -249,7 +255,7 @@ class ParamPoly:
         by the lcm of their denominators, so each result term is an integer
         sum, turned into one Fraction by the common factors at the end.
         """
-        fixed = {self.params.index(name): _as_fraction(r) for name, r in values.items()}
+        fixed = {_index(self.params, name): _as_fraction(r) for name, r in values.items()}
         keep = [i for i in range(len(self.params)) if i not in fixed]
         params = tuple(self.params[i] for i in keep)
         pick = itemgetter(*keep) if len(keep) > 1 else lambda vec: tuple(vec[i] for i in keep)

@@ -8,6 +8,14 @@ substitutions cannot silently report unproven coefficients.
 
 The zero series carries the sentinel valuation ``order + 1``.
 
+One coefficient recurrence, :func:`_recur`, does the product, ``invert``
+and :meth:`QSeries.mul_one_minus` on plain term maps.  The product and a
+chain of linear factors ``(1 - m)^power`` work in integers: a product
+scales each operand by the lcm of its denominators, a chain also scales
+the coefficient of q^n by ``L^n`` for the lcm L of the factors'
+denominators, and each divides once at the end.  The arithmetic is exact
+either way; the scaling only makes most values ints instead of Fractions.
+
 Fixing a parameter removes it: ``eval_param`` and ``substitute_param``
 return a series over the remaining parameters.
 
@@ -28,7 +36,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _clean, _integer, _rational
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _clean, _index, _integer, _rational
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
@@ -62,6 +70,34 @@ def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -
             acc = _clean(acc)
         if acc:
             out[n] = acc
+    return out
+
+
+def _denominator(terms: dict) -> int:
+    """The lcm of the coefficient denominators of the term maps."""
+    return math.lcm(*(a.denominator for t in terms.values() for a in t.values()))
+
+
+def _scale(terms: dict, D: int, L: int = 1, lo: int = 0) -> dict:
+    """The term maps times ``D * L^(n - lo)`` at q^n (each n >= lo unless L = 1), in integers
+    when D clears every denominator; the maps themselves when ``D = L = 1``."""
+    if D * L == 1:
+        return terms
+    out = {}
+    for n, t in terms.items():
+        s = D * L ** (n - lo) if L > 1 else D
+        out[n] = {v: a * s if type(a) is int else a.numerator * (s // a.denominator) for v, a in t.items()}
+    return out
+
+
+def _unscale(terms: dict, D: int, L: int = 1, lo: int = 0) -> dict:
+    """The term maps divided by ``D * L^(n - lo)`` at q^n: the inverse of :func:`_scale`."""
+    if D * L == 1:
+        return terms
+    out = {}
+    for n, t in terms.items():
+        s = D * L ** (n - lo) if L > 1 else D
+        out[n] = {v: a // s if type(a) is int and not a % s else Fraction(a, s) for v, a in t.items()}
     return out
 
 
@@ -209,10 +245,12 @@ class QSeries:
         self._check_params(other)
         order = min(self.order + other.valuation, other.order + self.valuation)
         # the operand with fewer terms gives the steps: fewer visits of the inner loop
-        step, src = sorted((self, other), key=lambda s: sum(len(p.terms) for p in s.coeffs.values()))
-        steps = [(j, v, b) for j, p in sorted(step.coeffs.items()) for v, b in p.terms.items()]
-        terms = {n: p.terms for n, p in src.coeffs.items()}
-        sums = _recur({}, steps, terms, self.valuation + other.valuation, order)
+        # each operand times the lcm of its own denominators: the convolution is in integers
+        step, src = sorted(({n: p.terms for n, p in s.coeffs.items()} for s in (self, other)),
+                           key=lambda terms: sum(map(len, terms.values())))
+        Ds, Dt = _denominator(step), _denominator(src)
+        steps = [(j, v, b) for j, t in sorted(_scale(step, Ds).items()) for v, b in t.items()]
+        sums = _unscale(_recur({}, steps, _scale(src, Dt), self.valuation + other.valuation, order), Ds * Dt)
         return QSeries(self.params, order, {n: ParamPoly._from_sums(self.params, t) for n, t in sums.items()})
 
     __rmul__ = __mul__
@@ -240,21 +278,38 @@ class QSeries:
         out = _recur({0: {inv: c}}, steps, None, 0, self.order - v)
         return QSeries(self.params, self.order - 2 * v, {n - v: ParamPoly._from_sums(self.params, t) for n, t in out.items()})
 
-    def mul_one_minus(self, c: Scalar, qexp: int, pexps=(), power: int = 1) -> "QSeries":
-        """Multiply by ``(1 - m)^power``, ``m = c * prod p^e * q^qexp`` with exponents ``pexps``
-        (a mapping or pairs).  Unless ``c = 0``, a positive power needs ``qexp >= 0`` and a negative
-        one ``qexp >= 1`` or a parameter-free ``m != 1``.  The result keeps ``self.order``."""
-        (vec, _), = ParamPoly.monomial(self.params, dict(pexps)).terms.items()
-        if c and (qexp < 0 or (power < 0 and qexp == 0 and (any(vec) or c == 1))):
-            raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {vec}")
-        if power < 0 and qexp == 0:  # the scalar (1 - c)^power is 1 - c' for this c'
-            c, power = 1 - Fraction(1 - c) ** power, 1
-        c, terms = _canon(c), {n: p.terms for n, p in self.coeffs.items()}
-        if c and power and terms:
-            e, sign, lo = abs(power), (1 if power > 0 else -1), min(terms)
-            steps = [(j * qexp, tuple(j * x for x in vec), _canon(sign * math.comb(e, j) * (-c) ** j))
-                     for j in range(1, e + 1)]
-            terms = _recur(terms, steps, terms if power > 0 else None, lo, self.order)
+    def mul_one_minus(self, factors: Sequence[Tuple[Scalar, int, object, int]]) -> "QSeries":
+        """Multiply by ``prod (1 - m)^power`` over the factors ``(c, qexp, pexps, power)``, each
+        ``m = c * prod p^e * q^qexp`` with exponents ``pexps`` (a mapping or pairs).  Unless
+        ``c = 0``, a positive power needs ``qexp >= 0`` and a negative one ``qexp >= 1`` or a
+        parameter-free ``m != 1``; one factor that fails this rejects the chain.  The result keeps
+        ``self.order`` and has no bounds.
+
+        The chain is one pass per factor over plain term maps, in integers where it can be: with
+        ``lo`` the entry valuation (no factor lowers it), ``D`` the lcm of the coefficient
+        denominators and ``L`` that of ``c`` over the factors with ``qexp >= 1``, it works on
+        ``g_n * D * L^(n - lo)``, where step j of a factor has the integer coefficient
+        ``b_j * L^(j * qexp)``.  A q^0 factor with a rational ``c`` keeps Fraction values."""
+        chain = []
+        for c, qexp, pexps, power in factors:
+            (vec, _), = ParamPoly.monomial(self.params, dict(pexps)).terms.items()
+            if c and (qexp < 0 or (power < 0 and qexp == 0 and (any(vec) or c == 1))):
+                raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {vec}")
+            if power < 0 and qexp == 0:  # the scalar (1 - c)^power is 1 - c' for this c'
+                c, power = 1 - Fraction(1 - c) ** power, 1
+            if c and power:
+                chain.append((_canon(c), qexp, vec, power))
+        terms = {n: p.terms for n, p in self.coeffs.items()}
+        if chain and terms:
+            lo, D = min(terms), _denominator(terms)
+            L = math.lcm(*(c.denominator for c, qexp, _, _ in chain if qexp))
+            terms = _scale(terms, D, L, lo)
+            for c, qexp, vec, power in chain:
+                e, sign = abs(power), (1 if power > 0 else -1)
+                steps = [(j * qexp, tuple(j * x for x in vec),
+                          _canon(sign * math.comb(e, j) * (-c) ** j * L ** (j * qexp))) for j in range(1, e + 1)]
+                terms = _recur(terms, steps, terms if power > 0 else None, lo, self.order)
+            terms = _unscale(terms, D, L, lo)
         return QSeries(self.params, self.order, {n: ParamPoly._from_sums(self.params, t) for n, t in terms.items()})
 
     # -- reshaping ------------------------------------------------------
@@ -314,6 +369,7 @@ class QSeries:
 
     def eval_param(self, name: str, r: Scalar) -> "QSeries":
         """Replace one parameter by a rational number; the result is without it."""
+        _index(self.params, name)
         params = tuple(p for p in self.params if p != name)
         return QSeries(params, self.order, {n: c.eval({name: r}) for n, c in self.coeffs.items()})
 
@@ -325,7 +381,7 @@ class QSeries:
         also above the window, and for ``qexp < 0`` caps how far exponents can
         drop, which is what makes the output order provable.
         """
-        c = _as_fraction(c)
+        i, c = _index(self.params, name), _as_fraction(c)
         if qexp == 0 or c == 0:
             return self.eval_param(name, c if qexp == 0 else 0)
         slope = self.bounds.get(name)
@@ -345,7 +401,6 @@ class QSeries:
             order = math.ceil((self.order + 1) * shrink) - 1
         # the bound holds on every stored term, 0 <= k <= slope*n with n >= 0,
         # so each term lands at n + qexp*k >= min(1, shrink)*n >= 0
-        i = self.params.index(name)
         params = self.params[:i] + self.params[i + 1:]
         powers: dict[int, Scalar] = {}
         sums: dict[int, dict] = {}  # output exponent -> summed term map
@@ -374,6 +429,7 @@ class QSeries:
 
     def d_dparam(self, name: str) -> "QSeries":
         """Formal partial derivative with respect to a parameter."""
+        _index(self.params, name)
         return QSeries(
             self.params,
             self.order,
@@ -382,6 +438,7 @@ class QSeries:
 
     def delta_param(self, name: str) -> "QSeries":
         """The Euler operator p d/dp applied coefficientwise."""
+        _index(self.params, name)
         return QSeries(
             self.params,
             self.order,

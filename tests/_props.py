@@ -193,8 +193,9 @@ def check_prefactor_reach(rng: random.Random, rounds: int) -> tuple[int, int, in
         top = s.order - s.valuation + 2
         P = QSeries.one(params, top)
         for k in range(1, top // base + 1):
-            P = P.mul_one_minus(-dc, base * k, dx).mul_one_minus(-ec, base * k, ex)
-            P = P.mul_one_minus(1, base * k, (), -1).mul_one_minus(dc * ec, base * k, {**dx, **ex}, -1)
+            for factor in ((-dc, base * k, dx, 1), (-ec, base * k, ex, 1),
+                           (1, base * k, (), -1), (dc * ec, base * k, {**dx, **ex}, -1)):
+                P = P.mul_one_minus([factor])
         got, want = builders._prefactor(s, d, e, base), P * s
         assert got.order == want.order == s.order, (got.order, want.order, s.order)
         assert got == want, (s, d, e, base)

@@ -104,3 +104,32 @@ def test_constant_value_is_a_fraction():
 
 def test_to_obj_writes_integers_as_fractions():
     assert ParamPoly.const(P, 3).to_obj() == [[[0, 0], "3/1"]]
+
+
+# a name that is not a parameter raised a bare ValueError from tuple.index
+UNKNOWN = "unknown parameter 'z'"
+
+
+def test_eval_of_a_name_that_is_not_a_parameter_rejected():
+    with pytest.raises(AlgebraError, match=UNKNOWN):
+        ParamPoly.var(P, "d").eval({"z": 1})
+
+
+def test_degree_of_a_name_that_is_not_a_parameter_rejected():
+    with pytest.raises(AlgebraError, match=UNKNOWN):
+        ParamPoly.zero(P).degree("z")
+
+
+def test_min_degree_of_a_name_that_is_not_a_parameter_rejected():
+    with pytest.raises(AlgebraError, match=UNKNOWN):
+        ParamPoly.var(P, "d").min_degree("z")
+
+
+def test_derivative_in_a_name_that_is_not_a_parameter_rejected():
+    with pytest.raises(AlgebraError, match=UNKNOWN):
+        ParamPoly.var(P, "e").derivative("z")
+
+
+def test_delta_in_a_name_that_is_not_a_parameter_rejected():
+    with pytest.raises(AlgebraError, match=UNKNOWN):
+        ParamPoly.zero(P).delta("z")

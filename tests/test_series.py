@@ -306,3 +306,34 @@ def test_json_term_above_the_order_rejected():
     # it loaded as 0 + O(q^3), the term dropped without a word
     with pytest.raises(AlgebraError, match="q\\^5 lies above the order 2"):
         QSeries.from_json('{"params":["e"],"order":2,"coeffs":{"5":[[[0],"1/1"]]}}')
+
+
+# a name that is not a parameter raised a bare ValueError from tuple.index,
+# and on the zero series nothing: eval_param gave back 0 + O(q^4)
+UNKNOWN = "unknown parameter 'z'"
+NAMED = (QSeries.one(("e",), 3), QSeries.zero(("e",), 3))
+
+
+@pytest.mark.parametrize("s", NAMED, ids=["one", "zero"])
+def test_eval_param_of_a_name_that_is_not_a_parameter_rejected(s):
+    with pytest.raises(AlgebraError, match=UNKNOWN):
+        s.eval_param("z", 1)
+
+
+@pytest.mark.parametrize("s", NAMED, ids=["one", "zero"])
+@pytest.mark.parametrize("qexp", [0, 1])
+def test_substitute_param_of_a_name_that_is_not_a_parameter_rejected(s, qexp):
+    with pytest.raises(AlgebraError, match=UNKNOWN):
+        s.substitute_param("z", 1, qexp)
+
+
+@pytest.mark.parametrize("s", NAMED, ids=["one", "zero"])
+def test_d_dparam_in_a_name_that_is_not_a_parameter_rejected(s):
+    with pytest.raises(AlgebraError, match=UNKNOWN):
+        s.d_dparam("z")
+
+
+@pytest.mark.parametrize("s", NAMED, ids=["one", "zero"])
+def test_delta_param_in_a_name_that_is_not_a_parameter_rejected(s):
+    with pytest.raises(AlgebraError, match=UNKNOWN):
+        s.delta_param("z")

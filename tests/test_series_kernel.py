@@ -58,7 +58,7 @@ def test_kernel_matches_product_with_expansion():
             # the expansion is exact to the full width of s, so the plain
             # product is exact to s.order
             want = s * expansion(c, k, pexps, power, s.order - s.valuation)
-        got = s.mul_one_minus(c, k, pexps, power)
+        got = s.mul_one_minus([(c, k, pexps, power)])
         assert got.order == want.order == s.order
         assert got.coeffs == want.coeffs
         assert _props.canonical(got)
@@ -75,13 +75,16 @@ def test_kernel_matches_product_with_expansion():
 
 def test_kernel_drops_bounds_and_keeps_order_past_a_zero_factor():
     s = QSeries(PARAMS, 4, {1: 3}).with_bounds({"d": 1})
-    got = s.mul_one_minus(1, 0, {}, 2)  # (1 - 1)^2 = 0
+    got = s.mul_one_minus([(1, 0, {}, 2)])  # (1 - 1)^2 = 0
     assert got.is_zero() and got.order == 4 and not got.bounds
     # no operation but truncate keeps a declared bound
     assert not (s + s).bounds and not (s * s).bounds and not s.eval_param("e", 2).bounds
     assert s.truncate(3).bounds == {"d": 1}
     for k in (-1, 0, 1):  # m = 0: the factor is 1 at any q-power
-        assert s.mul_one_minus(0, k, {}, -1) == QSeries(PARAMS, 4, {1: 3})
+        assert s.mul_one_minus([(0, k, {}, -1)]) == QSeries(PARAMS, 4, {1: 3})
+
+
+GOOD = [(2, 1, {}, -1), (Fraction(1, 2), 0, {"d": 1}, 2), (Fraction(-3, 5), 2, {"e": -1}, 3)]
 
 
 @pytest.mark.parametrize("c, k, pexps, power", [
@@ -92,5 +95,81 @@ def test_kernel_drops_bounds_and_keeps_order_past_a_zero_factor():
     (2, 1, {"x": 1}, 1),        # an unknown parameter
 ])
 def test_kernel_rejects_factors_it_cannot_apply(c, k, pexps, power):
-    with pytest.raises(AlgebraError):
-        QSeries.one(PARAMS, 3).mul_one_minus(c, k, pexps, power)
+    s = QSeries(PARAMS, 3, {0: 1, 2: Fraction(1, 3)})
+    with pytest.raises(AlgebraError) as alone:
+        s.mul_one_minus([(c, k, pexps, power)])
+    for at in range(len(GOOD) + 1):  # anywhere in a chain, with the same error
+        with pytest.raises(AlgebraError) as chained:
+            s.mul_one_minus(GOOD[:at] + [(c, k, pexps, power)] + GOOD[at:])
+        assert str(chained.value) == str(alone.value)
+
+
+def test_empty_chain_returns_the_series_without_its_bounds():
+    s = QSeries(PARAMS, 4, {1: 3, 2: Fraction(1, 2)}).with_bounds({"d": 1})
+    for factors in ([], [(0, 1, {}, -1)], [(2, 1, {"d": 1}, 0)]):  # no factor, or only factors 1
+        got = s.mul_one_minus(factors)
+        assert got == s and got is not s and not got.bounds
+
+
+C_VALUES = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), 2, -1]
+
+
+def chain_factor(rng: random.Random):
+    """A factor ``(c, k, pexps, power)`` and the plain series it stands for, as a function
+    of the width; None for the scalar ``(1 - c)^power`` of a q^0 division."""
+    power, c, roll = rng.randint(-2, 3), rng.choice(C_VALUES), rng.random()
+    if power < 0 and roll < 0.2:  # q^0 division: a nonzero scalar only
+        return (c, 0, {}, power), None
+    pexps = {p: rng.choice([-1, 0, 0, 1]) for p in PARAMS}
+    if power > 0 and roll < 0.3:  # q^0 with a rational c and parameters: cannot be scaled
+        c, pexps["d"] = rng.choice(C_VALUES[:3]), rng.choice([-1, 1])
+        return (c, 0, pexps, power), lambda width: expansion(c, 0, pexps, power, width)
+    k = rng.randint(0 if power > 0 else 1, 3)
+    if power == 0:
+        return (c, k, pexps, power), lambda width: QSeries.one(PARAMS, width)
+    return (c, k, pexps, power), lambda width: expansion(c, k, pexps, power, width)
+
+
+def bounded(rng: random.Random) -> QSeries:
+    """A series with declared degree bounds and a Fraction at q^0."""
+    order = rng.randint(1, 5)
+    coeffs = {0: Fraction(rng.randint(1, 4), rng.randint(2, 3))}
+    for n in range(1, order + 1):
+        coeffs[n] = _props.random_poly(rng, exp_range=(0, 2))
+    return QSeries(PARAMS, order, coeffs).with_bounds({"d": 2, "e": 2})
+
+
+def test_chain_matches_factors_one_call_at_a_time_and_the_expansions():
+    rng = random.Random(20261020)
+    seen = {f"c={c}": 0 for c in C_VALUES} | {f"power={p}": 0 for p in range(-2, 4)}
+    seen |= {"q0_param": 0, "q0_scalar": 0, "laurent": 0, "zero": 0, "bounded": 0,
+             "fraction_lowest": 0, "int": 0, "fraction": 0}
+    for _ in range(300):
+        s = bounded(rng) if rng.random() < 0.15 else operand(rng)
+        drawn = [chain_factor(rng) for _ in range(rng.randint(1, 4))]
+        factors = [f for f, _ in drawn]
+        got = s.mul_one_minus(factors)
+        one_at_a_time, want = s, s
+        for f, series in drawn:
+            one_at_a_time = one_at_a_time.mul_one_minus([f])
+            c, _, _, power = f
+            # each expansion is exact to the full width of s: the plain product keeps s.order
+            want = want * (Fraction(1 - c) ** power if series is None else series(s.order - s.valuation))
+        assert got.order == one_at_a_time.order == want.order == s.order
+        assert got.coeffs == one_at_a_time.coeffs == want.coeffs, (s, factors)
+        assert _props.canonical(got)
+        assert not got.bounds
+        for c, k, pexps, power in factors:
+            seen[f"c={c}"] += 1
+            seen[f"power={power}"] += 1
+            seen["q0_param"] += k == 0 and power > 0 and any(pexps.values())
+            seen["q0_scalar"] += k == 0 and power < 0
+        seen["laurent"] += s.valuation < 0
+        seen["zero"] += s.is_zero()
+        seen["bounded"] += bool(s.bounds)
+        seen["fraction_lowest"] += not s.is_zero() and any(
+            type(v) is Fraction for v in s.coeffs[s.valuation].terms.values())
+        for poly in got.coeffs.values():
+            for v in poly.terms.values():
+                seen["int" if type(v) is int else "fraction"] += 1
+    assert all(seen.values()), seen

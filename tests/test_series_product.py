@@ -103,3 +103,57 @@ def test_recurrence_inverse_matches_pairwise_reference():
             for x in poly.terms.values():
                 seen["int" if type(x) is int else "fraction"] += 1
     assert all(seen.values()), seen
+
+
+def naive_product(a: QSeries, b: QSeries):
+    """The order and the coefficients of ``a * b`` by a plain Fraction convolution, term pair
+    by term pair, zero sums dropped."""
+    order = min(a.order + b.valuation, b.order + a.valuation)
+    sums = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            if i + j <= order:
+                acc = sums.setdefault(i + j, {})
+                for u, cu in x.terms.items():
+                    for v, cv in y.terms.items():
+                        key = tuple(p + q for p, q in zip(u, v))
+                        acc[key] = acc.get(key, Fraction(0)) + Fraction(cu) * Fraction(cv)
+    coeffs = {n: {key: c for key, c in acc.items() if c} for n, acc in sums.items()}
+    return order, {n: acc for n, acc in coeffs.items() if acc}
+
+
+def scaled_operand(rng: random.Random):
+    """An operand and its kind: zero, Laurent, q^0-rational, all-int or mixed-denominator."""
+    s = _props.random_series(rng)
+    kind = rng.choice(["zero", "laurent", "q0_rational", "int", "mixed"])
+    if kind == "zero":
+        return QSeries.zero(s.params, s.order), kind
+    if kind == "laurent":
+        val = rng.randint(-3, -1)
+        return QSeries(s.params, val + rng.randint(0, 5), {val: _props.random_poly(rng) + 1, **s.coeffs}), kind
+    if kind == "q0_rational":  # one rational coefficient at q^0
+        c = Fraction(rng.choice([-5, -2, 1, 3, 7]), rng.choice([2, 3, 5]))
+        return QSeries(s.params, s.order, {0: _props.random_poly(rng) * c + c}), kind
+    if kind == "int":
+        return s * 60, kind
+    # a different denominator at each exponent
+    dens = [2, 3, 5, 7, 9]
+    return QSeries(s.params, s.order, {n: p * Fraction(1, rng.choice(dens)) for n, p in s.coeffs.items()}), kind
+
+
+def test_scaled_product_matches_fraction_convolution():
+    rng = random.Random(20261021)
+    seen = {kind: 0 for kind in ("zero", "laurent", "q0_rational", "int", "mixed")} | {"int": 0, "fraction": 0}
+    for _ in range(600):
+        (a, ka), (b, kb) = scaled_operand(rng), scaled_operand(rng)
+        got = a * b
+        order, coeffs = naive_product(a, b)
+        assert got.order == order
+        assert {n: p.terms for n, p in got.coeffs.items()} == coeffs, (a, b)
+        assert _props.canonical(got)
+        seen[ka] += 1
+        seen[kb] += 1
+        for poly in got.coeffs.values():
+            for c in poly.terms.values():
+                seen["int" if type(c) is int else "fraction"] += 1
+    assert all(seen.values()), seen
