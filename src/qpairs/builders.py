@@ -7,9 +7,10 @@ integer arithmetic: per factor a two-term product for a positive power, a
 two-term recurrence (``g_n = f_n + m g_{n-k}``) for a negative one.  Every
 product, the prefactor ``(-dq, -eq)_inf / (q, deq)_inf`` included, is
 applied by :func:`times_poch` to the series it multiplies, all its linear
-factors as one chain.  No builder expands a geometric series or inverts or
-powers a product: a negative-length Pochhammer symbol divides its monomial
-by the chain of factors of ``(q/a)_m``.
+factors as one chain, each Pochhammer symbol with its own base.  No
+builder expands a geometric series or inverts or powers a product: a
+negative-length Pochhammer symbol divides its monomial by the chain of
+factors of ``(q/a)_m``.
 
 Bilateral sums never divide by Laurent terms directly: the negative
 branch is folded into the positive one with the closed rewrite
@@ -23,7 +24,7 @@ coefficients polynomial in d, e and makes the per-order degree bounds
 declarable facts; the bounds in turn license substitutions like
 ``e -> 1/q`` on a base-``q^2`` series.  No operation but ``truncate``
 keeps a bound, so each builder declares its bounds as its last step, and
-``build`` declares a parameter's bound again before substituting it.
+``build`` makes all its substitutions in one ``substitute_param`` call.
 Fixing a parameter, by a rational or a q-monomial, removes it from the
 series.
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, _as_fraction
+from .poly import AlgebraError, ParamPoly, _as_fraction, _integer
 from .series import QSeries
 
 # a parameter slot: None keeps the parameter symbolic, a number fixes it
@@ -151,16 +152,16 @@ def geometric_inverse(params: Sequence[str], mono: Monomial, order: int, power: 
     return _times(QSeries.one(params, order), (mono, -power))
 
 
-def times_poch(s: QSeries, *factors: Tuple[Monomial, int], n: Optional[int] = None, base: int = 1) -> QSeries:
-    """``s * prod (a; Q)_n^power`` over the ``(a, power)`` factors, Q = q^base and
+def times_poch(s: QSeries, *factors: Tuple[Monomial, int, int], n: Optional[int] = None) -> QSeries:
+    """``s * prod (a; q^base)_n^power`` over the ``(a, power, base)`` factors,
     ``n = None`` meaning infinity, as one chain of linear factors in one
-    :func:`_times` call.  An infinite product stops at the first factor that
-    cannot reach the window."""
-    if base < 1:
-        raise AlgebraError("base must be a positive q-power")
+    :meth:`QSeries.mul_one_minus` call.  An infinite product stops at the first
+    factor that cannot reach the window."""
     reach = s.order - s.valuation
     chain = []
-    for a, power in factors:
+    for a, power, base in factors:
+        if base < 1:
+            raise AlgebraError("base must be a positive q-power")
         k = 0
         while a.c and (n is None or k < n):
             qe = a.qexp + base * k
@@ -170,9 +171,9 @@ def times_poch(s: QSeries, *factors: Tuple[Monomial, int], n: Optional[int] = No
                 raise AlgebraError(f"Pochhammer factor with negative q-valuation q^{qe}")
             if qe == 0 and n is None and not a.pexps and a.c == 1:
                 raise AlgebraError("(1; q)_infinity vanishes identically")
-            chain.append((a.times_q(base * k), power))
+            chain.append((a.c, qe, a.pexps, power))
             k += 1
-    return _times(s, *chain)
+    return s.mul_one_minus(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +203,14 @@ def pochhammer(
         m = -n
         lead = Monomial.make((-1) ** m, base * m * (m + 1) // 2) * a.power(-m)
         try:
-            return times_poch(lead.as_series(params, order), (a.inverse().times_q(base), -1), n=m, base=base)
+            return times_poch(lead.as_series(params, order), (a.inverse().times_q(base), -1, base), n=m)
         except AlgebraError as exc:
             raise AlgebraError(
                 f"(a)_(-{m}) not computable symbolically ({exc}); "
                 "use rational-point mode"
             ) from exc
 
-    return times_poch(QSeries.one(params, order), (a, 1), n=n, base=base)
+    return times_poch(QSeries.one(params, order), (a, 1, base), n=n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,10 +238,7 @@ def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QSeries:
     if total.denominator != 1:
         raise AlgebraError(f"fractional eta power q^({total}); not representable")
     shift = int(total)
-    work = max(order - shift, 0)
-    out = QSeries.one((), work)
-    for m, r in factors:
-        out = times_poch(out, (Monomial.make(1, m), r), base=m)
+    out = times_poch(QSeries.one((), max(order - shift, 0)), *((Monomial.make(1, m), r, m) for m, r in factors))
     return out.shift(shift).truncate(order)
 
 
@@ -269,7 +267,7 @@ def jacobi_J(
     is an error.
     """
     params = tuple(params) if params is not None else a.param_names()
-    return times_poch(QSeries.one(params, order), (a, 1), (a.inverse().times_q(base), 1), base=base)
+    return times_poch(QSeries.one(params, order), (a, 1, base), (a.inverse().times_q(base), 1, base))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +284,7 @@ class LambertSpec:
     truncation order.  ``P(n)`` is the polynomial with coefficients
     ``npoly`` (constant term first).  ``u`` is a monomial; ``u = 0`` means
     a bare numerator term.  Domains: ``Z``, ``Znz`` (nonzero integers),
-    ``n>=0``, ``n>=1``, ``odd`` (all odd integers), ``odd>=1``.
+    ``n>=1``, ``odd`` (all odd integers), ``odd>=1``.
     """
 
     c: Fraction = Fraction(1)
@@ -308,7 +306,7 @@ class LambertSpec:
         object.__setattr__(self, "npoly", tuple(_as_fraction(v) for v in self.npoly))
         if self.sign not in (1, -1):
             raise AlgebraError("sign base must be +1 or -1")
-        if self.domain not in ("Z", "Znz", "n>=0", "n>=1", "odd", "odd>=1"):
+        if self.domain not in ("Z", "Znz", "n>=1", "odd", "odd>=1"):
             raise AlgebraError(f"unknown summation domain {self.domain!r}")
 
     def exponent(self, n: int) -> int:
@@ -321,14 +319,13 @@ class LambertSpec:
         return {
             "Z": True,
             "Znz": n != 0,
-            "n>=0": n >= 0,
             "n>=1": n >= 1,
             "odd": n % 2 != 0,
             "odd>=1": n >= 1 and n % 2 != 0,
         }[self.domain]
 
     def one_sided(self) -> bool:
-        return self.domain in ("n>=0", "n>=1", "odd>=1")
+        return self.domain in ("n>=1", "odd>=1")
 
 
 _LAMBERT_CAP = 4096
@@ -428,8 +425,8 @@ def _declare_de_bounds(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> Q
 def _prefactor(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> QSeries:
     """``s * (-dQ, -eQ; Q)_inf / (Q, deQ; Q)_inf``, Q = q^base, applied to ``s`` by :func:`times_poch`."""
     de = (_pfac(s.params, "d", d) * _pfac(s.params, "e", e)).times_q(base)
-    return times_poch(s, (-_pfac(s.params, "d", d, base), 1), (-_pfac(s.params, "e", e, base), 1),
-                      (Monomial.make(1, base), -1), (de, -1), base=base)
+    return times_poch(s, (-_pfac(s.params, "d", d, base), 1, base), (-_pfac(s.params, "e", e, base), 1, base),
+                      (Monomial.make(1, base), -1, base), (de, -1, base))
 
 
 def _lambert_ratios(
@@ -475,16 +472,14 @@ def rank_gf(
     """
     params = _sym_params(("d", d), ("e", e), ("x", x))
     xm = _xvar(params, "x", x)
-    acc = QSeries.one(params, order)
-    term = QSeries.one(params, order)
-    n = 1
-    while base * n <= order:
-        top = _dplus(params, "d", d, base * (n - 1), order) * _dplus(params, "e", e, base * (n - 1), order)
-        term = (term * top).shift(base).truncate(order)
-        term = _times(term, (xm.times_q(base * n), -1), (xm.inverse().times_q(base * n), -1))
-        acc = acc + term
-        n += 1
-    return _declare_de_bounds(acc, d, e, base)
+    # nested: S_{n-1} = 1 + r_n S_n down to S_0, with r_n the ratio of the
+    # n-th summand to the one before, so each S_n is exact to order - base*n
+    last = order // base
+    S = QSeries.one(params, order - base * max(last, 0))
+    for n in range(last, 0, -1):
+        top = _dplus(params, "d", d, base * (n - 1), S.order) * _dplus(params, "e", e, base * (n - 1), S.order)
+        S = 1 + _times((S * top).shift(base), (xm.times_q(base * n), -1), (xm.inverse().times_q(base * n), -1))
+    return _declare_de_bounds(S, d, e, base)
 
 
 def rank_gf_lambert(
@@ -637,7 +632,7 @@ def crank_C(order: int, x: ParamValue = None, base: int = 1) -> QSeries:
     params = _sym_params(("x", x))
     xm = _xvar(params, "x", x, "the crank product")
     num = poch_inf(params, Monomial.make(1, base), order, base)
-    return times_poch(num, (xm.times_q(base), -1), (xm.inverse().times_q(base), -1), base=base)
+    return times_poch(num, (xm.times_q(base), -1, base), (xm.inverse().times_q(base), -1, base))
 
 
 def crank_C_star(order: int, x, base: int = 1) -> QSeries:
@@ -670,8 +665,8 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
         term = _times(T.truncate(order - n * n - n).shift(n * n + n), (Monomial.make(-1, 2 * n), 1))
         lhs = lhs + term * (-1 if n % 2 else 1)  # (1 + q^{2n}) q^{n^2 + n} T
         n += 1
-    rhs = times_poch(QSeries.one((), order), (Monomial.make(1, 2), 2), (Monomial(b, 2), -1),
-                     (Monomial(1 / b, 2), -1), base=2)
+    rhs = times_poch(QSeries.one((), order), (Monomial.make(1, 2), 2, 2), (Monomial(b, 2), -1, 2),
+                     (Monomial(1 / b, 2), -1, 2))
     return lhs, rhs
 
 
@@ -693,7 +688,7 @@ def symmetrized_moment_series(
     s = N * ParamPoly.monomial(N.params, {"x": (k - 1) // 2})
     for _ in range(k):
         s = s.d_dparam("x")
-    s = s.eval_param("x", 1) * Fraction(1, math.factorial(k))
+    s = s.eval_param({"x": 1}) * Fraction(1, math.factorial(k))
     return _declare_de_bounds(s, d, e, 1)
 
 
@@ -772,7 +767,7 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
         return v
 
     def intval(key, default):
-        return int(kw[key]) if key in kw else default
+        return _integer(kw[key], key) if key in kw else default
 
     if name not in _BUILDER_KEYS:
         raise AlgebraError(f"unknown builder {name!r}")
@@ -801,7 +796,7 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
         factors = []
         for piece in pos[0].split(","):
             m, _, r = piece.partition("^")
-            factors.append((int(m), int(r or 1)))
+            factors.append((_integer(m, "eta level"), _integer(r or "1", "eta power")))
         return eta_quotient(factors, order)
     if name == "J":
         if not pos:
@@ -821,7 +816,7 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
     slots: dict[str, Union[None, Fraction, Monomial]] = {
         "d": val("d"), "e": val("e"), "x": val("x")
     }
-    subs: list[Tuple[str, Monomial]] = []
+    subs: dict[str, Tuple[Fraction, int]] = {}  # p -> (c, j) for p -> c*q^j
     fixed: dict[str, ParamValue] = {}
     for pname, v in slots.items():
         if v is None:
@@ -834,12 +829,12 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
             raise AlgebraError("x takes rational points: the series is Laurent in x")
         else:
             fixed[pname] = None
-            subs.append((pname, v))
-    drop = -sum(v.qexp for _, v in subs if v.qexp < 0)
+            subs[pname] = (v.c, v.qexp)
+    drop = -sum(j for _, j in subs.values() if j < 0)
     if drop >= base:
         raise AlgebraError(f"substitutions c*q^j with j < 0 need base > {drop}, the sum of their |j|")
-    # the least pre-substitution order whose shrinkage by (base - drop)/base,
-    # the product of the substitutions' shrinkages, still certifies the order
+    # the least pre-substitution order whose joint shrink (base - drop)/base
+    # in substitute_param still certifies the order
     work_order = order * base // (base - drop)
 
     if name == "rank":
@@ -863,14 +858,6 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
                 raise AlgebraError("marked-symbol rank variables take rational points")
             xs.append(vj)
         s = durfee_rhs(k, work_order, xs, fixed["d"], fixed["e"])
-    slopes = dict(s.bounds)  # the builder's declared degree bounds
-    for pname, mono in subs:
-        if pname in slopes:  # a substitution returns no bounds: re-declare
-            s = s.with_bounds({pname: slopes[pname]})
-        s = s.substitute_param(pname, mono.c, mono.qexp)
-        if mono.qexp < 0:
-            # p^a q^n with a <= slope_p*n lands at q^n', n' >= (1 + j*slope_p)*n, so the
-            # other slopes divide by that factor; a substitution with j > 0 keeps them
-            shrink = 1 + mono.qexp * slopes.pop(pname)
-            slopes = {p: v / shrink for p, v in slopes.items()}
+    if subs:
+        s = s.substitute_param(subs)
     return s.truncate(order)

@@ -9,8 +9,8 @@ reproduce exactly.
 
 Checks build their series only through the builders' paths: quotients of
 theta products and infinite Pochhammer symbols, and powers of the crank
-product, go factor by factor through ``builders.times_poch``, applied to
-the series they multiply, and ``e -> c/q`` substitutions through
+product, go through ``builders.times_poch``, one call per quotient, applied
+to the series they multiply, and ``e -> c/q`` substitutions through
 ``builders.build``.  Each comparison covers exactly the requested order; a
 side that comes back short is an error, not a shorter comparison.
 """
@@ -114,18 +114,11 @@ class _Ctx:
 
 # ---------------------------------------------------------------------------
 # shared series helpers (no parameters unless stated).  A factor
-# ``(a, power, base)`` stands for ``(a; q^base)_inf^power``; ``_prod``
-# multiplies a series by such factors through ``builders.times_poch``, so a
-# quotient is never multiplied out and inverted, nor a power multiplied out.
+# ``(a, power, base)`` stands for ``(a; q^base)_inf^power``; ``builders.times_poch``
+# multiplies a series by such factors in one call, so a quotient is never
+# multiplied out and inverted, nor a power multiplied out.
 
 Factor = Tuple[Monomial, int, int]
-
-
-def _prod(s: QSeries, *factors: Factor) -> QSeries:
-    """``s`` times the product of the ``(a, power, base)`` factors."""
-    for a, power, base in factors:
-        s = B.times_poch(s, (a, power), base=base)
-    return s
 
 
 def _qinf(p: int = 1) -> Factor:
@@ -208,7 +201,7 @@ def starred_derivatives(derivs: Sequence[QSeries], r: Fraction) -> Tuple[QSeries
     if r == 1:
         raise AlgebraError("x = 1 is a pole of the starred series")
     u = F(1, 1 - r)
-    N0, Dq, D1, D2 = (s.eval_param("x", r) for s in derivs)
+    N0, Dq, D1, D2 = (s.eval_param({"x": r}) for s in derivs)
     nstar = N0 * u
     dq_star = Dq * u
     dx_star = D1 * u + N0 * (r * u * u)
@@ -334,8 +327,8 @@ def _check_c08(order: int):
     for n, tally in table.items():
         for (r, s, m), c in tally.items():
             nn[n][m] = nn[n].get(m, 0) + c
-    front = _prod(QSeries.one((), order), _aqinf(2), _qinf(-1))
-    ppbar = _prod(front, _qinf(-1))
+    front = B.times_poch(QSeries.one((), order), _aqinf(2), _qinf(-1))
+    ppbar = B.times_poch(front, _qinf(-1))
     for n in range(1, order + 1):
         ctx.true(
             sum(nn[n].values()) == ppbar.coefficient(n).constant_value(),
@@ -368,7 +361,7 @@ def _delta_x_A_at_1(j: int) -> Fraction:
 def _check_c09(order: int):
     ctx = _Ctx()
     table = O.rank_table(order)
-    G = _prod(B.crank_C(order), _aqinf(2), _qinf(-1))
+    G = B.times_poch(B.crank_C(order), _aqinf(2), _qinf(-1))
     Gm1 = G - QSeries.one(("x",), order)
     dGs = [Gm1]
     for _ in range(4):
@@ -378,7 +371,7 @@ def _check_c09(order: int):
         for j in range(k + 1):
             aj = _delta_x_A_at_1(j)
             if aj:
-                acc = acc + dGs[k - j].eval_param("x", 1) * (aj * math.comb(k, j))
+                acc = acc + dGs[k - j].eval_param({"x": 1}) * (aj * math.comb(k, j))
         for n in range(1, order + 1):
             want = sum(c * m ** k for (r, s, m), c in table[n].items())
             ctx.true(
@@ -396,7 +389,8 @@ def _check_c10(order: int):
         lhs = _lam(order, c=-(1 - x), sign=-1, A=1, den=x, a=1) + _lam(
             order, c=(1 - x), sign=-1, A=1, den=Monomial(-x), a=1
         )
-        rhs = _prod(QSeries.one((), order), _q2inf(2), (Monomial(x * x, 2), -1, 2), (Monomial(1 / (x * x), 2), -1, 2))
+        rhs = B.times_poch(QSeries.one((), order), _q2inf(2), (Monomial(x * x, 2), -1, 2),
+                           (Monomial(1 / (x * x), 2), -1, 2))
         rhs = rhs * F(-2, 1) * (F(1) / (1 + 1 / x))
         ctx.equal(lhs, rhs, order, f"x={x}")
     return "rational-points", pts, ctx
@@ -405,10 +399,10 @@ def _check_c10(order: int):
 def _check_c11(order: int):
     ctx = _Ctx()
     quot = (_aqinf(), _qinf(-1))
-    lhs = B.n2v(1, order, 1, 0) * (-4) + _prod(
+    lhs = B.n2v(1, order, 1, 0) * (-4) + B.times_poch(
         _lam(order, sign=-1, A=1, B_=1, den=Monomial(F(-1)), a=1, e=2), *quot
     ) * 4
-    rhs = _prod(QSeries.one((), order) - phi1(2, order) * 16, *quot)
+    rhs = B.times_poch(QSeries.one((), order) - phi1(2, order) * 16, *quot)
     ctx.equal(lhs, rhs, order, "second-moment Lambert identity")
     return "symbolic", [], ctx
 
@@ -416,7 +410,7 @@ def _check_c11(order: int):
 def _check_c12(order: int):
     ctx = _Ctx()
     lhs = _lam(order, sign=-1, A=1, B_=1, den=Monomial(F(-1)), a=1)
-    rhs = _prod(QSeries.one((), order), _qinf(), _aqinf(-1)) * F(1, 2)
+    rhs = B.times_poch(QSeries.one((), order), _qinf(), _aqinf(-1)) * F(1, 2)
     ctx.equal(lhs, rhs, order, "bilateral sum vs half quotient")
     return "symbolic", [], ctx
 
@@ -429,9 +423,9 @@ def _check_c13(order: int):
         lhs = (
             S1(x / z, 1 / z ** 2, order)
             + S1(x * z, z ** 2, order) * (z * z)
-            - _prod(S1(x, 1, order), *_J(z * z, 0), *_J(-1, 1), *_J(z, 0, p=-1), *_J(-z, 0, p=-1)) * z
+            - B.times_poch(S1(x, 1, order), *_J(z * z, 0), *_J(-1, 1), *_J(z, 0, p=-1), *_J(-z, 0, p=-1)) * z
         )
-        rhs = _prod(
+        rhs = B.times_poch(
             QSeries.one((), order), *_J(z, 0), *_J(z * z, 0), *_J(-x, 0), _qinf(2),
             *_J(-z, 0, p=-1), *_J(x * z, 0, p=-1), *_J(x / z, 0, p=-1), *_J(x, 0, p=-1),
         )
@@ -442,7 +436,7 @@ def _check_c13(order: int):
 def _check_c14(order: int):
     ctx = _Ctx()
     pts = []
-    half = _prod(QSeries.one((), order), _qinf(), _aqinf(-1)) * F(1, 2)
+    half = B.times_poch(QSeries.one((), order), _qinf(), _aqinf(-1)) * F(1, 2)
     for x in X_POINTS:
         pts.append(f"x={x}")
         nstar = B.rank_gf(order, 1, 0, x) * (F(1) / (1 - x))
@@ -455,11 +449,11 @@ def _check_c15(order: int):
     ctx = _Ctx()
     pts = []
     D = derivatives(B.rank_gf(order, 1, 0, None))
-    front = _prod(QSeries.one((), order), _qinf(2), _aqinf(-1))
+    front = B.times_poch(QSeries.one((), order), _qinf(2), _aqinf(-1))
     for x in X_POINTS:
         pts.append(f"x={x}")
         rhs = _pde(starred_derivatives(D, x), x / 2, 2 * (1 + x), x, (1 + x) / 2)
-        lhs = _prod(front, *_C(x, 1, 3), *_J(-x, 0)) * (x / (1 - x) ** 3)
+        lhs = B.times_poch(front, *_C(x, 1, 3), *_J(-x, 0)) * (x / (1 - x) ** 3)
         ctx.equal(lhs, rhs, order, f"x={x}")
     return "rational-points", pts, ctx
 
@@ -473,7 +467,7 @@ def _check_c16(order: int):
         _xp({1: 2, 2: -2}),
         _xp({0: F(1, 2), 1: -F(1, 2), 2: -F(1, 2), 3: F(1, 2)}),
     )
-    lhs = _prod(
+    lhs = B.times_poch(
         B.jacobi_J(B.parse_monomial("-x"), order), *_C(None, 1, 3), _qinf(2), _aqinf(-1)
     ) * ParamPoly.var(("x",), "x")
     ctx.equal(lhs, rhs, order, "symbolic x")
@@ -506,8 +500,8 @@ def _check_c18(order: int):
                     coeffs[d] = coeffs.get(d, F(0)) + w
         tail = QSeries((), order, {n: c for n, c in coeffs.items() if c})
         head = QSeries((), order, {0: x / (x + 1)})
-        rhs = (head - tail) * Jx.eval_param("x", x)
-        ctx.equal(dJ.eval_param("x", x), rhs, order, f"x={x}")
+        rhs = (head - tail) * Jx.eval_param({"x": x})
+        ctx.equal(dJ.eval_param({"x": x}), rhs, order, f"x={x}")
     return "rational-points", pts, ctx
 
 
@@ -526,10 +520,10 @@ def _check_c19(order: int):
     )
     n2q2 = B.build("n2v:v=1:d=1:e=q^-1:base=2", order)
     half = B.n2v(1, order, 1, 0) * F(1, 2)
-    ctx.equal(_prod(folded, *quot) - n2q2, half * (-1), order, "moment-halving rewrite")
+    ctx.equal(B.times_poch(folded, *quot) - n2q2, half * (-1), order, "moment-halving rewrite")
     lhs65, rhs65 = B.phi65_pair(F(3), order)
     ctx.equal(lhs65, rhs65, order, "very-well-poised summation at b=3")
-    ctx.equal(_prod(phi1(2, order), *quot) + n2q2, half, order, "final halving display")
+    ctx.equal(B.times_poch(phi1(2, order), *quot) + n2q2, half, order, "final halving display")
     return "rational-points", ["b=3"], ctx
 
 
@@ -541,9 +535,9 @@ def _check_c20(order: int):
         lhs = (
             S2(x / z, 1 / z, order)
             + S2(x * z, z, order) * (z * z)
-            + _prod(S2(x, 1, order), *_J(z * z, 0, 2), _aqinf(2), *_J(-z, 0, p=-1), *_J(1 / z, 0, 2, -1)) * 2
+            + B.times_poch(S2(x, 1, order), *_J(z * z, 0, 2), _aqinf(2), *_J(-z, 0, p=-1), *_J(1 / z, 0, 2, -1)) * 2
         )
-        rhs = _prod(
+        rhs = B.times_poch(
             QSeries.one((), order), *_J(-x, 0), *_J(z * z, 0, 2), *_J(z, 0, 2), _q2inf(2),
             *_J(x * z, 0, 2, -1), *_J(x / z, 0, 2, -1), *_J(-z, 0, p=-1), *_J(x, 0, 2, -1),
         )
@@ -555,15 +549,15 @@ def _check_c21(order: int):
     ctx = _Ctx()
     pts = []
     D = derivatives(B.build("rank:d=1:e=q^-1:base=2", order))
-    front = _prod(QSeries.one((), order), _q2inf(2))
+    front = B.times_poch(QSeries.one((), order), _q2inf(2))
     for x in X_POINTS:
         pts.append(f"x={x}")
         rhs = _pde(starred_derivatives(D, x), x, 1 + x, 2 * x, 1 + x)
-        lhs = _prod(front, *_C(x, 2, 3), *_J(-x, 0)) * (2 * x / (1 - x) ** 3)
+        lhs = B.times_poch(front, *_C(x, 2, 3), *_J(-x, 0)) * (2 * x / (1 - x) ** 3)
         ctx.equal(lhs, rhs, order, f"starred x={x}")
     cubic = _xp({0: 1, 1: -1, 2: -1, 3: 1})
     rhs = _pde(D, _xp({1: 2, 2: 2}), cubic, _xp({1: 4, 2: -4}), cubic)
-    lhs = _prod(B.jacobi_J(B.parse_monomial("-x"), order), _q2inf(2), *_C(None, 2, 3)) * _xp({1: 2})
+    lhs = B.times_poch(B.jacobi_J(B.parse_monomial("-x"), order), _q2inf(2), *_C(None, 2, 3)) * _xp({1: 2})
     ctx.equal(lhs, rhs, order, "symbolic x")
     return "rational-points", pts, ctx
 
@@ -589,7 +583,7 @@ def _check_c23(order: int):
             order, sign=-1, A=2, B_=1, den=Monomial(-x), a=2, b=1
         )
         den = (Monomial(1 / x, 0), Monomial(x, 2), Monomial(-x, 1), Monomial(-1 / x, 1))
-        rhs = _prod(QSeries.one((), order), _aqodd(2), _q2inf(2), *((a, -1, 2) for a in den))
+        rhs = B.times_poch(QSeries.one((), order), _aqodd(2), _q2inf(2), *((a, -1, 2) for a in den))
         ctx.equal(lhs, rhs, order, f"x={x}")
     return "rational-points", pts, ctx
 
@@ -597,9 +591,9 @@ def _check_c23(order: int):
 def _check_c24(order: int):
     ctx = _Ctx()
     pref = (_qodd(), _q2inf(-1))
-    T1 = _prod(_lam(order, A=2, B_=1, den=Monomial(F(1)), a=2, e=2, domain="Znz"), *pref)
-    T2 = _prod(_lam(order, A=2, B_=3, C=1, den=Monomial(F(1)), a=2, b=1, e=2), *pref)
-    ctx.equal(T2 - T1, _prod(phi1(1, order), *pref), order, "twice-differentiated display")
+    T1 = B.times_poch(_lam(order, A=2, B_=1, den=Monomial(F(1)), a=2, e=2, domain="Znz"), *pref)
+    T2 = B.times_poch(_lam(order, A=2, B_=3, C=1, den=Monomial(F(1)), a=2, b=1, e=2), *pref)
+    ctx.equal(T2 - T1, B.times_poch(phi1(1, order), *pref), order, "twice-differentiated display")
     moment = B.build("n2v:v=1:d=0:e=-1*q^-1:base=2", order)
     ctx.equal(moment, T1 * (-1), order, "first term as specialized moment series")
     return "symbolic", [], ctx
@@ -607,10 +601,10 @@ def _check_c24(order: int):
 
 def _check_c25(order: int):
     ctx = _Ctx()
-    lhs = _prod(
+    lhs = B.times_poch(
         _lam(order, A=F(1, 2), B_=F(1, 2), den=Monomial(F(1)), a=1, e=2, domain="odd"), _qinf(), _q2inf(-2)
     )
-    rhs = _prod(_lam(order, A=2, B_=3, C=1, den=Monomial(F(1)), a=2, b=1, e=2), _qodd(), _q2inf(-1))
+    rhs = B.times_poch(_lam(order, A=2, B_=3, C=1, den=Monomial(F(1)), a=2, b=1, e=2), _qodd(), _q2inf(-1))
     ctx.equal(lhs, rhs, order, "odd bilateral sum reindexed")
     return "symbolic", [], ctx
 
@@ -623,9 +617,9 @@ def _check_c26(order: int):
         lhs = (
             S3(x / z, 1 / z ** 2, order)
             + S3(x * z, z ** 2, order) * z ** 3
-            - _prod(S3(x, 1, order), *_J(z * z, 0, 2), _aqodd(2), *_J(z, 0, 2, -1), *_J(-z, 1, 2, -1)) * z
+            - B.times_poch(S3(x, 1, order), *_J(z * z, 0, 2), _aqodd(2), *_J(z, 0, 2, -1), *_J(-z, 1, 2, -1)) * z
         )
-        rhs = _prod(
+        rhs = B.times_poch(
             QSeries.one((), order), *_J(-x, 1, 2), *_J(z * z, 0, 2), *_J(z, 0, 2), _q2inf(2),
             *_J(x / z, 0, 2, -1), *_J(x * z, 0, 2, -1), *_J(-z, 1, 2, -1), *_J(x, 0, 2, -1),
         )
@@ -637,15 +631,15 @@ def _check_c27(order: int):
     ctx = _Ctx()
     pts = []
     D = derivatives(B.build("rank:d=0:e=q^-1:base=2", order))
-    front = _prod(QSeries.one((), order), _q2inf(2), _aqodd(-1))
+    front = B.times_poch(QSeries.one((), order), _q2inf(2), _aqodd(-1))
     for x in X_POINTS:
         pts.append(f"x={x}")
         rhs = _pde(starred_derivatives(D, x), 0, 2, 1, 1)
-        lhs = _prod(front, *_C(x, 2, 3), *_J(-x, 1, 2)) * (2 * x / (1 - x) ** 3)
+        lhs = B.times_poch(front, *_C(x, 2, 3), *_J(-x, 1, 2)) * (2 * x / (1 - x) ** 3)
         ctx.equal(lhs, rhs, order, f"starred x={x}")
     rhs = _pde(D, _xp({1: 2}), _xp({0: 2, 1: -4, 2: 2}), _xp({0: 1, 2: -1}), _xp({0: 1, 1: -2, 2: 1}))
     J = B.jacobi_J(B.parse_monomial("-x*q"), order, 2, params=("x",))
-    lhs = _prod(J, _q2inf(2), _aqodd(-1), *_C(None, 2, 3)) * _xp({1: 2})
+    lhs = B.times_poch(J, _q2inf(2), _aqodd(-1), *_C(None, 2, 3)) * _xp({1: 2})
     ctx.equal(lhs, rhs, order, "symbolic x")
     return "rational-points", pts, ctx
 
@@ -664,11 +658,11 @@ def _check_c28(order: int):
 def _check_c29(order: int):
     ctx = _Ctx()
     one = QSeries.one((), order)
-    qi = _prod(one, _qinf())
+    qi = B.times_poch(one, _qinf())
     ctx.equal(qi.delta_q(), phi1(1, order) * qi * (-1), order, "euler product, base q")
-    q2 = _prod(one, _q2inf())
+    q2 = B.times_poch(one, _q2inf())
     ctx.equal(q2.delta_q(), phi1(2, order) * q2 * (-2), order, "euler product, base q^2")
-    aq = _prod(one, _aqodd())
+    aq = B.times_poch(one, _aqodd())
     odd = _lam(order, npoly=(0, 1), B_=1, den=Monomial(F(-1)), a=1, domain="odd>=1")
     ctx.equal(aq.delta_q(), aq * odd, order, "odd-part product")
     return "symbolic", [], ctx
@@ -688,7 +682,7 @@ def _check_c30(order: int):
 def _check_c31(order: int):
     ctx = _Ctx()
     s = B.spt_gf(order, 1, 1)
-    closed = _prod(QSeries.one((), order), _aqinf(2), _qinf(-2)) * F(1, 4)
+    closed = B.times_poch(QSeries.one((), order), _aqinf(2), _qinf(-2)) * F(1, 4)
     lhs = s + QSeries((), order, {0: F(1, 4)}) - closed
     ctx.zero(lhs, order, "closed form at d=e=1")
     return "symbolic", [], ctx
@@ -697,7 +691,7 @@ def _check_c31(order: int):
 def _check_c32(order: int):
     ctx = _Ctx()
     table = O.spt_table(order)
-    ppbar = _prod(QSeries.one((), order), _aqinf(2), _qinf(-2))
+    ppbar = B.times_poch(QSeries.one((), order), _aqinf(2), _qinf(-2))
     for n in range(1, order + 1):
         total = sum(table[n].values())
         ctx.true(
@@ -895,7 +889,7 @@ def negative_control(order: int = 20) -> CheckResult:
     """Deliberately corrupted identity; must fail, guarding the comparator."""
     ctx = _Ctx()
     lhs = _lam(order, sign=-1, A=1, B_=1, den=Monomial(F(-1)), a=1)
-    rhs = _prod(QSeries.one((), order), _qinf(), _aqinf(-1)) * F(-1, 2)
+    rhs = B.times_poch(QSeries.one((), order), _qinf(), _aqinf(-1)) * F(-1, 2)
     ctx.equal(lhs, rhs, order, "sign-flipped control")
     status = "pass" if ctx.ok() else "fail"
     return CheckResult("NC", "negative-control", "sign-flipped identity must fail",

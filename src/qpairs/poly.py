@@ -57,7 +57,7 @@ def _rational(text, what: str) -> Fraction:
     """A rational read from a file, from its text such as ``"-1/2"``."""
     try:
         return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise AlgebraError(f"{what} {text!r} is not a rational number") from None
 
 
@@ -326,6 +326,8 @@ class ParamPoly:
     @classmethod
     def from_obj(cls, params: Iterable[str], obj: list) -> "ParamPoly":
         """The poly of a ``to_obj`` list; a malformed one raises AlgebraError."""
+        if not isinstance(obj, list):
+            raise AlgebraError(f"coefficient {obj!r} is not a list of terms")
         terms = {}
         for term in obj:
             if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], list)):

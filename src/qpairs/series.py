@@ -17,7 +17,8 @@ denominators, and each divides once at the end.  The arithmetic is exact
 either way; the scaling only makes most values ints instead of Fractions.
 
 Fixing a parameter removes it: ``eval_param`` and ``substitute_param``
-return a series over the remaining parameters.
+take a mapping of every name to fix and return a series over the
+remaining parameters.
 
 Per-parameter degree bounds record facts of the form
 ``0 <= deg_p(coeff of q^n) <= slope * n``.  They enter only through
@@ -26,6 +27,8 @@ coefficient; :meth:`QSeries.truncate` keeps them and every other
 operation returns none.  Only :meth:`QSeries.substitute_param` reads
 them: a bound is what makes substitutions like ``e -> 1/q`` on a
 base-``q^2`` series sound, since it caps how far any exponent can fall.
+One call takes every substitution, so the window shrinks once, by
+``1 + sum_{j<0} j*slope_p`` over the names p sent to ``c*q^j``.
 """
 
 from __future__ import annotations
@@ -331,10 +334,6 @@ class QSeries:
             {n + j: c for n, c in self.coeffs.items()},
         )
 
-    def with_params(self, params: Iterable[str]) -> "QSeries":
-        params = tuple(params)
-        return QSeries(params, self.order, {n: c.with_params(params) for n, c in self.coeffs.items()})
-
     def with_bounds(self, bounds: Mapping[str, Scalar]) -> "QSeries":
         """Declare degree bounds, validating them on every stored coefficient.
 
@@ -367,57 +366,66 @@ class QSeries:
 
     # -- substitution and differentiation -------------------------------
 
-    def eval_param(self, name: str, r: Scalar) -> "QSeries":
-        """Replace one parameter by a rational number; the result is without it."""
-        _index(self.params, name)
-        params = tuple(p for p in self.params if p != name)
-        return QSeries(params, self.order, {n: c.eval({name: r}) for n, c in self.coeffs.items()})
+    def eval_param(self, values: Mapping[str, Scalar]) -> "QSeries":
+        """Replace each named parameter by its rational value; the result is without those names."""
+        for name in values:
+            _index(self.params, name)
+        params = tuple(p for p in self.params if p not in values)
+        return QSeries(params, self.order, {n: c.eval(values) for n, c in self.coeffs.items()})
 
-    def substitute_param(self, name: str, c: Scalar, qexp: int) -> "QSeries":
-        """Replace a parameter by the q-monomial ``c * q^qexp``; the result is without it.
+    def substitute_param(self, values: Mapping[str, Tuple[Scalar, int]]) -> "QSeries":
+        """Replace each parameter p of ``values`` by the q-monomial ``c * q^j`` of its
+        ``(c, j)``, all in one pass over the terms; the result is without those names.
 
-        Unless ``qexp == 0`` or ``c == 0`` (an evaluation), a declared degree
-        bound for the parameter is required: it rules out negative exponents,
-        also above the window, and for ``qexp < 0`` caps how far exponents can
-        drop, which is what makes the output order provable.
+        An entry with ``j == 0`` or ``c == 0`` is an evaluation, done by
+        :meth:`eval_param` after the other entries.  Each other entry needs a
+        declared degree bound for its parameter: it rules out negative
+        exponents, also above the window, and caps how far exponents can drop.
+        A term ``p^a q^n`` lands at ``q^(n + j*a)`` with
+        ``n + j*a >= (1 + j*slope_p)*n``, so the window shrinks once, by
+        ``shrink = 1 + sum_{j<0} j*slope_p``, which makes the output order provable.
         """
-        i, c = _index(self.params, name), _as_fraction(c)
-        if qexp == 0 or c == 0:
-            return self.eval_param(name, c if qexp == 0 else 0)
-        slope = self.bounds.get(name)
-        if slope is None:
-            raise AlgebraError(
-                f"substituting {name} -> {c}*q^{qexp} needs a declared "
-                f"degree bound for {name}"
-            )
-        order = self.order
-        if qexp < 0:
-            shrink = 1 + qexp * slope
-            if shrink <= 0:
+        values = {name: (_as_fraction(c), j) for name, (c, j) in values.items()}
+        for name in values:
+            _index(self.params, name)
+        moves = {name: (c, j) for name, (c, j) in values.items() if c and j}
+        for name, (c, j) in moves.items():
+            if name not in self.bounds:
                 raise AlgebraError(
-                    f"substitution {name} -> q^{qexp} underflows the provable "
-                    f"window (bound slope {slope})"
+                    f"substituting {name} -> {c}*q^{j} needs a declared "
+                    f"degree bound for {name}"
                 )
-            order = math.ceil((self.order + 1) * shrink) - 1
-        # the bound holds on every stored term, 0 <= k <= slope*n with n >= 0,
-        # so each term lands at n + qexp*k >= min(1, shrink)*n >= 0
-        params = self.params[:i] + self.params[i + 1:]
-        powers: dict[int, Scalar] = {}
+        drops = {name: j for name, (c, j) in moves.items() if j < 0}
+        shrink = 1 + sum(j * self.bounds[name] for name, j in drops.items())
+        if shrink <= 0:
+            raise AlgebraError(
+                f"substitution {', '.join(f'{name} -> q^{j}' for name, j in drops.items())} underflows "
+                f"the provable window (bound slope {', '.join(str(self.bounds[name]) for name in drops)})"
+            )
+        order = math.ceil((self.order + 1) * shrink) - 1
+        # the bounds hold on every stored term, 0 <= a <= slope*n with n >= 0,
+        # so each term lands at n + sum j*a >= min(1, shrink)*n >= 0
+        moved = [(i, *moves[name]) for i, name in enumerate(self.params) if name in moves]
+        keep = [i for i, name in enumerate(self.params) if name not in moves]
+        params = tuple(self.params[i] for i in keep)
+        powers: dict[Tuple[int, int], Scalar] = {}  # (index, exponent) -> c^exponent
         sums: dict[int, dict] = {}  # output exponent -> summed term map
         for n, poly in self.coeffs.items():
             for vec, v in poly.terms.items():
-                k = vec[i]
-                ne = n + qexp * k
+                ne = n + sum(j * vec[i] for i, _, j in moved)
                 if ne > order:
                     continue
-                p = powers.get(k)
-                if p is None:
-                    p = powers[k] = _canon(c ** k)
-                nvec = vec[:i] + vec[i + 1:]
+                for i, c, _ in moved:
+                    p = powers.get((i, vec[i]))
+                    if p is None:
+                        p = powers[i, vec[i]] = _canon(c ** vec[i])
+                    v = v * p
+                nvec = tuple(vec[i] for i in keep)
                 terms = sums.setdefault(ne, {})
-                terms[nvec] = terms.get(nvec, 0) + v * p
-        coeffs = {ne: ParamPoly._from_sums(params, terms) for ne, terms in sums.items()}
-        return QSeries(params, order, coeffs)
+                terms[nvec] = terms.get(nvec, 0) + v
+        out = QSeries(params, order, {ne: ParamPoly._from_sums(params, terms) for ne, terms in sums.items()})
+        evals = {name: c for name, (c, j) in values.items() if name not in moves}
+        return out.eval_param(evals) if evals else out
 
     def delta_q(self) -> "QSeries":
         """The Euler operator q d/dq: multiplies the coeff of q^n by n."""

@@ -159,7 +159,7 @@ def check_substitution_resummation(rng: random.Random, rounds: int) -> int:
         s = QSeries.from_terms(("d",), terms, order).with_bounds({"d": 1})
         c = Fraction(rng.choice([1, 2, -1]), rng.choice([1, 3]))
         j = rng.choice([0, 1])
-        t = s.substitute_param("d", c, j)
+        t = s.substitute_param({"d": (c, j)})
         assert t.params == ()
         total = Fraction(0)
         for n in range(t.valuation, t.order + 1):

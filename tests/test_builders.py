@@ -378,7 +378,7 @@ def test_build_zero_denominator_rejected(spec):
 def test_build_monomial_assignment():
     # e -> 1/q on the base-q^2 moment series stays exact
     s = B.build("n2v:v=1:base=2", 8, {"d": "1", "e": "q^-1"})
-    t = B.n2v(1, 17, base=2).substitute_param("e", 1, -1).eval_param("d", 1)
+    t = B.n2v(1, 17, base=2).substitute_param({"e": (1, -1)}).eval_param({"d": 1})
     assert t.params == ()
     ok, report = s.equal_to_order(t, min(s.order, t.order))
     assert ok, report

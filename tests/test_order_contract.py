@@ -3,7 +3,7 @@
 Every builder works at exactly the requested order, with no slack order:
 ``build(id, n)`` has ``order == n`` and agrees with any higher-order build
 over that window.  The ids cover every entry of ``BUILDER_GRAMMAR``,
-including base-q^2 forms, ``q^-1`` substitutions alone and chained,
+including base-q^2 forms, ``q^-1`` substitutions alone and together,
 ``q^j`` substitutions with j > 0, and rational points.
 """
 
@@ -35,9 +35,9 @@ IDS = (
     "rank:d=0:e=0",
     "rank:d=1/2:e=-1/3:x=3",
     "rank:e=q^-1:base=2",
-    "rank:d=q^-1:e=q^-1:base=3",  # chained: e's bound is re-declared after d's
+    "rank:d=q^-1:e=q^-1:base=3",  # two j < 0 in one call: one joint shrink
     "rank:d=q:e=q^-1:base=2",
-    "rank:d=q^-1:e=q:base=2",  # j > 0 after j < 0: e's bound is re-declared
+    "rank:d=q^-1:e=q:base=2",  # j > 0 beside j < 0
     "rank-lambert",
     "rank-lambert:d=1:e=2:x=-2",
     "n2v:v=1",

@@ -78,7 +78,7 @@ def test_kernel_drops_bounds_and_keeps_order_past_a_zero_factor():
     got = s.mul_one_minus([(1, 0, {}, 2)])  # (1 - 1)^2 = 0
     assert got.is_zero() and got.order == 4 and not got.bounds
     # no operation but truncate keeps a declared bound
-    assert not (s + s).bounds and not (s * s).bounds and not s.eval_param("e", 2).bounds
+    assert not (s + s).bounds and not (s * s).bounds and not s.eval_param({"e": 2}).bounds
     assert s.truncate(3).bounds == {"d": 1}
     for k in (-1, 0, 1):  # m = 0: the factor is 1 at any q-power
         assert s.mul_one_minus([(0, k, {}, -1)]) == QSeries(PARAMS, 4, {1: 3})
