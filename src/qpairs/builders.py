@@ -505,7 +505,7 @@ def rank_gf_lambert(
         R = R.truncate(order - E).shift(E)
         first = _times(R, (xm.times_q(base * m), -1))
         second = _times(R, (xinv.times_q(base * m), -1)) * xinv.as_poly(params)
-        tail = tail + (first - second) * (-1 if m % 2 else 1)
+        tail = tail + (second - first if m % 2 else first - second)
     body = QSeries.one(params, order) + _times(tail, (xm, 1))
     return _declare_de_bounds(_prefactor(body, d, e, base), d, e, base)
 
@@ -531,7 +531,8 @@ def n2v(
     acc = QSeries.zero(params, order)
     for m, E, R in _lambert_ratios(params, d, e, order, base, v):
         Q = Monomial.make(1, base * m)
-        acc = acc + _times(R.truncate(order - E).shift(E), (-Q, 1), (Q, -2 * v)) * (1 if m % 2 else -1)
+        term = _times(R.truncate(order - E).shift(E), (-Q, 1), (Q, -2 * v))
+        acc = acc + term if m % 2 else acc - term
     return _declare_de_bounds(_prefactor(acc, d, e, base), d, e, base)
 
 
@@ -585,7 +586,8 @@ def durfee_rhs(
         Q = Monomial.make(1, n)
         # (1 + q^n)(1 - q^n)^2 / prod_j (1 - x_j q^n)(1 - q^n / x_j)
         factors = [(-Q, 1), (Q, 2)] + [(y.times_q(n), -1) for xm in xms for y in (xm, xm.inverse())]
-        acc = acc + _times(R.truncate(order - E).shift(E), *factors) * (1 if n % 2 else -1)
+        term = _times(R.truncate(order - E).shift(E), *factors)
+        acc = acc + term if n % 2 else acc - term
     return _declare_de_bounds(_prefactor(acc, d, e, 1), d, e, 1)
 
 
@@ -663,7 +665,7 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
         T = _times(T, (Monomial(b, 2 * n - 2), 1), (Monomial(1 / b, 2 * n - 2), 1),
                    (Monomial(b, 2 * n), -1), (Monomial(1 / b, 2 * n), -1))
         term = _times(T.truncate(order - n * n - n).shift(n * n + n), (Monomial.make(-1, 2 * n), 1))
-        lhs = lhs + term * (-1 if n % 2 else 1)  # (1 + q^{2n}) q^{n^2 + n} T
+        lhs = lhs - term if n % 2 else lhs + term  # (1 + q^{2n}) q^{n^2 + n} T
         n += 1
     rhs = times_poch(QSeries.one((), order), (Monomial.make(1, 2), 2, 2), (Monomial(b, 2), -1, 2),
                      (Monomial(1 / b, 2), -1, 2))

@@ -520,7 +520,7 @@ def _check_c19(order: int):
     )
     n2q2 = B.build("n2v:v=1:d=1:e=q^-1:base=2", order)
     half = B.n2v(1, order, 1, 0) * F(1, 2)
-    ctx.equal(B.times_poch(folded, *quot) - n2q2, half * (-1), order, "moment-halving rewrite")
+    ctx.equal(B.times_poch(folded, *quot) - n2q2, -half, order, "moment-halving rewrite")
     lhs65, rhs65 = B.phi65_pair(F(3), order)
     ctx.equal(lhs65, rhs65, order, "very-well-poised summation at b=3")
     ctx.equal(B.times_poch(phi1(2, order), *quot) + n2q2, half, order, "final halving display")
@@ -565,7 +565,7 @@ def _check_c21(order: int):
 def _check_c22(order: int):
     ctx = _Ctx()
     s = (
-        phi1(1, order) * (-1)
+        -phi1(1, order)
         - _lam(order, npoly=(0, 1), B_=1, den=Monomial(F(-1)), a=1, domain="n>=1")
         + _lam(order, c=2, B_=1, den=Monomial(F(-1)), a=1, e=2, domain="n>=1")
         + phi1(2, order) * 6
@@ -595,7 +595,7 @@ def _check_c24(order: int):
     T2 = B.times_poch(_lam(order, A=2, B_=3, C=1, den=Monomial(F(1)), a=2, b=1, e=2), *pref)
     ctx.equal(T2 - T1, B.times_poch(phi1(1, order), *pref), order, "twice-differentiated display")
     moment = B.build("n2v:v=1:d=0:e=-1*q^-1:base=2", order)
-    ctx.equal(moment, T1 * (-1), order, "first term as specialized moment series")
+    ctx.equal(moment, -T1, order, "first term as specialized moment series")
     return "symbolic", [], ctx
 
 
@@ -659,7 +659,7 @@ def _check_c29(order: int):
     ctx = _Ctx()
     one = QSeries.one((), order)
     qi = B.times_poch(one, _qinf())
-    ctx.equal(qi.delta_q(), phi1(1, order) * qi * (-1), order, "euler product, base q")
+    ctx.equal(qi.delta_q(), -(phi1(1, order) * qi), order, "euler product, base q")
     q2 = B.times_poch(one, _q2inf())
     ctx.equal(q2.delta_q(), phi1(2, order) * q2 * (-2), order, "euler product, base q^2")
     aq = B.times_poch(one, _aqodd())

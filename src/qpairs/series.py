@@ -9,12 +9,16 @@ substitutions cannot silently report unproven coefficients.
 The zero series carries the sentinel valuation ``order + 1``.
 
 One coefficient recurrence, :func:`_recur`, does the product, ``invert``
-and :meth:`QSeries.mul_one_minus` on plain term maps.  The product and a
-chain of linear factors ``(1 - m)^power`` work in integers: a product
-scales each operand by the lcm of its denominators, a chain also scales
-the coefficient of q^n by ``L^n`` for the lcm L of the factors'
-denominators, and each divides once at the end.  The arithmetic is exact
-either way; the scaling only makes most values ints instead of Fractions.
+and :meth:`QSeries.mul_one_minus` on plain term maps, and no map it
+stores holds a zero.  The product and a chain of linear factors
+``(1 - m)^power`` work in integers from entry to exit: a product scales
+each operand by the lcm of its denominators, a chain also scales the
+coefficient of q^n by ``L^n`` for the lcm L of the factors'
+denominators, and each divides once at the end.  A parameter-free q^0
+factor of a chain is the scalar ``(1 - c)^power``; the chain multiplies
+all of them into one rational and applies it in that final division.
+The arithmetic is exact either way; the scaling only makes the values
+ints instead of Fractions.
 
 Fixing a parameter removes it: ``eval_param`` and ``substitute_param``
 take a mapping of every name to fix and return a series over the
@@ -39,7 +43,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _clean, _index, _integer, _rational
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _index, _integer, _rational
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
@@ -47,8 +51,8 @@ CoeffLike = Union[int, Fraction, ParamPoly]
 def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -> dict:
     """The term maps of ``g_n = start_n + sum b p^w src_{n-dn}``, ``lo <= n <= order``, over the
     steps ``(dn, w, b)`` sorted by dn.  ``src`` is a given term map (a product) or None for ``g``
-    itself (a division: every dn >= 1).  Only a division cleans its maps as it goes; callers clean
-    the result with ``ParamPoly._from_sums``."""
+    itself (a division: every dn >= 1).  No map it stores holds a zero; callers canonicalise the
+    values once with ``ParamPoly._from_sums``."""
     steps = [(dn, w if any(w) else (), b) for dn, w, b in steps]  # () skips the key shift
     out: dict[int, dict] = {}
     src, src_lo = (out, lo) if src is None else (src, min(src, default=lo))
@@ -69,8 +73,8 @@ def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -
                 else:
                     for v, a in prev.items():
                         acc[v] = acc.get(v, 0) + a * b
-        if acc is not t and src is out:
-            acc = _clean(acc)
+        if acc is not t and 0 in acc.values():  # cancelled terms: drop them before they ride on
+            acc = {v: a for v, a in acc.items() if a}
         if acc:
             out[n] = acc
     return out
@@ -93,13 +97,16 @@ def _scale(terms: dict, D: int, L: int = 1, lo: int = 0) -> dict:
     return out
 
 
-def _unscale(terms: dict, D: int, L: int = 1, lo: int = 0) -> dict:
-    """The term maps divided by ``D * L^(n - lo)`` at q^n: the inverse of :func:`_scale`."""
-    if D * L == 1:
+def _unscale(terms: dict, D: int, L: int = 1, lo: int = 0, N: int = 1) -> dict:
+    """The term maps times ``N / (D * L^(n - lo))`` at q^n: with ``N = 1`` the inverse of
+    :func:`_scale`."""
+    if D * L == 1 and N == 1:
         return terms
     out = {}
     for n, t in terms.items():
         s = D * L ** (n - lo) if L > 1 else D
+        if N != 1:
+            t = {v: a * N for v, a in t.items()}
         out[n] = {v: a // s if type(a) is int and not a % s else Fraction(a, s) for v, a in t.items()}
     return out
 
@@ -288,31 +295,42 @@ class QSeries:
         parameter-free ``m != 1``; one factor that fails this rejects the chain.  The result keeps
         ``self.order`` and has no bounds.
 
-        The chain is one pass per factor over plain term maps, in integers where it can be: with
-        ``lo`` the entry valuation (no factor lowers it), ``D`` the lcm of the coefficient
-        denominators and ``L`` that of ``c`` over the factors with ``qexp >= 1``, it works on
-        ``g_n * D * L^(n - lo)``, where step j of a factor has the integer coefficient
-        ``b_j * L^(j * qexp)``.  A q^0 factor with a rational ``c`` keeps Fraction values."""
-        chain = []
+        A parameter-free q^0 factor is the scalar ``(1 - c)^power``.  All of them multiply into
+        one rational S, applied once at the end; ``S = 0`` gives the zero series.  Each other
+        factor is one pass over plain term maps, in integers: with ``lo`` the entry valuation (no
+        factor lowers it), ``D`` the lcm of the coefficient denominators and ``L`` that of ``c``
+        over the factors with ``qexp >= 1``, the chain works on ``g_n * D * L^(n - lo)``.  Step j
+        of a factor is then the integer ``sign * C(e, j) * u^j`` with ``u = -c * L^qexp``, and
+        the steps stop at ``j * qexp > self.order - lo``, which no coefficient reads.  The end
+        divides by ``D * L^(n - lo)`` and the denominator of S, and multiplies by its numerator.
+        Only a q^0 factor with parameters and a rational ``c`` brings Fraction steps."""
+        index = {p: i for i, p in enumerate(self.params)}
+        scalar, chain = Fraction(1), []
         for c, qexp, pexps, power in factors:
-            (vec, _), = ParamPoly.monomial(self.params, dict(pexps)).terms.items()
+            vec = [0] * len(self.params)
+            for name, x in dict(pexps).items():
+                vec[index[name] if name in index else _index(self.params, name)] = int(x)
             if c and (qexp < 0 or (power < 0 and qexp == 0 and (any(vec) or c == 1))):
-                raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {vec}")
-            if power < 0 and qexp == 0:  # the scalar (1 - c)^power is 1 - c' for this c'
-                c, power = 1 - Fraction(1 - c) ** power, 1
-            if c and power:
-                chain.append((_canon(c), qexp, vec, power))
-        terms = {n: p.terms for n, p in self.coeffs.items()}
-        if chain and terms:
+                raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {tuple(vec)}")
+            if not (c and power):
+                continue
+            if qexp == 0 and not any(vec):
+                scalar *= (1 - Fraction(c)) ** power
+            else:
+                chain.append((_canon(c), qexp, tuple(vec), power))
+        terms = {n: p.terms for n, p in self.coeffs.items()} if scalar else {}
+        if terms and (chain or scalar != 1):
             lo, D = min(terms), _denominator(terms)
             L = math.lcm(*(c.denominator for c, qexp, _, _ in chain if qexp))
             terms = _scale(terms, D, L, lo)
             for c, qexp, vec, power in chain:
                 e, sign = abs(power), (1 if power > 0 else -1)
-                steps = [(j * qexp, tuple(j * x for x in vec),
-                          _canon(sign * math.comb(e, j) * (-c) ** j * L ** (j * qexp))) for j in range(1, e + 1)]
+                u = -(c.numerator * (L ** qexp // c.denominator) if qexp else c)
+                top = min(e, (self.order - lo) // qexp) if qexp else e
+                steps = [(j * qexp, tuple(j * x for x in vec), sign * math.comb(e, j) * u ** j)
+                         for j in range(1, top + 1)]
                 terms = _recur(terms, steps, terms if power > 0 else None, lo, self.order)
-            terms = _unscale(terms, D, L, lo)
+            terms = _unscale(terms, D * scalar.denominator, L, lo, scalar.numerator)
         return QSeries(self.params, self.order, {n: ParamPoly._from_sums(self.params, t) for n, t in terms.items()})
 
     # -- reshaping ------------------------------------------------------

@@ -1,12 +1,15 @@
 """The (1 - m)^power kernel against plain products with the expansion."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import _props
-from qpairs import AlgebraError, QSeries
+from qpairs import AlgebraError, QSeries, series
+from qpairs import builders as B
+from qpairs import harness as H
 
 PARAMS = _props.PARAMS
 
@@ -116,12 +119,14 @@ C_VALUES = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), 2, -1]
 
 def chain_factor(rng: random.Random):
     """A factor ``(c, k, pexps, power)`` and the plain series it stands for, as a function
-    of the width; None for the scalar ``(1 - c)^power`` of a q^0 division."""
+    of the width; None for the scalar ``(1 - c)^power`` of a parameter-free q^0 factor."""
     power, c, roll = rng.randint(-2, 3), rng.choice(C_VALUES), rng.random()
-    if power < 0 and roll < 0.2:  # q^0 division: a nonzero scalar only
+    if power and roll < 0.25:  # parameter-free q^0: a scalar, zero for c = 1 and a positive power
+        if power > 0 and rng.random() < 0.2:
+            c = 1
         return (c, 0, {}, power), None
     pexps = {p: rng.choice([-1, 0, 0, 1]) for p in PARAMS}
-    if power > 0 and roll < 0.3:  # q^0 with a rational c and parameters: cannot be scaled
+    if power > 0 and roll < 0.35:  # q^0 with a rational c and parameters: Fraction steps
         c, pexps["d"] = rng.choice(C_VALUES[:3]), rng.choice([-1, 1])
         return (c, 0, pexps, power), lambda width: expansion(c, 0, pexps, power, width)
     k = rng.randint(0 if power > 0 else 1, 3)
@@ -142,8 +147,9 @@ def bounded(rng: random.Random) -> QSeries:
 def test_chain_matches_factors_one_call_at_a_time_and_the_expansions():
     rng = random.Random(20261020)
     seen = {f"c={c}": 0 for c in C_VALUES} | {f"power={p}": 0 for p in range(-2, 4)}
-    seen |= {"q0_param": 0, "q0_scalar": 0, "laurent": 0, "zero": 0, "bounded": 0,
-             "fraction_lowest": 0, "int": 0, "fraction": 0}
+    seen |= {f"q0_scalar_at_{i}": 0 for i in range(4)}
+    seen |= {"q0_param": 0, "q0_scalar_pos": 0, "q0_scalar_neg": 0, "q0_zero": 0, "laurent": 0,
+             "zero": 0, "bounded": 0, "fraction_lowest": 0, "int": 0, "fraction": 0}
     for _ in range(300):
         s = bounded(rng) if rng.random() < 0.15 else operand(rng)
         drawn = [chain_factor(rng) for _ in range(rng.randint(1, 4))]
@@ -159,11 +165,17 @@ def test_chain_matches_factors_one_call_at_a_time_and_the_expansions():
         assert got.coeffs == one_at_a_time.coeffs == want.coeffs, (s, factors)
         assert _props.canonical(got)
         assert not got.bounds
-        for c, k, pexps, power in factors:
-            seen[f"c={c}"] += 1
+        for i, (c, k, pexps, power) in enumerate(factors):
+            scalar = k == 0 and not any(pexps.values())
+            seen[f"c={c}"] = seen.get(f"c={c}", 0) + 1
             seen[f"power={power}"] += 1
-            seen["q0_param"] += k == 0 and power > 0 and any(pexps.values())
-            seen["q0_scalar"] += k == 0 and power < 0
+            seen["q0_param"] += k == 0 and power > 0 and not scalar
+            seen[f"q0_scalar_at_{i}"] += scalar
+            seen["q0_scalar_pos"] += scalar and power > 0
+            seen["q0_scalar_neg"] += scalar and power < 0
+            if scalar and c == 1:
+                assert got.is_zero()
+                seen["q0_zero"] += not s.is_zero()
         seen["laurent"] += s.valuation < 0
         seen["zero"] += s.is_zero()
         seen["bounded"] += bool(s.bounds)
@@ -173,3 +185,61 @@ def test_chain_matches_factors_one_call_at_a_time_and_the_expansions():
             for v in poly.terms.values():
                 seen["int" if type(v) is int else "fraction"] += 1
     assert all(seen.values()), seen
+
+
+def test_steps_stop_at_the_window(monkeypatch):
+    """Power-4800 factors on a series from q^1 to q^3: ``_recur`` gets no step above ``order - lo``."""
+    passes = []
+    real = series._recur
+
+    def recur(start, steps, src, lo, order):
+        passes.append((lo, order, [dn for dn, _, _ in steps]))
+        return real(start, steps, src, lo, order)
+
+    monkeypatch.setattr(series, "_recur", recur)
+    s = QSeries((), 3, {1: 1, 3: Fraction(1, 2)})
+    got = s.mul_one_minus([(1, 1, {}, 4800), (Fraction(1, 3), 1, {}, -4800)])
+    assert len(passes) == 2
+    for lo, order, dns in passes:
+        assert lo == 1 and order == 3 and dns and max(dns) <= order - lo
+    # (1 - q)^4800 (1 - q/3)^-4800 = 1 - 3200 q + (C(4800, 2) - 4800 * 1600 + C(4801, 2) / 9) q^2 + ...
+    a = [1, -4800, math.comb(4800, 2)]
+    b = [1, Fraction(4800, 3), Fraction(math.comb(4801, 2), 9)]
+    ab = [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(3)]
+    assert got == QSeries((), 3, {1: ab[0], 2: ab[1], 3: ab[2] + Fraction(1, 2)})
+
+
+def watch_recur(monkeypatch) -> dict:
+    """Wrap ``series._recur`` and count the values it reads (start and source maps, step
+    coefficients) or returns that are not ints, and the zero values in the maps it returns."""
+    seen = {"calls": 0, "non_int": 0, "zeros": 0}
+    real = series._recur
+
+    def recur(start, steps, src, lo, order):
+        out = real(start, steps, src, lo, order)
+        values = [b for _, _, b in steps]
+        for maps in (start, src or {}, out):
+            for t in maps.values():
+                values.extend(t.values())
+        seen["calls"] += 1
+        seen["non_int"] += sum(type(v) is not int for v in values)
+        seen["zeros"] += sum(v == 0 for t in out.values() for v in t.values())
+        return out
+
+    monkeypatch.setattr(series, "_recur", recur)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["theta-quotient", "durfee"])
+def test_kernel_runs_in_ints_and_stores_no_zero(monkeypatch, case):
+    """A chain with q^0 constants at rational points, and a symbolic builder whose passes
+    cancel terms: every kernel value is an int and no returned map holds a zero."""
+    seen = watch_recur(monkeypatch)
+    if case == "theta-quotient":  # J(1/3; q) / J(2/5; q) * (q; q)_inf: two (1 - z)^(+-1) at q^0
+        got = B.times_poch(QSeries.one((), 12), *H._J(Fraction(1, 3), 0), *H._J(Fraction(2, 5), 0, p=-1),
+                           H._qinf(1))
+        assert got.coefficient(0) == Fraction(10, 9)
+    else:
+        got = B.build("durfee:k=2", 8)
+    assert got.order == (12 if case == "theta-quotient" else 8) and not got.is_zero()
+    assert seen["calls"] and not seen["non_int"] and not seen["zeros"], seen

@@ -74,6 +74,9 @@ def one_minus_factors(rng: random.Random):
     factors = []
     for _ in range(rng.randint(1, 3)):
         power = rng.choice([-2, -1, 1, 2])
+        if rng.random() < 0.25:  # parameter-free q^0: the scalar (1 - c)^power, 0 for c = 1
+            factors.append((rng.choice([1, -1, F(1, 2), 2] if power > 0 else [-1, F(1, 2), 2]), 0, {}, power))
+            continue
         pexps = {p: rng.choice([-1, 0, 0, 1]) for p in PARAMS}
         factors.append((rng.choice([1, -1, F(1, 2), 2]), rng.randint(0 if power > 0 else 1, 3), pexps, power))
     return factors
