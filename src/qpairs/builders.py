@@ -731,6 +731,8 @@ def _split_id(spec: str) -> Tuple[str, dict, list]:
     for seg in parts[1:]:
         if "=" in seg:
             k, v = seg.split("=", 1)
+            if k in kw:
+                raise AlgebraError(f"key {k!r} given twice in {spec!r}")
             kw[k] = v
         else:
             pos.append(seg)
@@ -758,9 +760,10 @@ def _value_or_mono(text: str) -> Union[Fraction, Monomial]:
 def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None) -> QSeries:
     """Construct a series from its string identifier (see BUILDER_GRAMMAR)."""
     name, kw, pos = _split_id(spec.strip())
-    if assignments:
-        for k, v in assignments.items():
-            kw.setdefault(k, str(v))
+    for k, v in (assignments or {}).items():
+        if k in kw:
+            raise AlgebraError(f"key {k!r} given twice, in {spec!r} and as a parameter")
+        kw[k] = str(v)
 
     def val(key):
         v = _value_or_mono(kw[key]) if key in kw else None

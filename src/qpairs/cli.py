@@ -39,8 +39,10 @@ def _parse_params(text: Optional[str]) -> Dict[str, str]:
     for piece in text.split(","):
         if "=" not in piece:
             raise UsageError(f"bad parameter assignment {piece!r}; expected name=value")
-        k, v = piece.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (x.strip() for x in piece.split("=", 1))
+        if k in out:
+            raise UsageError(f"parameter {k!r} given twice")
+        out[k] = v
     return out
 
 
@@ -434,20 +436,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if getattr(args, "v", 1) < 1:
-        print("error: --v must be at least 1", file=sys.stderr)
-        return 2
-    for flag in ("order", "n_max"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            print(f"error: --{flag.replace('_', '-')} must be nonnegative", file=sys.stderr)
-            return 2
     try:
+        if getattr(args, "v", 1) < 1:
+            raise UsageError("--v must be at least 1")
+        for flag in ("order", "n_max"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative")
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AlgebraError, TruncationError, ValueError) as exc:
+    except (UsageError, AlgebraError, TruncationError, ValueError, OSError) as exc:  # OSError: --out unwritable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

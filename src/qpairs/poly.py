@@ -99,13 +99,17 @@ class ParamPoly:
         self.terms = _clean(sums)
 
     @classmethod
-    def _from_sums(cls, params: Tuple[str, ...], terms: dict) -> "ParamPoly":
-        """A poly from a summed term map whose keys are already exponent
-        tuples of the right arity, without revalidating the keys."""
+    def _raw(cls, params: Tuple[str, ...], terms: dict) -> "ParamPoly":
+        """A poly of a canonical term map (no zero, ints when integral), keys unchecked."""
         out = cls.__new__(cls)
         out.params = params
-        out.terms = _clean(terms)
+        out.terms = terms
         return out
+
+    @classmethod
+    def _from_sums(cls, params: Tuple[str, ...], terms: dict) -> "ParamPoly":
+        """A poly of a summed term map, cleaned and canonicalised, keys unchecked."""
+        return cls._raw(params, _clean(terms))
 
     # -- constructors ---------------------------------------------------
 
@@ -181,10 +185,7 @@ class ParamPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        out = ParamPoly.__new__(ParamPoly)
-        out.params = self.params
-        out.terms = {vec: -c for vec, c in self.terms.items()}
-        return out
+        return ParamPoly._raw(self.params, {vec: -c for vec, c in self.terms.items()})
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-self._coerce(other))

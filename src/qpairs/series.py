@@ -9,14 +9,13 @@ substitutions cannot silently report unproven coefficients.
 The zero series carries the sentinel valuation ``order + 1``.
 
 One coefficient recurrence, :func:`_recur`, does the product, ``invert``
-and :meth:`QSeries.mul_one_minus` on plain term maps, and no map it
-stores holds a zero.  The product and a chain of linear factors
-``(1 - m)^power`` work in integers from entry to exit: a product scales
-each operand by the lcm of its denominators, a chain also scales the
-coefficient of q^n by ``L^n`` for the lcm L of the factors'
-denominators, and each divides once at the end.  A parameter-free q^0
-factor of a chain is the scalar ``(1 - c)^power``; the chain multiplies
-all of them into one rational and applies it in that final division.
+and :meth:`QSeries.mul_one_minus` on plain term maps, in integers from
+entry to exit: :func:`_scale` multiplies the inputs by the lcm of their
+denominators (a chain also the coefficient of q^n by ``L^n``, for the lcm
+L of its factors' denominators, and ``invert`` by ``a^n``, for its
+leading coefficient a), ``_recur`` stores no zero, and :func:`_series`
+divides once and stores the canonical polys as they are.  The q^0
+factors of a chain leave one rational scalar, applied in that division.
 The arithmetic is exact either way; the scaling only makes the values
 ints instead of Fractions.
 
@@ -51,8 +50,8 @@ CoeffLike = Union[int, Fraction, ParamPoly]
 def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -> dict:
     """The term maps of ``g_n = start_n + sum b p^w src_{n-dn}``, ``lo <= n <= order``, over the
     steps ``(dn, w, b)`` sorted by dn.  ``src`` is a given term map (a product) or None for ``g``
-    itself (a division: every dn >= 1).  No map it stores holds a zero; callers canonicalise the
-    values once with ``ParamPoly._from_sums``."""
+    itself (a division: every dn >= 1).  Every caller passes ints, and no map it returns holds
+    a zero, so :func:`_series` needs no cleaning."""
     steps = [(dn, w if any(w) else (), b) for dn, w, b in steps]  # () skips the key shift
     out: dict[int, dict] = {}
     src, src_lo = (out, lo) if src is None else (src, min(src, default=lo))
@@ -80,34 +79,33 @@ def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -
     return out
 
 
-def _denominator(terms: dict) -> int:
-    """The lcm of the coefficient denominators of the term maps."""
-    return math.lcm(*(a.denominator for t in terms.values() for a in t.values()))
-
-
-def _scale(terms: dict, D: int, L: int = 1, lo: int = 0) -> dict:
-    """The term maps times ``D * L^(n - lo)`` at q^n (each n >= lo unless L = 1), in integers
-    when D clears every denominator; the maps themselves when ``D = L = 1``."""
+def _scale(s: "QSeries", L: int = 1, lo: int = 0) -> Tuple[int, dict]:
+    """``(D, maps)``: D the lcm of the coefficient denominators of ``s``, and its term maps
+    times ``D * L^(n - lo)`` at q^n (each n >= lo unless L = 1), in integers."""
+    D = math.lcm(*(a.denominator for p in s.coeffs.values() for a in p.terms.values()))
     if D * L == 1:
-        return terms
+        return D, {n: p.terms for n, p in s.coeffs.items()}
     out = {}
-    for n, t in terms.items():
-        s = D * L ** (n - lo) if L > 1 else D
-        out[n] = {v: a * s if type(a) is int else a.numerator * (s // a.denominator) for v, a in t.items()}
-    return out
+    for n, p in s.coeffs.items():
+        k = D * L ** (n - lo) if L > 1 else D
+        out[n] = {v: a * k if type(a) is int else a.numerator * (k // a.denominator) for v, a in p.terms.items()}
+    return D, out
 
 
-def _unscale(terms: dict, D: int, L: int = 1, lo: int = 0, N: int = 1) -> dict:
-    """The term maps times ``N / (D * L^(n - lo))`` at q^n: with ``N = 1`` the inverse of
-    :func:`_scale`."""
-    if D * L == 1 and N == 1:
-        return terms
-    out = {}
+def _series(params: Tuple[str, ...], order: int, terms: dict, D: int, L: int = 1, lo: int = 0,
+            N: int = 1) -> "QSeries":
+    """The series of the int term maps times ``N / (D * L^(n - lo))`` at q^n, for ``N != 0``:
+    with ``N = 1`` the inverse of :func:`_scale`.  Each value comes out an int when integral
+    and a reduced Fraction otherwise, and a map with no zero gives a poly with no zero, so the
+    polys are stored as they are."""
+    out = QSeries(params, order)
     for n, t in terms.items():
-        s = D * L ** (n - lo) if L > 1 else D
+        k = D * L ** (n - lo) if L > 1 else D
         if N != 1:
             t = {v: a * N for v, a in t.items()}
-        out[n] = {v: a // s if type(a) is int and not a % s else Fraction(a, s) for v, a in t.items()}
+        if k != 1:
+            t = {v: a // k if not a % k else Fraction(a, k) for v, a in t.items()}
+        out.coeffs[n] = ParamPoly._raw(params, t)
     return out
 
 
@@ -256,12 +254,10 @@ class QSeries:
         order = min(self.order + other.valuation, other.order + self.valuation)
         # the operand with fewer terms gives the steps: fewer visits of the inner loop
         # each operand times the lcm of its own denominators: the convolution is in integers
-        step, src = sorted(({n: p.terms for n, p in s.coeffs.items()} for s in (self, other)),
-                           key=lambda terms: sum(map(len, terms.values())))
-        Ds, Dt = _denominator(step), _denominator(src)
-        steps = [(j, v, b) for j, t in sorted(_scale(step, Ds).items()) for v, b in t.items()]
-        sums = _unscale(_recur({}, steps, _scale(src, Dt), self.valuation + other.valuation, order), Ds * Dt)
-        return QSeries(self.params, order, {n: ParamPoly._from_sums(self.params, t) for n, t in sums.items()})
+        (Ds, step), (Dt, src) = sorted(map(_scale, (self, other)),
+                                       key=lambda scaled: sum(map(len, scaled[1].values())))
+        steps = [(j, v, b) for j, t in sorted(step.items()) for v, b in t.items()]
+        return _series(self.params, order, _recur({}, steps, src, self.valuation + other.valuation, order), Ds * Dt)
 
     __rmul__ = __mul__
 
@@ -275,18 +271,20 @@ class QSeries:
             raise AlgebraError("zero series is not invertible")
         v = self.valuation
         lead = self.coeffs[v]
-        mono = lead.as_monomial()
-        if mono is None:
+        if lead.as_monomial() is None:
             raise AlgebraError(
                 "not invertible symbolically; evaluate parameters first "
                 f"(leading coefficient {lead})"
             )
-        # g = 1/self solves g_n = lead^-1 [n = 0] - sum_{k>=1} lead^-1 a_{v+k} g_{n-k}
-        ((inv, c),) = lead.monomial_inverse().terms.items()
-        steps = [(n - v, tuple(map(add, u, inv)), _canon(-a * c))
-                 for n, p in sorted(self.coeffs.items()) if n > v for u, a in p.terms.items()]
-        out = _recur({0: {inv: c}}, steps, None, 0, self.order - v)
-        return QSeries(self.params, self.order - 2 * v, {n - v: ParamPoly._from_sums(self.params, t) for n, t in out.items()})
+        # with A = D * self and its lead A_v = sign * a * p^u0, g = 1/self is D * sign * h_n / a^(n+1)
+        # at q^(n-v), where h_0 = p^-u0 and h_n = -sign * p^-u0 * sum_{k>=1} A_{v+k} a^(k-1) h_{n-k}
+        D, A = _scale(self)
+        ((u0, a),) = A[v].items()
+        sign, a, inv = (1 if a > 0 else -1), abs(a), tuple(-x for x in u0)
+        steps = [(n - v, tuple(map(add, u, inv)), -sign * b * a ** (n - v - 1))
+                 for n, t in sorted(A.items()) if n > v for u, b in t.items()]
+        h = _recur({0: {inv: 1}}, steps, None, 0, self.order - v)
+        return _series(self.params, self.order - v, h, a, a, 0, sign * D).shift(-v)
 
     def mul_one_minus(self, factors: Sequence[Tuple[Scalar, int, object, int]]) -> "QSeries":
         """Multiply by ``prod (1 - m)^power`` over the factors ``(c, qexp, pexps, power)``, each
@@ -301,37 +299,39 @@ class QSeries:
         factor lowers it), ``D`` the lcm of the coefficient denominators and ``L`` that of ``c``
         over the factors with ``qexp >= 1``, the chain works on ``g_n * D * L^(n - lo)``.  Step j
         of a factor is then the integer ``sign * C(e, j) * u^j`` with ``u = -c * L^qexp``, and
-        the steps stop at ``j * qexp > self.order - lo``, which no coefficient reads.  The end
-        divides by ``D * L^(n - lo)`` and the denominator of S, and multiplies by its numerator.
-        Only a q^0 factor with parameters and a rational ``c`` brings Fraction steps."""
-        index = {p: i for i, p in enumerate(self.params)}
+        the steps stop at ``j * qexp > self.order - lo``, which no coefficient reads.  A q^0
+        factor with parameters (and a power e > 0) and ``c = a/b`` is ``(b - a*m)^e / b^e``: its
+        ``1/b^e`` joins S, and its steps ``C(e, j) b^(e-j) (-a)^j`` start at j = 0 when b > 1.
+        The end divides by ``D * L^(n - lo)`` and the denominator of S, times its numerator."""
         scalar, chain = Fraction(1), []
         for c, qexp, pexps, power in factors:
             vec = [0] * len(self.params)
             for name, x in dict(pexps).items():
-                vec[index[name] if name in index else _index(self.params, name)] = int(x)
+                vec[_index(self.params, name)] = int(x)
             if c and (qexp < 0 or (power < 0 and qexp == 0 and (any(vec) or c == 1))):
                 raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {tuple(vec)}")
             if not (c and power):
                 continue
+            c = Fraction(c)
             if qexp == 0 and not any(vec):
-                scalar *= (1 - Fraction(c)) ** power
-            else:
-                chain.append((_canon(c), qexp, tuple(vec), power))
-        terms = {n: p.terms for n, p in self.coeffs.items()} if scalar else {}
-        if terms and (chain or scalar != 1):
-            lo, D = min(terms), _denominator(terms)
-            L = math.lcm(*(c.denominator for c, qexp, _, _ in chain if qexp))
-            terms = _scale(terms, D, L, lo)
-            for c, qexp, vec, power in chain:
-                e, sign = abs(power), (1 if power > 0 else -1)
-                u = -(c.numerator * (L ** qexp // c.denominator) if qexp else c)
-                top = min(e, (self.order - lo) // qexp) if qexp else e
-                steps = [(j * qexp, tuple(j * x for x in vec), sign * math.comb(e, j) * u ** j)
-                         for j in range(1, top + 1)]
-                terms = _recur(terms, steps, terms if power > 0 else None, lo, self.order)
-            terms = _unscale(terms, D * scalar.denominator, L, lo, scalar.numerator)
-        return QSeries(self.params, self.order, {n: ParamPoly._from_sums(self.params, t) for n, t in terms.items()})
+                scalar *= (1 - c) ** power
+                continue
+            if qexp == 0:  # (1 - c m)^e = (b - a m)^e / b^e for c = a/b
+                scalar /= c.denominator ** power
+            chain.append((c, qexp, tuple(vec), power))
+        if not (scalar and self.coeffs):
+            return QSeries(self.params, self.order)
+        lo = min(self.coeffs)
+        L = math.lcm(*(c.denominator for c, qexp, _, _ in chain if qexp))
+        D, terms = _scale(self, L, lo)
+        for c, qexp, vec, power in chain:
+            e, sign = abs(power), (1 if power > 0 else -1)
+            u, b = (-c.numerator * (L ** qexp // c.denominator), 1) if qexp else (-c.numerator, c.denominator)
+            top = min(e, (self.order - lo) // qexp) if qexp else e
+            steps = [(j * qexp, tuple(j * x for x in vec), sign * math.comb(e, j) * u ** j * b ** (e - j))
+                     for j in range(1 if b == 1 else 0, top + 1)]
+            terms = _recur({} if b > 1 else terms, steps, terms if power > 0 else None, lo, self.order)
+        return _series(self.params, self.order, terms, D * scalar.denominator, L, lo, scalar.numerator)
 
     # -- reshaping ------------------------------------------------------
 

@@ -369,6 +369,17 @@ def test_build_rejects_what_it_does_not_read(spec, assignments):
         B.build(spec, 4, assignments)
 
 
+@pytest.mark.parametrize("spec, assignments", [
+    ("Phi1:m=2:m=3", None),
+    ("rank:d=1/2:d=1/2", None),
+    ("rank:d=1/2", {"d": "2"}),
+    ("n2v:v=1", {"v": "1"}),
+])
+def test_build_rejects_a_key_given_twice(spec, assignments):
+    with pytest.raises(AlgebraError, match="given twice"):
+        B.build(spec, 4, assignments)
+
+
 @pytest.mark.parametrize("spec", ["spt:d=1/0", "rank:e=-2/0", "J:1/0*x"])
 def test_build_zero_denominator_rejected(spec):
     with pytest.raises(AlgebraError, match="zero denominator"):

@@ -83,6 +83,14 @@ def test_coeffs_value_with_a_parameter_is_one_line_usage_error(capsys, argv, val
     assert f"value {value!r} for {key} carries a parameter" in err
 
 
+@pytest.mark.parametrize("argv", [("Phi1:m=2:m=3",), ("n2v:v=1", "--params", "d=1,d=2"),
+                                  ("rank:d=1/2", "--params", "d=2")])
+def test_coeffs_key_given_twice_is_one_line_usage_error(capsys, argv):
+    code, out, err = run(capsys, "coeffs", *argv, "--order", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "given twice" in err
+
+
 @pytest.mark.parametrize("spec,message", [
     ("rank:d=q^-1:e=q^-1:base=2", "need base > 2, the sum of their |j|"),
     ("rank:x=q^2:base=2", "x takes rational points"),
@@ -335,6 +343,15 @@ def test_report_malformed_file_is_one_line_usage_error(tmp_path, capsys, text):
     report = tmp_path / "r.json"
     report.write_text(text)
     code, out, err = run(capsys, "report", str(report))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("coeffs", "E2", "--order", "3"), ("verify", "--filter", "C12", "--format", "json")])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, argv, target):
+    path = tmp_path / "missing" / "x.out" if target == "missing-directory" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import _props
-from qpairs import AlgebraError, QSeries, series
+from qpairs import AlgebraError, ParamPoly, QSeries, series
 from qpairs import builders as B
 from qpairs import harness as H
 
@@ -43,6 +43,7 @@ def operand(rng: random.Random) -> QSeries:
     return s
 
 
+@pytest.mark.usefixtures("int_kernel")
 def test_kernel_matches_product_with_expansion():
     rng = random.Random(20261019)
     seen = {"symbolic": 0, "rational": 0, "laurent": 0, "zero": 0, "scalar": 0,
@@ -144,6 +145,7 @@ def bounded(rng: random.Random) -> QSeries:
     return QSeries(PARAMS, order, coeffs).with_bounds({"d": 2, "e": 2})
 
 
+@pytest.mark.usefixtures("int_kernel")
 def test_chain_matches_factors_one_call_at_a_time_and_the_expansions():
     rng = random.Random(20261020)
     seen = {f"c={c}": 0 for c in C_VALUES} | {f"power={p}": 0 for p in range(-2, 4)}
@@ -209,37 +211,27 @@ def test_steps_stop_at_the_window(monkeypatch):
     assert got == QSeries((), 3, {1: ab[0], 2: ab[1], 3: ab[2] + Fraction(1, 2)})
 
 
-def watch_recur(monkeypatch) -> dict:
-    """Wrap ``series._recur`` and count the values it reads (start and source maps, step
-    coefficients) or returns that are not ints, and the zero values in the maps it returns."""
-    seen = {"calls": 0, "non_int": 0, "zeros": 0}
-    real = series._recur
-
-    def recur(start, steps, src, lo, order):
-        out = real(start, steps, src, lo, order)
-        values = [b for _, _, b in steps]
-        for maps in (start, src or {}, out):
-            for t in maps.values():
-                values.extend(t.values())
-        seen["calls"] += 1
-        seen["non_int"] += sum(type(v) is not int for v in values)
-        seen["zeros"] += sum(v == 0 for t in out.values() for v in t.values())
-        return out
-
-    monkeypatch.setattr(series, "_recur", recur)
-    return seen
-
-
-@pytest.mark.parametrize("case", ["theta-quotient", "durfee"])
-def test_kernel_runs_in_ints_and_stores_no_zero(monkeypatch, case):
-    """A chain with q^0 constants at rational points, and a symbolic builder whose passes
-    cancel terms: every kernel value is an int and no returned map holds a zero."""
-    seen = watch_recur(monkeypatch)
+@pytest.mark.parametrize("case", ["theta-quotient", "durfee", "invert", "q0-rational"])
+def test_kernel_runs_in_ints_and_stores_no_zero(int_kernel, case):
+    """A chain with q^0 constants at rational points, a symbolic builder whose passes cancel
+    terms, inverses whose leads are not units of the integers, and a q^0 factor with a
+    parameter and a rational c: every kernel value is an int and no returned map holds a zero."""
     if case == "theta-quotient":  # J(1/3; q) / J(2/5; q) * (q; q)_inf: two (1 - z)^(+-1) at q^0
         got = B.times_poch(QSeries.one((), 12), *H._J(Fraction(1, 3), 0), *H._J(Fraction(2, 5), 0, p=-1),
                            H._qinf(1))
-        assert got.coefficient(0) == Fraction(10, 9)
-    else:
+        assert got.order == 12 and got.coefficient(0) == Fraction(10, 9)
+    elif case == "durfee":
         got = B.build("durfee:k=2", 8)
-    assert got.order == (12 if case == "theta-quotient" else 8) and not got.is_zero()
-    assert seen["calls"] and not seen["non_int"] and not seen["zeros"], seen
+        assert got.order == 8 and not got.is_zero()
+    elif case == "invert":
+        d = ParamPoly.var(PARAMS, "d")
+        for lead in (2, Fraction(-2, 3)):
+            s = QSeries(PARAMS, 6, {1: lead * d, 2: d + 1, 4: Fraction(3, 5)})
+            got = s.invert()
+            assert got.order == 4 and _props.canonical(got)
+            assert (got * s).equal_to_order(QSeries.one(PARAMS, 4), 4) == (True, None)
+    else:  # (1 - d/2)^2 = (2 - d)^2 / 4
+        s = QSeries(PARAMS, 5, {0: Fraction(1, 3), 2: ParamPoly.var(PARAMS, "e") + 1})
+        got = s.mul_one_minus([(Fraction(1, 2), 0, {"d": 1}, 2)])
+        assert got == s * expansion(Fraction(1, 2), 0, {"d": 1}, 2, 5) and _props.canonical(got)
+    assert int_kernel["calls"] and not int_kernel["non_int"] and not int_kernel["zeros"], int_kernel
