@@ -731,6 +731,8 @@ def _split_id(spec: str) -> Tuple[str, dict, list]:
     for seg in parts[1:]:
         if "=" in seg:
             k, v = seg.split("=", 1)
+            if not k.strip():
+                raise AlgebraError(f"empty key in {spec!r}")
             if k in kw:
                 raise AlgebraError(f"key {k!r} given twice in {spec!r}")
             kw[k] = v

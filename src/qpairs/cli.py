@@ -40,6 +40,8 @@ def _parse_params(text: Optional[str]) -> Dict[str, str]:
         if "=" not in piece:
             raise UsageError(f"bad parameter assignment {piece!r}; expected name=value")
         k, v = (x.strip() for x in piece.split("=", 1))
+        if not k:
+            raise UsageError(f"empty parameter name in --params {text!r}")
         if k in out:
             raise UsageError(f"parameter {k!r} given twice")
         out[k] = v
@@ -48,6 +50,16 @@ def _parse_params(text: Optional[str]) -> Dict[str, str]:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     _write((text, "" if out_path and text.endswith("\n") else "\n"), out_path)
+
+
+def _check_out(out_path: str) -> None:
+    """Reject an --out path that cannot take a file before any work is done;
+    the file itself is opened only once the output is ready."""
+    if os.path.isdir(out_path):
+        raise UsageError(f"--out {out_path!r} is a directory")
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {out_path!r}: no directory {parent!r}")
 
 
 def _write(chunks: Iterable[str], out_path: Optional[str]) -> None:
@@ -442,6 +454,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for flag in ("order", "n_max"):
             if (getattr(args, flag, None) or 0) < 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative")
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (UsageError, AlgebraError, TruncationError, ValueError, OSError) as exc:  # OSError: --out unwritable
         print(f"error: {exc}", file=sys.stderr)

@@ -270,13 +270,11 @@ def _check_c04(order: int):
     ctx = _Ctx()
     pts = []
     for k, plist in ((2, DURFEE_POINTS_2), (3, DURFEE_POINTS_3)):
-        polys = [O.durfee_rank_poly(k, n) for n in range(order + 1)]
-        for xs in plist:
+        for xs, wants in zip(plist, O.durfee_values(k, order, plist)):
             pts.append(f"k={k},x=({','.join(str(x) for x in xs)})")
             s = B.durfee_rhs(k, order, xs)
             for n in range(order + 1):
-                want = polys[n].eval({f"x{j + 1}": xv for j, xv in enumerate(xs)})
-                ctx.poly_equal(s.coefficient(n), want, n, f"k={k} xs={xs} q^{n}")
+                ctx.poly_equal(s.coefficient(n), wants[n], n, f"k={k} xs={xs} q^{n}")
     return "rational-points", pts, ctx
 
 
@@ -284,9 +282,10 @@ def _check_c05(order: int):
     ctx = _Ctx()
     table = O.rank_table(order)
     for v in (1, 2):
+        (counts,) = O.durfee_values(v + 1, order, [(1,) * (v + 1)])
         for n in range(order + 1):
             ctx.poly_equal(
-                O.durfee_stats_poly(v + 1, n),
+                counts[n],
                 O.symmetrized_poly(table[n], 2 * v),
                 n,
                 f"marked-symbol count vs moment, v={v}, n={n}",
@@ -297,14 +296,14 @@ def _check_c05(order: int):
 def _check_c06(order: int):
     ctx = _Ctx()
     pts = []
+    xs = (F(2), F(3), F(1, 2), F(-2))
     for k in (2, 3):
-        polys = [O.durfee_fullrank_poly(k, n) for n in range(order + 1)]
-        for x in (F(2), F(3), F(1, 2), F(-2)):
+        plist = [tuple(x ** (j + 1) for j in range(k)) for x in xs]
+        for x, xp, wants in zip(xs, plist, O.durfee_values(k, order, plist)):
             pts.append(f"k={k},x={x}")
-            s = B.durfee_rhs(k, order, tuple(x ** (j + 1) for j in range(k)))
+            s = B.durfee_rhs(k, order, xp)
             for n in range(order + 1):
-                want = polys[n].eval({"x": x})
-                ctx.poly_equal(s.coefficient(n), want, n, f"k={k} x={x} q^{n}")
+                ctx.poly_equal(s.coefficient(n), wants[n], n, f"k={k} x={x} q^{n}")
     return "rational-points", pts, ctx
 
 

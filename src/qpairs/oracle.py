@@ -4,10 +4,13 @@ Everything here is taken from the definitions of the objects (overpartition
 pairs, marked Durfee symbols) and of their statistics, with no q-series
 machinery, so the results are an independent check on the analytic
 builders.  The tables are counted: `rank_table` and `spt_table` count pairs
-part value by part value, and `durfee_tally` enumerates the top rows of the
-symbols and counts their bottom rows.  The listings, `overpartition_pairs`
-and `enumerate_durfee`, stay for the CLI and as the tests' reference; they
-are exponential in n and are intended for small n only.
+part value by part value, and `_durfee_parts` walks the top rows of the
+symbols once for every weight up to n_max and counts their bottom rows;
+`durfee_tally` reads one weight from that walk, and `durfee_values`
+evaluates every weight at rational points in integers.  The listings,
+`overpartition_pairs` and `enumerate_durfee`, stay for the CLI and as the
+tests' reference; they are exponential in n and are intended for small n
+only.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from operator import getitem
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .poly import ParamPoly, Scalar
+from .poly import AlgebraError, ParamPoly, Scalar
 
 # an overpartition: parts in weakly decreasing order plus the set of
 # part values whose first occurrence is overlined
@@ -544,7 +549,7 @@ def _box_counts(parts: int, width: int) -> Tuple[int, ...]:
     return tuple(counts)
 
 
-def _bottom_counts(bounds: List[Tuple[int, int]], most: int, base: int) -> List[Tuple[int, int]]:
+def _bottom_counts(bounds: Sequence[Tuple[int, int]], most: int, base: int) -> List[Tuple[int, int]]:
     """The bottom rows with total at most ``most`` whose parts of subscript i
     lie in bounds[i-1], counted by total t and subscript counts b_i, as
     ``(t * base**k - sum_i b_i * base**(i-1), rows)``.
@@ -569,55 +574,112 @@ def _bottom_counts(bounds: List[Tuple[int, int]], most: int, base: int) -> List[
     return [(t * weight_unit - packed, x) for (t, packed), x in rows.items()]
 
 
-@lru_cache(maxsize=None)
-def durfee_tally(k: int, n: int) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
-    """Counts of the weight-n k-marked symbols by (r, s, rank vector).
+def _durfee_parts(k: int, n_max: int) -> List[Tuple[int, list, Dict[int, list]]]:
+    """``(S, pairs, decorations)`` for each side S of the k-marked symbols
+    of weight at most n_max: ``pairs`` lists the row pairs as
+    ``(w, rho, count)`` by their weight w and rank vector rho, and
+    ``decorations[sigma]`` the decorations of size sigma as
+    ``((r, s), count)``.  The symbols of weight n are the row pairs of one S
+    with the decorations of size n - S - w, so one walk serves every n.
 
     Top rows are enumerated as for the listing (`_top_rows`); the bottom
     rows each admits are counted by total and subscript counts, so the rank
     vector follows without listing them (`_bottom_counts`).  Within one S,
-    the row pairs are counted by their weight and rank vector, packed into
-    one int: the weight times base**k plus rho_i + off in the digit of
-    base**(i-1).  The decorations that complete each weight to n then
-    multiply these counts.
+    the row pairs are counted by one packed int: the weight times base**k
+    plus rho_i + off in the digit of base**(i-1).
     """
     if k < 2:
         raise ValueError("marked symbols need k >= 2")
-    tally: Counter = Counter()
-    off = n + 1  # rho_i = tau_i - b_i - [i < k] lies in [-off, n]
-    base = 2 * n + 2
+    off = n_max + 1  # rho_i = tau_i - b_i - [i < k] lies in [-off, n_max]
+    base = 2 * n_max + 2
     weight_unit = base ** k
-    for S in range(1, n + 1):
-        groups = _decorations(S, n - S, None, None)
-        if not groups:
-            continue
-        most = max(groups)
-        bottoms: Dict[tuple, List[Tuple[int, int]]] = {}
-        pairs: Dict[int, int] = {}
-        for top in _top_rows(k, S, most, None):
+    parts = []
+    for S in range(1, n_max + 1):
+        room = n_max - S
+        # the top rows by the bottom rows they admit, then by packed key
+        shapes: Dict[tuple, Counter] = {}
+        for top in _top_rows(k, S, room, None):
             taus, bounds = _top_shape(k, S, top)
             used = sum(v for v, _ in top)
-            key = (tuple(bounds), most - used)
-            counts = bottoms.get(key)
-            if counts is None:
-                counts = bottoms[key] = _bottom_counts(bounds, most - used, base)
             start = used * weight_unit + sum(
                 (tau - (i < k - 1) + off) * base ** i for i, tau in enumerate(taus))
-            for packed, x in counts:
-                packed += start
-                pairs[packed] = pairs.get(packed, 0) + x
-        for packed, x in pairs.items():
-            weight, digits = divmod(packed, weight_unit)
-            decorations = groups.get(weight)
-            if decorations:
-                rho = []
-                for _ in range(k):
-                    digits, d = divmod(digits, base)
-                    rho.append(d - off)
-                rho = tuple(rho)
-                for (r, s), group in decorations.items():
-                    tally[r, s, rho] += x * len(group)
+            shapes.setdefault((tuple(bounds), room - used), Counter())[start] += 1
+        packed_pairs: Dict[int, int] = {}
+        for (bounds, most), starts in shapes.items():
+            counts = _bottom_counts(bounds, most, base)
+            for start, m in starts.items():
+                for packed, x in counts:
+                    packed += start
+                    packed_pairs[packed] = packed_pairs.get(packed, 0) + m * x
+        pairs = []
+        for packed, x in packed_pairs.items():
+            w, digits = divmod(packed, weight_unit)
+            rho = []
+            for _ in range(k):
+                digits, d = divmod(digits, base)
+                rho.append(d - off)
+            pairs.append((w, tuple(rho), x))
+        decorations = {room - budget: [(stats, len(group)) for stats, group in groups.items()]
+                       for budget, groups in _decorations(S, room, None, None).items()}
+        parts.append((S, pairs, decorations))
+    return parts
+
+
+def durfee_tally(k: int, n: int) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
+    """Counts of the weight-n k-marked symbols by (r, s, rank vector): the
+    row pairs of `_durfee_parts` times the decorations that complete them
+    to weight n."""
+    tally: Counter = Counter()
+    for S, pairs, decorations in _durfee_parts(k, n):
+        for w, rho, x in pairs:
+            for (r, s), y in decorations.get(n - S - w, ()):
+                tally[r, s, rho] += x * y
     return tally
+
+
+def durfee_values(k: int, n_max: int, points: Iterable[Tuple[Scalar, ...]]) -> List[List[ParamPoly]]:
+    """For each point ``(x_1, ..., x_k)`` of nonzero rationals, the polys
+    ``sum d^r e^s x_1^{rho_1} ... x_k^{rho_k}`` over the symbols of weight
+    n, for n = 0..n_max: `durfee_rank_poly` at that point, from one walk.
+
+    In integers: with x_j = p_j/q_j and R = n_max + 1, every rho_j lies in
+    [-R, R), so x_j^{rho_j} (p_j q_j)^R is the integer
+    p_j^{rho_j + R} q_j^{R - rho_j}, read from one power table per slot.
+    The sums are integers, and each coefficient is divided once by
+    prod_j (p_j q_j)^R.
+    """
+    parts = _durfee_parts(k, n_max)
+    R = n_max + 1
+    out = []
+    for xs in points:
+        xs = [Fraction(x) for x in xs]
+        if len(xs) != k:
+            raise ValueError(f"a point needs {k} coordinates")
+        if not all(xs):
+            raise AlgebraError("Durfee points need nonzero coordinates")
+        tables, den = [], 1
+        for x in xs:
+            p, q = x.numerator, x.denominator
+            tables.append({rho: p ** (rho + R) * q ** (R - rho) for rho in range(-R, R)})
+            den *= (p * q) ** R
+        sums: List[Dict[Tuple[int, int], int]] = [{} for _ in range(n_max + 1)]
+        monos: Dict[Tuple[int, ...], int] = {}  # x^rho (p q)^R, once per rank vector
+        for S, pairs, decorations in parts:
+            by_weight: Dict[int, int] = {}
+            for w, rho, x in pairs:
+                m = monos.get(rho)
+                if m is None:
+                    m = monos[rho] = math.prod(map(getitem, tables, rho))
+                by_weight[w] = by_weight.get(w, 0) + x * m
+            for w, v in by_weight.items():
+                for sigma, group in decorations.items():
+                    if S + w + sigma <= n_max:
+                        tally = sums[S + w + sigma]
+                        for stats, y in group:
+                            tally[stats] = tally.get(stats, 0) + v * y
+        out.append([ParamPoly._from_sums(("d", "e"), {stats: Fraction(v, den) for stats, v in tally.items()})
+                    for tally in sums])
+    return out
 
 
 def durfee_rank_poly(k: int, n: int) -> ParamPoly:

@@ -91,6 +91,17 @@ def test_coeffs_key_given_twice_is_one_line_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "given twice" in err
 
 
+@pytest.mark.parametrize("argv,named", [(("E2", "--params", "=1"), "--params '=1'"),
+                                        (("n2v:v=1", "--params", "d=1, =2"), "--params 'd=1, =2'"),
+                                        (("rank:=1",), "'rank:=1'"), (("Phi1: =2",), "'Phi1: =2'")])
+def test_coeffs_empty_key_is_one_line_usage_error(tmp_path, capsys, argv, named):
+    target = tmp_path / "x.csv"
+    code, out, err = run(capsys, "coeffs", *argv, "--order", "3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "empty" in err and named in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("spec,message", [
     ("rank:d=q^-1:e=q^-1:base=2", "need base > 2, the sum of their |j|"),
     ("rank:x=q^2:base=2", "x takes rational points"),
@@ -354,6 +365,18 @@ def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, argv, target):
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_reported_before_the_work(tmp_path, capsys, monkeypatch, target):
+    def never(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli.harness, "run_suite", never)
+    path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    code, out, err = run(capsys, "verify", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --out ") and err.count("\n") == 1
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qpairs import QSeries, harness
+from qpairs import QSeries, harness, oracle
 from qpairs.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -87,6 +87,22 @@ def test_comparison_with_a_short_side_is_an_error(monkeypatch):
     res = harness.run_check("C12", 8)
     assert res.status == "error"
     assert res.first_mismatch == {"label": "comparison to order 8 exceeds mutual window 7"}
+
+
+def test_a_shifted_durfee_count_fails_c04_c05_c06(monkeypatch):
+    counted = oracle._durfee_parts
+
+    def shifted(k, n_max):
+        # one row pair of side 1 counted once too often
+        parts = counted(k, n_max)
+        S, ((w, rho, x), *pairs), decorations = parts[0]
+        parts[0] = (S, [(w, rho, x + 1), *pairs], decorations)
+        return parts
+
+    monkeypatch.setattr(oracle, "_durfee_parts", shifted)
+    for check_id in ("C04", "C05", "C06"):
+        res = harness.run_check(check_id, order=6)
+        assert res.status == "fail" and res.first_mismatch, check_id
 
 
 def test_only_c09_and_c34_invert_a_series(monkeypatch):

@@ -257,3 +257,29 @@ def test_counted_pair_tables_equal_the_listing():
 def test_counted_durfee_tally_equals_the_listing(k, n_max):
     for n in range(n_max + 1):
         assert oracle.durfee_tally(k, n) == _listing.durfee_tally(k, n), n
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_durfee_values_equal_the_symbolic_polys(k):
+    F = Fraction
+    n_max = 9
+    ranked = [(F(-2), F(1, 3), F(-3, 5), F(1))[:k], (F(1), F(-1, 2), F(3), F(2, 7))[:k]]
+    xs = (F(-2), F(1, 3), F(-3, 2))
+    powered = [tuple(x ** (j + 1) for j in range(k)) for x in xs]
+    values = oracle.durfee_values(k, n_max, ranked + powered + [(1,) * k])
+    assert len(values) == len(ranked) + len(xs) + 1
+    for n in range(n_max + 1):
+        for point, got in zip(ranked, values):
+            want = oracle.durfee_rank_poly(k, n).eval({f"x{j + 1}": x for j, x in enumerate(point)})
+            assert got[n] == want, (point, n)
+        for x, got in zip(xs, values[len(ranked):]):
+            assert got[n] == oracle.durfee_fullrank_poly(k, n).eval({"x": x}), (x, n)
+        assert values[-1][n] == oracle.durfee_stats_poly(k, n), n
+    assert all(len(got) == n_max + 1 for got in values)
+
+
+def test_durfee_values_reject_a_zero_or_a_short_point():
+    with pytest.raises(ValueError, match="nonzero"):
+        oracle.durfee_values(2, 3, [(1, 0)])
+    with pytest.raises(ValueError, match="2 coordinates"):
+        oracle.durfee_values(2, 3, [(1, 2, 3)])
