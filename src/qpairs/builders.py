@@ -597,13 +597,16 @@ def rk_partial_fractions(
     order: int,
     d: ParamValue = None,
     e: ParamValue = None,
+    pieces: Optional[dict] = None,
 ) -> QSeries:
     """Partial-fraction form of the full-rank function at rational points:
     ``sum_i N(d, e, x_i; q) / prod_{j != i} (x_i - x_j)(1 - 1/(x_i x_j))``.
 
     Requires the points pairwise distinct, not mutually inverse, nonzero,
     and none equal to +-1 (degenerate configurations need analytic
-    continuation, which is out of scope).
+    continuation, which is out of scope).  ``pieces``, a dict the caller
+    keeps for one (order, d, e), maps each point to its ``N(d, e, x; q)``:
+    a point found there is not built again, and a point built is added.
     """
     if k < 2:
         raise AlgebraError("partial-fraction form needs k >= 2")
@@ -618,13 +621,17 @@ def rk_partial_fractions(
                 raise AlgebraError(
                     f"degenerate point pair x_{i + 1} = {xi}, x_{j + 1} = {xj}"
                 )
+    if pieces is None:
+        pieces = {}
     acc = None
     for i, xi in enumerate(pts):
         weight = Fraction(1)
         for j, xj in enumerate(pts):
             if j != i:
                 weight *= (xi - xj) * (1 - Fraction(1) / (xi * xj))
-        piece = rank_gf(order, d, e, xi) * (Fraction(1) / weight)
+        if xi not in pieces:
+            pieces[xi] = rank_gf(order, d, e, xi)
+        piece = pieces[xi] * (Fraction(1) / weight)
         acc = piece if acc is None else acc + piece
     return acc
 
@@ -731,7 +738,8 @@ def _split_id(spec: str) -> Tuple[str, dict, list]:
     for seg in parts[1:]:
         if "=" in seg:
             k, v = seg.split("=", 1)
-            if not k.strip():
+            k = k.strip()
+            if not k:
                 raise AlgebraError(f"empty key in {spec!r}")
             if k in kw:
                 raise AlgebraError(f"key {k!r} given twice in {spec!r}")

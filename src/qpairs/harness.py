@@ -310,11 +310,12 @@ def _check_c06(order: int):
 def _check_c07(order: int):
     ctx = _Ctx()
     pts = []
+    pieces = {}  # each point's rank refinement, built once for all its tuples
     for k, plist in ((2, DURFEE_POINTS_2), (3, DURFEE_POINTS_3)):
         for xs in plist:
             pts.append(f"k={k},x=({','.join(str(x) for x in xs)})")
             lhs = B.durfee_rhs(k, order, xs)
-            rhs = B.rk_partial_fractions(k, xs, order)
+            rhs = B.rk_partial_fractions(k, xs, order, pieces=pieces)
             ctx.equal(lhs, rhs, order, f"k={k} xs={xs}")
     return "rational-points", pts, ctx
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -530,25 +531,39 @@ class QSeries:
     def __repr__(self) -> str:
         return f"QSeries[{', '.join(self.params) or 'q only'}]({self})"
 
-    def to_obj(self) -> dict:
-        obj = {
-            "params": list(self.params),
-            "valuation": self.valuation,
-            "order": self.order,
-            "coeffs": {str(n): c.to_obj() for n, c in self.sorted_items()},
-        }
-        if self.bounds:
-            obj["bounds"] = {
-                p: f"{s.numerator}/{s.denominator}" for p, s in sorted(self.bounds.items())
-            }
-        return obj
+    def to_json(self, indent: bool = False) -> str:
+        """The JSON text of the object that :meth:`from_obj` reads: "params", "valuation",
+        "order", "coeffs" (exponent text -> ``ParamPoly.to_obj``) and, if declared, "bounds"
+        (name -> "p/q").  It is byte for byte ``json.dumps(obj, sort_keys=True,
+        separators=(",", ":"))``, or with ``indent`` ``json.dumps(obj, indent=2, sort_keys=True)``,
+        written straight from the term maps, each distinct exponent vector's text once."""
+        def pad(depth: int) -> str:  # what comes before an item at this depth
+            return "\n" + "  " * depth if indent else ""
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+        def block(items: list, depth: int, ends: str = "[]") -> str:  # an array of item texts
+            if not items:
+                return ends
+            return ends[0] + pad(depth) + ("," + pad(depth)).join(items) + pad(depth - 1) + ends[1]
+
+        def members(pairs: list, depth: int) -> str:  # an object of (key, value text) pairs, keys sorted as text
+            return block([f"{encode_basestring_ascii(k)}{sep}{v}" for k, v in sorted(pairs)], depth, "{}")
+
+        sep = ": " if indent else ":"
+        vecs = {v: block([str(e) for e in v], 5) for v in set().union(*(p.terms for p in self.coeffs.values()))}
+        head, mid, tail = "[" + pad(4), "," + pad(4), pad(3) + "]"  # around a term's vector and value
+        coeffs = [(str(n), block([f'{head}{vecs[v]}{mid}"{c.numerator}/{c.denominator}"{tail}'
+                                  for v, c in sorted(p.terms.items())], 3)) for n, p in self.coeffs.items()]
+        fields = [("params", block([encode_basestring_ascii(p) for p in self.params], 2)),
+                  ("valuation", str(self.valuation)), ("order", str(self.order)), ("coeffs", members(coeffs, 2))]
+        if self.bounds:
+            bounds = [(p, f'"{s.numerator}/{s.denominator}"') for p, s in self.bounds.items()]
+            fields.append(("bounds", members(bounds, 2)))
+        return members(fields, 1)
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "QSeries":
-        """The series of a ``to_obj`` object; a malformed one raises AlgebraError."""
+        """The series of the object that :meth:`to_json` writes, read back from its JSON text;
+        a malformed one raises AlgebraError."""
         if not isinstance(obj, Mapping):
             raise AlgebraError(f"a series object is a mapping, not {type(obj).__name__}")
         missing = [key for key in ("params", "order", "coeffs") if key not in obj]

@@ -91,6 +91,20 @@ def test_coeffs_key_given_twice_is_one_line_usage_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "given twice" in err
 
 
+@pytest.mark.parametrize("spec", ["rank: d=1", "rank:d =1", "rank: d =1"])
+def test_coeffs_key_with_blanks_is_the_key(capsys, spec):
+    # the blanks around a key are dropped, as in --params
+    code, out, err = run(capsys, "coeffs", spec, "--order", "4", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "coeffs", "rank:d=1", "--order", "4", "--format", "json")[1]
+
+
+def test_coeffs_key_with_blanks_given_twice_is_one_line_usage_error(capsys):
+    code, out, err = run(capsys, "coeffs", "rank:d=1:d =2", "--order", "3")
+    assert code == 2 and out == ""
+    assert err == "error: cannot build 'rank:d=1:d =2': key 'd' given twice in 'rank:d=1:d =2'\n"
+
+
 @pytest.mark.parametrize("argv,named", [(("E2", "--params", "=1"), "--params '=1'"),
                                         (("n2v:v=1", "--params", "d=1, =2"), "--params 'd=1, =2'"),
                                         (("rank:=1",), "'rank:=1'"), (("Phi1: =2",), "'Phi1: =2'")])
@@ -128,6 +142,22 @@ def test_coeffs_json_round_trips(capsys):
     s = QSeries.from_obj(json.loads(out))
     ok, _ = s.equal_to_order(builders.q_inf(5), 5)
     assert ok
+
+
+@pytest.mark.parametrize("spec,order", [("rank:base=2", 8), ("Cstar:x=2", 6)])
+def test_coeffs_json_reads_back_as_the_build(tmp_path, capsys, spec, order):
+    # rank:base=2 carries degree bounds, Cstar:x=2 rational coefficients
+    from qpairs import QSeries, builders
+    argv = ("coeffs", spec, "--order", str(order), "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = builders.build(spec, order)
+    s = QSeries.from_obj(json.loads(out))
+    assert s == want and s.bounds == want.bounds
+    assert out == want.to_json(indent=True) + "\n"
+    target = tmp_path / "series.json"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
 
 
 # -- enumerate ------------------------------------------------------------

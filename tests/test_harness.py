@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qpairs import QSeries, harness, oracle
+from qpairs import QSeries, builders, harness, oracle
 from qpairs.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -125,6 +125,19 @@ def test_only_c09_and_c34_invert_a_series(monkeypatch):
     results = harness.run_suite("*", 4)
     assert [r.id for r in results if r.status != "pass"] == []
     assert callers == {"C09", "C34"}
+
+
+def test_c07_builds_each_point_once(monkeypatch):
+    # 20 (tuple, point) pieces over 8 distinct points
+    points, rank_gf = [], builders.rank_gf
+
+    def counted(order, d=None, e=None, x=None, base=1):
+        points.append(x)
+        return rank_gf(order, d, e, x, base)
+
+    monkeypatch.setattr(builders, "rank_gf", counted)
+    assert harness.run_check("C07", order=4).status == "pass"
+    assert sorted(points) == sorted(set(points)) and len(points) == 8
 
 
 def test_report_determinism():

@@ -1,9 +1,13 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import _props
 from qpairs import AlgebraError, ParamPoly, QSeries, TruncationError
 from qpairs import builders
+from test_order_contract import IDS
 
 
 def poly(params, exps, c=1):
@@ -254,12 +258,57 @@ def test_json_round_trip_bit_exact():
 
 
 def test_json_shape():
-    import json
     s = QSeries.from_terms((), [(1, Fraction(-1, 2))], 2)
     obj = json.loads(s.to_json())
     assert obj["valuation"] == 1
     assert obj["order"] == 2
     assert obj["coeffs"]["1"] == [[[], "-1/2"]]
+
+
+def reference_json(s):
+    """The compact and the indented text of the series object, through json.dumps."""
+    obj = {"params": list(s.params), "valuation": s.valuation, "order": s.order,
+           "coeffs": {str(n): c.to_obj() for n, c in s.coeffs.items()}}
+    if s.bounds:
+        obj["bounds"] = {p: f"{b.numerator}/{b.denominator}" for p, b in s.bounds.items()}
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")),
+            json.dumps(obj, indent=2, sort_keys=True))
+
+
+def bounded_series(rng, params):
+    """A series with nonnegative exponents, its q^0 coefficient a constant, and a true
+    degree bound declared for some of its parameters."""
+    order = rng.randint(0, 7)
+    terms = [(0, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))]
+    terms += [(n, _props.random_poly(rng, params, exp_range=(0, 2))) for n in range(1, order + 1)]
+    s = QSeries.from_terms(params, terms, order)
+    slopes = {p: max([Fraction(c.degree(p), n) for n, c in s.coeffs.items() if n], default=Fraction(0))
+              + Fraction(rng.randint(0, 2), rng.randint(1, 3)) for p in params if rng.random() < 0.7}
+    return s.with_bounds(slopes)
+
+
+def test_writer_matches_json_dumps_on_random_series():
+    rng = random.Random(1808)
+    seen = dict.fromkeys(("zero", "negative valuation", "fraction", "bounds", "unicode name"), 0)
+    for params in ((), ("d",), ("d", "e"), ("d", "e", "x"), ("é", 'a"b', "x")):
+        for _ in range(150):
+            for s in (_props.random_series(rng, params), bounded_series(rng, params)):
+                seen["zero"] += s.is_zero()
+                seen["negative valuation"] += s.valuation < 0
+                seen["fraction"] += any(type(c) is Fraction for p in s.coeffs.values() for c in p.terms.values())
+                seen["bounds"] += bool(s.bounds)
+                seen["unicode name"] += "é" in s.params
+                assert (s.to_json(), s.to_json(indent=True)) == reference_json(s), s
+    assert min(seen.values()) >= 20, seen
+
+
+def test_writer_matches_json_dumps_on_builds():
+    mixed = 0  # builds whose exponent keys sort differently as text ("10" < "2") and as numbers
+    for spec in IDS:
+        s = builders.build(spec, 12)
+        mixed += min(s.coeffs) < 10 <= max(s.coeffs)
+        assert (s.to_json(), s.to_json(indent=True)) == reference_json(s), spec
+    assert mixed >= 25
 
 
 def test_json_bounds_are_checked_on_load():
