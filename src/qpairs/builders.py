@@ -257,17 +257,14 @@ def eisenstein_E2(order: int, params: Sequence[str] = ()) -> QSeries:
     return QSeries.one(params, order) - 24 * phi1(1, order, params)
 
 
-def jacobi_J(
-    a: Monomial, order: int, base: int = 1, params: Optional[Sequence[str]] = None
-) -> QSeries:
+def jacobi_J(a: Monomial, order: int, base: int = 1) -> QSeries:
     """The theta-like product ``J(a; Q) = (a; Q)_inf (Q/a; Q)_inf``, Q = q^base.
 
     Constant-in-q factors (e.g. the leading ``1 + x`` of ``J(-x; q)``) are
     retained as polynomial multipliers; a factor with negative q-valuation
     is an error.
     """
-    params = tuple(params) if params is not None else a.param_names()
-    return times_poch(QSeries.one(params, order), (a, 1, base), (a.inverse().times_q(base), 1, base))
+    return times_poch(QSeries.one(a.param_names(), order), (a, 1, base), (a.inverse().times_q(base), 1, base))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,7 @@ def jacobi_J(
 
 @dataclass(frozen=True)
 class LambertSpec:
-    """One term family ``c * sign^n * zeta^n * P(n) * q^{E(n)} / (1 - u q^{an+b})^e``.
+    """One term family ``c * zeta^n * P(n) * q^{E(n)} / (1 - u q^{an+b})^e``.
 
     ``E(n) = A n^2 + B n + C`` must be integer-valued on the domain and the
     per-term valuation (after the denominator rewrite for ``an+b < 0``)
@@ -288,7 +285,6 @@ class LambertSpec:
     """
 
     c: Fraction = Fraction(1)
-    sign: int = 1
     zeta: Fraction = Fraction(1)
     A: Fraction = Fraction(0)
     B: Fraction = Fraction(0)
@@ -304,8 +300,6 @@ class LambertSpec:
         for f in ("c", "zeta", "A", "B", "C"):
             object.__setattr__(self, f, _as_fraction(getattr(self, f)))
         object.__setattr__(self, "npoly", tuple(_as_fraction(v) for v in self.npoly))
-        if self.sign not in (1, -1):
-            raise AlgebraError("sign base must be +1 or -1")
         if self.domain not in ("Z", "Znz", "n>=1", "odd", "odd>=1"):
             raise AlgebraError(f"unknown summation domain {self.domain!r}")
 
@@ -338,8 +332,6 @@ def _lambert_term(
     E = spec.exponent(n)
     pval = sum(cf * Fraction(n) ** i for i, cf in enumerate(spec.npoly))
     scalar = spec.c * pval * spec.zeta ** n
-    if spec.sign == -1 and n % 2:
-        scalar = -scalar
     M = spec.a * n + spec.b
     val, lead, den = E, scalar, spec.den.times_q(M)
     if spec.den.c and M == 0:
@@ -732,7 +724,7 @@ degree bounds keep exponents provable.
 
 def _split_id(spec: str) -> Tuple[str, dict, list]:
     parts = spec.split(":")
-    name = parts[0]
+    name = parts[0].strip()
     kw: dict[str, str] = {}
     pos: list[str] = []
     for seg in parts[1:]:

@@ -112,7 +112,7 @@ def cmd_coeffs(args) -> int:
     except (AlgebraError, TruncationError, KeyError, ValueError) as exc:
         raise UsageError(f"cannot build {args.builder!r}: {exc}")
     if args.format == "json":
-        _emit(series.to_json(indent=True), args.out)
+        _emit(series.to_json(), args.out)
         return 0
     # a series that is zero in its window still gets its order row
     start = min(series.valuation, series.order)

@@ -282,21 +282,6 @@ class ParamPoly:
         return ParamPoly._from_sums(
             params, {vec: c * a if b == 1 else Fraction(c * a, b) for vec, c in sums.items()})
 
-    def with_params(self, params: Iterable[str]) -> "ParamPoly":
-        """Re-express over a new parameter tuple (a superset, possibly reordered)."""
-        params = tuple(params)
-        try:
-            idx = [params.index(p) for p in self.params]
-        except ValueError as exc:
-            raise AlgebraError(f"cannot lift {self.params} to {params}") from exc
-        terms: dict[ExpVec, Scalar] = {}
-        for vec, c in self.terms.items():
-            nvec = [0] * len(params)
-            for pos, e in zip(idx, vec):
-                nvec[pos] = e
-            terms[tuple(nvec)] = c
-        return ParamPoly(params, terms)
-
     # -- formatting and serialization -----------------------------------
 
     def sorted_terms(self) -> list[Tuple[ExpVec, Scalar]]:

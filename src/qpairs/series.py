@@ -531,14 +531,13 @@ class QSeries:
     def __repr__(self) -> str:
         return f"QSeries[{', '.join(self.params) or 'q only'}]({self})"
 
-    def to_json(self, indent: bool = False) -> str:
+    def to_json(self) -> str:
         """The JSON text of the object that :meth:`from_obj` reads: "params", "valuation",
         "order", "coeffs" (exponent text -> ``ParamPoly.to_obj``) and, if declared, "bounds"
-        (name -> "p/q").  It is byte for byte ``json.dumps(obj, sort_keys=True,
-        separators=(",", ":"))``, or with ``indent`` ``json.dumps(obj, indent=2, sort_keys=True)``,
+        (name -> "p/q").  It is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``,
         written straight from the term maps, each distinct exponent vector's text once."""
         def pad(depth: int) -> str:  # what comes before an item at this depth
-            return "\n" + "  " * depth if indent else ""
+            return "\n" + "  " * depth
 
         def block(items: list, depth: int, ends: str = "[]") -> str:  # an array of item texts
             if not items:
@@ -546,9 +545,8 @@ class QSeries:
             return ends[0] + pad(depth) + ("," + pad(depth)).join(items) + pad(depth - 1) + ends[1]
 
         def members(pairs: list, depth: int) -> str:  # an object of (key, value text) pairs, keys sorted as text
-            return block([f"{encode_basestring_ascii(k)}{sep}{v}" for k, v in sorted(pairs)], depth, "{}")
+            return block([f"{encode_basestring_ascii(k)}: {v}" for k, v in sorted(pairs)], depth, "{}")
 
-        sep = ": " if indent else ":"
         vecs = {v: block([str(e) for e in v], 5) for v in set().union(*(p.terms for p in self.coeffs.values()))}
         head, mid, tail = "[" + pad(4), "," + pad(4), pad(3) + "]"  # around a term's vector and value
         coeffs = [(str(n), block([f'{head}{vecs[v]}{mid}"{c.numerator}/{c.denominator}"{tail}'

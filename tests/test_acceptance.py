@@ -57,7 +57,7 @@ def test_a2_durfee_bridge():
                 for n in range(11):
                     got = series.coefficient(n)
                     want = refined[n].eval({f"x{j + 1}": pts[j] for j in range(k)})
-                    assert got.with_params(want.params).terms == want.terms, (k, pts, n)
+                    assert got == want, (k, pts, n)
         for v in (1, 2):
             for n in range(11):
                 d_poly = oracle.durfee_stats_poly(v + 1, n)

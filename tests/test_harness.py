@@ -51,7 +51,7 @@ def test_suite_filter_by_glob():
 def test_broken_check_is_an_error_not_an_abort(monkeypatch, capsys):
     spec = harness.REGISTRY["C12"]
 
-    def broken(order):
+    def broken(ctx, order):
         return 1 // 0
 
     monkeypatch.setitem(harness.REGISTRY, "C12", dataclasses.replace(spec, fn=broken))
@@ -77,11 +77,9 @@ def test_no_check_errors_at_low_orders(order):
 def test_comparison_with_a_short_side_is_an_error(monkeypatch):
     spec = harness.REGISTRY["C12"]
 
-    def short(order):
-        ctx = harness._Ctx()
+    def short(ctx, order):
         one = QSeries.one((), order)
         ctx.equal(one, one.truncate(order - 1), order, "short side")
-        return "symbolic", [], ctx
 
     monkeypatch.setitem(harness.REGISTRY, "C12", dataclasses.replace(spec, fn=short))
     res = harness.run_check("C12", 8)
@@ -103,6 +101,28 @@ def test_a_shifted_durfee_count_fails_c04_c05_c06(monkeypatch):
     for check_id in ("C04", "C05", "C06"):
         res = harness.run_check(check_id, order=6)
         assert res.status == "fail" and res.first_mismatch, check_id
+
+
+@pytest.mark.parametrize("table, readers", [
+    ("rank_table", ("C01", "C03", "C05", "C08", "C09", "C33")),
+    ("spt_table", ("C30", "C32")),
+])
+def test_a_shifted_table_count_fails_every_reader_at_its_weight(monkeypatch, table, readers):
+    counted = getattr(oracle, table)
+
+    def shifted(n_max):
+        # one count of weight 2 too many: the lowest key by its last entry, so
+        # for the rank table a negative rank, which every moment sees
+        out = {n: dict(tally) for n, tally in counted(n_max).items()}
+        key = min(out[2], key=lambda k: k[-1])
+        out[2][key] += 1
+        return out
+
+    monkeypatch.setattr(oracle, table, shifted)
+    for check_id in readers:
+        res = harness.run_check(check_id, order=6)
+        assert res.status == "fail", check_id
+        assert res.first_mismatch.get("exponent") == 2, (check_id, res.first_mismatch)
 
 
 def test_only_c09_and_c34_invert_a_series(monkeypatch):
