@@ -223,9 +223,9 @@ def poch_inf(params: Sequence[str], mono: Monomial, order: int, base: int = 1) -
     return _poch_inf_cached(tuple(params), mono, base, order)
 
 
-def q_inf(order: int, params: Sequence[str] = ()) -> QSeries:
+def q_inf(order: int) -> QSeries:
     """Euler's product ``(q; q)_infinity``."""
-    return poch_inf(params, Monomial.make(1, 1), order)
+    return poch_inf((), Monomial.make(1, 1), order)
 
 
 def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QSeries:
@@ -252,9 +252,9 @@ def phi1(m: int, order: int, params: Sequence[str] = ()) -> QSeries:
     return QSeries(params, order, coeffs)
 
 
-def eisenstein_E2(order: int, params: Sequence[str] = ()) -> QSeries:
+def eisenstein_E2(order: int) -> QSeries:
     """The weight-2 quasimodular Eisenstein series ``1 - 24 sum sigma_1(n) q^n``."""
-    return QSeries.one(params, order) - 24 * phi1(1, order, params)
+    return QSeries.one((), order) - 24 * phi1(1, order)
 
 
 def jacobi_J(a: Monomial, order: int, base: int = 1) -> QSeries:
@@ -271,121 +271,74 @@ def jacobi_J(a: Monomial, order: int, base: int = 1) -> QSeries:
 # Lambert-type sums
 
 
-@dataclass(frozen=True)
-class LambertSpec:
-    """One term family ``c * zeta^n * P(n) * q^{E(n)} / (1 - u q^{an+b})^e``.
-
-    ``E(n) = A n^2 + B n + C`` must be integer-valued on the domain and the
-    per-term valuation (after the denominator rewrite for ``an+b < 0``)
-    must eventually grow, so only finitely many n contribute below any
-    truncation order.  ``P(n)`` is the polynomial with coefficients
-    ``npoly`` (constant term first).  ``u`` is a monomial; ``u = 0`` means
-    a bare numerator term.  Domains: ``Z``, ``Znz`` (nonzero integers),
-    ``n>=1``, ``odd`` (all odd integers), ``odd>=1``.
-    """
-
-    c: Fraction = Fraction(1)
-    zeta: Fraction = Fraction(1)
-    A: Fraction = Fraction(0)
-    B: Fraction = Fraction(0)
-    C: Fraction = Fraction(0)
-    npoly: Tuple[Fraction, ...] = (Fraction(1),)
-    den: Monomial = Monomial(Fraction(0))
-    a: int = 0
-    b: int = 0
-    e: int = 1
-    domain: str = "Z"
-
-    def __post_init__(self):
-        for f in ("c", "zeta", "A", "B", "C"):
-            object.__setattr__(self, f, _as_fraction(getattr(self, f)))
-        object.__setattr__(self, "npoly", tuple(_as_fraction(v) for v in self.npoly))
-        if self.domain not in ("Z", "Znz", "n>=1", "odd", "odd>=1"):
-            raise AlgebraError(f"unknown summation domain {self.domain!r}")
-
-    def exponent(self, n: int) -> int:
-        val = self.A * n * n + self.B * n + self.C
-        if val.denominator != 1:
-            raise AlgebraError(f"non-integral exponent {val} at n={n}")
-        return int(val)
-
-    def in_domain(self, n: int) -> bool:
-        return {
-            "Z": True,
-            "Znz": n != 0,
-            "n>=1": n >= 1,
-            "odd": n % 2 != 0,
-            "odd>=1": n >= 1 and n % 2 != 0,
-        }[self.domain]
-
-    def one_sided(self) -> bool:
-        return self.domain in ("n>=1", "odd>=1")
-
-
+# the summation domains; each one with negative n holds -1
+_DOMAINS = {
+    "Z": lambda n: True,
+    "Znz": lambda n: n != 0,
+    "n>=1": lambda n: n >= 1,
+    "odd": lambda n: n % 2 != 0,
+    "odd>=1": lambda n: n >= 1 and n % 2 != 0,
+}
 _LAMBERT_CAP = 4096
 
 
-def _lambert_term(
-    spec: LambertSpec, n: int, params: Tuple[str, ...], order: int
-) -> Tuple[int, Optional[QSeries]]:
-    """Return ``(valuation, series or None)`` for the n-th summand."""
-    E = spec.exponent(n)
-    pval = sum(cf * Fraction(n) ** i for i, cf in enumerate(spec.npoly))
-    scalar = spec.c * pval * spec.zeta ** n
-    M = spec.a * n + spec.b
-    val, lead, den = E, scalar, spec.den.times_q(M)
-    if spec.den.c and M == 0:
-        if spec.den.pexps:
-            raise AlgebraError(
-                "denominator constant in q at a symbolic parameter; "
-                "rational-point mode required"
-            )
-        if spec.den.c == 1:
-            raise AlgebraError(f"zero denominator 1 - q^0 at n={n}")
-    elif spec.den.c and M < 0:
-        # rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
-        val = E - spec.e * M
-        lead = (-spec.den).inverse().power(spec.e).as_poly(params) * scalar
-        den = spec.den.inverse().times_q(-M)
-    if val > order:
-        return val, None
-    return val, _times(QSeries(params, order, {val: lead}), (den, -spec.e))
+def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=0, b=0, e=1,
+                domain: str = "Z") -> QSeries:
+    """``sum c * zeta^n * P(n) * q^{E(n)} / (1 - den * q^{an+b})^e`` over the n of ``domain``,
+    exact to ``order``.
 
+    ``E(n) = A n^2 + B n + C`` must be integer-valued on the domain, and ``P(n)`` is the
+    polynomial with coefficients ``npoly`` (constant term first).  ``den`` is a rational u;
+    ``u = 0`` means a bare numerator term.  Domains: ``Z``, ``Znz`` (nonzero integers),
+    ``n>=1``, ``odd`` (all odd integers), ``odd>=1``.  A term with ``M = an + b < 0`` is
+    rewritten by ``1 - u q^M = (-u q^M)(1 - q^{-M}/u)``, so its valuation is
+    ``E(n) + e max(0, -M)``.  That is convex in n exactly when ``A >= 0``; with ``A < 0`` it
+    falls without bound, the sum diverges, and it is rejected.
 
-def lambert_sum(spec: LambertSpec, order: int, params: Sequence[str] = ()) -> QSeries:
-    """Sum the Lambert family exactly to the requested order.
-
-    Iterates outward from n = 0 and stops a direction once the per-term
-    valuation has exceeded the order while strictly increasing for three
-    consecutive n; a hard cap catches specs whose valuation never grows.
+    Iterates outward from n = 0 and stops a direction once the per-term valuation has
+    exceeded the order while strictly increasing for three consecutive n; a hard cap catches
+    sums whose valuation never grows.
     """
-    params = tuple(params) or spec.den.param_names()
-    if spec.zeta == 0:
+    in_domain = _DOMAINS.get(domain)
+    if in_domain is None:
+        raise AlgebraError(f"unknown summation domain {domain!r}")
+    c, zeta, A, B, C, u = map(_as_fraction, (c, zeta, A, B, C, den))
+    npoly = [_as_fraction(v) for v in npoly]
+    if zeta == 0:
         raise AlgebraError("zeta = 0 is not summable over negative n")
-    acc = QSeries.zero(params, order)
-    for direction in (1, -1):
-        if direction == -1 and spec.one_sided():
-            continue
+    if A < 0:
+        raise AlgebraError(f"Lambert sum with A = {A} < 0 diverges: its term valuations fall without bound")
+    acc = QSeries.zero((), order)
+    for n, step in ((0, 1), (-1, -1)) if in_domain(-1) else ((0, 1),):
         prev_val: Optional[int] = None
         beyond = 0
-        n = 0 if direction == 1 else -1
         while True:
             if abs(n) > _LAMBERT_CAP:
                 raise AlgebraError(
                     "Lambert sum failed to terminate: per-term valuation "
                     "is not growing (malformed spec)"
                 )
-            if spec.in_domain(n):
-                val, term = _lambert_term(spec, n, params, order)
-                if term is not None:
-                    acc = acc + term
+            if in_domain(n):
+                E = A * n * n + B * n + C
+                if E.denominator != 1:
+                    raise AlgebraError(f"non-integral exponent {E} at n={n}")
+                M = a * n + b
+                pval = sum(cf * Fraction(n) ** i for i, cf in enumerate(npoly))
+                val, lead, m = int(E), c * pval * zeta ** n, u
+                if u == 1 and M == 0:
+                    raise AlgebraError(f"zero denominator 1 - q^0 at n={n}")
+                if u and M < 0:
+                    # rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
+                    val, lead, m, M = val - e * M, lead * (-1 / u) ** e, 1 / u, -M
+                if val <= order:
+                    acc = acc + QSeries((), order, {val: lead}).mul_one_minus([(m, M, (), -e)])
                     beyond = 0
                 else:
                     beyond = beyond + 1 if (prev_val is None or val > prev_val) else 1
                     if beyond >= 3:
                         break
                 prev_val = val
-            n += direction
+            n += step
     return acc
 
 
@@ -587,8 +540,6 @@ def rk_partial_fractions(
     k: int,
     xpoints: Sequence,
     order: int,
-    d: ParamValue = None,
-    e: ParamValue = None,
     pieces: Optional[dict] = None,
 ) -> QSeries:
     """Partial-fraction form of the full-rank function at rational points:
@@ -597,7 +548,7 @@ def rk_partial_fractions(
     Requires the points pairwise distinct, not mutually inverse, nonzero,
     and none equal to +-1 (degenerate configurations need analytic
     continuation, which is out of scope).  ``pieces``, a dict the caller
-    keeps for one (order, d, e), maps each point to its ``N(d, e, x; q)``:
+    keeps for one order, maps each point to its ``N(d, e, x; q)``:
     a point found there is not built again, and a point built is added.
     """
     if k < 2:
@@ -622,7 +573,7 @@ def rk_partial_fractions(
             if j != i:
                 weight *= (xi - xj) * (1 - Fraction(1) / (xi * xj))
         if xi not in pieces:
-            pieces[xi] = rank_gf(order, d, e, xi)
+            pieces[xi] = rank_gf(order, x=xi)
         piece = pieces[xi] * (Fraction(1) / weight)
         acc = piece if acc is None else acc + piece
     return acc

@@ -29,7 +29,7 @@ from .poly import AlgebraError, ParamPoly
 from .series import QSeries
 from . import builders as B
 from . import oracle as O
-from .builders import LambertSpec, Monomial, lambert_sum, phi1
+from .builders import Monomial, lambert_sum, phi1
 
 F = Fraction
 
@@ -141,24 +141,15 @@ def _C(x: Optional[Fraction], base: int, p: int) -> Tuple[Factor, Factor, Factor
 
 
 def S1(x: Fraction, zeta: Fraction, order: int) -> QSeries:
-    return lambert_sum(
-        LambertSpec(zeta=-F(zeta), A=F(1), B=F(1), den=Monomial(F(x)), a=1),
-        order,
-    )
+    return lambert_sum(order, zeta=-zeta, A=1, B=1, den=x, a=1)
 
 
 def S2(x: Fraction, zeta: Fraction, order: int) -> QSeries:
-    return lambert_sum(
-        LambertSpec(zeta=-F(zeta), A=F(1), B=F(2), den=Monomial(F(x)), a=2),
-        order,
-    )
+    return lambert_sum(order, zeta=-zeta, A=1, B=2, den=x, a=2)
 
 
 def S3(x: Fraction, zeta: Fraction, order: int) -> QSeries:
-    return lambert_sum(
-        LambertSpec(zeta=-F(zeta), A=F(2), B=F(3), den=Monomial(F(x)), a=2),
-        order,
-    )
+    return lambert_sum(order, zeta=-zeta, A=2, B=3, den=x, a=2)
 
 
 def _xp(coeffs: Dict[int, Fraction]) -> ParamPoly:
@@ -194,14 +185,6 @@ def starred_derivatives(derivs: Sequence[QSeries], r: Fraction) -> Tuple[QSeries
     dx_star = D1 * u + N0 * (r * u * u)
     dx2_star = D2 * u + D1 * (2 * r * u * u) + N0 * (r * u * u + 2 * r * r * u ** 3)
     return nstar, dq_star, dx_star, dx2_star
-
-
-def _lam(order, *, c=1, zeta=1, A=0, B_=0, C=0, npoly=(1,), den=0, a=0, b=0, e=1, domain="Z"):
-    return lambert_sum(
-        LambertSpec(F(c), F(zeta), F(A), F(B_), F(C), tuple(F(v) for v in npoly),
-                    den if isinstance(den, Monomial) else Monomial(F(den)), a, b, e, domain),
-        order,
-    )
 
 
 # fixed sample points
@@ -330,9 +313,8 @@ def _check_c09(ctx: _Ctx, order: int):
 def _check_c10(ctx: _Ctx, order: int):
     for x in (F(2), F(3), F(-2), F(5)):
         ctx.points.append(f"x={x}")
-        lhs = _lam(order, c=-(1 - x), zeta=-1, A=1, den=x, a=1) + _lam(
-            order, c=(1 - x), zeta=-1, A=1, den=Monomial(-x), a=1
-        )
+        lhs = (lambert_sum(order, c=-(1 - x), zeta=-1, A=1, den=x, a=1)
+               + lambert_sum(order, c=1 - x, zeta=-1, A=1, den=-x, a=1))
         rhs = B.times_poch(QSeries.one((), order), _q2inf(2), (Monomial(x * x, 2), -1, 2),
                            (Monomial(1 / (x * x), 2), -1, 2))
         rhs = rhs * F(-2, 1) * (F(1) / (1 + 1 / x))
@@ -342,14 +324,14 @@ def _check_c10(ctx: _Ctx, order: int):
 def _check_c11(ctx: _Ctx, order: int):
     quot = (_aqinf(), _qinf(-1))
     lhs = B.n2v(1, order, 1, 0) * (-4) + B.times_poch(
-        _lam(order, zeta=-1, A=1, B_=1, den=Monomial(F(-1)), a=1, e=2), *quot
+        lambert_sum(order, zeta=-1, A=1, B=1, den=-1, a=1, e=2), *quot
     ) * 4
     rhs = B.times_poch(QSeries.one((), order) - phi1(2, order) * 16, *quot)
     ctx.equal(lhs, rhs, order, "second-moment Lambert identity")
 
 
 def _check_c12(ctx: _Ctx, order: int):
-    lhs = _lam(order, zeta=-1, A=1, B_=1, den=Monomial(F(-1)), a=1)
+    lhs = lambert_sum(order, zeta=-1, A=1, B=1, den=-1, a=1)
     rhs = B.times_poch(QSeries.one((), order), _qinf(), _aqinf(-1)) * F(1, 2)
     ctx.equal(lhs, rhs, order, "bilateral sum vs half quotient")
 
@@ -405,8 +387,8 @@ def _check_c16(ctx: _Ctx, order: int):
 def _check_c17(ctx: _Ctx, order: int):
     s = (
         phi1(1, order)
-        - _lam(order, npoly=(0, 1), B_=1, den=Monomial(F(-1)), a=1, domain="n>=1") * 2
-        + _lam(order, B_=1, den=Monomial(F(-1)), a=1, e=2, domain="n>=1")
+        - lambert_sum(order, npoly=(0, 1), B=1, den=-1, a=1, domain="n>=1") * 2
+        + lambert_sum(order, B=1, den=-1, a=1, e=2, domain="n>=1")
     )
     ctx.zero(s, order, "divisor bracket")
 
@@ -431,15 +413,14 @@ def _check_c18(ctx: _Ctx, order: int):
 def _check_c19(ctx: _Ctx, order: int):
     quot = (_aqinf(), _qinf(-1))
     part1_lhs = (
-        _lam(order, zeta=-1, A=1, B_=1, den=Monomial(F(1)), a=2, e=2, domain="n>=1")
-        + _lam(order, zeta=-1, A=1, B_=3, den=Monomial(F(1)), a=2, e=2, domain="n>=1")
-        + _lam(order, c=2, zeta=-1, A=1, B_=2, den=Monomial(F(1)), a=2, e=2, domain="n>=1")
+        lambert_sum(order, zeta=-1, A=1, B=1, den=1, a=2, e=2, domain="n>=1")
+        + lambert_sum(order, zeta=-1, A=1, B=3, den=1, a=2, e=2, domain="n>=1")
+        + lambert_sum(order, c=2, zeta=-1, A=1, B=2, den=1, a=2, e=2, domain="n>=1")
     )
-    part1_rhs = _lam(order, zeta=-1, A=1, B_=1, den=Monomial(F(1)), a=1, e=2, domain="n>=1")
+    part1_rhs = lambert_sum(order, zeta=-1, A=1, B=1, den=1, a=1, e=2, domain="n>=1")
     ctx.equal(part1_lhs, part1_rhs, order, "base-folding identity")
-    folded = _lam(order, zeta=-1, A=1, B_=1, den=Monomial(F(1)), a=2, e=2, domain="n>=1") + _lam(
-        order, zeta=-1, A=1, B_=3, den=Monomial(F(1)), a=2, e=2, domain="n>=1"
-    )
+    folded = (lambert_sum(order, zeta=-1, A=1, B=1, den=1, a=2, e=2, domain="n>=1")
+              + lambert_sum(order, zeta=-1, A=1, B=3, den=1, a=2, e=2, domain="n>=1"))
     n2q2 = B.build("n2v:v=1:d=1:e=q^-1:base=2", order)
     half = B.n2v(1, order, 1, 0) * F(1, 2)
     ctx.equal(B.times_poch(folded, *quot) - n2q2, -half, order, "moment-halving rewrite")
@@ -481,8 +462,8 @@ def _check_c21(ctx: _Ctx, order: int):
 def _check_c22(ctx: _Ctx, order: int):
     s = (
         -phi1(1, order)
-        - _lam(order, npoly=(0, 1), B_=1, den=Monomial(F(-1)), a=1, domain="n>=1")
-        + _lam(order, c=2, B_=1, den=Monomial(F(-1)), a=1, e=2, domain="n>=1")
+        - lambert_sum(order, npoly=(0, 1), B=1, den=-1, a=1, domain="n>=1")
+        + lambert_sum(order, c=2, B=1, den=-1, a=1, e=2, domain="n>=1")
         + phi1(2, order) * 6
     )
     ctx.zero(s, order, "divisor bracket")
@@ -491,9 +472,8 @@ def _check_c22(ctx: _Ctx, order: int):
 def _check_c23(ctx: _Ctx, order: int):
     for x in (F(2), F(3), F(-2), F(5)):
         ctx.points.append(f"x={x}")
-        lhs = _lam(order, c=-1, zeta=-1, A=2, B_=-1, den=x, a=2) + _lam(
-            order, zeta=-1, A=2, B_=1, den=Monomial(-x), a=2, b=1
-        )
+        lhs = (lambert_sum(order, c=-1, zeta=-1, A=2, B=-1, den=x, a=2)
+               + lambert_sum(order, zeta=-1, A=2, B=1, den=-x, a=2, b=1))
         den = (Monomial(1 / x, 0), Monomial(x, 2), Monomial(-x, 1), Monomial(-1 / x, 1))
         rhs = B.times_poch(QSeries.one((), order), _aqodd(2), _q2inf(2), *((a, -1, 2) for a in den))
         ctx.equal(lhs, rhs, order, f"x={x}")
@@ -501,8 +481,8 @@ def _check_c23(ctx: _Ctx, order: int):
 
 def _check_c24(ctx: _Ctx, order: int):
     pref = (_qodd(), _q2inf(-1))
-    T1 = B.times_poch(_lam(order, A=2, B_=1, den=Monomial(F(1)), a=2, e=2, domain="Znz"), *pref)
-    T2 = B.times_poch(_lam(order, A=2, B_=3, C=1, den=Monomial(F(1)), a=2, b=1, e=2), *pref)
+    T1 = B.times_poch(lambert_sum(order, A=2, B=1, den=1, a=2, e=2, domain="Znz"), *pref)
+    T2 = B.times_poch(lambert_sum(order, A=2, B=3, C=1, den=1, a=2, b=1, e=2), *pref)
     ctx.equal(T2 - T1, B.times_poch(phi1(1, order), *pref), order, "twice-differentiated display")
     moment = B.build("n2v:v=1:d=0:e=-1*q^-1:base=2", order)
     ctx.equal(moment, -T1, order, "first term as specialized moment series")
@@ -510,9 +490,9 @@ def _check_c24(ctx: _Ctx, order: int):
 
 def _check_c25(ctx: _Ctx, order: int):
     lhs = B.times_poch(
-        _lam(order, A=F(1, 2), B_=F(1, 2), den=Monomial(F(1)), a=1, e=2, domain="odd"), _qinf(), _q2inf(-2)
+        lambert_sum(order, A=F(1, 2), B=F(1, 2), den=1, a=1, e=2, domain="odd"), _qinf(), _q2inf(-2)
     )
-    rhs = B.times_poch(_lam(order, A=2, B_=3, C=1, den=Monomial(F(1)), a=2, b=1, e=2), _qodd(), _q2inf(-1))
+    rhs = B.times_poch(lambert_sum(order, A=2, B=3, C=1, den=1, a=2, b=1, e=2), _qodd(), _q2inf(-1))
     ctx.equal(lhs, rhs, order, "odd bilateral sum reindexed")
 
 
@@ -548,8 +528,8 @@ def _check_c27(ctx: _Ctx, order: int):
 def _check_c28(ctx: _Ctx, order: int):
     s = (
         phi1(2, order)
-        - _lam(order, npoly=(0, 1), B_=1, den=Monomial(F(-1)), a=1, domain="odd>=1")
-        + _lam(order, B_=1, den=Monomial(F(-1)), a=1, e=2, domain="odd>=1")
+        - lambert_sum(order, npoly=(0, 1), B=1, den=-1, a=1, domain="odd>=1")
+        + lambert_sum(order, B=1, den=-1, a=1, e=2, domain="odd>=1")
     )
     ctx.zero(s, order, "divisor bracket, odd support")
 
@@ -561,7 +541,7 @@ def _check_c29(ctx: _Ctx, order: int):
     q2 = B.times_poch(one, _q2inf())
     ctx.equal(q2.delta_q(), phi1(2, order) * q2 * (-2), order, "euler product, base q^2")
     aq = B.times_poch(one, _aqodd())
-    odd = _lam(order, npoly=(0, 1), B_=1, den=Monomial(F(-1)), a=1, domain="odd>=1")
+    odd = lambert_sum(order, npoly=(0, 1), B=1, den=-1, a=1, domain="odd>=1")
     ctx.equal(aq.delta_q(), aq * odd, order, "odd-part product")
 
 
@@ -769,7 +749,7 @@ def report_text(bodies: Sequence[dict]) -> str:
 def negative_control(order: int = 20) -> CheckResult:
     """Deliberately corrupted identity; must fail, guarding the comparator."""
     ctx = _Ctx()
-    lhs = _lam(order, zeta=-1, A=1, B_=1, den=Monomial(F(-1)), a=1)
+    lhs = lambert_sum(order, zeta=-1, A=1, B=1, den=-1, a=1)
     rhs = B.times_poch(QSeries.one((), order), _qinf(), _aqinf(-1)) * F(-1, 2)
     ctx.equal(lhs, rhs, order, "sign-flipped control")
     status = "pass" if ctx.ok() else "fail"

@@ -145,8 +145,7 @@ def test_jacobi_J_negative_valuation_rejected():
 
 
 def test_lambert_littlesum():
-    spec = B.LambertSpec(zeta=-1, A=1, B=1, den=Monomial(F(-1)), a=1, domain="Z")
-    s = B.lambert_sum(spec, 9)
+    s = B.lambert_sum(9, zeta=-1, A=1, B=1, den=-1, a=1, domain="Z")
     assert s.coefficient(0).constant_value() == F(1, 2)
     assert const(s, 1) == -1
     assert const(s, 4) == 1
@@ -156,17 +155,45 @@ def test_lambert_littlesum():
 
 
 def test_lambert_rational_x_point():
-    spec = B.LambertSpec(zeta=-1, A=1, B=1, den=Monomial(F(2)), a=1, domain="Z")
-    lo = B.lambert_sum(spec, 4)
-    hi = B.lambert_sum(spec, 12).truncate(4)
+    spec = dict(zeta=-1, A=1, B=1, den=2, a=1, domain="Z")
+    lo = B.lambert_sum(4, **spec)
+    hi = B.lambert_sum(12, **spec).truncate(4)
     ok, report = lo.equal_to_order(hi, 4)
     assert ok, report
 
 
 def test_lambert_zero_denominator_rejected():
-    spec = B.LambertSpec(A=1, den=Monomial(F(1)), a=1, b=0, domain="Z")
     with pytest.raises(AlgebraError):
-        B.lambert_sum(spec, 6)
+        B.lambert_sum(6, A=1, den=1, a=1, b=0, domain="Z")
+
+
+@pytest.mark.parametrize("order", [3, 30])
+def test_lambert_divergent_sum_rejected(order):
+    # terms at n = 10, 11, ... lie at q^0, q^-11, ...: no order truncates the sum
+    with pytest.raises(AlgebraError, match="diverges"):
+        B.lambert_sum(order, A=-1, B=10, domain="n>=1")
+
+
+# every domain, both signs of an+b, e = 1 and 2, and den = 0, +-1, 2/3, -2/7
+LAMBERT_FORMS = {
+    "Z-den-1": dict(zeta=-1, A=1, B=1, den=-1, a=1),
+    "Z-den2/3-M0": dict(zeta=-3, A=1, B=2, den=F(2, 3), a=2),
+    "Z-den-2/7-e2": dict(A=2, B=3, C=1, den=F(-2, 7), a=2, b=1, e=2),
+    "Z-bare": dict(c=2, zeta=-1, A=1),
+    "Znz-den1-e2": dict(A=1, den=1, a=1, e=2, domain="Znz"),
+    "Znz-den-2/7-a<0": dict(A=1, B=-1, npoly=(1, 0, 1), den=F(-2, 7), a=-1, b=2, domain="Znz"),
+    "n>=1-den-1": dict(B=1, npoly=(0, 1), den=-1, a=1, domain="n>=1"),
+    "odd-den1-e2": dict(A=F(1, 2), B=F(1, 2), den=1, a=1, e=2, domain="odd"),
+    "odd>=1-den2/3-e2": dict(zeta=F(1, 2), B=1, den=F(2, 3), a=1, e=2, domain="odd>=1"),
+}
+
+
+@pytest.mark.parametrize("form", LAMBERT_FORMS.values(), ids=LAMBERT_FORMS)
+def test_lambert_sum_is_exact_at_the_requested_order(form, request):
+    if form.get("den"):  # a sum with no denominator makes no kernel call
+        request.getfixturevalue("int_kernel")
+    for o in range(13):
+        assert B.lambert_sum(o, **form) == B.lambert_sum(o + 7, **form).truncate(o)
 
 
 # -- rank refinement ------------------------------------------------------
@@ -219,9 +246,7 @@ def test_n2v_d0e0_against_direct_display():
     s = B.n2v(1, 12, d=F(0), e=F(0))
     assert s.params == ()
     pref = B.q_inf(12).invert()
-    direct = B.lambert_sum(
-        B.LambertSpec(zeta=-1, A=F(3, 2), B=F(1, 2), den=Monomial(F(1)), a=1,
-                      e=2, domain="Znz"), 12)
+    direct = B.lambert_sum(12, zeta=-1, A=F(3, 2), B=F(1, 2), den=1, a=1, e=2, domain="Znz")
     # d = e = 0 collapses the prefactor to 1/(q)_inf and each term to
     # (-1)^{n-1} q^{n(3n-1)/2 + n}/(1-q^n)^2
     lhs = s
