@@ -4,9 +4,9 @@ Everything here is taken from the definitions of the objects (overpartition
 pairs, marked Durfee symbols) and of their statistics, with no q-series
 machinery, so the results are an independent check on the analytic
 builders.  The tables are counted: `rank_table` and `spt_table` count pairs
-part value by part value, and `_durfee_parts` walks the top rows of the
-symbols once for every weight up to n_max and counts their bottom rows;
-`durfee_tally` reads one weight from that walk, and `durfee_values`
+part value by part value, and `_durfee_parts` counts the row pairs of the
+symbols of every weight up to n_max block by block, one subscript at a
+time; `durfee_tally` reads one weight from that count, and `durfee_values`
 evaluates every weight at rational points in integers.  The listings,
 `overpartition_pairs` and `enumerate_durfee`, stay for the CLI and as the
 tests' reference; they are exponential in n and are intended for small n
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import getitem
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .poly import AlgebraError, ParamPoly, Scalar
 
@@ -549,76 +549,62 @@ def _box_counts(parts: int, width: int) -> Tuple[int, ...]:
     return tuple(counts)
 
 
-def _bottom_counts(bounds: Sequence[Tuple[int, int]], most: int, base: int) -> List[Tuple[int, int]]:
-    """The bottom rows with total at most ``most`` whose parts of subscript i
-    lie in bounds[i-1], counted by total t and subscript counts b_i, as
-    ``(t * base**k - sum_i b_i * base**(i-1), rows)``.
-
-    By the cross-block ordering of `_bottoms`, a row is one block of parts
-    per subscript, and b parts in [lo, hi] with total t are, less lo each,
-    a partition of t - b * lo into at most b parts, each at most hi - lo.
-    """
-    rows = {(0, 0): 1}
-    for i, (lo, hi) in enumerate(bounds):
-        unit = base ** i
-        grown: Dict[Tuple[int, int], int] = {}
-        for (t, packed), x in rows.items():
-            for b in range((most - t) // lo + 1):
-                least = t + b * lo
-                counts = _box_counts(b, hi - lo)
-                for m in range(min(len(counts), most - least + 1)):
-                    key = (least + m, packed + b * unit)
-                    grown[key] = grown.get(key, 0) + x * counts[m]
-        rows = grown
-    weight_unit = base ** len(bounds)
-    return [(t * weight_unit - packed, x) for (t, packed), x in rows.items()]
-
-
 def _durfee_parts(k: int, n_max: int) -> List[Tuple[int, list, Dict[int, list]]]:
     """``(S, pairs, decorations)`` for each side S of the k-marked symbols
     of weight at most n_max: ``pairs`` lists the row pairs as
     ``(w, rho, count)`` by their weight w and rank vector rho, and
     ``decorations[sigma]`` the decorations of size sigma as
     ``((r, s), count)``.  The symbols of weight n are the row pairs of one S
-    with the decorations of size n - S - w, so one walk serves every n.
+    with the decorations of size n - S - w, so one count serves every n.
 
-    Top rows are enumerated as for the listing (`_top_rows`); the bottom
-    rows each admits are counted by total and subscript counts, so the rank
-    vector follows without listing them (`_bottom_counts`).  Within one S,
-    the row pairs are counted by one packed int: the weight times base**k
-    plus rho_i + off in the digit of base**(i-1).
+    With M_j the largest top part of subscript j and M_0 = 1, the conditions
+    of `is_valid_durfee` make the blocks of subscripts j = 1..k independent
+    once the M_j are fixed: block j < k is tau_j >= 1 top parts in
+    [M_{j-1}, M_j], one equal to M_j, and b_j >= 0 bottom parts there; block
+    k is any top and bottom parts in [M_{k-1}, S].  So the rows are counted
+    one block at a time with M_j as the state, each block by its weight and
+    rho_j = tau_j - b_j - [j < k] (`_box_counts` counts parts in an interval).
     """
     if k < 2:
         raise ValueError("marked symbols need k >= 2")
-    off = n_max + 1  # rho_i = tau_i - b_i - [i < k] lies in [-off, n_max]
-    base = 2 * n_max + 2
-    weight_unit = base ** k
     parts = []
     for S in range(1, n_max + 1):
         room = n_max - S
-        # the top rows by the bottom rows they admit, then by packed key
-        shapes: Dict[tuple, Counter] = {}
-        for top in _top_rows(k, S, room, None):
-            taus, bounds = _top_shape(k, S, top)
-            used = sum(v for v, _ in top)
-            start = used * weight_unit + sum(
-                (tau - (i < k - 1) + off) * base ** i for i, tau in enumerate(taus))
-            shapes.setdefault((tuple(bounds), room - used), Counter())[start] += 1
-        packed_pairs: Dict[int, int] = {}
-        for (bounds, most), starts in shapes.items():
-            counts = _bottom_counts(bounds, most, base)
-            for start, m in starts.items():
-                for packed, x in counts:
-                    packed += start
-                    packed_pairs[packed] = packed_pairs.get(packed, 0) + m * x
-        pairs = []
-        for packed, x in packed_pairs.items():
-            w, digits = divmod(packed, weight_unit)
-            rho = []
-            for _ in range(k):
-                digits, d = divmod(digits, base)
-                rho.append(d - off)
-            pairs.append((w, tuple(rho), x))
+
+        @lru_cache(maxsize=None)
+        def block(lo: int, hi: int, top: int) -> List[Tuple[int, list]]:
+            # (w, [(rho_j, count)]) of one block of weight w <= room in [lo, hi]
+            # with the top part ``top`` forced (0 for none)
+            runs: Dict[int, list] = {}  # total: [(parts, count)] of parts in [lo, hi]
+            for c in range(room // lo + 1):
+                for m, x in enumerate(_box_counts(c, hi - lo)[:room - c * lo + 1]):
+                    runs.setdefault(c * lo + m, []).append((c, x))
+            counts: Dict[int, Dict[int, int]] = {}
+            for t, tops in runs.items():
+                for u, bottoms in runs.items():
+                    if top + t + u <= room:
+                        row = counts.setdefault(top + t + u, {})
+                        for tau, x in tops:
+                            for b, y in bottoms:
+                                row[tau - b] = row.get(tau - b, 0) + x * y
+            return [(w, list(row.items())) for w, row in counts.items()]
+
+        states = {1: {0: {(): 1}}}  # M_{j-1}: weight: rho_1..rho_{j-1}: count
+        for j in range(1, k + 1):
+            grown: Dict[int, Dict[int, Dict[tuple, int]]] = {}
+            for lo, rows in states.items():
+                for hi in range(lo, min(S, room) + 1) if j < k else (S,):
+                    out = grown.setdefault(hi, {})
+                    for v, table in block(lo, hi, hi if j < k else 0):
+                        for w, rhos in rows.items():
+                            if w + v <= room:
+                                got = out.setdefault(w + v, {})
+                                for rho, x in rhos.items():
+                                    for r, y in table:
+                                        key = rho + (r,)
+                                        got[key] = got.get(key, 0) + x * y
+            states = grown
+        pairs = [(w, rho, x) for w, rhos in states.get(S, {}).items() for rho, x in rhos.items()]
         decorations = {room - budget: [(stats, len(group)) for stats, group in groups.items()]
                        for budget, groups in _decorations(S, room, None, None).items()}
         parts.append((S, pairs, decorations))
@@ -640,7 +626,8 @@ def durfee_tally(k: int, n: int) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
 def durfee_values(k: int, n_max: int, points: Iterable[Tuple[Scalar, ...]]) -> List[List[ParamPoly]]:
     """For each point ``(x_1, ..., x_k)`` of nonzero rationals, the polys
     ``sum d^r e^s x_1^{rho_1} ... x_k^{rho_k}`` over the symbols of weight
-    n, for n = 0..n_max: `durfee_rank_poly` at that point, from one walk.
+    n, for n = 0..n_max: `durfee_rank_poly` at that point, from one count
+    of the row pairs.
 
     In integers: with x_j = p_j/q_j and R = n_max + 1, every rho_j lies in
     [-R, R), so x_j^{rho_j} (p_j q_j)^R is the integer

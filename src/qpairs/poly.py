@@ -207,14 +207,6 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def monomial_inverse(self) -> "ParamPoly":
-        """Inverse of a single-term polynomial (a unit of the Laurent ring)."""
-        mono = self.as_monomial()
-        if mono is None:
-            raise AlgebraError(f"not a unit in the Laurent polynomial ring: {self}")
-        c, vec = mono
-        return ParamPoly(self.params, {tuple(-e for e in vec): Fraction(1) / c})
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ParamPoly.const(self.params, other)

@@ -43,3 +43,16 @@ def durfee_tally(k, n):
         for (r, s), group in decorations.items():
             tally[r, s, rho] += len(group)
     return tally
+
+
+def durfee_pairs(k, n_max):
+    """The row pairs of weight w and side S with S + w <= n_max, counted by
+    (S, w, rank vector): at weight n = S + w a pair carries only the empty
+    decoration."""
+    tally = Counter()
+    for n in range(n_max + 1):
+        for S, top, bottom, _ in oracle._durfee_rows(k, n):
+            w = sum(v for v, _ in top + bottom)
+            if w == n - S:
+                tally[S, w, oracle.rank_vector(k, top, bottom)] += 1
+    return tally

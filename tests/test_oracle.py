@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import _listing
-from qpairs import oracle
+from qpairs import ParamPoly, oracle
 from qpairs.oracle import DurfeeSymbol
 
 
@@ -257,6 +257,21 @@ def test_counted_pair_tables_equal_the_listing():
 def test_counted_durfee_tally_equals_the_listing(k, n_max):
     for n in range(n_max + 1):
         assert oracle.durfee_tally(k, n) == _listing.durfee_tally(k, n), n
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 12), (3, 12), (4, 9)])
+def test_counted_durfee_pairs_equal_the_listing(k, n_max):
+    counted = Counter()
+    for S, pairs, _ in oracle._durfee_parts(k, n_max):
+        for w, rho, x in pairs:
+            counted[S, w, rho] += x
+    assert counted == _listing.durfee_pairs(k, n_max)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_durfee_values_at_weight_zero_are_zero(k):
+    points = [(1,) * k, (Fraction(-2),) * k]
+    assert oracle.durfee_values(k, 0, points) == [[ParamPoly.zero(("d", "e"))]] * len(points)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -37,18 +37,6 @@ def test_product_and_power():
     assert sq.terms[(1, 0)] == 2
 
 
-def test_negative_power_of_monomial():
-    a = ParamPoly.monomial(P, {"d": 1}, 2)
-    inv = a.monomial_inverse()
-    assert (a * inv).constant_value() == 1
-
-
-def test_negative_power_of_sum_rejected():
-    a = ParamPoly.var(P, "d") + 1
-    with pytest.raises(AlgebraError):
-        a.monomial_inverse()
-
-
 def test_derivative_and_delta():
     a = ParamPoly.monomial(P, {"d": 2}, 1)
     da = a.derivative("d")
