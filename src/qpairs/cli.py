@@ -234,10 +234,10 @@ def _durfee_table(k: int, n: int, want: Dict[str, object]):
     # every pair the enumerator yields has that rank vector
     fixed = None if want_ranks is None else rank_cells(want_ranks)
     row_cells = functools.cache(lambda row: (_fmt_marked_row(row), sum(v for v, _ in row)))
+    S_texts = [str(S) for S in range(n + 1)]  # one text per side, shared by its pairs
     groups: Dict[Tuple[int, int], List[Tuple[str, str, str, str]]] = {}
     pairs = []
     count = 0
-    last_S = last_top = None
     for S, top, bottom, decorations in oracle._durfee_rows(
             k, n, want.get("r"), want.get("s"), want_ranks):
         if want_S is not None and S != want_S:
@@ -245,10 +245,7 @@ def _durfee_table(k: int, n: int, want: Dict[str, object]):
         ranks, full_text, full = fixed or rank_cells(oracle.rank_vector(k, top, bottom))
         if want_full is not None and full != want_full:
             continue
-        if top is not last_top or S != last_S:  # a top row's pairs come together
-            last_S, last_top = S, top
-            S_text = str(S)
-            top_text, top_weight = row_cells(top)
+        top_text, top_weight = row_cells(top)
         bottom_text, bottom_weight = row_cells(bottom)
         group = (S, top_weight + bottom_weight)
         members = groups.get(group)
@@ -257,7 +254,7 @@ def _durfee_table(k: int, n: int, want: Dict[str, object]):
                 (_fmt_ints(mu), _fmt_ints(nu), str(r), str(s))
                 for (r, s), decorated in decorations.items() for mu, nu in decorated)
         count += len(members)
-        pairs.append((S_text, top_text, bottom_text, ranks, full_text, group))
+        pairs.append((S_texts[S], top_text, bottom_text, ranks, full_text, group))
     pairs.sort()
     return pairs, groups, count
 

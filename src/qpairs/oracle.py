@@ -10,7 +10,10 @@ time; `durfee_tally` reads one weight from that count, and `durfee_values`
 evaluates every weight at rational points in integers.  The listings,
 `overpartition_pairs` and `enumerate_durfee`, stay for the CLI and as the
 tests' reference; they are exponential in n and are intended for small n
-only.
+only.  `_durfee_rows` lists the symbols' row pairs over the same blocks
+that `_durfee_parts` counts, in separate code, and the tests check that
+listing against a brute force over all marked rows and against the moment
+identity D_{v+1}(r, s, n) = eta_{2v}(r, s, n).
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from operator import getitem
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .poly import AlgebraError, ParamPoly, Scalar
 
@@ -368,91 +370,6 @@ def _bounded_parts(
                  for tail in _bounded_parts(total - v, rest, lo, v, sub))
 
 
-def _bottoms(
-    bounds: List[Tuple[int, int]], counts: List[int] | None, least: int, most: int,
-    blocks: Callable[..., Tuple[Tuple[Tuple[int, int], ...], ...]],
-) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
-    """``(total, row)`` for the bottom rows with total in [least, most] whose
-    parts of subscript i lie in bounds[i-1]: counts[i-1] of them, or any
-    number when counts is None.  Subscript blocks run k down to 1; the
-    interval bounds make the cross-block value ordering automatic.
-    ``blocks`` is ``_bounded_parts`` or a memoised copy of it."""
-    k = len(bounds)
-    if counts is None:
-        counts = [None] * k
-    spans = [(0, most) if c is None else (c * lo, c * hi) for c, (lo, hi) in zip(counts, bounds)]
-    # least and greatest sum of the blocks below subscript i
-    below_min = list(accumulate((a for a, _ in spans), initial=0))
-    below_max = list(accumulate((b for _, b in spans), initial=0))
-    rows = [(0, ())]  # rows of blocks k..i+1 that can still reach [least, most]
-    for i in range(k, 0, -1):
-        lo, hi = bounds[i - 1]
-        a, b = spans[i - 1]
-        rows = [(used + t, acc + block)
-                for used, acc in rows
-                for t in range(max(a, least - used - below_max[i - 1]),
-                               min(b, most - used - below_min[i - 1]) + 1)
-                for block in blocks(t, counts[i - 1], lo, hi, i)]
-    return rows  # the block-1 range puts every total in [least, most]
-
-
-def _top_rows(
-    k: int, S: int, limit: int, ranks: Tuple[int, ...] | None
-) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """Top rows with parts at most S and every subscript below k present
-    whose weight, plus the least bottom weight they force, is at most limit.
-
-    Rows are built block by block from subscript k down to 1, each block
-    part by part in decreasing order.  With a rank vector, subscript i
-    asks for c_i = tau_i - rho_i - [i < k] >= 0 bottom parts, each at
-    least the largest top part of subscript i - 1 (at least 1 for i = 1).
-    The bound counts that floor as 1 until the block below has its first
-    part, and the top parts still due (one per subscript below k, and
-    enough to make every c_i >= 0) as 1 each, so it never discards a row
-    that can reach limit.
-    """
-    def count(i: int, t: int) -> int:  # c_i for t top parts of subscript i
-        return 0 if ranks is None else t - ranks[i - 1] - (i < k)
-
-    # need[i]: least top parts of subscript i; due[i]: those of subscripts 1..i
-    need = [0] + [max(i < k, -count(i, 0)) for i in range(1, k + 1)]
-    due = list(accumulate(need))
-
-    def bound(i, t, used, low):
-        return used + low + max(0, count(i, t)) + max(0, need[i] - t) + due[i - 1]
-
-    def rec(i, cap, t, used, low, c_above, acc):
-        # block i holds t parts, the last at most cap; low is the least
-        # weight of bottom blocks i+1..k; c_above is c_{i+1}
-        if t >= need[i]:  # close block i
-            c = count(i, t)
-            if i == 1:
-                yield acc
-            elif bound(i - 1, 0, used, low + c) <= limit:
-                yield from rec(i - 1, cap, 0, used, low + c, c, acc)
-        for v in range(1, cap + 1):
-            # the first part of block i lifts block i+1's floor from 1 to v
-            low_v = low + c_above * (v - 1) if t == 0 else low
-            if bound(i, t + 1, used + v, low_v) > limit:
-                break  # the bound grows with v
-            yield from rec(i, v, t + 1, used + v, low_v, c_above, acc + ((v, i),))
-
-    if bound(k, 0, 0, 0) <= limit:
-        yield from rec(k, S, 0, 0, 0, 0, ())
-
-
-def _top_shape(k: int, S: int, top) -> Tuple[List[int], List[Tuple[int, int]]]:
-    """``(taus, bounds)`` of a top row: its part count of each subscript, and
-    the closed interval each bottom part of that subscript must lie in."""
-    taus = [0] * k
-    M = [0] * k  # M[i] = largest top-row part with subscript i+1
-    for v, i in top:
-        taus[i - 1] += 1
-        M[i - 1] = max(M[i - 1], v)
-    # every top has subscripts 1..k-1, so lo <= hi
-    return taus, [(1 if i == 0 else M[i - 1], S if i == k - 1 else M[i]) for i in range(k)]
-
-
 @lru_cache(maxsize=1024)
 def _decorations(
     S: int, room: int, r: int | None, s: int | None
@@ -485,36 +402,67 @@ def _durfee_rows(
 ) -> Iterator[Tuple[int, Tuple, Tuple, Dict[Tuple[int, int], list]]]:
     """``(S, top, bottom, decorations)`` for the weight-n k-marked symbols:
     every pair of rows once, with the decorations that complete it to
-    weight n grouped by their (r, s)."""
+    weight n grouped by their (r, s).
+
+    The rows are listed block by block, the blocks `_durfee_parts` counts:
+    with M_0 = 1, block j < k is the top part (M_j, j) plus free top and
+    bottom parts of subscript j in [M_{j-1}, M_j], and block k is free top
+    and bottom parts of subscript k in [M_{k-1}, S].  A rank vector asks
+    for rho_j more free top parts than bottom parts in block j.  Every part
+    of blocks j+1..k weighs at least M_j, and block i holds at least
+    [i < k] + |rho_i| parts (|rho_i| counts as 0 with no rank vector),
+    which bounds the walk.
+    """
     if k < 2:
         raise ValueError("marked symbols need k >= 2")
     if ranks is not None and len(ranks) != k:
         raise ValueError(f"rank vector must have {k} entries")
-    # top rows share their bottom blocks; the memo lives as long as this call
+    if k > n:  # a symbol has S >= 1 and k - 1 forced top parts
+        return
+    after = [0] * (k + 1)  # after[j]: the least part count of blocks j+1..k
+    for j in range(k - 1, -1, -1):
+        after[j] = after[j + 1] + (j + 1 < k) + (0 if ranks is None else abs(ranks[j]))
+    # blocks recur across S and M_j; the memo lives as long as this call
     blocks = lru_cache(maxsize=None)(_bounded_parts)
+
+    def sized(count, lo, hi, j, room):
+        # (weight, parts): count parts of block j (any number when None) weighing at most room
+        least, most = (0, room) if count is None else (count * lo, min(count * hi, room))
+        for t in range(least, most + 1):
+            for parts in blocks(t, count, lo, hi, j):
+                yield t, parts
+
+    def free(lo, hi, j, room):
+        # (weight, tops, bottoms): the free parts of block j, weighing at most room
+        rho = None if ranks is None else ranks[j - 1]
+        # with a rank vector: b bottom and b + rho top parts, each at least lo
+        counts = [(None, None)] if rho is None else [
+            (b + rho, b) for b in range(max(0, -rho), (room // lo - rho) // 2 + 1)]
+        for tau, b in counts:
+            for t, tops in sized(tau, lo, hi, j, room):
+                for u, bottoms in sized(b, lo, hi, j, room - t):
+                    yield t + u, tops, bottoms
+
     for S in range(1, n + 1):
         groups = _decorations(S, n - S, r, s)
         if not groups:
             continue
-        for top in _top_rows(k, S, max(groups), ranks):
-            taus, bounds = _top_shape(k, S, top)
-            if ranks is None:
-                counts, low, high = None, 0, n
-            else:
-                # nonnegative: _top_rows closes a block only then
-                counts = [taus[i] - ranks[i] - (1 if i < k - 1 else 0) for i in range(k)]
-                low = sum(c * lo for c, (lo, _) in zip(counts, bounds))
-                high = sum(c * hi for c, (_, hi) in zip(counts, bounds))
-            used = sum(v for v, _ in top)
-            # the decorations of each bottom-row total this top row can carry
-            wanted = {budget - used: decorations for budget, decorations in groups.items()
-                      if low <= budget - used <= high}
-            if not wanted:
-                continue
-            for total, bottom in _bottoms(bounds, counts, min(wanted), max(wanted), blocks):
-                decorations = wanted.get(total)
-                if decorations:
-                    yield S, top, bottom, decorations
+        limit = max(groups)
+
+        def rec(j, lo, used, top, bottom):
+            # blocks 1..j-1 weigh used and lo = M_{j-1}; hi is M_j, or S for j = k
+            for hi in range(lo, S + 1) if j < k else (S,):
+                base = used + (hi if j < k else 0)
+                room = limit - base - hi * after[j]
+                if room < 0:
+                    break
+                for w, tops, bottoms in free(lo, hi, j, room):
+                    if j < k:
+                        yield from rec(j + 1, hi, base + w, ((hi, j),) + tops + top, bottoms + bottom)
+                    elif base + w in groups:
+                        yield S, tops + top, bottoms + bottom, groups[base + w]
+
+        yield from rec(1, 1, 0, (), ())
 
 
 def enumerate_durfee(
@@ -526,9 +474,13 @@ def enumerate_durfee(
 ) -> List[DurfeeSymbol]:
     """All generalized k-marked symbols of weight n, for k >= 2.
 
+    The row pairs come from `_durfee_rows`, which walks the subscript
+    blocks that `_durfee_parts` counts but shares no code with it; the
+    tests check the listing against a brute force over all marked rows and
+    against the moment identity D_{v+1}(r, s, n) = eta_{2v}(r, s, n).
     Fixing r or s restricts the decoration sizes up front, and fixing the
-    rank vector determines the bottom row's subscript counts from the
-    top row's; together these prune the search enough to reach weights
+    rank vector fixes each block's top and bottom part counts up to one
+    free count; together these prune the search enough to reach weights
     far beyond the unconstrained cap.
     """
     return [DurfeeSymbol(k, S, top, bottom, mu, nu)

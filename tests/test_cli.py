@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,15 @@ def test_enumerate_durfee_filter(capsys):
     assert rows
     for row in rows:
         assert (row[5], row[6], row[7]) == ("1", "1", "0,0")
+
+
+def test_enumerate_durfee_huge_k_lists_nothing_at_once(capsys):
+    # weight n holds S >= 1 and k - 1 forced top parts, so k > n has no symbol
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "enumerate", "durfee", "--k", "1000000000", "--n", "5")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines()[-1] == "0 symbols of weight 5 (k=1000000000)"
 
 
 def durfee_reference(capsys, k, n, text, fmt):

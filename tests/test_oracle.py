@@ -203,6 +203,19 @@ def test_enumeration_matches_independent_reference(k, n_max):
             assert got == expected
 
 
+@pytest.mark.parametrize("v", [1, 2])
+def test_listing_is_valid_and_counts_the_symmetrized_moments(v):
+    # past the brute-force reference's weights, from the definition and the
+    # moment identity D_{v+1}(r, s, n) = eta_{2v}(r, s, n) only
+    table = oracle.rank_table(10)
+    for n in range(11):
+        syms = oracle.enumerate_durfee(v + 1, n)
+        assert len(syms) == len(set(syms))
+        assert all(oracle.is_valid_durfee(x) and x.weight() == n for x in syms)
+        counts = Counter(x.stats() for x in syms)
+        assert counts == oracle.symmetrized_poly(table[n], 2 * v).terms, n
+
+
 def test_filtered_enumeration_beyond_cap_is_consistent():
     syms = oracle.enumerate_durfee(3, 14, 1, 2, (-1, -1, -1))
     assert syms
