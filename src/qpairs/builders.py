@@ -15,7 +15,9 @@ factors of ``(q/a)_m``.
 Bilateral sums never divide by Laurent terms directly: the negative
 branch is folded into the positive one with the closed rewrite
 ``(a)_{-n} = (-1)^n q^{n(n+1)/2} / (a^n (q/a)_n)`` before expansion, so
-every summand has a unit denominator and nonnegative q-valuation.
+every summand has a unit denominator and nonnegative q-valuation.  The
+rank, moment, smallest-parts and marked-symbol sums are one such sum,
+:func:`_alternating_sum`, with one kernel call per term.
 
 The parameters d and e are never materialized with negative powers:
 ``(-1/d)_n d^n`` is expanded as ``prod_{k<n} (d + q^k)``, which keeps
@@ -41,7 +43,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 from .poly import AlgebraError, ParamPoly, _as_fraction, _integer
 from .series import QSeries
@@ -350,16 +352,17 @@ def _sym_params(*slots: Tuple[str, ParamValue]) -> Tuple[str, ...]:
     return tuple(name for name, v in slots if v is None)
 
 
-def _pfac(params: Sequence[str], name: str, value: ParamValue, qexp: int = 0) -> Monomial:
+def _pfac(name: str, value: ParamValue, qexp: int = 0) -> Monomial:
     """Monomial ``p * q^qexp`` with p symbolic (value None) or rational."""
     if value is None:
         return Monomial(Fraction(1), qexp, ((name, 1),))
     return Monomial(_as_fraction(value), qexp)
 
 
-def _dplus(params: Tuple[str, ...], name: str, value: ParamValue, qexp: int, order: int) -> QSeries:
-    """The factor ``p + q^qexp``."""
-    return _pfac(params, name, value).as_series(params, order) + QSeries(params, order, {qexp: 1})
+def _de_plus(params: Tuple[str, ...], d: ParamValue, e: ParamValue, qexp: int, order: int) -> QSeries:
+    """The factor ``(d + q^qexp)(e + q^qexp) = de + (d + e) q^qexp + q^(2 qexp)``."""
+    dp, ep = _pfac("d", d).as_poly(params), _pfac("e", e).as_poly(params)
+    return QSeries(params, order, {0: dp * ep, qexp: dp + ep, 2 * qexp: 1} if qexp else {0: (dp + 1) * (ep + 1)})
 
 
 def _declare_de_bounds(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> QSeries:
@@ -369,29 +372,32 @@ def _declare_de_bounds(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> Q
 
 def _prefactor(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> QSeries:
     """``s * (-dQ, -eQ; Q)_inf / (Q, deQ; Q)_inf``, Q = q^base, applied to ``s`` by :func:`times_poch`."""
-    de = (_pfac(s.params, "d", d) * _pfac(s.params, "e", e)).times_q(base)
-    return times_poch(s, (-_pfac(s.params, "d", d, base), 1, base), (-_pfac(s.params, "e", e, base), 1, base),
+    de = (_pfac("d", d) * _pfac("e", e)).times_q(base)
+    return times_poch(s, (-_pfac("d", d, base), 1, base), (-_pfac("e", e, base), 1, base),
                       (Monomial.make(1, base), -1, base), (de, -1, base))
 
 
-def _lambert_ratios(
-    params: Tuple[str, ...], d: ParamValue, e: ParamValue, order: int, base: int, lin: int
-) -> Iterator[Tuple[int, int, QSeries]]:
-    """Yield ``(m, E, R_m)`` for m = 1, 2, ... while the summand exponent
-    ``E = base * (m(m+1)/2 + lin*m)`` is at most ``order``, where
-    ``R_m = prod_{k<m} (d + Q^k)(e + Q^k) / (-dQ, -eQ; Q)_m``, Q = q^base."""
+def _alternating_sum(params: Tuple[str, ...], d: ParamValue, e: ParamValue, order: int, base: int, lin: int,
+                     chain: Callable[[Monomial], list]) -> QSeries:
+    """``sum_{m>=1} (-1)^{m-1} q^{E_m} R_m (1 + Q^m) chain(Q^m)``, Q = q^base, the folded bilateral
+    sum of the rank family: ``E_m = base * (m(m+1)/2 + lin*m)``, ``R_m = prod_{k<m} (d + Q^k)(e + Q^k)
+    / (-dQ, -eQ; Q)_m``, and ``chain(Q^m)`` lists term m's other factors ``(1 - mono)^power`` as pairs."""
+    acc = QSeries.zero(params, order)
     R = QSeries.one(params, order)
     m = 1
     while (E := base * (m * (m + 1) // 2 + lin * m)) <= order:
-        R = R * _dplus(params, "d", d, base * (m - 1), order) * _dplus(params, "e", e, base * (m - 1), order)
-        R = _times(R.truncate(order), (-_pfac(params, "d", d, base * m), -1), (-_pfac(params, "e", e, base * m), -1))
-        yield m, E, R
+        R = R.truncate(order - E) * _de_plus(params, d, e, base * (m - 1), order - E)
+        R = _times(R, (-_pfac("d", d, base * m), -1), (-_pfac("e", e, base * m), -1))
+        Q = Monomial.make(1, base * m)
+        term = _times(R.shift(E), (-Q, 1), *chain(Q))
+        acc = acc + term if m % 2 else acc - term
         m += 1
+    return acc
 
 
-def _xvar(params: Tuple[str, ...], name: str, x: ParamValue, pole_of: str = "the rank refinement") -> Monomial:
+def _xvar(name: str, x: ParamValue, pole_of: str = "the rank refinement") -> Monomial:
     """The variable ``name``, symbolic or a rational point other than 0, a pole of ``pole_of``."""
-    xm = _pfac(params, name, x)
+    xm = _pfac(name, x)
     if xm.c == 0:
         raise AlgebraError(f"{name} = 0 is a pole of {pole_of}")
     return xm
@@ -416,13 +422,13 @@ def rank_gf(
     d, e (Laurent in x).  Symbolic d, e carry validated degree bounds.
     """
     params = _sym_params(("d", d), ("e", e), ("x", x))
-    xm = _xvar(params, "x", x)
+    xm = _xvar("x", x)
     # nested: S_{n-1} = 1 + r_n S_n down to S_0, with r_n the ratio of the
     # n-th summand to the one before, so each S_n is exact to order - base*n
     last = order // base
     S = QSeries.one(params, order - base * max(last, 0))
     for n in range(last, 0, -1):
-        top = _dplus(params, "d", d, base * (n - 1), S.order) * _dplus(params, "e", e, base * (n - 1), S.order)
+        top = _de_plus(params, d, e, base * (n - 1), S.order)
         S = 1 + _times((S * top).shift(base), (xm.times_q(base * n), -1), (xm.inverse().times_q(base * n), -1))
     return _declare_de_bounds(S, d, e, base)
 
@@ -434,24 +440,16 @@ def rank_gf_lambert(
     x: ParamValue = None,
     base: int = 1,
 ) -> QSeries:
-    """Bilateral Lambert form of :func:`rank_gf`.
-
-    The negative branch is folded into the positive one, giving
-    ``P * [1 + (1-x) sum_{m>=1} (-1)^m q^{m(m+3)/2} R_m
-    (1/(1-xq^m) - x^{-1}/(1-q^m/x))]`` with
-    ``R_m = prod_{k<m}(d+q^k)(e+q^k) / (-dq, -eq)_m`` and the standard
-    prefactor ``P`` (all in the base power).
+    """Bilateral Lambert form of :func:`rank_gf`, the negative branch folded in:
+    ``P * [1 + (1-x) sum_{m>=1} (-1)^m Q^{m(m+3)/2} R_m (1/(1-xQ^m) - x^{-1}/(1-Q^m/x))]``
+    over Q = q^base.  The bracket is ``(1-1/x)(1+Q^m) / ((1-xQ^m)(1-Q^m/x))``, so this
+    is ``P * [1 - (1-x)(1-1/x) A]``, A the :func:`_alternating_sum` at ``lin = 1``.
     """
     params = _sym_params(("d", d), ("e", e), ("x", x))
-    xm = _xvar(params, "x", x)
+    xm = _xvar("x", x)
     xinv = xm.inverse()
-    tail = QSeries.zero(params, order)
-    for m, E, R in _lambert_ratios(params, d, e, order, base, 1):
-        R = R.truncate(order - E).shift(E)
-        first = _times(R, (xm.times_q(base * m), -1))
-        second = _times(R, (xinv.times_q(base * m), -1)) * xinv.as_poly(params)
-        tail = tail + (second - first if m % 2 else first - second)
-    body = QSeries.one(params, order) + _times(tail, (xm, 1))
+    A = _alternating_sum(params, d, e, order, base, 1, lambda Q: [(xm * Q, -1), (xinv * Q, -1)])
+    body = 1 - _times(A, (xm, 1), (xinv, 1))
     return _declare_de_bounds(_prefactor(body, d, e, base), d, e, base)
 
 
@@ -465,41 +463,35 @@ def n2v(
     """Generating function for the 2v-th symmetrized rank moments.
 
     Prefactor times the bilateral sum over nonzero n, with both branches
-    folded together:
-    ``P * sum_{m>=1} (-1)^{m-1} q^{m(m+1)/2 + vm} (1 + q^m) R_m
-    / (1 - q^m)^{2v}`` in the base power, ``R_m`` as in
-    :func:`rank_gf_lambert`.
+    folded together: ``P * sum_{m>=1} (-1)^{m-1} Q^{m(m+1)/2 + vm} (1 + Q^m) R_m
+    / (1 - Q^m)^{2v}`` over Q = q^base, the :func:`_alternating_sum` at ``lin = v``.
     """
     if v < 1:
         raise AlgebraError("symmetrized moment index v must be >= 1")
     params = _sym_params(("d", d), ("e", e))
-    acc = QSeries.zero(params, order)
-    for m, E, R in _lambert_ratios(params, d, e, order, base, v):
-        Q = Monomial.make(1, base * m)
-        term = _times(R.truncate(order - E).shift(E), (-Q, 1), (Q, -2 * v))
-        acc = acc + term if m % 2 else acc - term
-    return _declare_de_bounds(_prefactor(acc, d, e, base), d, e, base)
+    A = _alternating_sum(params, d, e, order, base, v, lambda Q: [(Q, -2 * v)])
+    return _declare_de_bounds(_prefactor(A, d, e, base), d, e, base)
 
 
 def spt_gf(order: int, d: ParamValue = None, e: ParamValue = None) -> QSeries:
-    """Smallest-parts generating function: prefactor times the divisor sum
-    minus the second symmetrized moment series."""
+    """Smallest-parts generating function ``P * (Phi1 - A)``: the divisor sum minus
+    A, the :func:`_alternating_sum` of :func:`n2v` at v = 1, under one prefactor."""
     params = _sym_params(("d", d), ("e", e))
-    head = _prefactor(phi1(1, order, params), d, e, 1)
-    return _declare_de_bounds(head - n2v(1, order, d, e), d, e, 1)
+    A = _alternating_sum(params, d, e, order, 1, 1, lambda Q: [(Q, -2)])
+    return _declare_de_bounds(_prefactor(phi1(1, order, params) - A, d, e, 1), d, e, 1)
 
 
 def spt_gf_direct(order: int, d: ParamValue = None, e: ParamValue = None) -> QSeries:
     """Smallest-parts generating function as a single unilateral sum:
     ``P * sum_{n>=1} (q, deq)_n q^n / ((1-q^n)^2 (-dq, -eq)_n)``."""
     params = _sym_params(("d", d), ("e", e))
-    de = _pfac(params, "d", d) * _pfac(params, "e", e)
+    de = _pfac("d", d) * _pfac("e", e)
     acc = QSeries.zero(params, order)
     T = QSeries.one(params, order)
     for n in range(1, order + 1):
         Q = Monomial.make(1, n)
         T = _times(T, (Q, 1), (de.times_q(n), 1),
-                   (-_pfac(params, "d", d, n), -1), (-_pfac(params, "e", e, n), -1))
+                   (-_pfac("d", d, n), -1), (-_pfac("e", e, n), -1))
         acc = acc + _times(T.truncate(order - n).shift(n), (Q, -2))
     return _declare_de_bounds(_prefactor(acc, d, e, 1), d, e, 1)
 
@@ -514,8 +506,9 @@ def durfee_rhs(
     """Sum side of the marked-symbol generating function for k >= 2.
 
     ``P * sum_{n>=1} (-1)^{n-1} (1+q^n)(1-q^n)^2 R_n q^{n(n-1)/2 + kn}
-    / prod_j (1 - x_j q^n)(1 - q^n / x_j)``.  Each slot of ``xs`` is a
-    rational point or None for a symbolic variable ``x1 .. xk``.
+    / prod_j (1 - x_j q^n)(1 - q^n / x_j)``, the :func:`_alternating_sum` at
+    ``lin = k - 1``.  Each slot of ``xs`` is a rational point or None for a
+    symbolic variable ``x1 .. xk``.
     """
     if k < 2:
         raise AlgebraError("marked-symbol generating function needs k >= 2")
@@ -524,16 +517,12 @@ def durfee_rhs(
         raise AlgebraError(f"expected {k} rank-variable slots, got {len(xs)}")
     xnames = tuple(f"x{j + 1}" for j in range(k))
     params = _sym_params(("d", d), ("e", e)) + _sym_params(*zip(xnames, xs))
-    xms = [_xvar(params, name, xv) for name, xv in zip(xnames, xs)]
-    acc = QSeries.zero(params, order)
+    # the first term lies at q^k: past the window only the poles x_j = 0 are looked for
+    xms = [_xvar(name, xv) for name, xv in zip(xnames, xs) if k <= order or xv == 0]
+    ys = [y for xm in xms for y in (xm, xm.inverse())]
     # n(n-1)/2 + kn = n(n+1)/2 + (k-1)n
-    for n, E, R in _lambert_ratios(params, d, e, order, 1, k - 1):
-        Q = Monomial.make(1, n)
-        # (1 + q^n)(1 - q^n)^2 / prod_j (1 - x_j q^n)(1 - q^n / x_j)
-        factors = [(-Q, 1), (Q, 2)] + [(y.times_q(n), -1) for xm in xms for y in (xm, xm.inverse())]
-        term = _times(R.truncate(order - E).shift(E), *factors)
-        acc = acc + term if n % 2 else acc - term
-    return _declare_de_bounds(_prefactor(acc, d, e, 1), d, e, 1)
+    A = _alternating_sum(params, d, e, order, 1, k - 1, lambda Q: [(Q, 2)] + [(y * Q, -1) for y in ys])
+    return _declare_de_bounds(_prefactor(A, d, e, 1), d, e, 1)
 
 
 def rk_partial_fractions(
@@ -582,7 +571,7 @@ def rk_partial_fractions(
 def crank_C(order: int, x: ParamValue = None, base: int = 1) -> QSeries:
     """The crank-type product ``(Q; Q)_inf / (xQ, Q/x; Q)_inf``, Q = q^base."""
     params = _sym_params(("x", x))
-    xm = _xvar(params, "x", x, "the crank product")
+    xm = _xvar("x", x, "the crank product")
     num = poch_inf(params, Monomial.make(1, base), order, base)
     return times_poch(num, (xm.times_q(base), -1, base), (xm.inverse().times_q(base), -1, base))
 
@@ -656,7 +645,7 @@ between factors); omit a parameter to keep it symbolic.
   qinf                 the infinite product (q; q)_inf
   E2                   weight-2 Eisenstein series
   Phi1[:m=M]           divisor-power sum in base q^M
-  eta:M^R,M^R,...      eta quotient with factors eta(Mz)^R
+  eta:M[^R],M[^R],...  eta quotient with factors eta(Mz)^R
   J:MONO[:base=B]      theta product J(MONO; q^B), e.g. J:-x
   C[:x=V][:base=B]     crank-type product
   Cstar:x=V[:base=B]   starred crank product (rational V != 1)
@@ -753,8 +742,8 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
             raise AlgebraError("eta needs factors, e.g. eta:8^1,16^-2")
         factors = []
         for piece in pos[0].split(","):
-            m, _, r = piece.partition("^")
-            factors.append((_integer(m, "eta level"), _integer(r or "1", "eta power")))
+            m, caret, r = piece.partition("^")
+            factors.append((_integer(m, "eta level"), _integer(r, "eta power") if caret else 1))
         return eta_quotient(factors, order)
     if name == "J":
         if not pos:

@@ -214,9 +214,13 @@ def test_rank_gf_x_inversion_symmetry():
         assert c.terms == flipped.terms
 
 
-def test_rank_forms_agree():
-    a = B.rank_gf(8)
-    b = B.rank_gf_lambert(8)
+@pytest.mark.parametrize("d, e", [(None, None), (F(0), F(1, 2))], ids=["de", "d=0,e=1/2"])
+@pytest.mark.parametrize("base", [1, 2, 3], ids=lambda b: f"base={b}")
+@pytest.mark.parametrize("x", [None, F(1), F(-1), F(2), F(-1, 3)], ids=["x", "x=1", "x=-1", "x=2", "x=-1/3"])
+def test_rank_forms_agree(x, base, d, e):
+    # the bilateral form's factor (1 - x)(1 - 1/x) is 0 at x = 1 and 4 at x = -1
+    a = B.rank_gf(8, d, e, x, base)
+    b = B.rank_gf_lambert(8, d, e, x, base)
     ok, report = a.equal_to_order(b, 8)
     assert ok, report
 
@@ -303,6 +307,19 @@ def test_durfee_rhs_k1_rejected():
         B.durfee_rhs(1, 6)
 
 
+def test_durfee_rhs_far_above_the_window_is_zero_over_every_variable():
+    # the first term lies at q^k, so no x_j monomial is built past the window
+    k = 200000
+    s = B.build(f"durfee:k={k}", 4)
+    assert s.is_zero() and s.order == 4
+    assert s.params == ("d", "e") + tuple(f"x{j}" for j in range(1, k + 1))
+
+
+def test_durfee_rhs_pole_rejected_past_the_window():
+    with pytest.raises(AlgebraError, match="x3 = 0 is a pole of the rank refinement"):
+        B.build("durfee:k=5:x3=0", 3)
+
+
 def test_durfee_rhs_at_unit_points_matches_moments():
     s = B.durfee_rhs(2, 8, xs=(F(1), F(1)), d=F(0), e=F(0))
     assert s.params == ()
@@ -373,6 +390,16 @@ def test_build_identifiers():
     assert const(s, 2) == 1
     s = B.build("rank:d=0:e=0:x=1", 6)
     assert const(s, 2) == 2
+
+
+@pytest.mark.parametrize("spec", ["eta:24^", "eta:8^,16^-2"])
+def test_build_eta_power_after_a_caret_is_required(spec):
+    with pytest.raises(AlgebraError, match="eta power '' is not an integer"):
+        B.build(spec, 3)
+
+
+def test_build_eta_bare_level_has_power_one():
+    assert B.build("eta:24", 30).to_json() == B.build("eta:24^1", 30).to_json()
 
 
 def test_build_unknown_rejected():

@@ -61,7 +61,7 @@ def test_coeffs_table_of_zero_series_ends_at_its_order(capsys, fmt):
     assert rows == [["exponent", "coefficient"], ["2", "0"]]
 
 
-@pytest.mark.parametrize("spec", ["spt:d=1/0", "n2v:vv=2", "durfee:k=2:base=2"])
+@pytest.mark.parametrize("spec", ["spt:d=1/0", "n2v:vv=2", "durfee:k=2:base=2", "eta:24^", "eta:8^,16^-2"])
 def test_coeffs_bad_identifier_is_one_line_usage_error(capsys, spec):
     code, out, err = run(capsys, "coeffs", spec, "--order", "3")
     assert code == 2 and out == ""

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,6 +124,40 @@ def test_a_shifted_table_count_fails_every_reader_at_its_weight(monkeypatch, tab
         res = harness.run_check(check_id, order=6)
         assert res.status == "fail", check_id
         assert res.first_mismatch.get("exponent") == 2, (check_id, res.first_mismatch)
+
+
+# the checks that fail, and only those, when one function of the rank family is wrong
+GUARD_ROWS = {
+    "rank_gf": "C01 C02 C07 C14 C15 C16 C21 C27",
+    "rank_gf_lambert": "C02",
+    "n2v": "C03 C11 C19 C24",
+    "durfee_rhs": "C04 C06 C07",
+    "spt_gf": "C30 C31",
+    "spt_gf_direct": "C30",
+    "symmetrized_moment_series": "C03",
+    "rk_partial_fractions": "C07",
+    "_alternating_sum": "C02 C03 C04 C06 C07 C11 C19 C24 C30 C31",
+}
+
+
+def _bumped(fn):
+    """``fn`` with c*q^n added to its result just above the valuation, c read from the
+    call's plain arguments, so that a factor both sides of a check share cannot cancel it."""
+    def wrapper(*args, **kwargs):
+        s = fn(*args, **kwargs)
+        plain = [a for a in (*args, *kwargs.values()) if not callable(a) and not isinstance(a, dict)]
+        c = 1 + zlib.crc32(repr(plain).encode()) % 997
+        out = s + QSeries(s.params, s.order, {min(s.order, max(s.valuation, 0) + 1): c})
+        out.bounds = s.bounds  # a constant term keeps every degree bound
+        return out
+    return wrapper
+
+
+@pytest.mark.parametrize("name, row", GUARD_ROWS.items(), ids=list(GUARD_ROWS))
+def test_a_bumped_rank_builder_fails_every_check_of_its_row(monkeypatch, name, row):
+    monkeypatch.setattr(builders, name, _bumped(getattr(builders, name)))
+    results = harness.run_suite("*", 6)
+    assert {r.id: r.status for r in results if r.status != "pass"} == dict.fromkeys(row.split(), "fail")
 
 
 def test_only_c09_and_c34_invert_a_series(monkeypatch):
