@@ -273,15 +273,9 @@ def jacobi_J(a: Monomial, order: int, base: int = 1) -> QSeries:
 # Lambert-type sums
 
 
-# the summation domains; each one with negative n holds -1
-_DOMAINS = {
-    "Z": lambda n: True,
-    "Znz": lambda n: n != 0,
-    "n>=1": lambda n: n >= 1,
-    "odd": lambda n: n % 2 != 0,
-    "odd>=1": lambda n: n >= 1 and n % 2 != 0,
-}
-_LAMBERT_CAP = 4096
+# each summation domain: its first index at n >= 0, its first index at n < 0 (None: it has no
+# negative n), and its stride
+_DOMAINS = {"Z": (0, -1, 1), "Znz": (1, -1, 1), "n>=1": (1, None, 1), "odd": (1, -1, 2), "odd>=1": (1, None, 2)}
 
 
 def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=0, b=0, e=1,
@@ -292,54 +286,51 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
     ``E(n) = A n^2 + B n + C`` must be integer-valued on the domain, and ``P(n)`` is the
     polynomial with coefficients ``npoly`` (constant term first).  ``den`` is a rational u;
     ``u = 0`` means a bare numerator term.  Domains: ``Z``, ``Znz`` (nonzero integers),
-    ``n>=1``, ``odd`` (all odd integers), ``odd>=1``.  A term with ``M = an + b < 0`` is
-    rewritten by ``1 - u q^M = (-u q^M)(1 - q^{-M}/u)``, so its valuation is
-    ``E(n) + e max(0, -M)``.  That is convex in n exactly when ``A >= 0``; with ``A < 0`` it
-    falls without bound, the sum diverges, and it is rejected.
+    ``n>=1``, ``odd`` (all odd integers), ``odd>=1``, each walked outward from its first index
+    on each side by its stride.  A term with ``M = an + b < 0`` is rewritten by
+    ``1 - u q^M = (-u q^M)(1 - q^{-M}/u)``, so term n has valuation
+    ``V(n) = E(n) + e max(0, -M)`` (``E(n)`` if ``u = 0``).
 
-    Iterates outward from n = 0 and stops a direction once the per-term valuation has
-    exceeded the order while strictly increasing for three consecutive n; a hard cap catches
-    sums whose valuation never grows.
+    With ``A >= 0`` and ``e >= 0`` (``e < 0`` is rejected), V is convex along a walk: once it
+    lies past the window and did not fall from the walk's previous index, it never falls
+    again, so the walk stops there with no term of the window left out.  A walk in direction
+    s on which V does not grow without bound makes the sum diverge, and is rejected up front:
+    ``A < 0``, or ``A = 0`` and a slope ``s B + e max(0, -s a)`` (``s B`` if ``u = 0``) of at
+    most 0.  Every other walk has a convex V that grows without bound, so it stops.
     """
-    in_domain = _DOMAINS.get(domain)
-    if in_domain is None:
+    if domain not in _DOMAINS:
         raise AlgebraError(f"unknown summation domain {domain!r}")
+    first, first_neg, stride = _DOMAINS[domain]
     c, zeta, A, B, C, u = map(_as_fraction, (c, zeta, A, B, C, den))
     npoly = [_as_fraction(v) for v in npoly]
     if zeta == 0:
         raise AlgebraError("zeta = 0 is not summable over negative n")
-    if A < 0:
-        raise AlgebraError(f"Lambert sum with A = {A} < 0 diverges: its term valuations fall without bound")
+    if u and e < 0:
+        raise AlgebraError(f"Lambert sum with e = {e} < 0: its term valuations are not convex")
+    walks = ((first, stride),) if first_neg is None else ((first, stride), (first_neg, -stride))
+    for n, step in walks:
+        if A < 0 or A == 0 and step * B + (e * max(0, -step * a) if u else 0) <= 0:
+            raise AlgebraError(f"Lambert sum diverges: term valuations do not grow along n = {n}, {n + step}, ...")
     acc = QSeries.zero((), order)
-    for n, step in ((0, 1), (-1, -1)) if in_domain(-1) else ((0, 1),):
-        prev_val: Optional[int] = None
-        beyond = 0
+    for n, step in walks:
+        prev: Optional[int] = None
         while True:
-            if abs(n) > _LAMBERT_CAP:
-                raise AlgebraError(
-                    "Lambert sum failed to terminate: per-term valuation "
-                    "is not growing (malformed spec)"
-                )
-            if in_domain(n):
-                E = A * n * n + B * n + C
-                if E.denominator != 1:
-                    raise AlgebraError(f"non-integral exponent {E} at n={n}")
-                M = a * n + b
-                pval = sum(cf * Fraction(n) ** i for i, cf in enumerate(npoly))
-                val, lead, m = int(E), c * pval * zeta ** n, u
-                if u == 1 and M == 0:
-                    raise AlgebraError(f"zero denominator 1 - q^0 at n={n}")
-                if u and M < 0:
-                    # rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
-                    val, lead, m, M = val - e * M, lead * (-1 / u) ** e, 1 / u, -M
-                if val <= order:
-                    acc = acc + QSeries((), order, {val: lead}).mul_one_minus([(m, M, (), -e)])
-                    beyond = 0
-                else:
-                    beyond = beyond + 1 if (prev_val is None or val > prev_val) else 1
-                    if beyond >= 3:
-                        break
-                prev_val = val
+            E = A * n * n + B * n + C
+            if E.denominator != 1:
+                raise AlgebraError(f"non-integral exponent {E} at n={n}")
+            M = a * n + b
+            pval = sum(cf * Fraction(n) ** i for i, cf in enumerate(npoly))
+            val, lead, m = int(E), c * pval * zeta ** n, u
+            if u == 1 and M == 0:
+                raise AlgebraError(f"zero denominator 1 - q^0 at n={n}")
+            if u and M < 0:
+                # rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
+                val, lead, m, M = val - e * M, lead * (-1 / u) ** e, 1 / u, -M
+            if val <= order:
+                acc = acc + QSeries((), order, {val: lead}).mul_one_minus([(m, M, (), -e)])
+            elif prev is not None and val >= prev:
+                break  # V is convex: the rest of this walk lies past the window too
+            prev = val
             n += step
     return acc
 

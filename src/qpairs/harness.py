@@ -694,15 +694,13 @@ def run_check(check_id: str, order: Optional[int] = None) -> CheckResult:
     ctx = _Ctx()
     try:
         spec.fn(ctx, n)
-        mode = "rational-points" if ctx.points else "symbolic"
-        points, status, mismatch = ctx.points, "pass" if ctx.ok() else "fail", ctx.failed
-    except AlgebraError as exc:
-        mode, points, status, mismatch = "symbolic", [], "error", {"label": str(exc)}
+        status, mismatch = "pass" if ctx.ok() else "fail", ctx.failed
     except Exception as exc:  # a broken check is reported, not allowed to abort the suite
-        label = f"{type(exc).__name__}: {exc}"
-        mode, points, status, mismatch = "symbolic", [], "error", {"label": label}
+        label = str(exc) if isinstance(exc, AlgebraError) else f"{type(exc).__name__}: {exc}"
+        status, mismatch = "error", {"label": label}
+    mode = "rational-points" if ctx.points else "symbolic"
     millis = int((time.monotonic() - t0) * 1000)
-    return CheckResult(spec.id, spec.name, spec.reference, mode, n, points, status, mismatch, millis)
+    return CheckResult(spec.id, spec.name, spec.reference, mode, n, ctx.points, status, mismatch, millis)
 
 
 def run_suite(pattern: str = "*", order: Optional[int] = None) -> List[CheckResult]:

@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -174,6 +176,13 @@ def test_lambert_divergent_sum_rejected(order):
         B.lambert_sum(order, A=-1, B=10, domain="n>=1")
 
 
+def test_lambert_negative_denominator_power_rejected():
+    # (1 - 2 q^(30-10n)) in the numerator: valuations 1, 4, 9, 6, 5, 6, ... rise past q^5
+    # and fall back into it, so no stop at a rising term past the window is proven
+    with pytest.raises(AlgebraError, match="not convex"):
+        B.lambert_sum(5, A=1, den=2, a=-10, b=30, e=-1, domain="n>=1")
+
+
 # every domain, both signs of an+b, e = 1 and 2, and den = 0, +-1, 2/3, -2/7
 LAMBERT_FORMS = {
     "Z-den-1": dict(zeta=-1, A=1, B=1, den=-1, a=1),
@@ -185,6 +194,7 @@ LAMBERT_FORMS = {
     "n>=1-den-1": dict(B=1, npoly=(0, 1), den=-1, a=1, domain="n>=1"),
     "odd-den1-e2": dict(A=F(1, 2), B=F(1, 2), den=1, a=1, e=2, domain="odd"),
     "odd>=1-den2/3-e2": dict(zeta=F(1, 2), B=1, den=F(2, 3), a=1, e=2, domain="odd>=1"),
+    "n>=1-falls-into-window": dict(A=1, B=-9, C=20, domain="n>=1"),
 }
 
 
@@ -194,6 +204,68 @@ def test_lambert_sum_is_exact_at_the_requested_order(form, request):
         request.getfixturevalue("int_kernel")
     for o in range(13):
         assert B.lambert_sum(o, **form) == B.lambert_sum(o + 7, **form).truncate(o)
+
+
+_BRUTE_DOMAINS = {
+    "Z": lambda n: True,
+    "Znz": lambda n: n != 0,
+    "n>=1": lambda n: n >= 1,
+    "odd": lambda n: n % 2 != 0,
+    "odd>=1": lambda n: n >= 1 and n % 2 != 0,
+}
+
+
+def _lambert_brute(order, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=0, b=0, e=1, domain="Z"):
+    """The coefficients of q^0..q^order of the Lambert sum over n in [-60, 60], each term
+    ``c zeta^n P(n) q^E / (1 - u q^M)^e`` expanded by the binomial series."""
+    out = [F(0)] * (order + 1)
+    u = F(den)
+    for n in filter(_BRUTE_DOMAINS[domain], range(-60, 61)):
+        E, M = F(A) * n * n + F(B) * n + F(C), a * n + b
+        lead = F(c) * F(zeta) ** n * sum(F(cf) * n ** i for i, cf in enumerate(npoly))
+        u_n = u
+        if u and M < 0:  # 1/(1 - u q^M) = (-1/u) q^-M / (1 - q^-M / u)
+            E, lead, u_n, M = E - e * M, lead * (-1 / u) ** e, 1 / u, -M
+        if u_n and M == 0:
+            lead, u_n = lead / (1 - u_n) ** e, F(0)
+        for k in range(order + 1):
+            if E + M * k > order or (k and not u_n):
+                break
+            if E + M * k >= 0:
+                out[int(E) + M * k] += lead * comb(e + k - 1, k) * u_n ** k
+    return out
+
+
+# valuations that start above the window and fall into it: n >= 1 from q^12, Z on its
+# negative side, and Znz with a denominator whose rewrite for n <= -2 adds 2(-n - 1); and
+# two linear sums next to divergent ones
+REFERENCE_FORMS = {
+    "n>=1-falls": dict(A=1, B=-9, C=20, domain="n>=1"),
+    "Z-negative-side-falls": dict(A=1, B=9, C=20),
+    "Znz-den2/3-e2-falls": dict(A=1, B=-9, C=20, den=F(2, 3), a=1, b=1, e=2, domain="Znz"),
+    "n>=1-slope1": dict(B=1, domain="n>=1"),
+    # V(n) = -n + 2n: it grows only through the rewrite of 1 - 2 q^-n
+    "n>=1-slope1-from-the-rewrite": dict(B=-1, den=2, a=-1, e=2, domain="n>=1"),
+}
+
+
+@pytest.mark.parametrize("form", REFERENCE_FORMS.values(), ids=REFERENCE_FORMS)
+def test_lambert_sum_matches_a_brute_force_sum(form):
+    for o in range(11):
+        s = B.lambert_sum(o, **form)
+        assert [const(s, n) for n in range(o + 1)] == _lambert_brute(o, **form), o
+
+
+@pytest.mark.parametrize("form", [
+    dict(B=1),  # q^n: falls without bound as n -> -inf
+    dict(C=0),  # every term at q^0
+    dict(den=2, a=-1),  # 1 / (1 - 2 q^-n): at q^0 for every n < 0
+], ids=["slope-1", "slope0", "den-slope0"])
+def test_lambert_divergent_linear_sum_rejected_at_once(form):
+    t0 = time.perf_counter()
+    with pytest.raises(AlgebraError, match="diverges"):
+        B.lambert_sum(5, domain="Z", **form)
+    assert time.perf_counter() - t0 < 0.1
 
 
 # -- rank refinement ------------------------------------------------------

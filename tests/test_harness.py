@@ -88,6 +88,20 @@ def test_comparison_with_a_short_side_is_an_error(monkeypatch):
     assert res.first_mismatch == {"label": "comparison to order 8 exceeds mutual window 7"}
 
 
+def test_a_sampled_check_that_errors_keeps_its_points(monkeypatch):
+    # the report's mode follows from the points a check ran at, whatever its outcome
+    spec = harness.REGISTRY["C12"]
+
+    def broken_at_a_point(ctx, order):
+        ctx.points.append("x=2")
+        raise ValueError("no value at x=2")
+
+    monkeypatch.setitem(harness.REGISTRY, "C12", dataclasses.replace(spec, fn=broken_at_a_point))
+    res = harness.run_check("C12", 8)
+    assert (res.status, res.mode, res.points) == ("error", "rational-points", ["x=2"])
+    assert res.first_mismatch == {"label": "ValueError: no value at x=2"}
+
+
 def test_a_shifted_durfee_count_fails_c04_c05_c06(monkeypatch):
     counted = oracle._durfee_parts
 
@@ -126,7 +140,8 @@ def test_a_shifted_table_count_fails_every_reader_at_its_weight(monkeypatch, tab
         assert res.first_mismatch.get("exponent") == 2, (check_id, res.first_mismatch)
 
 
-# the checks that fail, and only those, when one function of the rank family is wrong
+# the checks that fail, and only those, when one function of the rank family or the
+# Lambert sum is wrong
 GUARD_ROWS = {
     "rank_gf": "C01 C02 C07 C14 C15 C16 C21 C27",
     "rank_gf_lambert": "C02",
@@ -137,6 +152,7 @@ GUARD_ROWS = {
     "symmetrized_moment_series": "C03",
     "rk_partial_fractions": "C07",
     "_alternating_sum": "C02 C03 C04 C06 C07 C11 C19 C24 C30 C31",
+    "lambert_sum": "C10 C11 C12 C13 C14 C17 C19 C20 C22 C23 C24 C25 C26 C28 C29",
 }
 
 
@@ -155,7 +171,10 @@ def _bumped(fn):
 
 @pytest.mark.parametrize("name, row", GUARD_ROWS.items(), ids=list(GUARD_ROWS))
 def test_a_bumped_rank_builder_fails_every_check_of_its_row(monkeypatch, name, row):
-    monkeypatch.setattr(builders, name, _bumped(getattr(builders, name)))
+    real = getattr(builders, name)
+    for module in (builders, harness):  # harness imports lambert_sum by name
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, _bumped(real))
     results = harness.run_suite("*", 6)
     assert {r.id: r.status for r in results if r.status != "pass"} == dict.fromkeys(row.split(), "fail")
 
