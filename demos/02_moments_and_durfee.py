@@ -24,8 +24,9 @@ def main():
     print()
 
     print("odd extractions vanish:")
+    N = builders.rank_gf(order)
     for k in (1, 3, 5):
-        s = builders.symmetrized_moment_series(k, order)
+        s = builders.symmetrized_moment_series(k, N)
         print(f"  k={k}: zero series = {s.is_zero()}")
     print()
 

@@ -17,7 +17,10 @@ branch is folded into the positive one with the closed rewrite
 ``(a)_{-n} = (-1)^n q^{n(n+1)/2} / (a^n (q/a)_n)`` before expansion, so
 every summand has a unit denominator and nonnegative q-valuation.  The
 rank, moment, smallest-parts and marked-symbol sums are one such sum,
-:func:`_alternating_sum`, with one kernel call per term.
+:func:`_alternating_sum`, with one kernel call per term.  The direct moment
+extraction :func:`symmetrized_moment_series` reads a built rank refinement
+at x = 1 in one :meth:`QSeries.eval_weighted` pass, each term weighed by a
+generalized binomial; it builds no derivative series.
 
 The parameters d and e are never materialized with negative powers:
 ``(-1/d)_n d^n`` is expanded as ``prod_{k<n} (d + q^k)``, which keeps
@@ -296,7 +299,9 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
     again, so the walk stops there with no term of the window left out.  A walk in direction
     s on which V does not grow without bound makes the sum diverge, and is rejected up front:
     ``A < 0``, or ``A = 0`` and a slope ``s B + e max(0, -s a)`` (``s B`` if ``u = 0``) of at
-    most 0.  Every other walk has a convex V that grows without bound, so it stops.
+    most 0.  Every other walk has a convex V that grows without bound, so it stops.  With
+    ``u = 1``, a spec whose ``1 - q^M`` vanishes at an index of the domain is rejected up front
+    too, at every order, wherever that index lies.
     """
     if domain not in _DOMAINS:
         raise AlgebraError(f"unknown summation domain {domain!r}")
@@ -311,6 +316,10 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
     for n, step in walks:
         if A < 0 or A == 0 and step * B + (e * max(0, -step * a) if u else 0) <= 0:
             raise AlgebraError(f"Lambert sum diverges: term valuations do not grow along n = {n}, {n + step}, ...")
+    if u == 1 and (a or b == 0):  # 1 - q^(an+b) vanishes at n = -b/a, or at every n if a = b = 0
+        z = Fraction(-b) / a if a else Fraction(first)
+        if z.denominator == 1 and any((z - n) * step >= 0 and (z - n) % stride == 0 for n, step in walks):
+            raise AlgebraError(f"zero denominator 1 - q^0 at n={z}")
     acc = QSeries.zero((), order)
     for n, step in walks:
         prev: Optional[int] = None
@@ -321,8 +330,6 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
             M = a * n + b
             pval = sum(cf * Fraction(n) ** i for i, cf in enumerate(npoly))
             val, lead, m = int(E), c * pval * zeta ** n, u
-            if u == 1 and M == 0:
-                raise AlgebraError(f"zero denominator 1 - q^0 at n={n}")
             if u and M < 0:
                 # rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
                 val, lead, m, M = val - e * M, lead * (-1 / u) ** e, 1 / u, -M
@@ -606,22 +613,24 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
 # moment extraction
 
 
-def symmetrized_moment_series(
-    k: int, order: int, d: ParamValue = None, e: ParamValue = None
-) -> QSeries:
-    """k-th symmetrized moment extraction from the rank refinement:
-    ``(1/k!) [d^k/dx^k (x^{floor((k-1)/2)} N)]_{x=1}``.
+def _binom(m: int, k: int) -> int:
+    """The generalized binomial ``C(m, k) = m (m-1) ... (m-k+1) / k!``, for any integer m."""
+    return math.prod(range(m - k + 1, m + 1)) // math.factorial(k)
+
+
+def symmetrized_moment_series(k: int, N: QSeries) -> QSeries:
+    """k-th symmetrized moment extraction from the rank refinement N, symbolic in x:
+    ``(1/k!) [d^k/dx^k (x^j N)]_{x=1}`` with ``j = floor((k-1)/2)``.  That weighs each term
+    ``x^a`` of N by the generalized binomial ``C(a + j, k)``, one weighted pass at x = 1
+    (:meth:`QSeries.eval_weighted`).  The result carries N's degree bounds in d and e.
 
     Identically zero for odd k by the x <-> 1/x symmetry.
     """
     if k < 1:
         raise AlgebraError("moment index must be >= 1")
-    N = rank_gf(order, d, e, None)
-    s = N * ParamPoly.monomial(N.params, {"x": (k - 1) // 2})
-    for _ in range(k):
-        s = s.d_dparam("x")
-    s = s.eval_param({"x": 1}) * Fraction(1, math.factorial(k))
-    return _declare_de_bounds(s, d, e, 1)
+    j = (k - 1) // 2
+    s = N.eval_weighted("x", 1, lambda a, n: _binom(a + j, k))
+    return s.with_bounds({p: slope for p, slope in N.bounds.items() if p in s.params})
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +791,10 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
     elif name == "n2v":
         s = n2v(intval("v", 1), work_order, fixed["d"], fixed["e"], base)
     elif name == "moment":
-        s = symmetrized_moment_series(intval("k", 2), work_order, fixed["d"], fixed["e"])
+        k = intval("k", 2)
+        if k < 1:  # rejected before the rank refinement is built
+            raise AlgebraError("moment index must be >= 1")
+        s = symmetrized_moment_series(k, rank_gf(work_order, fixed["d"], fixed["e"]))
     elif name == "spt":
         s = spt_gf(work_order, fixed["d"], fixed["e"])
     elif name == "spt-direct":

@@ -11,8 +11,11 @@ Checks build their series only through the builders' paths: quotients of
 theta products and infinite Pochhammer symbols, and powers of the crank
 product, go through ``builders.times_poch``, one call per quotient, applied
 to the series they multiply, and ``e -> c/q`` substitutions through
-``builders.build``.  Each comparison covers exactly the requested order; a
-side that comes back short is an error, not a shorter comparison.
+``builders.build``.  An x-derivative read at a point (the starred PDEs of
+C15, C21 and C27, C09's moments, C18's ``delta_x J``) is one
+``QSeries.eval_weighted`` pass over the series symbolic in x.  Each
+comparison covers exactly the requested order; a side that comes back
+short is an error, not a shorter comparison.
 """
 
 from __future__ import annotations
@@ -168,23 +171,35 @@ def _pde(derivs: Sequence[QSeries], *weights) -> QSeries:
     return sum(terms[1:], terms[0])
 
 
-def starred_derivatives(derivs: Sequence[QSeries], r: Fraction) -> Tuple[QSeries, QSeries, QSeries, QSeries]:
-    """(N*, delta_q N*, delta_x N*, delta_x^2 N*) at x = r, for N*(x) = N(x)/(1-x),
-    from ``derivs = derivatives(N)``.
+def _weight(by_a: Sequence[Fraction], by_n: Fraction = 0) -> Callable[[int, int], Fraction]:
+    """The weight ``sum_i by_a[i] a^i + by_n n`` of ``QSeries.eval_weighted``, over one
+    denominator L: an integer sum by Horner's rule and one Fraction per call."""
+    L = math.lcm(*(F(c).denominator for c in (*by_a, by_n)))
+    top, m = [int(c * L) for c in reversed(by_a)], int(by_n * L)
 
-    The chain rule converts x-derivatives of the rational factor into exact
-    scalar multiples of derivatives of N.
+    def weight(a: int, n: int) -> Fraction:
+        t = 0
+        for c in top:
+            t = t * a + c
+        return F(t + m * n, L)
+    return weight
+
+
+def _starred_pde(N: QSeries, r: Fraction, *weights) -> QSeries:
+    """``w0 N* + w1 delta_q N* + w2 delta_x N* + w3 delta_x^2 N*`` at x = r, for
+    N*(x) = N(x)/(1-x) and scalar weights, in one weighted pass of N symbolic in x.
+
+    With ``u = 1/(1-r)`` the chain rule (``delta_x u = r u^2``) weighs each term
+    ``c x^a q^n`` of N by ``alpha + beta n + gamma a + delta a^2``, exact rationals.
     """
     r = F(r)
     if r == 1:
         raise AlgebraError("x = 1 is a pole of the starred series")
+    w0, w1, w2, w3 = weights
     u = F(1, 1 - r)
-    N0, Dq, D1, D2 = (s.eval_param({"x": r}) for s in derivs)
-    nstar = N0 * u
-    dq_star = Dq * u
-    dx_star = D1 * u + N0 * (r * u * u)
-    dx2_star = D2 * u + D1 * (2 * r * u * u) + N0 * (r * u * u + 2 * r * r * u ** 3)
-    return nstar, dq_star, dx_star, dx2_star
+    alpha = w0 * u + w2 * r * u * u + w3 * (r * u * u + 2 * r * r * u ** 3)
+    beta, gamma, delta = w1 * u, w2 * u + 2 * w3 * r * u * u, w3 * u
+    return N.eval_weighted("x", r, _weight((alpha, gamma, delta), beta))
 
 
 # fixed sample points
@@ -216,14 +231,15 @@ def _check_c02(ctx: _Ctx, order: int):
 
 def _check_c03(ctx: _Ctx, order: int):
     table = O.rank_table(order)
+    N = B.rank_gf(order)
     for v in (1, 2, 3):
         s = B.n2v(v, order)
         want = QSeries(("d", "e"), order, {n: O.symmetrized_poly(tally, 2 * v) for n, tally in table.items()})
         ctx.equal(s, want, order, f"2v={2 * v} moment vs enumeration")
-        m = B.symmetrized_moment_series(2 * v, order)
+        m = B.symmetrized_moment_series(2 * v, N)
         ctx.equal(s, m, order, f"series vs direct x-derivative extraction, v={v}")
     for k in (1, 3, 5):
-        odd = B.symmetrized_moment_series(k, order)
+        odd = B.symmetrized_moment_series(k, N)
         ctx.zero(odd, order, f"odd extraction k={k}")
 
 
@@ -297,15 +313,10 @@ def _check_c09(ctx: _Ctx, order: int):
     table = O.rank_table(order)
     G = B.times_poch(B.crank_C(order), _aqinf(2), _qinf(-1))
     Gm1 = G - QSeries.one(("x",), order)
-    dGs = [Gm1]
-    for _ in range(4):
-        dGs.append(dGs[-1].delta_param("x"))
+    A = [_delta_x_A_at_1(j) for j in range(5)]
     for k in (2, 4):
-        acc = QSeries.zero((), order)
-        for j in range(k + 1):
-            aj = _delta_x_A_at_1(j)
-            if aj:
-                acc = acc + dGs[k - j].eval_param({"x": 1}) * (aj * math.comb(k, j))
+        # sum_j a_j C(k, j) delta_x^(k-j) (G - 1) at x = 1: each term x^a weighed by sum_j a_j C(k, j) a^(k-j)
+        acc = Gm1.eval_weighted("x", 1, _weight([A[k - i] * math.comb(k, i) for i in range(k + 1)]))
         want = {n: sum(c * m ** k for (r, s, m), c in tally.items()) for n, tally in table.items()}
         ctx.equal(acc, QSeries((), order, want), order, f"moment k={k}")
 
@@ -361,11 +372,11 @@ def _check_c14(ctx: _Ctx, order: int):
 
 
 def _check_c15(ctx: _Ctx, order: int):
-    D = derivatives(B.rank_gf(order, 1, 0, None))
+    N = B.rank_gf(order, 1, 0, None)
     front = B.times_poch(QSeries.one((), order), _qinf(2), _aqinf(-1))
     for x in X_POINTS:
         ctx.points.append(f"x={x}")
-        rhs = _pde(starred_derivatives(D, x), x / 2, 2 * (1 + x), x, (1 + x) / 2)
+        rhs = _starred_pde(N, x, x / 2, 2 * (1 + x), x, (1 + x) / 2)
         lhs = B.times_poch(front, *_C(x, 1, 3), *_J(-x, 0)) * (x / (1 - x) ** 3)
         ctx.equal(lhs, rhs, order, f"x={x}")
 
@@ -395,7 +406,6 @@ def _check_c17(ctx: _Ctx, order: int):
 
 def _check_c18(ctx: _Ctx, order: int):
     Jx = B.jacobi_J(B.parse_monomial("-x"), order)
-    dJ = Jx.delta_param("x")
     for x in X_POINTS:
         ctx.points.append(f"x={x}")
         coeffs: Dict[int, Fraction] = {}
@@ -407,7 +417,7 @@ def _check_c18(ctx: _Ctx, order: int):
         tail = QSeries((), order, {n: c for n, c in coeffs.items() if c})
         head = QSeries((), order, {0: x / (x + 1)})
         rhs = (head - tail) * Jx.eval_param({"x": x})
-        ctx.equal(dJ.eval_param({"x": x}), rhs, order, f"x={x}")
+        ctx.equal(Jx.eval_weighted("x", x, lambda a, n: a), rhs, order, f"x={x}")
 
 
 def _check_c19(ctx: _Ctx, order: int):
@@ -446,15 +456,15 @@ def _check_c20(ctx: _Ctx, order: int):
 
 
 def _check_c21(ctx: _Ctx, order: int):
-    D = derivatives(B.build("rank:d=1:e=q^-1:base=2", order))
+    N = B.build("rank:d=1:e=q^-1:base=2", order)
     front = B.times_poch(QSeries.one((), order), _q2inf(2))
     for x in X_POINTS:
         ctx.points.append(f"x={x}")
-        rhs = _pde(starred_derivatives(D, x), x, 1 + x, 2 * x, 1 + x)
+        rhs = _starred_pde(N, x, x, 1 + x, 2 * x, 1 + x)
         lhs = B.times_poch(front, *_C(x, 2, 3), *_J(-x, 0)) * (2 * x / (1 - x) ** 3)
         ctx.equal(lhs, rhs, order, f"starred x={x}")
     cubic = _xp({0: 1, 1: -1, 2: -1, 3: 1})
-    rhs = _pde(D, _xp({1: 2, 2: 2}), cubic, _xp({1: 4, 2: -4}), cubic)
+    rhs = _pde(derivatives(N), _xp({1: 2, 2: 2}), cubic, _xp({1: 4, 2: -4}), cubic)
     lhs = B.times_poch(B.jacobi_J(B.parse_monomial("-x"), order), _q2inf(2), *_C(None, 2, 3)) * _xp({1: 2})
     ctx.equal(lhs, rhs, order, "symbolic x")
 
@@ -512,14 +522,14 @@ def _check_c26(ctx: _Ctx, order: int):
 
 
 def _check_c27(ctx: _Ctx, order: int):
-    D = derivatives(B.build("rank:d=0:e=q^-1:base=2", order))
+    N = B.build("rank:d=0:e=q^-1:base=2", order)
     front = B.times_poch(QSeries.one((), order), _q2inf(2), _aqodd(-1))
     for x in X_POINTS:
         ctx.points.append(f"x={x}")
-        rhs = _pde(starred_derivatives(D, x), 0, 2, 1, 1)
+        rhs = _starred_pde(N, x, 0, 2, 1, 1)
         lhs = B.times_poch(front, *_C(x, 2, 3), *_J(-x, 1, 2)) * (2 * x / (1 - x) ** 3)
         ctx.equal(lhs, rhs, order, f"starred x={x}")
-    rhs = _pde(D, _xp({1: 2}), _xp({0: 2, 1: -4, 2: 2}), _xp({0: 1, 2: -1}), _xp({0: 1, 1: -2, 2: 1}))
+    rhs = _pde(derivatives(N), _xp({1: 2}), _xp({0: 2, 1: -4, 2: 2}), _xp({0: 1, 2: -1}), _xp({0: 1, 1: -2, 2: 1}))
     J = B.jacobi_J(B.parse_monomial("-x*q"), order, 2)
     lhs = B.times_poch(J, _q2inf(2), _aqodd(-1), *_C(None, 2, 3)) * _xp({1: 2})
     ctx.equal(lhs, rhs, order, "symbolic x")
@@ -576,7 +586,8 @@ def _check_c33(ctx: _Ctx, order: int):
         ctx.zero(symmetrized, order, f"odd symmetrized moment k={k}")
     for n, tally in table.items():
         for (r, s, m), c in tally.items():
-            ctx.true(tally.get((r, s, -m), 0) == c, f"rank symmetry at n={n}, (r,s,m)=({r},{s},{m})")
+            if tally.get((r, s, -m), 0) != c:  # the label is built only for an entry that fails
+                ctx.true(False, f"rank symmetry at n={n}, (r,s,m)=({r},{s},{m})")
 
 
 def _check_c34(ctx: _Ctx, order: int):

@@ -69,6 +69,16 @@ def _index(params: Tuple[str, ...], name: str) -> int:
         raise AlgebraError(f"unknown parameter {name!r} (declared: {params})") from None
 
 
+def _powers(name: str, exps: set, r: Fraction) -> Tuple[dict, Fraction]:
+    """``({e: p^(e - lo) * q^(hi - e)}, p^lo / q^hi)`` for ``name`` at r = p/q, over its
+    exponents ``exps`` in [lo, hi]: r^e is the integer of e times the common factor."""
+    lo, hi = min(exps, default=0), max(exps, default=0)
+    p, q = r.numerator, r.denominator
+    if lo < 0 and p == 0:
+        raise AlgebraError(f"pole at 0: {name}^{lo} evaluated at 0")
+    return {e: p ** (e - lo) * q ** (hi - e) for e in exps}, Fraction(p) ** lo / Fraction(q) ** hi
+
+
 def _clean(terms: Mapping[ExpVec, Scalar]) -> dict[ExpVec, Scalar]:
     """A summed term map without its zero sums, in canonical form."""
     return {vec: c if type(c) is int else _canon(c) for vec, c in terms.items() if c}
@@ -256,13 +266,9 @@ class ParamPoly:
         scale = Fraction(1, den)
         powers = []  # (index, {e: p^(e - lo) * q^(hi - e)})
         for i, r in fixed.items():
-            exps = {vec[i] for vec in self.terms}
-            lo, hi = min(exps, default=0), max(exps, default=0)
-            p, q = r.numerator, r.denominator
-            if lo < 0 and p == 0:
-                raise AlgebraError(f"pole at 0: {self.params[i]}^{lo} evaluated at 0")
-            powers.append((i, {e: p ** (e - lo) * q ** (hi - e) for e in exps}))
-            scale *= Fraction(p) ** lo / Fraction(q) ** hi
+            table, factor = _powers(self.params[i], {vec[i] for vec in self.terms}, r)
+            powers.append((i, table))
+            scale *= factor
         sums: dict[ExpVec, int] = {}
         for vec, c in self.terms.items():
             c = c * den if type(c) is int else c.numerator * (den // c.denominator)

@@ -21,7 +21,10 @@ ints instead of Fractions.
 
 Fixing a parameter removes it: ``eval_param`` and ``substitute_param``
 take a mapping of every name to fix and return a series over the
-remaining parameters.
+remaining parameters.  :meth:`QSeries.eval_weighted` fixes one parameter
+p at a rational r and weighs each term ``c p^a q^n`` by a rational
+``w(a, n)`` in the same integer pass: an x-derivative read at a point
+costs one pass and builds no derivative series.
 
 Per-parameter degree bounds record facts of the form
 ``0 <= deg_p(coeff of q^n) <= slope * n``.  They enter only through
@@ -40,10 +43,10 @@ import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import add
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from operator import add, itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _index, _integer, _rational
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _index, _integer, _powers, _rational
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
@@ -391,6 +394,49 @@ class QSeries:
             _index(self.params, name)
         params = tuple(p for p in self.params if p not in values)
         return QSeries(params, self.order, {n: c.eval(values) for n, c in self.coeffs.items()})
+
+    def eval_weighted(self, name: str, r: Scalar, weight: Callable[[int, int], Scalar]) -> "QSeries":
+        """``sum w(a, n) c r^a q^n`` over the terms ``c p^a q^n``, for the parameter p of ``name``
+        fixed at the rational r and each term weighed by the rational ``w(a, n) = weight(a, n)``;
+        the result is without p, keeps the order and has no bounds.  This reads x-derivatives at
+        a point: ``(p d/dp)^k`` at p = r is the weight ``a^k``, and ``q d/dq`` the weight n.
+
+        One pass in integers, as in :meth:`ParamPoly.eval`: r^a is the integer
+        ``num^(a - lo) den^(hi - a)`` over the exponents of p in [lo, hi], the coefficients are
+        scaled by the lcm of their denominators, and the weights, computed once per distinct
+        (a, n), by the lcm of theirs.  Each output term is one integer sum, divided once by
+        the common factor at the exit."""
+        i = _index(self.params, name)
+        keep = [j for j in range(len(self.params)) if j != i]
+        params = tuple(self.params[j] for j in keep)
+        pick = itemgetter(*keep) if len(keep) > 1 else lambda vec: tuple(vec[j] for j in keep)
+        exps = {n: {vec[i] for vec in p.terms} for n, p in self.coeffs.items()}
+        weights = {n: {a: _canon(weight(a, n)) for a in row} for n, row in exps.items()}
+        W = math.lcm(*(w.denominator for row in weights.values() for w in row.values()))
+        powers, factor = _powers(name, set().union(*exps.values()), _as_fraction(r))
+        # the weight times the power of r of each (n, a), in integers
+        tables = {n: {a: w.numerator * (W // w.denominator) * powers[a] for a, w in row.items()}
+                  for n, row in weights.items()}
+        D = math.lcm(*(c.denominator for p in self.coeffs.values() for c in p.terms.values()))
+        scale = factor / (D * W)
+        A, B = scale.numerator, scale.denominator
+        out = QSeries(params, self.order)
+        for n, poly in self.coeffs.items():
+            row, sums = tables[n], {}
+            for vec, c in poly.terms.items():
+                w = row[vec[i]]
+                if w:
+                    key = pick(vec)
+                    c = c * D if type(c) is int else c.numerator * (D // c.denominator)
+                    sums[key] = sums.get(key, 0) + c * w
+            terms = {}
+            for key, t in sums.items():
+                if t:
+                    t *= A
+                    terms[key] = t // B if not t % B else Fraction(t, B)
+            if terms:
+                out.coeffs[n] = ParamPoly._raw(params, terms)
+        return out
 
     def substitute_param(self, values: Mapping[str, Tuple[Scalar, int]]) -> "QSeries":
         """Replace each parameter p of ``values`` by the q-monomial ``c * q^j`` of its

@@ -37,8 +37,9 @@ def test_a1_moment_bridge():
             for n in range(13):
                 expected = oracle.symmetrized_poly(table[n], 2 * v)
                 assert series.coefficient(n).terms == expected.terms, (v, n)
+        N = B.rank_gf(12)
         for k in (1, 3, 5):
-            assert B.symmetrized_moment_series(k, 12).is_zero()
+            assert B.symmetrized_moment_series(k, N).is_zero()
     _verdict("A1 moment-bridge", body)
 
 

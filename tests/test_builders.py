@@ -1,10 +1,12 @@
+import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from qpairs import AlgebraError, ParamPoly, QSeries
+import _props
+from qpairs import AlgebraError, ParamPoly, QSeries, cli
 from qpairs import builders as B
 from qpairs.builders import Monomial
 
@@ -167,6 +169,26 @@ def test_lambert_rational_x_point():
 def test_lambert_zero_denominator_rejected():
     with pytest.raises(AlgebraError):
         B.lambert_sum(6, A=1, den=1, a=1, b=0, domain="Z")
+
+
+@pytest.mark.parametrize("order", [5, 10100])
+@pytest.mark.parametrize("spec, n", [
+    (dict(a=1, b=-100, domain="n>=1"), 100),  # term 100 lies far past the window at order 5
+    (dict(a=2, b=6, domain="odd"), -3),  # on the negative walk, by the stride
+    (dict(a=0, b=0, domain="Znz"), 1),  # at every index
+])
+def test_lambert_zero_denominator_rejected_at_every_order(order, spec, n):
+    with pytest.raises(AlgebraError, match=rf"^zero denominator 1 - q\^0 at n={n}$"):
+        B.lambert_sum(order, A=1, den=1, **spec)
+
+
+@pytest.mark.parametrize("spec", [
+    dict(a=2, b=-4, domain="odd"),  # the zero index 2 is even
+    dict(a=2, b=-3, domain="Z"),  # -b/a = 3/2 is no index
+    dict(a=1, b=1, domain="n>=1"),  # the zero index -1 lies behind the walk
+])
+def test_lambert_zero_denominator_off_the_domain_accepted(spec):
+    assert not B.lambert_sum(5, A=1, den=1, **spec).is_zero()
 
 
 @pytest.mark.parametrize("order", [3, 30])
@@ -333,9 +355,48 @@ def test_n2v_d0e0_against_direct_display():
 
 def test_symmetrized_moment_extraction_matches_n2v():
     a = B.n2v(1, 8)
-    b = B.symmetrized_moment_series(2, 8)
+    b = B.symmetrized_moment_series(2, B.rank_gf(8))
     ok, report = a.equal_to_order(b, 8)
     assert ok, report
+
+
+def moment_by_derivatives(k: int, N: QSeries) -> QSeries:
+    """``(1/k!) [d^k/dx^k (x^((k-1)//2) N)]`` at x = 1, by k calls of ``d_dparam``."""
+    s = N * ParamPoly.monomial(N.params, {"x": (k - 1) // 2})
+    for _ in range(k):
+        s = s.d_dparam("x")
+    return s.eval_param({"x": 1}) * F(1, factorial(k))
+
+
+@pytest.mark.parametrize("d", [None, 2])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_moment_coeffs_json_is_the_k_fold_x_derivative(capsys, k, d):
+    order = 7
+    spec = f"moment:k={k}" + (f":d={d}" if d else "")
+    assert cli.main(["coeffs", spec, "--order", str(order), "--format", "json"]) == 0
+    N = B.rank_gf(order, d)
+    want = moment_by_derivatives(k, N).with_bounds({p: 1 for p in ("d", "e") if p in N.params})
+    assert want.is_zero() == (k % 2 == 1)
+    assert capsys.readouterr().out == want.to_json() + "\n"
+
+
+def test_moment_index_rejected_before_the_rank_refinement_is_built(monkeypatch):
+    monkeypatch.setattr(B, "rank_gf", None)  # any call fails with TypeError
+    with pytest.raises(AlgebraError, match="^moment index must be >= 1$"):
+        B.build("moment:k=0", 200)
+    with pytest.raises(AlgebraError, match="^moment index must be >= 1$"):
+        B.symmetrized_moment_series(0, QSeries.zero(("x",), 3))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_moment_extraction_of_a_series_without_the_rank_symmetry(k):
+    # on the rank refinement, symmetric under x <-> 1/x, the shift j = k//2 gives the same
+    # moments as j = (k-1)//2; on these series, with x-exponents in [-8, 8], it does not
+    rng = random.Random(20261027 + k)
+    params = ("d", "x", "e")
+    for _ in range(30):
+        N = QSeries(params, 3, {n: _props.random_poly(rng, params, 4, (-8, 8)) for n in range(-1, 4)})
+        assert B.symmetrized_moment_series(k, N) == moment_by_derivatives(k, N), (k, N)
 
 
 # -- smallest parts -------------------------------------------------------

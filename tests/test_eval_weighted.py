@@ -1,0 +1,111 @@
+"""``QSeries.eval_weighted`` against the derivative series it replaces.
+
+The kernel fixes one parameter p at a rational r and weighs each term
+``c p^a q^n`` by ``w(a, n)``.  A weight that is a polynomial in a and n is
+a combination of Euler operators, ``a^i n^j`` for ``delta_p^i delta_q^j``,
+and ``a (a-1) ... (a-k+1) / r^k`` is the k-fold ``d_dparam``; each is
+compared here with those operators followed by ``eval_param``.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+import _props
+from qpairs import AlgebraError, ParamPoly, QSeries, oracle
+from qpairs import builders as B
+
+F = Fraction
+PARAMS = ("d", "x", "e")  # p in the middle: the kept names are not a prefix
+POINTS = (F(1), F(-2), F(1, 2), F(3))
+
+
+def laurent_series(rng: random.Random) -> QSeries:
+    """A random series over PARAMS with negative exponents of x and rational coefficients."""
+    return _props.random_series(rng, PARAMS)
+
+
+def euler(s: QSeries, i: int, j: int) -> QSeries:
+    """``delta_x^i delta_q^j s``."""
+    for _ in range(i):
+        s = s.delta_param("x")
+    for _ in range(j):
+        s = s.delta_q()
+    return s
+
+
+def test_polynomial_weights_are_the_euler_operators_read_at_the_point():
+    rng = random.Random(20261025)
+    seen = {"zero series": 0, "zero weight": 0, "rational weight": 0}
+    for _ in range(300):
+        s = laurent_series(rng)
+        if rng.random() < 0.1:
+            s = QSeries.zero(PARAMS, s.order)
+        r = rng.choice(POINTS)
+        # w(a, n) = sum c_ij a^i n^j, each c_ij zero, an int or a rational
+        cs = {(i, j): rng.choice([0, 0, 1, -3, F(2, 3), F(-5, 7)]) for i in range(3) for j in range(2)}
+        got = s.eval_weighted("x", r, lambda a, n: sum(c * a ** i * n ** j for (i, j), c in cs.items()))
+        want = QSeries.zero(("d", "e"), s.order)
+        for (i, j), c in cs.items():
+            want = want + euler(s, i, j).eval_param({"x": r}) * c
+        assert got == want, (s, r, cs)
+        assert got.params == ("d", "e") and got.order == s.order and not got.bounds
+        assert _props.canonical(got)
+        seen["zero series"] += s.is_zero()
+        seen["zero weight"] += not any(cs.values())
+        seen["rational weight"] += any(type(c) is F for c in cs.values())
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("r", POINTS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_falling_factorial_weight_is_the_k_fold_derivative(r, k):
+    rng = random.Random(20261026 + k)
+    for _ in range(40):
+        s = laurent_series(rng)
+        want = s
+        for _ in range(k):
+            want = want.d_dparam("x")
+        want = want.eval_param({"x": r})
+        got = s.eval_weighted("x", r, lambda a, n: math.prod(range(a - k + 1, a + 1)) / r ** k)
+        assert got == want, (s, r, k)
+
+
+def test_the_weight_is_evaluated_once_per_distinct_exponent_pair():
+    s = QSeries(("x", "e"), 4, {
+        1: ParamPoly(("x", "e"), {(1, 0): 1, (1, 2): 3, (-1, 0): F(1, 2)}),
+        3: ParamPoly(("x", "e"), {(1, 0): 2, (1, 1): 5}),
+    })
+    calls = []
+
+    def weight(a, n):
+        calls.append((a, n))
+        return F(a, n)
+
+    got = s.eval_weighted("x", 2, weight)
+    assert sorted(calls) == [(-1, 1), (1, 1), (1, 3)]
+    assert got == QSeries(("e",), 4, {1: ParamPoly(("e",), {(0,): F(7, 4), (2,): 6}),
+                                      3: ParamPoly(("e",), {(0,): F(4, 3), (1,): F(10, 3)})})
+
+
+def test_terms_that_cancel_leave_no_zero():
+    # x - 2 vanishes at x = 2: its q^2 is not stored as a zero
+    s = QSeries(("x",), 3, {2: ParamPoly(("x",), {(1,): 1, (0,): -2}), 3: ParamPoly(("x",), {(0,): 5})})
+    got = s.eval_weighted("x", 2, lambda a, n: 1)
+    assert got == QSeries((), 3, {3: 5}) and 2 not in got.coeffs
+
+
+def test_a_pole_and_an_unknown_name_are_rejected():
+    s = QSeries(("x",), 2, {1: ParamPoly(("x",), {(-1,): 1})})
+    with pytest.raises(AlgebraError, match=r"pole at 0: x\^-1 evaluated at 0"):
+        s.eval_weighted("x", 0, lambda a, n: 1)
+    with pytest.raises(AlgebraError, match="unknown parameter 'z'"):
+        s.eval_weighted("z", 1, lambda a, n: 1)
+
+
+def test_the_moment_binomial_is_the_generalized_binomial():
+    for m in range(-8, 9):
+        for k in range(0, 7):
+            assert B._binom(m, k) == oracle.gbinom(m, k), (m, k)

@@ -214,6 +214,42 @@ def test_c07_builds_each_point_once(monkeypatch):
     assert sorted(points) == sorted(set(points)) and len(points) == 8
 
 
+def test_c03_builds_the_symbolic_rank_refinement_once(monkeypatch):
+    # one N(d, e, x) for its six moment extractions
+    calls, rank_gf = [], builders.rank_gf
+
+    def counted(order, d=None, e=None, x=None, base=1):
+        calls.append((order, d, e, x, base))
+        return rank_gf(order, d, e, x, base)
+
+    monkeypatch.setattr(builders, "rank_gf", counted)
+    assert harness.run_check("C03", order=6).status == "pass"
+    assert calls == [(6, None, None, None, 1)]
+
+
+def test_c33_labels_only_the_entry_that_fails(monkeypatch):
+    # +5, -4, +1 at ranks 1, 2, 3 keep both odd moments zero but break the rank symmetry
+    counted, labels = oracle.rank_table, []
+    true = harness._Ctx.true
+
+    def perturbed(n_max):
+        out = {n: dict(tally) for n, tally in counted(n_max).items()}
+        for m, c in ((1, 5), (2, -4), (3, 1)):
+            out[5][(1, 1, m)] = out[5].get((1, 1, m), 0) + c
+        return out
+
+    def spy(self, cond, label):
+        labels.append(label)
+        true(self, cond, label)
+
+    monkeypatch.setattr(harness._Ctx, "true", spy)
+    assert harness.run_check("C33", order=6).status == "pass" and labels == []
+    monkeypatch.setattr(oracle, "rank_table", perturbed)
+    res = harness.run_check("C33", order=6)
+    assert res.status == "fail"
+    assert res.first_mismatch == {"label": "rank symmetry at n=5, (r,s,m)=(1,1,-3)"}
+
+
 def test_report_determinism():
     a = harness.run_suite("C12", order=12)
     b = harness.run_suite("C12", order=12)
