@@ -13,7 +13,8 @@ product, go through ``builders.times_poch``, one call per quotient, applied
 to the series they multiply, and ``e -> c/q`` substitutions through
 ``builders.build``.  An x-derivative read at a point (the starred PDEs of
 C15, C21 and C27, C09's moments, C18's ``delta_x J``) is one
-``QSeries.eval_weighted`` pass over the series symbolic in x.  Each
+``QSeries.eval_weighted`` pass over the series symbolic in x, and so is
+each symbolic PDE of C16, C21 and C27, with x kept (``r = None``).  Each
 comparison covers exactly the requested order; a side that comes back
 short is an error, not a shorter comparison.
 """
@@ -155,47 +156,40 @@ def S3(x: Fraction, zeta: Fraction, order: int) -> QSeries:
     return lambert_sum(order, zeta=-zeta, A=2, B=3, den=x, a=2)
 
 
-def _xp(coeffs: Dict[int, Fraction]) -> ParamPoly:
-    return ParamPoly(("x",), {(k,): F(v) for k, v in coeffs.items()})
+def _weight(by_a: Sequence, by_n=0) -> Callable[[int, int], object]:
+    """The weight ``sum_i by_a[i] a^i + by_n n`` of ``QSeries.eval_weighted``.  Each coefficient
+    is a rational, or an x-polynomial as a map exponent -> rational for ``r = None``, and the
+    weight then is one too.  Over one denominator L: for each exponent of x an integer sum by
+    Horner's rule and one Fraction per call."""
+    polys = [c if isinstance(c, dict) else {0: c} for c in (*by_a, by_n)]
+    L = math.lcm(*(F(v).denominator for c in polys for v in c.values()))
+    rows = [(j, [int(c.get(j, 0) * L) for c in reversed(polys[:-1])], int(polys[-1].get(j, 0) * L))
+            for j in set().union(*polys)]
+
+    def weight(a: int, n: int) -> Dict[int, Fraction]:
+        out = {}
+        for j, top, m in rows:
+            t = 0
+            for c in top:
+                t = t * a + c
+            out[j] = F(t + m * n, L)
+        return out
+    return weight if any(isinstance(c, dict) for c in (*by_a, by_n)) else lambda a, n: weight(a, n)[0]
 
 
-def derivatives(N: QSeries) -> Tuple[QSeries, QSeries, QSeries, QSeries]:
-    """(N, delta_q N, delta_x N, delta_x^2 N) for N symbolic in x."""
-    Dx = N.delta_param("x")
-    return N, N.delta_q(), Dx, Dx.delta_param("x")
-
-
-def _pde(derivs: Sequence[QSeries], *weights) -> QSeries:
-    """``sum_i derivs[i] * weights[i]``, weights scalars or x-polynomials."""
-    terms = [s * w for s, w in zip(derivs, weights)]
-    return sum(terms[1:], terms[0])
-
-
-def _weight(by_a: Sequence[Fraction], by_n: Fraction = 0) -> Callable[[int, int], Fraction]:
-    """The weight ``sum_i by_a[i] a^i + by_n n`` of ``QSeries.eval_weighted``, over one
-    denominator L: an integer sum by Horner's rule and one Fraction per call."""
-    L = math.lcm(*(F(c).denominator for c in (*by_a, by_n)))
-    top, m = [int(c * L) for c in reversed(by_a)], int(by_n * L)
-
-    def weight(a: int, n: int) -> Fraction:
-        t = 0
-        for c in top:
-            t = t * a + c
-        return F(t + m * n, L)
-    return weight
-
-
-def _starred_pde(N: QSeries, r: Fraction, *weights) -> QSeries:
-    """``w0 N* + w1 delta_q N* + w2 delta_x N* + w3 delta_x^2 N*`` at x = r, for
-    N*(x) = N(x)/(1-x) and scalar weights, in one weighted pass of N symbolic in x.
-
-    With ``u = 1/(1-r)`` the chain rule (``delta_x u = r u^2``) weighs each term
-    ``c x^a q^n`` of N by ``alpha + beta n + gamma a + delta a^2``, exact rationals.
+def _pde(N: QSeries, r: Optional[Fraction], *weights) -> QSeries:
+    """``w0 M + w1 delta_q M + w2 delta_x M + w3 delta_x^2 M`` in one weighted pass of N symbolic
+    in x.  With ``r = None`` M is N and the weights are x-polynomials (maps exponent ->
+    rational), and the result keeps x.  Otherwise M is N*(x) = N(x)/(1-x) at x = r and the
+    weights are scalars: with ``u = 1/(1-r)`` the chain rule (``delta_x u = r u^2``) weighs each
+    term ``c x^a q^n`` of N by ``alpha + beta n + gamma a + delta a^2``, exact rationals.
     """
+    w0, w1, w2, w3 = weights
+    if r is None:
+        return N.eval_weighted("x", None, _weight((w0, w2, w3), w1))
     r = F(r)
     if r == 1:
         raise AlgebraError("x = 1 is a pole of the starred series")
-    w0, w1, w2, w3 = weights
     u = F(1, 1 - r)
     alpha = w0 * u + w2 * r * u * u + w3 * (r * u * u + 2 * r * r * u ** 3)
     beta, gamma, delta = w1 * u, w2 * u + 2 * w3 * r * u * u, w3 * u
@@ -376,19 +370,14 @@ def _check_c15(ctx: _Ctx, order: int):
     front = B.times_poch(QSeries.one((), order), _qinf(2), _aqinf(-1))
     for x in X_POINTS:
         ctx.points.append(f"x={x}")
-        rhs = _starred_pde(N, x, x / 2, 2 * (1 + x), x, (1 + x) / 2)
+        rhs = _pde(N, x, x / 2, 2 * (1 + x), x, (1 + x) / 2)
         lhs = B.times_poch(front, *_C(x, 1, 3), *_J(-x, 0)) * (x / (1 - x) ** 3)
         ctx.equal(lhs, rhs, order, f"x={x}")
 
 
 def _check_c16(ctx: _Ctx, order: int):
-    rhs = _pde(
-        derivatives(B.rank_gf(order, 1, 0, None)),
-        _xp({1: 1, 2: 1}),
-        _xp({0: 2, 1: -2, 2: -2, 3: 2}),
-        _xp({1: 2, 2: -2}),
-        _xp({0: F(1, 2), 1: -F(1, 2), 2: -F(1, 2), 3: F(1, 2)}),
-    )
+    rhs = _pde(B.rank_gf(order, 1, 0, None), None, {1: 1, 2: 1}, {0: 2, 1: -2, 2: -2, 3: 2}, {1: 2, 2: -2},
+               {0: F(1, 2), 1: -F(1, 2), 2: -F(1, 2), 3: F(1, 2)})
     lhs = B.times_poch(
         B.jacobi_J(B.parse_monomial("-x"), order), *_C(None, 1, 3), _qinf(2), _aqinf(-1)
     ) * ParamPoly.var(("x",), "x")
@@ -460,12 +449,13 @@ def _check_c21(ctx: _Ctx, order: int):
     front = B.times_poch(QSeries.one((), order), _q2inf(2))
     for x in X_POINTS:
         ctx.points.append(f"x={x}")
-        rhs = _starred_pde(N, x, x, 1 + x, 2 * x, 1 + x)
+        rhs = _pde(N, x, x, 1 + x, 2 * x, 1 + x)
         lhs = B.times_poch(front, *_C(x, 2, 3), *_J(-x, 0)) * (2 * x / (1 - x) ** 3)
         ctx.equal(lhs, rhs, order, f"starred x={x}")
-    cubic = _xp({0: 1, 1: -1, 2: -1, 3: 1})
-    rhs = _pde(derivatives(N), _xp({1: 2, 2: 2}), cubic, _xp({1: 4, 2: -4}), cubic)
-    lhs = B.times_poch(B.jacobi_J(B.parse_monomial("-x"), order), _q2inf(2), *_C(None, 2, 3)) * _xp({1: 2})
+    cubic = {0: 1, 1: -1, 2: -1, 3: 1}
+    rhs = _pde(N, None, {1: 2, 2: 2}, cubic, {1: 4, 2: -4}, cubic)
+    J = B.jacobi_J(B.parse_monomial("-x"), order)
+    lhs = B.times_poch(J, _q2inf(2), *_C(None, 2, 3)) * ParamPoly.monomial(("x",), {"x": 1}, 2)
     ctx.equal(lhs, rhs, order, "symbolic x")
 
 
@@ -526,12 +516,12 @@ def _check_c27(ctx: _Ctx, order: int):
     front = B.times_poch(QSeries.one((), order), _q2inf(2), _aqodd(-1))
     for x in X_POINTS:
         ctx.points.append(f"x={x}")
-        rhs = _starred_pde(N, x, 0, 2, 1, 1)
+        rhs = _pde(N, x, 0, 2, 1, 1)
         lhs = B.times_poch(front, *_C(x, 2, 3), *_J(-x, 1, 2)) * (2 * x / (1 - x) ** 3)
         ctx.equal(lhs, rhs, order, f"starred x={x}")
-    rhs = _pde(derivatives(N), _xp({1: 2}), _xp({0: 2, 1: -4, 2: 2}), _xp({0: 1, 2: -1}), _xp({0: 1, 1: -2, 2: 1}))
+    rhs = _pde(N, None, {1: 2}, {0: 2, 1: -4, 2: 2}, {0: 1, 2: -1}, {0: 1, 1: -2, 2: 1})
     J = B.jacobi_J(B.parse_monomial("-x*q"), order, 2)
-    lhs = B.times_poch(J, _q2inf(2), _aqodd(-1), *_C(None, 2, 3)) * _xp({1: 2})
+    lhs = B.times_poch(J, _q2inf(2), _aqodd(-1), *_C(None, 2, 3)) * ParamPoly.monomial(("x",), {"x": 1}, 2)
     ctx.equal(lhs, rhs, order, "symbolic x")
 
 

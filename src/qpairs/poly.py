@@ -240,14 +240,6 @@ class ParamPoly:
                 terms[nvec] = terms.get(nvec, 0) + c * k
         return ParamPoly._from_sums(self.params, terms)
 
-    def delta(self, name: str) -> "ParamPoly":
-        """The Euler operator p * d/dp: multiplies each term by its p-exponent."""
-        i = _index(self.params, name)
-        return ParamPoly(
-            self.params,
-            {vec: c * vec[i] for vec, c in self.terms.items() if vec[i]},
-        )
-
     def eval(self, values: Mapping[str, Scalar]) -> "ParamPoly":
         """Replace each named parameter by its rational value; the result is
         without those names.

@@ -24,7 +24,9 @@ take a mapping of every name to fix and return a series over the
 remaining parameters.  :meth:`QSeries.eval_weighted` fixes one parameter
 p at a rational r and weighs each term ``c p^a q^n`` by a rational
 ``w(a, n)`` in the same integer pass: an x-derivative read at a point
-costs one pass and builds no derivative series.
+costs one pass and builds no derivative series.  With ``r = None`` p
+stays and ``w(a, n)`` is a Laurent polynomial in p, so a PDE with
+p-polynomial coefficients is one pass too.
 
 Per-parameter degree bounds record facts of the form
 ``0 <= deg_p(coeff of q^n) <= slope * n``.  They enter only through
@@ -395,40 +397,52 @@ class QSeries:
         params = tuple(p for p in self.params if p not in values)
         return QSeries(params, self.order, {n: c.eval(values) for n, c in self.coeffs.items()})
 
-    def eval_weighted(self, name: str, r: Scalar, weight: Callable[[int, int], Scalar]) -> "QSeries":
+    def eval_weighted(self, name: str, r: Optional[Scalar],
+                      weight: Callable[[int, int], Union[Scalar, Mapping[int, Scalar]]]) -> "QSeries":
         """``sum w(a, n) c r^a q^n`` over the terms ``c p^a q^n``, for the parameter p of ``name``
         fixed at the rational r and each term weighed by the rational ``w(a, n) = weight(a, n)``;
         the result is without p, keeps the order and has no bounds.  This reads x-derivatives at
         a point: ``(p d/dp)^k`` at p = r is the weight ``a^k``, and ``q d/dq`` the weight n.
+        With ``r = None`` p stays, as a parameter the builders keep symbolic: ``weight(a, n)`` is
+        a Laurent polynomial in p, a map shift -> rational, and the term becomes
+        ``sum_j w_j(a, n) c p^(a + j) q^n``, so a PDE with p-polynomial coefficients is one pass.
 
         One pass in integers, as in :meth:`ParamPoly.eval`: r^a is the integer
-        ``num^(a - lo) den^(hi - a)`` over the exponents of p in [lo, hi], the coefficients are
-        scaled by the lcm of their denominators, and the weights, computed once per distinct
-        (a, n), by the lcm of theirs.  Each output term is one integer sum, divided once by
-        the common factor at the exit."""
+        ``num^(a - lo) den^(hi - a)`` over the exponents of p in [lo, hi] (1 when p stays), the
+        coefficients are scaled by the lcm of their denominators, and the weights, computed once
+        per distinct (a, n), by the lcm of theirs.  Each output term is one integer sum, divided
+        once by the common factor at the exit."""
         i = _index(self.params, name)
-        keep = [j for j in range(len(self.params)) if j != i]
-        params = tuple(self.params[j] for j in keep)
-        pick = itemgetter(*keep) if len(keep) > 1 else lambda vec: tuple(vec[j] for j in keep)
         exps = {n: {vec[i] for vec in p.terms} for n, p in self.coeffs.items()}
-        weights = {n: {a: _canon(weight(a, n)) for a in row} for n, row in exps.items()}
-        W = math.lcm(*(w.denominator for row in weights.values() for w in row.values()))
-        powers, factor = _powers(name, set().union(*exps.values()), _as_fraction(r))
-        # the weight times the power of r of each (n, a), in integers
-        tables = {n: {a: w.numerator * (W // w.denominator) * powers[a] for a, w in row.items()}
-                  for n, row in weights.items()}
+        exponents, keep = set().union(*exps.values()), r is None
+        if keep:  # p stays: the row of shift j weighs c p^a q^n into w_j(a, n) c p^(a + j) q^n
+            params, powers, factor = self.params, dict.fromkeys(exponents, 1), Fraction(1)
+            ws = {n: {a: weight(a, n) for a in row} for n, row in exps.items()}
+            rows = {n: [(j, {a: _canon(w.get(j, 0)) for a, w in row.items()}) for j in set().union(*row.values())]
+                    for n, row in ws.items()}
+        else:  # p goes: one row, of the weights
+            params = self.params[:i] + self.params[i + 1:]
+            powers, factor = _powers(name, exponents, _as_fraction(r))
+            rows = {n: [(0, {a: _canon(weight(a, n)) for a in row})] for n, row in exps.items()}
+        others = [k for k in range(len(self.params)) if k != i]
+        pick = itemgetter(*others) if len(others) > 1 else lambda vec: vec[:i] + vec[i + 1:]
+        W = math.lcm(*(w.denominator for rs in rows.values() for _, row in rs for w in row.values()))
+        # the weight times the power of r of each (n, j, a), in integers
+        tables = {n: [(j, {a: w.numerator * (W // w.denominator) * powers[a] for a, w in row.items()}) for j, row in rs]
+                  for n, rs in rows.items()}
         D = math.lcm(*(c.denominator for p in self.coeffs.values() for c in p.terms.values()))
         scale = factor / (D * W)
         A, B = scale.numerator, scale.denominator
         out = QSeries(params, self.order)
         for n, poly in self.coeffs.items():
-            row, sums = tables[n], {}
-            for vec, c in poly.terms.items():
-                w = row[vec[i]]
-                if w:
-                    key = pick(vec)
-                    c = c * D if type(c) is int else c.numerator * (D // c.denominator)
-                    sums[key] = sums.get(key, 0) + c * w
+            sums = {}
+            for j, row in tables[n]:
+                for vec, c in poly.terms.items():
+                    w = row[vec[i]]
+                    if w:
+                        key = vec[:i] + (vec[i] + j,) + vec[i + 1:] if keep else pick(vec)
+                        c = c * D if type(c) is int else c.numerator * (D // c.denominator)
+                        sums[key] = sums.get(key, 0) + c * w
             terms = {}
             for key, t in sums.items():
                 if t:
@@ -507,15 +521,6 @@ class QSeries:
             self.params,
             self.order,
             {n: c.derivative(name) for n, c in self.coeffs.items()},
-        )
-
-    def delta_param(self, name: str) -> "QSeries":
-        """The Euler operator p d/dp applied coefficientwise."""
-        _index(self.params, name)
-        return QSeries(
-            self.params,
-            self.order,
-            {n: c.delta(name) for n, c in self.coeffs.items()},
         )
 
     # -- comparison -----------------------------------------------------

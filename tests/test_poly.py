@@ -37,13 +37,10 @@ def test_product_and_power():
     assert sq.terms[(1, 0)] == 2
 
 
-def test_derivative_and_delta():
+def test_derivative():
     a = ParamPoly.monomial(P, {"d": 2}, 1)
     da = a.derivative("d")
     assert da.terms[(1, 0)] == 2
-    # delta keeps the exponent: d * d/dd (d^-1) = -d^-1
-    b = ParamPoly.monomial(P, {"d": -1})
-    assert b.delta("d").terms[(-1, 0)] == -1
 
 
 def test_eval_and_pole():
@@ -116,8 +113,3 @@ def test_min_degree_of_a_name_that_is_not_a_parameter_rejected():
 def test_derivative_in_a_name_that_is_not_a_parameter_rejected():
     with pytest.raises(AlgebraError, match=UNKNOWN):
         ParamPoly.var(P, "e").derivative("z")
-
-
-def test_delta_in_a_name_that_is_not_a_parameter_rejected():
-    with pytest.raises(AlgebraError, match=UNKNOWN):
-        ParamPoly.zero(P).delta("z")

@@ -209,12 +209,10 @@ def test_delta_q_of_euler_product():
     assert lhs.coefficient(2).constant_value() == -2
 
 
-def test_d_dparam_and_delta_param():
+def test_d_dparam():
     p = ("x",)
     s = QSeries.from_terms(p, [(1, poly(p, {"x": 2}))], 3)
     assert s.d_dparam("x").coefficient(1).terms == {(1,): 2}
-    t = QSeries.from_terms(p, [(0, poly(p, {"x": -1}))], 3)
-    assert t.delta_param("x").coefficient(0).terms == {(-1,): -1}
 
 
 # -- access and comparison ------------------------------------------------
@@ -379,9 +377,3 @@ def test_substitute_param_of_a_name_that_is_not_a_parameter_rejected(s, qexp):
 def test_d_dparam_in_a_name_that_is_not_a_parameter_rejected(s):
     with pytest.raises(AlgebraError, match=UNKNOWN):
         s.d_dparam("z")
-
-
-@pytest.mark.parametrize("s", NAMED, ids=["one", "zero"])
-def test_delta_param_in_a_name_that_is_not_a_parameter_rejected(s):
-    with pytest.raises(AlgebraError, match=UNKNOWN):
-        s.delta_param("z")

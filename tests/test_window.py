@@ -118,12 +118,16 @@ def draw(rng: random.Random):
         p, r = rng.choice(PARAMS), rng.choice([F(1), F(-2), F(1, 2), F(3)])
         cs = [rng.choice([0, 1, -2, F(1, 3)]) for _ in range(3)]
         return name, (s,), lambda a: a.eval_weighted(p, r, lambda e, n: cs[0] + cs[1] * e * e + cs[2] * n)
+    if name == "eval_weighted_kept":  # p stays: the weight is a Laurent polynomial in p
+        p, cs = rng.choice(PARAMS), [rng.choice([0, 1, -2, F(1, 3)]) for _ in range(3)]
+        return name, (s,), lambda a: a.eval_weighted(p, None, lambda e, n: {-1: cs[0], 0: cs[1] * e * e, 2: cs[2] * n})
     m = rng.randint(s.valuation - 2, s.order)
     return name, (s,), lambda a: a.truncate(m)
 
 
 OPERATIONS = ("substitute_param", "substitute_param_joint", "eval_param", "mul_one_minus",
-              "product", "sum", "invert", "shift", "delta_q", "d_dparam", "eval_weighted", "truncate")
+              "product", "sum", "invert", "shift", "delta_q", "d_dparam", "eval_weighted", "eval_weighted_kept",
+              "truncate")
 
 
 def test_operations_agree_on_every_completion_through_the_order_they_report():
