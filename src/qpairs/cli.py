@@ -326,11 +326,9 @@ def cmd_moments(args) -> int:
 
 def cmd_spt(args) -> int:
     series = builders.spt_gf(args.n_max)
-    rows = []
-    for n in range(args.n_max + 1):
-        c = series.coefficient(n)
-        total = c.eval(dict.fromkeys(c.params, 1))
-        rows.append([str(n), str(c), str(total.constant_value())])
+    totals = series.eval_param(dict.fromkeys(series.params, 1))
+    rows = [[str(n), str(series.coefficient(n)), str(totals.coefficient(n).constant_value())]
+            for n in range(args.n_max + 1)]
     _rows_out(["n", "refined", "total"], rows, args.format, args.out)
     return 0
 

@@ -13,9 +13,8 @@ the parameters at rational points before any division happens.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -227,7 +226,7 @@ class ParamPoly:
     def __hash__(self):
         return hash((self.params, frozenset(self.terms.items())))
 
-    # -- calculus and substitution --------------------------------------
+    # -- calculus -------------------------------------------------------
 
     def derivative(self, name: str) -> "ParamPoly":
         """Formal partial derivative with respect to one parameter."""
@@ -239,38 +238,6 @@ class ParamPoly:
                 nvec = vec[:i] + (k - 1,) + vec[i + 1:]
                 terms[nvec] = terms.get(nvec, 0) + c * k
         return ParamPoly._from_sums(self.params, terms)
-
-    def eval(self, values: Mapping[str, Scalar]) -> "ParamPoly":
-        """Replace each named parameter by its rational value; the result is
-        without those names.
-
-        One pass in integers: at x = p/q, with the exponents of x in
-        [lo, hi], x^e is the integer p^(e - lo) * q^(hi - e) times the
-        common factor p^lo / q^hi.  The coefficients are scaled to integers
-        by the lcm of their denominators, so each result term is an integer
-        sum, turned into one Fraction by the common factors at the end.
-        """
-        fixed = {_index(self.params, name): _as_fraction(r) for name, r in values.items()}
-        keep = [i for i in range(len(self.params)) if i not in fixed]
-        params = tuple(self.params[i] for i in keep)
-        pick = itemgetter(*keep) if len(keep) > 1 else lambda vec: tuple(vec[i] for i in keep)
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        scale = Fraction(1, den)
-        powers = []  # (index, {e: p^(e - lo) * q^(hi - e)})
-        for i, r in fixed.items():
-            table, factor = _powers(self.params[i], {vec[i] for vec in self.terms}, r)
-            powers.append((i, table))
-            scale *= factor
-        sums: dict[ExpVec, int] = {}
-        for vec, c in self.terms.items():
-            c = c * den if type(c) is int else c.numerator * (den // c.denominator)
-            for i, table in powers:
-                c *= table[vec[i]]
-            nvec = pick(vec)
-            sums[nvec] = sums.get(nvec, 0) + c
-        a, b = scale.numerator, scale.denominator
-        return ParamPoly._from_sums(
-            params, {vec: c * a if b == 1 else Fraction(c * a, b) for vec, c in sums.items()})
 
     # -- formatting and serialization -----------------------------------
 

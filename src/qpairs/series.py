@@ -19,14 +19,16 @@ factors of a chain leave one rational scalar, applied in that division.
 The arithmetic is exact either way; the scaling only makes the values
 ints instead of Fractions.
 
-Fixing a parameter removes it: ``eval_param`` and ``substitute_param``
-take a mapping of every name to fix and return a series over the
-remaining parameters.  :meth:`QSeries.eval_weighted` fixes one parameter
-p at a rational r and weighs each term ``c p^a q^n`` by a rational
-``w(a, n)`` in the same integer pass: an x-derivative read at a point
-costs one pass and builds no derivative series.  With ``r = None`` p
-stays and ``w(a, n)`` is a Laurent polynomial in p, so a PDE with
-p-polynomial coefficients is one pass too.
+Fixing a parameter removes it.  :meth:`QSeries.substitute_param` takes
+every name to fix, each sent to a q-monomial ``c*q^j`` or, with j = 0, to
+a rational (all that ``eval_param`` asks), and fixes them in one pass that
+enters through ``_scale``, reads ``c^a`` from one power table per name and
+leaves through ``_series``.  :meth:`QSeries.eval_weighted` fixes one
+parameter p at a rational r and weighs each term ``c p^a q^n`` by a
+rational ``w(a, n)`` in the same kind of pass: an x-derivative read at a
+point builds no derivative series.  With ``r = None`` p stays and
+``w(a, n)`` is a Laurent polynomial in p, so a PDE with p-polynomial
+coefficients is one pass too.
 
 Per-parameter degree bounds record facts of the form
 ``0 <= deg_p(coeff of q^n) <= slope * n``.  They enter only through
@@ -100,11 +102,13 @@ def _scale(s: "QSeries", L: int = 1, lo: int = 0) -> Tuple[int, dict]:
 
 def _series(params: Tuple[str, ...], order: int, terms: dict, D: int, L: int = 1, lo: int = 0,
             N: int = 1) -> "QSeries":
-    """The series of the int term maps times ``N / (D * L^(n - lo))`` at q^n, for ``N != 0``:
-    with ``N = 1`` the inverse of :func:`_scale`.  Each value comes out an int when integral
-    and a reduced Fraction otherwise, and a map with no zero gives a poly with no zero, so the
-    polys are stored as they are."""
+    """The series of the int term maps times ``N / (D * L^(n - lo))`` at q^n: with ``N = 1`` the
+    inverse of :func:`_scale`, and with ``N = 0`` the zero series.  Each value comes out an int
+    when integral and a reduced Fraction otherwise, and a map with no zero gives a poly with no
+    zero, so the polys are stored as they are."""
     out = QSeries(params, order)
+    if not N:
+        return out
     for n, t in terms.items():
         k = D * L ** (n - lo) if L > 1 else D
         if N != 1:
@@ -391,11 +395,9 @@ class QSeries:
     # -- substitution and differentiation -------------------------------
 
     def eval_param(self, values: Mapping[str, Scalar]) -> "QSeries":
-        """Replace each named parameter by its rational value; the result is without those names."""
-        for name in values:
-            _index(self.params, name)
-        params = tuple(p for p in self.params if p not in values)
-        return QSeries(params, self.order, {n: c.eval(values) for n, c in self.coeffs.items()})
+        """Replace each named parameter by its rational value; the result is without those names.
+        This is :meth:`substitute_param` with ``j = 0`` for every name."""
+        return self.substitute_param({name: (r, 0) for name, r in values.items()})
 
     def eval_weighted(self, name: str, r: Optional[Scalar],
                       weight: Callable[[int, int], Union[Scalar, Mapping[int, Scalar]]]) -> "QSeries":
@@ -407,11 +409,11 @@ class QSeries:
         a Laurent polynomial in p, a map shift -> rational, and the term becomes
         ``sum_j w_j(a, n) c p^(a + j) q^n``, so a PDE with p-polynomial coefficients is one pass.
 
-        One pass in integers, as in :meth:`ParamPoly.eval`: r^a is the integer
-        ``num^(a - lo) den^(hi - a)`` over the exponents of p in [lo, hi] (1 when p stays), the
-        coefficients are scaled by the lcm of their denominators, and the weights, computed once
-        per distinct (a, n), by the lcm of theirs.  Each output term is one integer sum, divided
-        once by the common factor at the exit."""
+        One pass in integers, as in :meth:`substitute_param`: the terms enter through
+        :func:`_scale`, r^a is the integer ``num^(a - lo) den^(hi - a)`` over the exponents of p
+        in [lo, hi] (1 when p stays), and the weights, computed once per distinct (a, n), are
+        scaled by the lcm of their denominators.  Each output term is one integer sum, and
+        :func:`_series` divides once by the common factor."""
         i = _index(self.params, name)
         exps = {n: {vec[i] for vec in p.terms} for n, p in self.coeffs.items()}
         exponents, keep = set().union(*exps.values()), r is None
@@ -430,50 +432,41 @@ class QSeries:
         # the weight times the power of r of each (n, j, a), in integers
         tables = {n: [(j, {a: w.numerator * (W // w.denominator) * powers[a] for a, w in row.items()}) for j, row in rs]
                   for n, rs in rows.items()}
-        D = math.lcm(*(c.denominator for p in self.coeffs.values() for c in p.terms.values()))
-        scale = factor / (D * W)
-        A, B = scale.numerator, scale.denominator
-        out = QSeries(params, self.order)
-        for n, poly in self.coeffs.items():
+        D, maps = _scale(self)
+        out = {}
+        for n, terms in maps.items():
             sums = {}
             for j, row in tables[n]:
-                for vec, c in poly.terms.items():
+                for vec, c in terms.items():
                     w = row[vec[i]]
                     if w:
                         key = vec[:i] + (vec[i] + j,) + vec[i + 1:] if keep else pick(vec)
-                        c = c * D if type(c) is int else c.numerator * (D // c.denominator)
                         sums[key] = sums.get(key, 0) + c * w
-            terms = {}
-            for key, t in sums.items():
-                if t:
-                    t *= A
-                    terms[key] = t // B if not t % B else Fraction(t, B)
-            if terms:
-                out.coeffs[n] = ParamPoly._raw(params, terms)
-        return out
+            sums = {key: t for key, t in sums.items() if t}
+            if sums:
+                out[n] = sums
+        return _series(params, self.order, out, D * W * factor.denominator, N=factor.numerator)
 
     def substitute_param(self, values: Mapping[str, Tuple[Scalar, int]]) -> "QSeries":
         """Replace each parameter p of ``values`` by the q-monomial ``c * q^j`` of its
-        ``(c, j)``, all in one pass over the terms; the result is without those names.
+        ``(c, j)``, all in one integer pass over the terms; the result is without those names.
 
-        An entry with ``j == 0`` or ``c == 0`` is an evaluation, done by
-        :meth:`eval_param` after the other entries.  Each other entry needs a
-        declared degree bound for its parameter: it rules out negative
-        exponents, also above the window, and caps how far exponents can drop.
-        A term ``p^a q^n`` lands at ``q^(n + j*a)`` with
-        ``n + j*a >= (1 + j*slope_p)*n``, so the window shrinks once, by
-        ``shrink = 1 + sum_{j<0} j*slope_p``, which makes the output order provable.
+        An entry with ``j == 0`` or ``c == 0`` is an evaluation: its terms stay at
+        their exponent, and it needs no bound.  Each other entry, a move, needs a
+        declared degree bound for its parameter: it rules out negative exponents,
+        also above the window, and caps how far exponents can drop.  A term
+        ``p^a q^n`` lands at ``q^(n + j*a)`` with ``n + j*a >= (1 + j*slope_p)*n``,
+        so the window shrinks once, by ``shrink = 1 + sum_{j<0} j*slope_p``, which
+        makes the output order provable.  ``c^a`` is read from the :func:`_powers`
+        table of p over the terms that land, so only a term that lands can raise a pole at 0.
         """
-        values = {name: (_as_fraction(c), j) for name, (c, j) in values.items()}
+        values = {name: (_as_fraction(c), j if c else 0) for name, (c, j) in values.items()}
         for name in values:
             _index(self.params, name)
-        moves = {name: (c, j) for name, (c, j) in values.items() if c and j}
+        moves = {name: (c, j) for name, (c, j) in values.items() if j}
         for name, (c, j) in moves.items():
             if name not in self.bounds:
-                raise AlgebraError(
-                    f"substituting {name} -> {c}*q^{j} needs a declared "
-                    f"degree bound for {name}"
-                )
+                raise AlgebraError(f"substituting {name} -> {c}*q^{j} needs a declared degree bound for {name}")
         drops = {name: j for name, (c, j) in moves.items() if j < 0}
         shrink = 1 + sum(j * self.bounds[name] for name, j in drops.items())
         if shrink <= 0:
@@ -482,29 +475,40 @@ class QSeries:
                 f"the provable window (bound slope {', '.join(str(self.bounds[name]) for name in drops)})"
             )
         order = math.ceil((self.order + 1) * shrink) - 1
-        # the bounds hold on every stored term, 0 <= a <= slope*n with n >= 0,
-        # so each term lands at n + sum j*a >= min(1, shrink)*n >= 0
-        moved = [(i, *moves[name]) for i, name in enumerate(self.params) if name in moves]
-        keep = [i for i, name in enumerate(self.params) if name not in moves]
+        fixed = [(i, name, *values[name]) for i, name in enumerate(self.params) if name in values]
+        moved = [(i, j) for i, _, _, j in fixed if j]
+        keep = [i for i, name in enumerate(self.params) if name not in values]
         params = tuple(self.params[i] for i in keep)
-        powers: dict[Tuple[int, int], Scalar] = {}  # (index, exponent) -> c^exponent
-        sums: dict[int, dict] = {}  # output exponent -> summed term map
-        for n, poly in self.coeffs.items():
-            for vec, v in poly.terms.items():
-                ne = n + sum(j * vec[i] for i, _, j in moved)
-                if ne > order:
-                    continue
-                for i, c, _ in moved:
-                    p = powers.get((i, vec[i]))
-                    if p is None:
-                        p = powers[i, vec[i]] = _canon(c ** vec[i])
-                    v = v * p
-                nvec = tuple(vec[i] for i in keep)
-                terms = sums.setdefault(ne, {})
-                terms[nvec] = terms.get(nvec, 0) + v
-        out = QSeries(params, order, {ne: ParamPoly._from_sums(params, terms) for ne, terms in sums.items()})
-        evals = {name: c for name, (c, j) in values.items() if name not in moves}
-        return out.eval_param(evals) if evals else out
+        pick = itemgetter(*keep) if len(keep) > 1 else lambda vec: tuple(vec[i] for i in keep)
+        D, maps = _scale(self)
+        if moved:
+            # the bounds hold on every stored term, 0 <= a <= slope*n with n >= 0,
+            # so each term lands at n + sum j*a >= min(1, shrink)*n >= 0
+            landed: dict[int, list] = {}
+            for n, terms in maps.items():
+                for vec, a in terms.items():
+                    ne = n + sum(j * vec[i] for i, j in moved)
+                    if ne <= order:
+                        landed.setdefault(ne, []).append((vec, a))
+        else:  # evaluations only: every term stays at its exponent
+            landed = {n: terms.items() for n, terms in maps.items()}
+        tables, factor = [], Fraction(1)  # c^a is table[a] times the factor of its name
+        for i, name, c, _ in fixed:
+            table, f = _powers(name, {vec[i] for terms in landed.values() for vec, _ in terms}, c)
+            tables.append((i, table))
+            factor *= f
+        sums = {}
+        for ne, terms in landed.items():
+            acc = {}
+            for vec, a in terms:
+                for i, table in tables:
+                    a *= table[vec[i]]
+                key = pick(vec)
+                acc[key] = acc.get(key, 0) + a
+            acc = {key: a for key, a in acc.items() if a}
+            if acc:
+                sums[ne] = acc
+        return _series(params, order, sums, D * factor.denominator, N=factor.numerator)
 
     def delta_q(self) -> "QSeries":
         """The Euler operator q d/dq: multiplies the coeff of q^n by n."""

@@ -217,29 +217,31 @@ def run_all(seed: int = 20260825, scale: int = 1) -> int:
 
 
 def check_eval_many(rng: random.Random, rounds: int):
-    """One multi-name ``eval`` against single-name evaluations in a random
-    order: equal polys with equal texts, or an AlgebraError where a named
-    value is 0 and the poly has a negative power of that name.  Returns the
-    rounds done, and how many drew the zero poly, a pole and a Fraction
-    result coefficient."""
+    """One joint ``QSeries.eval_param`` against single-name evaluations in a
+    random order: equal series with equal texts, or an AlgebraError where a
+    named value is 0 and a coefficient has a negative power of that name.
+    Returns the rounds done, and how many drew the zero series, a pole and a
+    Fraction result coefficient."""
     params = ("d", "e", "x")
     zeros = poles = fractions = 0
     for _ in range(rounds):
-        p = random_poly(rng, params, max_terms=5, exp_range=(-3, 3))
+        coeffs = {n: random_poly(rng, params, max_terms=5, exp_range=(-3, 3))
+                  for n in rng.sample(range(-1, 3), rng.randint(1, 2))}
+        s = QSeries(params, 2, coeffs)
         names = rng.sample(params, rng.randint(0, len(params)))
         values = {name: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for name in names}
-        zeros += p.is_zero()
-        if any(r == 0 and p.min_degree(name) < 0 for name, r in values.items()):
+        zeros += s.is_zero()
+        if any(r == 0 and c.min_degree(name) < 0 for name, r in values.items() for c in s.coeffs.values()):
             poles += 1
             try:
-                p.eval(values)
+                s.eval_param(values)
             except AlgebraError:
                 continue
-            raise AssertionError(f"no pole for {p} at {values}")
-        got = p.eval(values)
-        want = p
+            raise AssertionError(f"no pole for {s} at {values}")
+        got = s.eval_param(values)
+        want = s
         for name in rng.sample(names, len(names)):
-            want = want.eval({name: values[name]})
-        assert got == want and str(got) == str(want), (p, values)
-        fractions += any(type(c) is Fraction for c in got.terms.values())
+            want = want.eval_param({name: values[name]})
+        assert got == want and str(got) == str(want), (s, values)
+        fractions += any(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
     return rounds, zeros, poles, fractions

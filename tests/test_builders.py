@@ -411,9 +411,8 @@ def test_spt_forms_agree():
 
 def test_spt_total_q1():
     s = B.spt_gf(4)
-    c = s.coefficient(1)
-    total = c.eval(dict.fromkeys(c.params, 1))
-    assert total.constant_value() == 1
+    total = s.eval_param(dict.fromkeys(s.params, 1))
+    assert total.coefficient(1).constant_value() == 1
 
 
 def test_spt_closed_form():

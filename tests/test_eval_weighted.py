@@ -145,6 +145,11 @@ def test_terms_that_cancel_leave_no_zero():
     s = QSeries(("x",), 3, {2: ParamPoly(("x",), {(1,): 1, (0,): -2}), 3: ParamPoly(("x",), {(0,): 5})})
     got = s.eval_weighted("x", 2, lambda a, n: 1)
     assert got == QSeries((), 3, {3: 5}) and 2 not in got.coeffs
+    # every exponent of x is positive: at x = 0 every term vanishes, and no zero is stored
+    x = ParamPoly.var(("x",), "x")
+    s = QSeries(("x",), 3, {1: x, 2: x * x * 3})
+    got = s.eval_weighted("x", 0, lambda a, n: 1)
+    assert got.is_zero() and got == s.eval_param({"x": 0}) == QSeries((), 3)
 
 
 def test_a_pole_and_an_unknown_name_are_rejected():

@@ -142,8 +142,8 @@ def test_a_shifted_table_count_fails_every_reader_at_its_weight(monkeypatch, tab
 
 # the checks that fail, and only those, when one function of the rank family, the
 # Lambert sum or a theta or product builder is wrong; phi65_pair, whose two sides C19
-# compares with each other, returns a pair that the bump below cannot wrap, so no row
-# guards it
+# compares with each other, returns a pair that the bump below cannot wrap: its row,
+# and the oracle tables', are in ORACLE_ROWS
 GUARD_ROWS = {
     "rank_gf": "C01 C02 C07 C14 C15 C16 C21 C27",
     "rank_gf_lambert": "C02",
@@ -165,16 +165,24 @@ GUARD_ROWS = {
 }
 
 
+def _amount(args) -> int:
+    """A bump read from a call's plain arguments, so that a factor both sides of a check
+    share cannot cancel it."""
+    plain = [a for a in args if not callable(a) and not isinstance(a, dict)]
+    return 1 + zlib.crc32(repr(plain).encode()) % 997
+
+
+def _plus(s: QSeries, c: int) -> QSeries:
+    """``s`` with c*q^n added just above its valuation."""
+    out = s + QSeries(s.params, s.order, {min(s.order, max(s.valuation, 0) + 1): c})
+    out.bounds = s.bounds  # a constant term keeps every degree bound
+    return out
+
+
 def _bumped(fn):
-    """``fn`` with c*q^n added to its result just above the valuation, c read from the
-    call's plain arguments, so that a factor both sides of a check share cannot cancel it."""
+    """``fn`` with a bump added to its result just above the valuation."""
     def wrapper(*args, **kwargs):
-        s = fn(*args, **kwargs)
-        plain = [a for a in (*args, *kwargs.values()) if not callable(a) and not isinstance(a, dict)]
-        c = 1 + zlib.crc32(repr(plain).encode()) % 997
-        out = s + QSeries(s.params, s.order, {min(s.order, max(s.valuation, 0) + 1): c})
-        out.bounds = s.bounds  # a constant term keeps every degree bound
-        return out
+        return _plus(fn(*args, **kwargs), _amount([*args, *kwargs.values()]))
     return wrapper
 
 
@@ -184,6 +192,54 @@ def test_a_bumped_rank_builder_fails_every_check_of_its_row(monkeypatch, name, r
     for module in (builders, harness):  # harness imports lambert_sum by name
         if getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, _bumped(real))
+    results = harness.run_suite("*", 6)
+    assert {r.id: r.status for r in results if r.status != "pass"} == dict.fromkeys(row.split(), "fail")
+
+
+def _shifted(key):
+    """An oracle table reader with a bump added at ``key`` in weight min(n_max, 1)."""
+    def bump(fn):
+        def wrapper(n_max):
+            out = {n: dict(tally) for n, tally in fn(n_max).items()}  # the table is cached: copy it
+            w = min(n_max, 1)
+            out[w][key] = out[w].get(key, 0) + _amount([n_max])
+            return out
+        return wrapper
+    return bump
+
+
+def _shifted_values(fn):
+    """``durfee_values`` with a bump added at q^1 of each point."""
+    def wrapper(k, n_max, points):
+        c, w = _amount([k, n_max, points]), min(n_max, 1)
+        return [[p + c if n == w else p for n, p in enumerate(row)] for row in fn(k, n_max, points)]
+    return wrapper
+
+
+def _left_bumped(fn):
+    """``phi65_pair`` with a bump on its left side only: on both it would cancel."""
+    def wrapper(b, order):
+        lhs, rhs = fn(b, order)
+        return _plus(lhs, _amount([b, order])), rhs
+    return wrapper
+
+
+# the checks that fail, and only those, when an oracle table or one side of phi65_pair
+# is wrong; C05 and C33 compare the oracle with itself, so only a shifted table catches
+# them; the rank table's bump sits at m = 3, since C(m + v - 1, 2v) vanishes at m = 1 and
+# would hide it from C03 and C05
+ORACLE_ROWS = {
+    "rank_table": (oracle, _shifted((0, 0, 3)), "C01 C03 C05 C08 C09 C33"),
+    "spt_table": (oracle, _shifted((0, 0)), "C30 C32"),
+    "durfee_values": (oracle, _shifted_values, "C04 C05 C06"),
+    "phi65_pair": (builders, _left_bumped, "C19"),
+}
+
+
+@pytest.mark.parametrize("name, module, bump, row", [(name, *spec) for name, spec in ORACLE_ROWS.items()],
+                         ids=list(ORACLE_ROWS))
+def test_a_shifted_oracle_table_or_side_fails_every_check_of_its_row(monkeypatch, name, module, bump, row):
+    monkeypatch.setattr(module, name, bump(getattr(module, name)))
     results = harness.run_suite("*", 6)
     assert {r.id: r.status for r in results if r.status != "pass"} == dict.fromkeys(row.split(), "fail")
 

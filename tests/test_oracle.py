@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import _listing
-from qpairs import ParamPoly, oracle
+from qpairs import ParamPoly, QSeries, oracle
 from qpairs.oracle import DurfeeSymbol
 
 
@@ -296,12 +296,17 @@ def test_durfee_values_equal_the_symbolic_polys(k):
     powered = [tuple(x ** (j + 1) for j in range(k)) for x in xs]
     values = oracle.durfee_values(k, n_max, ranked + powered + [(1,) * k])
     assert len(values) == len(ranked) + len(xs) + 1
+
+    def series(poly):  # the symbolic polys of weights 0..n_max, as one series
+        polys = [poly(k, n) for n in range(n_max + 1)]
+        return QSeries(polys[0].params, n_max, dict(enumerate(polys)))
+
+    ranked_polys, full_polys = series(oracle.durfee_rank_poly), series(oracle.durfee_fullrank_poly)
+    wants = [ranked_polys.eval_param({f"x{j + 1}": x for j, x in enumerate(point)}) for point in ranked]
+    wants += [full_polys.eval_param({"x": x}) for x in xs]
     for n in range(n_max + 1):
-        for point, got in zip(ranked, values):
-            want = oracle.durfee_rank_poly(k, n).eval({f"x{j + 1}": x for j, x in enumerate(point)})
-            assert got[n] == want, (point, n)
-        for x, got in zip(xs, values[len(ranked):]):
-            assert got[n] == oracle.durfee_fullrank_poly(k, n).eval({"x": x}), (x, n)
+        for point, got, want in zip([*ranked, *xs], values, wants):
+            assert got[n] == want.coefficient(n), (point, n)
         assert values[-1][n] == oracle.durfee_stats_poly(k, n), n
     assert all(len(got) == n_max + 1 for got in values)
 

@@ -43,16 +43,6 @@ def test_derivative():
     assert da.terms[(1, 0)] == 2
 
 
-def test_eval_and_pole():
-    a = ParamPoly.var(P, "d") + ParamPoly.var(P, "e")
-    b = a.eval({"d": 1})
-    assert b.params == ("e",)
-    assert b.terms == {(0,): 1, (1,): 1}
-    b = ParamPoly.monomial(P, {"d": -1})
-    with pytest.raises(AlgebraError):
-        b.eval({"d": 0})
-
-
 def test_constant_value_rejects_parameters():
     with pytest.raises(AlgebraError):
         ParamPoly.var(P, "d").constant_value()
@@ -67,13 +57,6 @@ def test_serialization_round_trip():
 def test_sorted_terms_deterministic():
     a = ParamPoly.var(P, "e") + ParamPoly.var(P, "d")
     assert a.sorted_terms() == sorted(a.terms.items())
-
-
-def test_eval_at_negative_power_is_exact():
-    p = ParamPoly.var(("x",), "x", -3).eval({"x": Fraction(1, 2)})
-    assert p.params == ()
-    assert p.terms == {(): 8}
-    assert all(not isinstance(c, float) for c in p.terms.values())
 
 
 def test_integral_coefficients_are_stored_as_int():
@@ -93,11 +76,6 @@ def test_to_obj_writes_integers_as_fractions():
 
 # a name that is not a parameter raised a bare ValueError from tuple.index
 UNKNOWN = "unknown parameter 'z'"
-
-
-def test_eval_of_a_name_that_is_not_a_parameter_rejected():
-    with pytest.raises(AlgebraError, match=UNKNOWN):
-        ParamPoly.var(P, "d").eval({"z": 1})
 
 
 def test_degree_of_a_name_that_is_not_a_parameter_rejected():

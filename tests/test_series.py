@@ -165,7 +165,7 @@ def test_rank_specialization_constant_term():
     s = builders.rank_gf(8, base=2).substitute_param({"e": (1, -1)})
     s = s.eval_param({"d": 1})
     assert s.params == ("x",)
-    assert s.coefficient(0).eval({"x": 2}).constant_value() == 1
+    assert s.eval_param({"x": 2}).coefficient(0).constant_value() == 1
 
 
 # -- parameter evaluation and derivatives ---------------------------------
@@ -184,6 +184,13 @@ def test_eval_param_pole_at_zero():
     s = QSeries.from_terms(p, [(0, poly(p, {"d": -1}))], 3)
     with pytest.raises(AlgebraError, match="pole"):
         s.eval_param({"d": 0})
+
+
+def test_eval_at_negative_power_is_exact():
+    s = QSeries(("x",), 0, {0: ParamPoly.var(("x",), "x", -3)}).eval_param({"x": Fraction(1, 2)})
+    assert s.params == ()
+    assert s.coefficient(0).terms == {(): 8}
+    assert all(not isinstance(c, float) for c in s.coefficient(0).terms.values())
 
 
 def test_eval_param_kills_factor():

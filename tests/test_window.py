@@ -200,3 +200,33 @@ def test_joint_substitution_single_name_error_texts():
         s.substitute_param({"e": (1, -2)})
     with pytest.raises(AlgebraError, match=r"^substitution d -> q\^-1, e -> q\^-1 underflows the provable window"):
         s.substitute_param({"d": (1, -1), "e": (1, -1)})
+
+
+def test_moves_and_evaluations_share_one_pass():
+    P = ("d", "x")
+    d, x = ParamPoly.var(P, "d"), ParamPoly.var(P, "x")
+    # x^-1 rides only on d^2 q^2, which d -> 2q^2 lands at q^6, past the window:
+    # x = 0 is no pole there, and d q^1 lands at q^3, the last exponent of the window
+    s = QSeries(P, 3, {0: 5, 1: d + x, 2: ParamPoly(P, {(2, -1): 1})}).with_bounds({"d": 1})
+    got = s.substitute_param({"d": (2, 2), "x": (0, 0)})
+    assert got == QSeries((), 3, {0: 5, 3: 2})
+    # an evaluation, j = 0 or c = 0, needs no bound
+    s = QSeries(P, 3, {1: d + x * 3, 2: d * x})
+    d1 = ParamPoly.var(("d",), "d")
+    assert s.substitute_param({"x": (2, 0)}) == QSeries(("d",), 3, {1: d1 + 6, 2: d1 * 2})
+    assert s.substitute_param({"d": (0, -1), "x": (F(1, 2), 0)}) == QSeries((), 3, {1: F(3, 2)})
+    # a move mixed with evaluations is the move followed by eval_param
+    rng = random.Random(20261021)
+    mixed = 0
+    for _ in range(300):
+        s = random_series(rng, random_bounds(rng))
+        values = substitution(rng, s, rng.sample(PARAMS, rng.randint(2, 3)))
+        moves = {p: (c, j) for p, (c, j) in values.items() if c and j}
+        evals = {p: c for p, (c, j) in values.items() if p not in moves}
+        try:
+            want = s.substitute_param(moves).eval_param(evals)
+        except AlgebraError:  # an underflowing move
+            continue
+        assert s.substitute_param(values) == want, (s, values)
+        mixed += bool(moves and evals)
+    assert mixed >= 50, mixed
