@@ -17,7 +17,8 @@ branch is folded into the positive one with the closed rewrite
 ``(a)_{-n} = (-1)^n q^{n(n+1)/2} / (a^n (q/a)_n)`` before expansion, so
 every summand has a unit denominator and nonnegative q-valuation.  The
 rank, moment, smallest-parts and marked-symbol sums are one such sum,
-:func:`_alternating_sum`, with one kernel call per term.  The direct moment
+:func:`_alternating_sum`.  It and every unilateral sum are one recurrence,
+:func:`_horner`, in nested form from the top term down.  The direct moment
 extraction :func:`symmetrized_moment_series` reads a built rank refinement
 at x = 1 in one :meth:`QSeries.eval_weighted` pass, each term weighed by a
 generalized binomial; it builds no derivative series.
@@ -375,22 +376,33 @@ def _prefactor(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> QSeries:
                       (Monomial.make(1, base), -1, base), (de, -1, base))
 
 
+def _horner(params: Tuple[str, ...], order: int, E: Callable[[int], int],
+            ratio: Callable[[int, QSeries], QSeries], summand: Callable[[int], list]) -> QSeries:
+    """``sum_{m>=1} q^{E(m)} r_1 ... r_m F_m`` over the m with ``E(m) <= order``, E increasing, in Horner's
+    form from the top term down: ``S_m = F_m + q^{E(m+1)-E(m)} r_{m+1} S_{m+1}``, each exact to ``order - E(m)``,
+    and the sum is ``q^{E(1)} r_1 S_1``, or the zero series with no term in the window.  ``ratio(m, s)`` returns
+    ``r_m * s``, and ``summand(m)`` lists F_m's factors ``(1 - mono)^power``, applied to a one-series."""
+    top = 0
+    while E(top + 1) <= order:
+        top += 1
+    if not top:
+        return QSeries.zero(params, order)
+    S = _times(QSeries.one(params, order - E(top)), *summand(top))
+    for m in range(top - 1, 0, -1):
+        S = _times(QSeries.one(params, order - E(m)), *summand(m)) + ratio(m + 1, S).shift(E(m + 1) - E(m))
+    return ratio(1, S).shift(E(1))
+
+
 def _alternating_sum(params: Tuple[str, ...], d: ParamValue, e: ParamValue, order: int, base: int, lin: int,
                      chain: Callable[[Monomial], list]) -> QSeries:
     """``sum_{m>=1} (-1)^{m-1} q^{E_m} R_m (1 + Q^m) chain(Q^m)``, Q = q^base, the folded bilateral
     sum of the rank family: ``E_m = base * (m(m+1)/2 + lin*m)``, ``R_m = prod_{k<m} (d + Q^k)(e + Q^k)
-    / (-dQ, -eQ; Q)_m``, and ``chain(Q^m)`` lists term m's other factors ``(1 - mono)^power`` as pairs."""
-    acc = QSeries.zero(params, order)
-    R = QSeries.one(params, order)
-    m = 1
-    while (E := base * (m * (m + 1) // 2 + lin * m)) <= order:
-        R = R.truncate(order - E) * _de_plus(params, d, e, base * (m - 1), order - E)
-        R = _times(R, (-_pfac("d", d, base * m), -1), (-_pfac("e", e, base * m), -1))
-        Q = Monomial.make(1, base * m)
-        term = _times(R.shift(E), (-Q, 1), *chain(Q))
-        acc = acc + term if m % 2 else acc - term
-        m += 1
-    return acc
+    / (-dQ, -eQ; Q)_m``, and ``chain(Q^m)`` lists term m's other factors ``(1 - mono)^power``; a :func:`_horner` sum."""
+    def ratio(m: int, s: QSeries) -> QSeries:  # (-1)^(m-1) R_m / R_(m-1): the sign rides on the three-term factor
+        de = _de_plus(params, d, e, base * (m - 1), s.order)
+        return _times(s * (de if m == 1 else -de), (-_pfac("d", d, base * m), -1), (-_pfac("e", e, base * m), -1))
+    return _horner(params, order, lambda m: base * (m * (m + 1) // 2 + lin * m), ratio,
+                   lambda m: [(Monomial.make(-1, base * m), 1), *chain(Monomial.make(1, base * m))])
 
 
 def _xvar(name: str, x: ParamValue, pole_of: str = "the rank refinement") -> Monomial:
@@ -421,14 +433,10 @@ def rank_gf(
     """
     params = _sym_params(("d", d), ("e", e), ("x", x))
     xm = _xvar("x", x)
-    # nested: S_{n-1} = 1 + r_n S_n down to S_0, with r_n the ratio of the
-    # n-th summand to the one before, so each S_n is exact to order - base*n
-    last = order // base
-    S = QSeries.one(params, order - base * max(last, 0))
-    for n in range(last, 0, -1):
-        top = _de_plus(params, d, e, base * (n - 1), S.order)
-        S = 1 + _times((S * top).shift(base), (xm.times_q(base * n), -1), (xm.inverse().times_q(base * n), -1))
-    return _declare_de_bounds(S, d, e, base)
+    def ratio(n: int, s: QSeries) -> QSeries:  # summand n over summand n - 1, less the shift q^base
+        return _times(s * _de_plus(params, d, e, base * (n - 1), s.order),
+                      (xm.times_q(base * n), -1), (xm.inverse().times_q(base * n), -1))
+    return _declare_de_bounds(1 + _horner(params, order, lambda n: base * n, ratio, lambda n: []), d, e, base)
 
 
 def rank_gf_lambert(
@@ -481,17 +489,13 @@ def spt_gf(order: int, d: ParamValue = None, e: ParamValue = None) -> QSeries:
 
 def spt_gf_direct(order: int, d: ParamValue = None, e: ParamValue = None) -> QSeries:
     """Smallest-parts generating function as a single unilateral sum:
-    ``P * sum_{n>=1} (q, deq)_n q^n / ((1-q^n)^2 (-dq, -eq)_n)``."""
+    ``P * sum_{n>=1} (q, deq)_n q^n / ((1-q^n)^2 (-dq, -eq)_n)``, the sum in :func:`_horner`."""
     params = _sym_params(("d", d), ("e", e))
-    de = _pfac("d", d) * _pfac("e", e)
-    acc = QSeries.zero(params, order)
-    T = QSeries.one(params, order)
-    for n in range(1, order + 1):
-        Q = Monomial.make(1, n)
-        T = _times(T, (Q, 1), (de.times_q(n), 1),
-                   (-_pfac("d", d, n), -1), (-_pfac("e", e, n), -1))
-        acc = acc + _times(T.truncate(order - n).shift(n), (Q, -2))
-    return _declare_de_bounds(_prefactor(acc, d, e, 1), d, e, 1)
+    def ratio(n: int, s: QSeries) -> QSeries:  # (1 - q^n)(1 - deq^n) / ((1 + dq^n)(1 + eq^n))
+        dn = _pfac("d", d, n)
+        return _times(s, (Monomial.make(1, n), 1), (dn * _pfac("e", e), 1), (-dn, -1), (-_pfac("e", e, n), -1))
+    A = _horner(params, order, lambda n: n, ratio, lambda n: [(Monomial.make(1, n), -2)])
+    return _declare_de_bounds(_prefactor(A, d, e, 1), d, e, 1)
 
 
 def durfee_rhs(
@@ -590,20 +594,15 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
     """Both sides of the base-``q^2`` very-well-poised summation at rational b.
 
     lhs: ``1 + sum_{n>=1} (1+q^{2n})(b, 1/b; q^2)_n (-1)^n q^{n^2+n}
-    / (bq^2, q^2/b; q^2)_n``; rhs: ``(q^2; q^2)_inf^2 / (bq^2, q^2/b; q^2)_inf``.
+    / (bq^2, q^2/b; q^2)_n``, its sum in :func:`_horner`; rhs: ``(q^2; q^2)_inf^2 / (bq^2, q^2/b; q^2)_inf``.
     """
     b = _as_fraction(b)
     if b == 0:
         raise AlgebraError("b = 0 makes the reciprocal argument undefined")
-    lhs = QSeries.one((), order)
-    T = QSeries.one((), order)
-    n = 1
-    while n * n + n <= order:
-        T = _times(T, (Monomial(b, 2 * n - 2), 1), (Monomial(1 / b, 2 * n - 2), 1),
-                   (Monomial(b, 2 * n), -1), (Monomial(1 / b, 2 * n), -1))
-        term = _times(T.truncate(order - n * n - n).shift(n * n + n), (Monomial.make(-1, 2 * n), 1))
-        lhs = lhs - term if n % 2 else lhs + term  # (1 + q^{2n}) q^{n^2 + n} T
-        n += 1
+    def ratio(n: int, s: QSeries) -> QSeries:  # -(1 - bq^(2n-2))(1 - q^(2n-2)/b) / ((1 - bq^(2n))(1 - q^(2n)/b))
+        return _times(-s, (Monomial(b, 2 * n - 2), 1), (Monomial(1 / b, 2 * n - 2), 1),
+                      (Monomial(b, 2 * n), -1), (Monomial(1 / b, 2 * n), -1))
+    lhs = 1 + _horner((), order, lambda n: n * n + n, ratio, lambda n: [(Monomial.make(-1, 2 * n), 1)])
     rhs = times_poch(QSeries.one((), order), (Monomial.make(1, 2), 2, 2), (Monomial(b, 2), -1, 2),
                      (Monomial(1 / b, 2), -1, 2))
     return lhs, rhs
@@ -711,7 +710,7 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
         v = _value_or_mono(kw[key]) if key in kw else None
         if isinstance(v, Monomial) and v.pexps:
             raise AlgebraError(f"value {kw[key]!r} for {key} carries a parameter; values are rationals or c*q^j")
-        return v
+        return v.c if isinstance(v, Monomial) and not v.c else v  # 0*q^j is the rational 0
 
     def intval(key, default):
         return _integer(kw[key], key) if key in kw else default

@@ -598,6 +598,84 @@ def test_build_before_a_negative_substitution_at_the_least_certifiable_order(mon
     assert seen == [built]
 
 
+def test_build_reads_a_zero_q_monomial_as_the_rational_zero(monkeypatch, capsys):
+    # c*q^j with c = 0 is the value 0, not a move by q^j: no wider build, the bounds of
+    # the =0 spelling, and a zero rank variable is the pole at 0
+    seen = []
+    rank_gf = B.rank_gf
+
+    def spy(n, *args, **kwargs):
+        seen.append(n)
+        return rank_gf(n, *args, **kwargs)
+
+    monkeypatch.setattr(B, "rank_gf", spy)
+    for spec, zero in [("rank:d=0*q^-1:base=2", "rank:d=0:base=2"), ("rank:d=0*q", "rank:d=0")]:
+        seen.clear()
+        assert B.build(spec, 4).to_json() == B.build(zero, 4).to_json()
+        assert seen == [4, 4]
+    assert cli.main(["coeffs", "rank:d=0*q^-1", "--order", "3"]) == 0
+    assert cli.main(["coeffs", "rank:d=0", "--order", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(out) // 2] == out[len(out) // 2:]
+    for spec, pole in [("rank:x=0*q", "x = 0 is a pole of the rank refinement"),
+                       ("C:x=0*q", "x = 0 is a pole of the crank product"),
+                       ("durfee:k=2:x1=0*q", "x1 = 0 is a pole of the rank refinement")]:
+        with pytest.raises(AlgebraError, match=pole):
+            B.build(spec, 4)
+
+
+def _horner_by_terms(params, order, E, ratio, summand):
+    """``B._horner``'s sum added term by term: term m starts from a one-series at
+    ``order - E(m)``, takes r_1 .. r_m, then F_m's factors, then the shift by E(m)."""
+    acc = QSeries.zero(params, order)
+    m = 1
+    while E(m) <= order:
+        term = QSeries.one(params, order - E(m))
+        for k in range(1, m + 1):
+            term = ratio(k, term)
+        acc = acc + B._times(term, *summand(m)).shift(E(m))
+        m += 1
+    return acc
+
+
+# each builder of a Horner sum, at (order, base); the bases apply where the builder takes one
+HORNER_SUMS = {
+    "rank_gf": (lambda o, b: B.rank_gf(o, base=b), (1, 2, 3)),
+    "rank_gf at d=-2, e=1/2, x=2": (lambda o, b: B.rank_gf(o, -2, Fraction(1, 2), 2, b), (1, 2)),
+    "_alternating_sum of n2v": (lambda o, b: B.n2v(1, o, base=b), (1, 2, 3)),
+    "_alternating_sum of rank_gf_lambert": (lambda o, b: B.rank_gf_lambert(o, 2, None, Fraction(1, 3), b), (1, 2)),
+    "_alternating_sum of durfee_rhs": (lambda o, b: B.durfee_rhs(2, o, (2, None), Fraction(1, 2)), (1,)),
+    "spt_gf_direct": (lambda o, b: B.spt_gf_direct(o), (1,)),
+    "spt_gf_direct at d=1, e=-1": (lambda o, b: B.spt_gf_direct(o, 1, -1), (1,)),
+    "phi65_pair at b=3": (lambda o, b: B.phi65_pair(3, o), (1,)),
+    "phi65_pair at b=-1/2": (lambda o, b: B.phi65_pair(Fraction(-1, 2), o), (1,)),
+}
+
+
+@pytest.mark.parametrize("name", HORNER_SUMS)
+def test_horner_sum_is_the_term_by_term_sum(monkeypatch, name):
+    build, bases = HORNER_SUMS[name]
+    horner, calls = B._horner, []
+
+    def spy(*args):
+        calls.append((args, horner(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(B, "_horner", spy)
+    for order in range(16):
+        for base in bases:
+            calls.clear()
+            build(order, base)
+            (args, got), = calls
+            params, _, E, _, _ = args
+            want = _horner_by_terms(*args)
+            assert (got.order, got.params) == (want.order, want.params) == (order, params)
+            assert got.coeffs == want.coeffs, (order, base)
+            assert _props.canonical(got) and _props.canonical(want)
+            if E(1) > order:  # no term in the window
+                assert got.is_zero()
+
+
 def test_bounds_declared_by_builders():
     s = B.rank_gf(6)
     assert s.bounds.get("d") is not None
