@@ -51,7 +51,7 @@ def main():
 
     pts = (Fraction(2), Fraction(3))
     lhs = builders.durfee_rhs(2, order, xs=pts)
-    rhs = builders.rk_partial_fractions(2, pts, order)
+    rhs = builders.rk_partial_fractions(pts, [builders.rank_gf(order, x=x) for x in pts])
     ok, _ = lhs.equal_to_order(rhs, order)
     print(f"sum side == partial-fraction combination at x=(2,3): {ok}")
 

@@ -37,7 +37,10 @@ series.
 Builders work at exactly the requested order: each result's ``order`` is
 the order asked for, and it agrees with any higher-order build over that
 window.  Since :class:`QSeries` tracks the provable order of every
-operation, no slack order is needed to keep the window exact.
+operation, no slack order is needed to keep the window exact.  No builder
+keeps a memo across calls: a caller that reads one series at several places
+builds it once and passes it in, as :func:`rk_partial_fractions` takes each
+point's rank refinement.
 """
 
 from __future__ import annotations
@@ -219,19 +222,19 @@ def pochhammer(
     return times_poch(QSeries.one(params, order), (a, 1, base), n=n)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _poch_inf_cached(params: Tuple[str, ...], mono: Monomial, base: int, order: int) -> QSeries:
     return pochhammer(params, mono, None, order, base)
 
 
 def poch_inf(params: Sequence[str], mono: Monomial, order: int, base: int = 1) -> QSeries:
-    """Memoized infinite Pochhammer product ``(mono; q^base)_inf``."""
+    """Memoized infinite Pochhammer product ``(mono; q^base)_inf``; no builder calls it."""
     return _poch_inf_cached(tuple(params), mono, base, order)
 
 
 def q_inf(order: int) -> QSeries:
     """Euler's product ``(q; q)_infinity``."""
-    return poch_inf((), Monomial.make(1, 1), order)
+    return times_poch(QSeries.one((), order), (Monomial.make(1, 1), 1, 1))
 
 
 def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QSeries:
@@ -527,26 +530,20 @@ def durfee_rhs(
     return _declare_de_bounds(_prefactor(A, d, e, 1), d, e, 1)
 
 
-def rk_partial_fractions(
-    k: int,
-    xpoints: Sequence,
-    order: int,
-    pieces: Optional[dict] = None,
-) -> QSeries:
+def rk_partial_fractions(xpoints: Sequence, pieces: Sequence[QSeries]) -> QSeries:
     """Partial-fraction form of the full-rank function at rational points:
-    ``sum_i N(d, e, x_i; q) / prod_{j != i} (x_i - x_j)(1 - 1/(x_i x_j))``.
+    ``sum_i N(d, e, x_i; q) / prod_{j != i} (x_i - x_j)(1 - 1/(x_i x_j))``,
+    from each point's built ``N(d, e, x_i; q)``, ``pieces[i]``.
 
-    Requires the points pairwise distinct, not mutually inverse, nonzero,
-    and none equal to +-1 (degenerate configurations need analytic
-    continuation, which is out of scope).  ``pieces``, a dict the caller
-    keeps for one order, maps each point to its ``N(d, e, x; q)``:
-    a point found there is not built again, and a point built is added.
+    Requires at least two points, pairwise distinct, not mutually inverse,
+    nonzero, and none equal to +-1 (degenerate configurations need analytic
+    continuation, which is out of scope).
     """
-    if k < 2:
-        raise AlgebraError("partial-fraction form needs k >= 2")
     pts = [_as_fraction(x) for x in xpoints]
-    if len(pts) != k:
-        raise AlgebraError(f"expected {k} points, got {len(pts)}")
+    if len(pts) < 2:
+        raise AlgebraError("partial-fraction form needs at least two points")
+    if len(pieces) != len(pts):
+        raise AlgebraError(f"expected {len(pts)} pieces, got {len(pieces)}")
     for i, xi in enumerate(pts):
         if xi == 0 or xi * xi == 1:
             raise AlgebraError(f"degenerate point x_{i + 1} = {xi}")
@@ -555,17 +552,13 @@ def rk_partial_fractions(
                 raise AlgebraError(
                     f"degenerate point pair x_{i + 1} = {xi}, x_{j + 1} = {xj}"
                 )
-    if pieces is None:
-        pieces = {}
     acc = None
-    for i, xi in enumerate(pts):
+    for xi, piece in zip(pts, pieces):
         weight = Fraction(1)
-        for j, xj in enumerate(pts):
-            if j != i:
+        for xj in pts:
+            if xj != xi:
                 weight *= (xi - xj) * (1 - Fraction(1) / (xi * xj))
-        if xi not in pieces:
-            pieces[xi] = rank_gf(order, x=xi)
-        piece = pieces[xi] * (Fraction(1) / weight)
+        piece = piece * (Fraction(1) / weight)
         acc = piece if acc is None else acc + piece
     return acc
 
@@ -574,8 +567,8 @@ def crank_C(order: int, x: ParamValue = None, base: int = 1) -> QSeries:
     """The crank-type product ``(Q; Q)_inf / (xQ, Q/x; Q)_inf``, Q = q^base."""
     params = _sym_params(("x", x))
     xm = _xvar("x", x, "the crank product")
-    num = poch_inf(params, Monomial.make(1, base), order, base)
-    return times_poch(num, (xm.times_q(base), -1, base), (xm.inverse().times_q(base), -1, base))
+    return times_poch(QSeries.one(params, order), (Monomial.make(1, base), 1, base),
+                      (xm.times_q(base), -1, base), (xm.inverse().times_q(base), -1, base))
 
 
 def crank_C_star(order: int, x, base: int = 1) -> QSeries:

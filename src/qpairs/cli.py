@@ -337,15 +337,18 @@ def cmd_spt(args) -> int:
 # verify / report
 
 
+def _report_out(bodies: List[dict], args) -> int:
+    """Write the report bodies in the chosen format; exit 0 only when every check passed."""
+    report = harness.report_json if args.format == "json" else harness.report_text
+    _emit(report(bodies), args.out)
+    return 0 if all(b["status"] == "pass" for b in bodies) else 1
+
+
 def cmd_verify(args) -> int:
     results = harness.run_suite(args.filter or "*", args.order)
     if not results:
         raise UsageError(f"no checks match filter {args.filter!r}")
-    if args.format == "json":
-        _emit(harness.report_json(results), args.out)
-    else:
-        _emit(harness.report_text([r.body() for r in results]), args.out)
-    return 0 if all(r.status == "pass" for r in results) else 1
+    return _report_out([r.body() for r in results], args)
 
 
 def _report_items(path: str, obj) -> List[dict]:
@@ -370,14 +373,7 @@ def cmd_report(args) -> int:
             raise UsageError(f"cannot read report {path}: {exc}")
         for item in _report_items(path, obj):
             checks[item["check"]] = item
-    items = [checks[k] for k in sorted(checks)]
-    summary = harness.summarize(items)
-    if args.format == "text":
-        _emit(harness.report_text(items), args.out)
-    else:
-        _emit(json.dumps({"summary": summary, "checks": items}, indent=2, sort_keys=True),
-              args.out)
-    return 0 if summary["failed"] == 0 and summary["errors"] == 0 else 1
+    return _report_out([checks[k] for k in sorted(checks)], args)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=formats, default=default)
         sp.add_argument("--out", metavar="PATH", default=None)
 
-    sp = sub.add_parser("coeffs", help="expand a named series to a coefficient table")
+    sp = sub.add_parser("coeffs", help="expand a named series to a coefficient table",
+                        epilog=builders.BUILDER_GRAMMAR, formatter_class=argparse.RawDescriptionHelpFormatter)
     sp.add_argument("builder", help="builder identifier, e.g. n2v:v=1 or E2")
     sp.add_argument("--order", type=int, default=10)
     sp.add_argument("--params", default=None, metavar="k=v,...")

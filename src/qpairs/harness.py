@@ -265,12 +265,13 @@ def _check_c06(ctx: _Ctx, order: int):
 
 
 def _check_c07(ctx: _Ctx, order: int):
-    pieces = {}  # each point's rank refinement, built once for all its tuples
+    # each point's rank refinement, built once for all its tuples
+    pieces = {x: B.rank_gf(order, x=x) for x in set().union(*DURFEE_POINTS_2, *DURFEE_POINTS_3)}
     for k, plist in ((2, DURFEE_POINTS_2), (3, DURFEE_POINTS_3)):
         for xs in plist:
             ctx.points.append(f"k={k},x=({','.join(str(x) for x in xs)})")
             lhs = B.durfee_rhs(k, order, xs)
-            rhs = B.rk_partial_fractions(k, xs, order, pieces=pieces)
+            rhs = B.rk_partial_fractions(xs, [pieces[x] for x in xs])
             ctx.equal(lhs, rhs, order, f"k={k} xs={xs}")
 
 
@@ -723,14 +724,9 @@ def summarize(bodies: Sequence[dict]) -> dict:
     }
 
 
-def report_json(results: Sequence[CheckResult], include_timing: bool = False) -> str:
-    items = []
-    for r in results:
-        body = r.body()
-        if include_timing:
-            body["millis"] = r.millis
-        items.append(body)
-    return json.dumps({"summary": summarize(items), "checks": items}, indent=2, sort_keys=True)
+def report_json(bodies: Sequence[dict]) -> str:
+    """The report bodies (see ``CheckResult.body``) and their summary, as sorted JSON."""
+    return json.dumps({"summary": summarize(bodies), "checks": bodies}, indent=2, sort_keys=True)
 
 
 def report_text(bodies: Sequence[dict]) -> str:

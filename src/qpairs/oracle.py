@@ -14,6 +14,11 @@ only.  `_durfee_rows` lists the symbols' row pairs over the same blocks
 that `_durfee_parts` counts, in separate code, and the tests check that
 listing against a brute force over all marked rows and against the moment
 identity D_{v+1}(r, s, n) = eta_{2v}(r, s, n).
+
+A memo kept across calls is a module-level `lru_cache` with a bound: the
+tables keep their last few orders and `_bounded_parts` its recent blocks.
+Only the recursion memos `partitions`, `_box_counts` and `_marked_rows`
+are unbounded, since their size is set by the largest argument asked for.
 """
 
 from __future__ import annotations
@@ -109,6 +114,10 @@ def spt_weight(lam: Overpartition, mu: Overpartition) -> int:
 # Up to weight n_max, each of these is at most n_max, so the counting keys
 # are ints with one digit of base n_max + 1 per statistic, weight first:
 # keys add digit by digit without carries.
+#
+# Each table is kept across calls for its last few orders only: one run of the
+# whole suite reads the rank table at three orders and the spt table at two.
+_TABLES_KEPT = 4
 
 
 def _value_choices(v: int, room: int) -> Iterator[Tuple[int, int, int, int]]:
@@ -144,7 +153,7 @@ def _convolve(counts: Dict[int, int], steps: Counter, n_max: int, unit: int) -> 
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES_KEPT)
 def rank_table(n_max: int) -> Dict[int, Dict[Tuple[int, int, int], int]]:
     """Counts of the pairs of weight n <= n_max by (r, s, rank).
 
@@ -175,7 +184,7 @@ def rank_table(n_max: int) -> Dict[int, Dict[Tuple[int, int, int], int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLES_KEPT)
 def spt_table(n_max: int) -> Dict[int, Dict[Tuple[int, int], int]]:
     """Sums of `spt_weight` over the pairs of weight n <= n_max, by (r, s).
 
@@ -354,12 +363,13 @@ def _distinct_subsets(
     return out
 
 
+@lru_cache(maxsize=4096)
 def _bounded_parts(
     total: int, count: int | None, lo: int, hi: int, sub: int
 ) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """Blocks of parts ``(value, sub)``, values weakly decreasing in [lo, hi]
     and summing to total: exactly count parts, or any number when count
-    is None."""
+    is None.  Cached: the blocks recur across S, M_j and filtered listings."""
     if total == 0 and not count:
         return ((),)
     if count == 0 or (count is not None and total > hi * count):
@@ -422,14 +432,12 @@ def _durfee_rows(
     after = [0] * (k + 1)  # after[j]: the least part count of blocks j+1..k
     for j in range(k - 1, -1, -1):
         after[j] = after[j + 1] + (j + 1 < k) + (0 if ranks is None else abs(ranks[j]))
-    # blocks recur across S and M_j; the memo lives as long as this call
-    blocks = lru_cache(maxsize=None)(_bounded_parts)
 
     def sized(count, lo, hi, j, room):
         # (weight, parts): count parts of block j (any number when None) weighing at most room
         least, most = (0, room) if count is None else (count * lo, min(count * hi, room))
         for t in range(least, most + 1):
-            for parts in blocks(t, count, lo, hi, j):
+            for parts in _bounded_parts(t, count, lo, hi, j):
                 yield t, parts
 
     def free(lo, hi, j, room):

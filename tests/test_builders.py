@@ -463,17 +463,18 @@ def test_durfee_rhs_at_unit_points_matches_moments():
 
 def test_partial_fractions_matches_durfee():
     pts = (F(2), F(3))
-    a = B.rk_partial_fractions(2, pts, 10)
+    a = B.rk_partial_fractions(pts, [B.rank_gf(10, x=x) for x in pts])
     b = B.durfee_rhs(2, 10, xs=pts)
     ok, report = a.equal_to_order(b, 10)
     assert ok, report
 
 
 def test_partial_fractions_degenerate_points_rejected():
+    for pts in ((F(2), F(2)), (F(2), F(1, 2)), (F(2),)):
+        with pytest.raises(AlgebraError):
+            B.rk_partial_fractions(pts, [B.rank_gf(6, x=x) for x in pts])
     with pytest.raises(AlgebraError):
-        B.rk_partial_fractions(2, (F(2), F(2)), 6)
-    with pytest.raises(AlgebraError):
-        B.rk_partial_fractions(2, (F(2), F(1, 2)), 6)
+        B.rk_partial_fractions((F(2), F(3)), [B.rank_gf(6, x=F(2))])
 
 
 # -- crank-type products --------------------------------------------------

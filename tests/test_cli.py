@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qpairs import cli, oracle
+from qpairs import builders, cli, oracle
 from qpairs.cli import main
 
 
@@ -36,6 +37,14 @@ def test_coeffs_moment_series_with_params(capsys):
     assert code == 0
     rows = {r[0]: r[1] for r in list(csv.reader(io.StringIO(out)))[1:]}
     assert rows["2"] == "1"
+
+
+def test_coeffs_help_lists_every_builder(capsys):
+    code, out, _ = run(capsys, "coeffs", "--help")
+    assert code == 0
+    assert builders.BUILDER_GRAMMAR.strip() in out  # raw: the grammar's own line breaks
+    names = set(re.findall(r"[\w-]+", out))
+    assert set(builders._BUILDER_KEYS) <= names, set(builders._BUILDER_KEYS) - names
 
 
 def test_coeffs_bogus_is_usage_error(capsys):
