@@ -48,29 +48,37 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, _as_fraction, _integer
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _integer
 from .series import QSeries
 
 # a parameter slot: None keeps the parameter symbolic, a number fixes it
 ParamValue = Union[None, int, Fraction]
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """A rational coefficient times a q-power times a parameter monomial."""
+    """A rational coefficient times a q-power times a parameter monomial.  Immutable by
+    convention; equal, and hashed alike, when c, qexp and the sorted nonzero pexps agree."""
 
-    c: Fraction = Fraction(1)
-    qexp: int = 0
-    pexps: Tuple[Tuple[str, int], ...] = ()
+    __slots__ = ("c", "qexp", "pexps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", _as_fraction(self.c))
-        clean = {p: int(e) for p, e in self.pexps if e}
-        object.__setattr__(self, "pexps", tuple(sorted(clean.items())))
+    def __init__(self, c: Scalar = Fraction(1), qexp: int = 0, pexps: Tuple[Tuple[str, int], ...] = ()):
+        self.c = _as_fraction(c)
+        self.qexp = qexp
+        self.pexps = tuple(sorted({p: int(e) for p, e in pexps if e}.items()))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Monomial:
+            return NotImplemented
+        return (self.c, self.qexp, self.pexps) == (other.c, other.qexp, other.pexps)
+
+    def __hash__(self) -> int:
+        return hash((self.c, self.qexp, self.pexps))
+
+    def __repr__(self) -> str:
+        return f"Monomial(c={self.c!r}, qexp={self.qexp!r}, pexps={self.pexps!r})"
 
     @classmethod
     def make(cls, c=1, qexp=0, **pexps) -> "Monomial":

@@ -25,9 +25,8 @@ import fnmatch
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import AlgebraError, ParamPoly
 from .series import QSeries
@@ -42,8 +41,7 @@ F = Fraction
 # result plumbing
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     name: str
     reference: str
@@ -604,8 +602,7 @@ def _check_c34(ctx: _Ctx, order: int):
 # registry
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     id: str
     name: str
     reference: str

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import getitem
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .poly import AlgebraError, ParamPoly, Scalar
 
@@ -220,18 +219,18 @@ def gbinom(top: int, k: int) -> int:
     return num // math.factorial(k)  # k! divides a product of k consecutive integers
 
 
-def _summed_poly(params: Tuple[str, ...], items: Iterable[Tuple[Tuple[int, ...], Scalar]]) -> ParamPoly:
+def _summed_poly(params: Tuple[str, ...], items: Iterable[Tuple[Tuple[int, ...], int]]) -> ParamPoly:
     """One ParamPoly from (exponent vector, coefficient) pairs, adding the
     coefficients of repeated vectors."""
-    terms: Dict[Tuple[int, ...], Scalar] = {}
+    terms: Dict[Tuple[int, ...], int] = {}
     for vec, c in items:
         terms[vec] = terms.get(vec, 0) + c
-    return ParamPoly._from_sums(params, terms)
+    return ParamPoly._from_ints(params, terms)
 
 
 def rank_poly(tally: Dict[Tuple[int, int, int], int]) -> ParamPoly:
     """``sum N(r,s,m,n) d^r e^s x^m`` for one weight n."""
-    return ParamPoly._from_sums(("d", "e", "x"), tally)
+    return ParamPoly._from_ints(("d", "e", "x"), tally)
 
 
 def moment_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPoly:
@@ -250,8 +249,7 @@ def symmetrized_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPol
 # marked Durfee symbols
 
 
-@dataclass(frozen=True, slots=True)
-class DurfeeSymbol:
+class DurfeeSymbol(NamedTuple):
     """A two-rowed array of subscripted parts with decoration (S, mu, nu).
 
     Rows are tuples of (value, subscript) pairs; mu and nu are strictly
@@ -624,15 +622,14 @@ def durfee_values(k: int, n_max: int, points: Iterable[Tuple[Scalar, ...]]) -> L
                         tally = sums[S + w + sigma]
                         for stats, y in group:
                             tally[stats] = tally.get(stats, 0) + v * y
-        out.append([ParamPoly._from_sums(("d", "e"), {stats: Fraction(v, den) for stats, v in tally.items()})
-                    for tally in sums])
+        out.append([ParamPoly._from_ints(("d", "e"), tally, den) for tally in sums])
     return out
 
 
 def durfee_rank_poly(k: int, n: int) -> ParamPoly:
     """``sum d^r e^s x_1^{rho_1} ... x_k^{rho_k}`` over symbols of weight n."""
     params = ("d", "e") + tuple(f"x{j + 1}" for j in range(k))
-    return ParamPoly._from_sums(params, {(r, s) + rho: c for (r, s, rho), c in durfee_tally(k, n).items()})
+    return ParamPoly._from_ints(params, {(r, s) + rho: c for (r, s, rho), c in durfee_tally(k, n).items()})
 
 
 def durfee_fullrank_poly(k: int, n: int) -> ParamPoly:

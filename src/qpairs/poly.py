@@ -1,24 +1,51 @@
-"""Sparse multivariate Laurent polynomials over exact rationals.
+"""Sparse multivariate Laurent polynomials over exact rationals, stored in integers.
 
 These are the coefficient objects for the truncated q-series kernel: a
 fixed, ordered tuple of parameter names (e.g. ``("d", "e", "x")``) and a
-sparse map from integer exponent vectors to nonzero rationals.  A stored
-coefficient is an ``int`` when it is integral and a ``Fraction`` only
-otherwise, so the common all-integer case never pays for ``Fraction``
-arithmetic; ``constant_value`` still hands out a ``Fraction``.
-The coefficient domain is deliberately a ring, not a field; expressions
-with genuinely rational parameter dependence are handled by evaluating
-the parameters at rational points before any division happens.
+sparse sum of rational multiples of monomials.  A poly stores only ints, in
+content/primitive-part form: a map ``num`` from packed exponent keys to
+nonzero int numerators, and one positive denominator ``den`` with
+``gcd(den, numerators) = 1`` (``den = 1`` for the zero poly).  So no ring
+operation builds a ``Fraction``; ``constant_value`` still hands one out.
+
+A key packs an exponent vector into one int: entry i, plus ``2^(S-1)``, fills
+the S-bit slot at bit ``S * (arity - 1 - i)`` (S = ``SLOT_BITS``), so the
+first parameter holds the most significant slot.  Keys then sort exactly as
+the vectors do, the zero vector's key is ``_layout(arity)[0]``, a monomial
+product is ``k1 + k2 - zero`` and a shift by a vector is one int add.
+
+Range rule: every stored exponent e satisfies ``|e| <= EXP_LIMIT = 2^(S-2)``.
+It is checked when a vector is packed, and carried, not rechecked, through
+every operation that makes new exponents: each poly holds ``reach``, a bound
+on its |e| (exact when packed from vectors); sums take the maximum, products
+add the bounds, a derivative adds 1, and the series kernel adds a chain's
+growth (series.py).  A derived bound past ``EXP_LIMIT`` raises AlgebraError
+before any key is formed, so two in-range slots never carry into the next.
+
+``terms`` is a read-only decoded view ``{exponent tuple: int or Fraction}``,
+an int exactly when the coefficient is integral, for readers and tests; no
+operation goes through it.  The coefficient domain is deliberately a ring,
+not a field; expressions with genuinely rational parameter dependence are
+handled by evaluating the parameters at rational points before any division
+happens.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from functools import lru_cache
+from operator import lshift
+from typing import Iterable, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 ExpVec = Tuple[int, ...]
+
+SLOT_BITS = 32
+EXP_LIMIT = 1 << (SLOT_BITS - 2)
+_OFFSET = 1 << (SLOT_BITS - 1)  # the slot value of exponent 0
+_SLOT = (1 << SLOT_BITS) - 1
 
 
 class AlgebraError(ValueError):
@@ -34,7 +61,7 @@ def _as_fraction(c: Scalar) -> Fraction:
 
 
 def _canon(c: Scalar) -> Scalar:
-    """The stored form of a coefficient: an int when integral, else a Fraction."""
+    """A rational as an int when integral, else a Fraction."""
     if isinstance(c, (int, Fraction)):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
@@ -68,68 +95,154 @@ def _index(params: Tuple[str, ...], name: str) -> int:
         raise AlgebraError(f"unknown parameter {name!r} (declared: {params})") from None
 
 
-def _powers(name: str, exps: set, r: Fraction) -> Tuple[dict, Fraction]:
-    """``({e: p^(e - lo) * q^(hi - e)}, p^lo / q^hi)`` for ``name`` at r = p/q, over its
-    exponents ``exps`` in [lo, hi]: r^e is the integer of e times the common factor."""
-    lo, hi = min(exps, default=0), max(exps, default=0)
+def _powers(name: str, slots: set, r: Fraction) -> Tuple[dict, Fraction]:
+    """``({s: p^(e - lo) * q^(hi - e)}, p^lo / q^hi)`` for ``name`` at r = p/q, over the slot
+    values ``slots`` (``s = e + 2^(S-1)``) of its exponents e in [lo, hi]: r^e is the integer
+    of s times the common factor."""
+    lo, hi = min(slots, default=_OFFSET) - _OFFSET, max(slots, default=_OFFSET) - _OFFSET
     p, q = r.numerator, r.denominator
     if lo < 0 and p == 0:
         raise AlgebraError(f"pole at 0: {name}^{lo} evaluated at 0")
-    return {e: p ** (e - lo) * q ** (hi - e) for e in exps}, Fraction(p) ** lo / Fraction(q) ** hi
+    return ({s: p ** (s - _OFFSET - lo) * q ** (hi + _OFFSET - s) for s in slots},
+            Fraction(p) ** lo / Fraction(q) ** hi)
 
 
-def _clean(terms: Mapping[ExpVec, Scalar]) -> dict[ExpVec, Scalar]:
-    """A summed term map without its zero sums, in canonical form."""
-    return {vec: c if type(c) is int else _canon(c) for vec, c in terms.items() if c}
+@lru_cache(maxsize=64)
+def _layout(arity: int) -> Tuple[int, Tuple[int, ...]]:
+    """``(zero, shifts)`` for keys of this arity: the key of the zero vector, and the bit
+    offset of each entry's slot, the first entry's highest."""
+    shifts = tuple(range(SLOT_BITS * (arity - 1), -1, -SLOT_BITS))
+    return sum(_OFFSET << s for s in shifts), shifts
+
+
+def _unpack(key: int, arity: int) -> ExpVec:
+    return tuple(((key >> s) & _SLOT) - _OFFSET for s in _layout(arity)[1])
+
+
+def _within(reach: int, what: str) -> int:
+    """``reach``, a bound on the exponents of a result, if it lies in the slot range."""
+    if reach > EXP_LIMIT:
+        raise AlgebraError(f"{what} could hold the exponent {reach}, outside the slot range "
+                           f"-2^{SLOT_BITS - 2}..2^{SLOT_BITS - 2}")
+    return reach
+
+
+def _pack(arity: int, terms: Mapping) -> Tuple[dict, int]:
+    """``(num, reach)`` of a map from exponent tuples to ints: the same map with each tuple
+    packed into its key, and the largest |exponent|.  A tuple of another arity, or an
+    exponent past EXP_LIMIT, raises AlgebraError naming it."""
+    vecs = terms.keys()
+    if not vecs:
+        return {}, 0
+    if set(map(len, vecs)) != {arity}:
+        vec = next(v for v in vecs if len(v) != arity)
+        raise AlgebraError(f"exponent vector {vec} has arity {len(vec)}, expected {arity}")
+    if not arity:
+        return {0: sum(terms.values())}, 0
+    reach = max(max(map(max, vecs)), -min(map(min, vecs)))
+    if reach > EXP_LIMIT:
+        e = next(e for v in vecs for e in v if abs(e) > EXP_LIMIT)
+        raise AlgebraError(f"exponent {e} lies outside the slot range -2^{SLOT_BITS - 2}..2^{SLOT_BITS - 2}")
+    zero, shifts = _layout(arity)
+    # tuples equal as vectors are one dict key, so their keys are distinct
+    return {zero + sum(map(lshift, v, shifts)): c for v, c in terms.items()}, reach
+
+
+def _value(c: int, den: int) -> Scalar:
+    """The coefficient ``c / den``: an int when integral, else a Fraction."""
+    return c if den == 1 else (Fraction(c, den) if c % den else c // den)
+
+
+class _Terms(Mapping):
+    """A poly's terms, decoded: exponent tuple -> int or Fraction.  Read-only, and read from
+    the poly on every access; ``len`` decodes nothing."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "ParamPoly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly.num)
+
+    def __iter__(self):
+        arity = len(self._poly.params)
+        return (_unpack(key, arity) for key in self._poly.num)
+
+    def __getitem__(self, vec):
+        p = self._poly
+        try:
+            key, = _pack(len(p.params), {tuple(vec): 1})[0]
+        except (AlgebraError, TypeError):
+            raise KeyError(vec) from None
+        return _value(p.num[key], p.den)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class ParamPoly:
     """Laurent polynomial in a fixed tuple of named parameters.
 
-    Invariants: no stored zero coefficients; every coefficient is an int
-    when integral; every exponent vector has arity ``len(params)``.
-    Instances are immutable by convention: no method mutates ``self``.
+    Invariants: ``num`` holds no zero; ``den >= 1`` and ``gcd(den, *num.values()) == 1``;
+    every key is the packed key of a vector of arity ``len(params)`` with every entry
+    within ``reach <= EXP_LIMIT``.  Instances are immutable by convention: no method
+    mutates ``self``.
     """
 
-    __slots__ = ("params", "terms")
+    __slots__ = ("params", "num", "den", "reach")
 
     def __init__(self, params: Iterable[str], terms: Optional[Mapping[ExpVec, Scalar]] = None):
         self.params: Tuple[str, ...] = tuple(params)
-        sums: dict[ExpVec, Scalar] = {}
-        if terms:
-            arity = len(self.params)
-            for exps, c in terms.items():
-                vec = tuple(int(e) for e in exps)
-                if len(vec) != arity:
-                    raise AlgebraError(
-                        f"exponent vector {vec} has arity {len(vec)}, expected {arity}"
-                    )
-                sums[vec] = sums.get(vec, 0) + _canon(c)
-        self.terms = _clean(sums)
+        terms = terms or {}
+        den = math.lcm(*(_canon(c).denominator for c in terms.values()))
+        num, reach = _pack(len(self.params), {vec: c.numerator * (den // c.denominator) for vec, c in terms.items()})
+        self._set(num, den, reach)
+
+    def _set(self, num: dict, den: int, reach: int) -> None:
+        """Store ``num / den`` in lowest terms: zeros dropped, the gcd divided out."""
+        if 0 in num.values():
+            num = {key: c for key, c in num.items() if c}
+        if den != 1:
+            g = math.gcd(den, *num.values())  # den itself when num is empty
+            if g != 1:
+                num, den = {key: c // g for key, c in num.items()}, den // g
+        self.num, self.den, self.reach = num, den, reach
 
     @classmethod
-    def _raw(cls, params: Tuple[str, ...], terms: dict) -> "ParamPoly":
-        """A poly of a canonical term map (no zero, ints when integral), keys unchecked."""
+    def _make(cls, params: Tuple[str, ...], num: dict, den: int = 1, reach: int = 0) -> "ParamPoly":
+        """The poly ``num / den`` of a summed int map, reduced; keys unchecked."""
         out = cls.__new__(cls)
         out.params = params
-        out.terms = terms
+        out._set(num, den, reach)
         return out
 
     @classmethod
-    def _from_sums(cls, params: Tuple[str, ...], terms: dict) -> "ParamPoly":
-        """A poly of a summed term map, cleaned and canonicalised, keys unchecked."""
-        return cls._raw(params, _clean(terms))
+    def _raw(cls, params: Tuple[str, ...], num: dict, den: int, reach: int) -> "ParamPoly":
+        """A poly of an int map and denominator already in lowest terms, keys unchecked."""
+        out = cls.__new__(cls)
+        out.params, out.num, out.den, out.reach = params, num, den, reach
+        return out
+
+    @classmethod
+    def _from_ints(cls, params: Tuple[str, ...], terms: Mapping[ExpVec, int], den: int = 1) -> "ParamPoly":
+        """The poly ``sum terms[vec] / den * p^vec`` of an int map keyed by exponent tuples, for
+        an int ``den != 0``."""
+        num, reach = _pack(len(params), terms)
+        if den < 0:
+            num, den = _times(num, -1), -den
+        return cls._make(params, num, den, reach)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, params: Iterable[str]) -> "ParamPoly":
-        return cls(params)
+        return cls._raw(tuple(params), {}, 1, 0)
 
     @classmethod
     def const(cls, params: Iterable[str], c: Scalar) -> "ParamPoly":
-        params = tuple(params)
-        return cls(params, {(0,) * len(params): c})
+        params, c = tuple(params), _canon(c)
+        return cls._make(params, {_layout(len(params))[0]: c.numerator}, c.denominator)
 
     @classmethod
     def monomial(cls, params: Iterable[str], exps: Mapping[str, int], c: Scalar = 1) -> "ParamPoly":
@@ -145,33 +258,41 @@ class ParamPoly:
 
     # -- predicates and views -------------------------------------------
 
+    @property
+    def terms(self) -> _Terms:
+        """The decoded terms, ``{exponent tuple: int or Fraction}``, read-only."""
+        return _Terms(self)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def as_monomial(self) -> Optional[Tuple[Scalar, ExpVec]]:
         """Return ``(coeff, exponents)`` if this is a single term, else None."""
-        if len(self.terms) != 1:
+        if len(self.num) != 1:
             return None
-        ((vec, c),) = self.terms.items()
-        return c, vec
+        ((key, c),) = self.num.items()
+        return _value(c, self.den), _unpack(key, len(self.params))
 
     def constant_value(self) -> Fraction:
         """The value of a parameter-free polynomial; error if parameters occur."""
-        if not self.terms:
+        if not self.num:
             return Fraction(0)
-        mono = self.as_monomial()
-        if mono is None or any(mono[1]):
+        c = self.num.get(_layout(len(self.params))[0])
+        if c is None or len(self.num) != 1:
             raise AlgebraError(f"not a constant: {self}")
-        return Fraction(mono[0])
+        return Fraction(c, self.den)
+
+    def _slot(self, name: str) -> int:
+        return _layout(len(self.params))[1][_index(self.params, name)]
 
     def degree(self, name: str) -> int:
         """Largest exponent of ``name`` over all terms (0 for the zero poly)."""
-        i = _index(self.params, name)
-        return max((vec[i] for vec in self.terms), default=0)
+        s = self._slot(name)
+        return max(((key >> s) & _SLOT for key in self.num), default=_OFFSET) - _OFFSET
 
     def min_degree(self, name: str) -> int:
-        i = _index(self.params, name)
-        return min((vec[i] for vec in self.terms), default=0)
+        s = self._slot(name)
+        return min(((key >> s) & _SLOT for key in self.num), default=_OFFSET) - _OFFSET
 
     # -- ring operations ------------------------------------------------
 
@@ -186,15 +307,21 @@ class ParamPoly:
 
     def __add__(self, other) -> "ParamPoly":
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for vec, c in other.terms.items():
-            terms[vec] = terms.get(vec, 0) + c
-        return ParamPoly._from_sums(self.params, terms)
+        a, b, den = self.num, other.num, self.den
+        if other.den != den:  # both over the lcm of the two denominators
+            den = math.lcm(den, other.den)
+            a, b = _times(a, den // self.den), _times(b, den // other.den)
+        if len(a) < len(b):
+            a, b = b, a
+        num = dict(a)
+        for key, c in b.items():
+            num[key] = num.get(key, 0) + c
+        return ParamPoly._make(self.params, num, den, max(self.reach, other.reach))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly._raw(self.params, {vec: -c for vec, c in self.terms.items()})
+        return ParamPoly._raw(self.params, {key: -c for key, c in self.num.items()}, self.den, self.reach)
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-self._coerce(other))
@@ -204,15 +331,18 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         if isinstance(other, (int, Fraction)):
-            c = _canon(other)
-            return ParamPoly._from_sums(self.params, {vec: v * c for vec, v in self.terms.items()})
+            return ParamPoly._make(self.params, _times(self.num, other.numerator),
+                                   self.den * other.denominator, self.reach)
         other = self._coerce(other)
-        terms: dict[ExpVec, Scalar] = {}
-        for v1, c1 in self.terms.items():
-            for v2, c2 in other.terms.items():
-                vec = tuple(map(add, v1, v2))
-                terms[vec] = terms.get(vec, 0) + c1 * c2
-        return ParamPoly._from_sums(self.params, terms)
+        reach = _within(self.reach + other.reach, "a product")
+        zero = _layout(len(self.params))[0]
+        num: dict = {}
+        for k1, c1 in self.num.items():
+            k1 -= zero
+            for k2, c2 in other.num.items():
+                key = k1 + k2
+                num[key] = num.get(key, 0) + c1 * c2
+        return ParamPoly._make(self.params, num, self.den * other.den, reach)
 
     __rmul__ = __mul__
 
@@ -221,31 +351,32 @@ class ParamPoly:
             other = ParamPoly.const(self.params, other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.params == other.params and self.terms == other.terms
+        return self.params == other.params and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.params, frozenset(self.terms.items())))
+        return hash((self.params, self.den, frozenset(self.num.items())))
 
     # -- calculus -------------------------------------------------------
 
     def derivative(self, name: str) -> "ParamPoly":
         """Formal partial derivative with respect to one parameter."""
-        i = _index(self.params, name)
-        terms: dict[ExpVec, Scalar] = {}
-        for vec, c in self.terms.items():
-            k = vec[i]
+        s = self._slot(name)
+        step, num = 1 << s, {}
+        for key, c in self.num.items():
+            k = ((key >> s) & _SLOT) - _OFFSET
             if k:
-                nvec = vec[:i] + (k - 1,) + vec[i + 1:]
-                terms[nvec] = terms.get(nvec, 0) + c * k
-        return ParamPoly._from_sums(self.params, terms)
+                num[key - step] = c * k
+        return ParamPoly._make(self.params, num, self.den, _within(self.reach + 1, "a derivative"))
 
     # -- formatting and serialization -----------------------------------
 
     def sorted_terms(self) -> list[Tuple[ExpVec, Scalar]]:
-        return sorted(self.terms.items())
+        """The decoded terms in exponent order (keys sort as their vectors)."""
+        arity, den = len(self.params), self.den
+        return [(_unpack(key, arity), _value(c, den)) for key, c in sorted(self.num.items())]
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for vec, c in self.sorted_terms():
@@ -263,8 +394,16 @@ class ParamPoly:
     def __repr__(self) -> str:
         return f"ParamPoly({self.params!r}, {{{self}}})"
 
+    def ratio_texts(self) -> list[Tuple[int, str]]:
+        """``(key, "p/q")`` for each term in key order, the coefficient in lowest terms."""
+        den = self.den
+        if den == 1:
+            return [(key, f"{c}/1") for key, c in sorted(self.num.items())]
+        return [(key, f"{c // g}/{den // g}") for key, c in sorted(self.num.items()) for g in (math.gcd(c, den),)]
+
     def to_obj(self) -> list:
-        return [[list(vec), f"{c.numerator}/{c.denominator}"] for vec, c in self.sorted_terms()]
+        arity = len(self.params)
+        return [[list(_unpack(key, arity)), text] for key, text in self.ratio_texts()]
 
     @classmethod
     def from_obj(cls, params: Iterable[str], obj: list) -> "ParamPoly":
@@ -278,3 +417,8 @@ class ParamPoly:
             vec, text = term
             terms[tuple(_integer(e, "exponent") for e in vec)] = _rational(text, "coefficient")
         return cls(params, terms)
+
+
+def _times(num: dict, k: int) -> dict:
+    """An int map times the int k."""
+    return num if k == 1 else {key: c * k for key, c in num.items()}

@@ -9,15 +9,25 @@ substitutions cannot silently report unproven coefficients.
 The zero series carries the sentinel valuation ``order + 1``.
 
 One coefficient recurrence, :func:`_recur`, does the product, ``invert``
-and :meth:`QSeries.mul_one_minus` on plain term maps, in integers from
-entry to exit: :func:`_scale` multiplies the inputs by the lcm of their
-denominators (a chain also the coefficient of q^n by ``L^n``, for the lcm
-L of its factors' denominators, and ``invert`` by ``a^n``, for its
-leading coefficient a), ``_recur`` stores no zero, and :func:`_series`
-divides once and stores the canonical polys as they are.  The q^0
-factors of a chain leave one rational scalar, applied in that division.
-The arithmetic is exact either way; the scaling only makes the values
-ints instead of Fractions.
+and :meth:`QSeries.mul_one_minus` on plain term maps from packed exponent
+keys to int numerators (see poly.py), in integers from entry to exit:
+keys and values are ints, and a monomial step is one int added to a key.
+:func:`_scale` brings every coefficient over the lcm D of their
+denominators, one per coefficient, multiplying a numerator map by
+``D / den`` only where the two differ (a chain also multiplies the
+coefficient of q^n by ``L^n``, for the lcm L of its factors'
+denominators, and ``invert`` by ``a^n``, for its leading coefficient a);
+``_recur`` stores no zero; and :func:`_series` divides out one gcd per
+coefficient, of its numerators and its factor, so each poly is stored in
+lowest terms as it comes, with no Fraction per term.  The q^0 factors of
+a chain leave one rational scalar, applied in that division.
+
+Range rule (poly.py): every stored exponent lies in ``|e| <= 2^(S-2)``.
+No key is rechecked; each operation derives a bound before it forms a key
+and raises AlgebraError past the range: a product adds its operands'
+bounds, ``invert`` stacks at most one step per window position, a chain
+adds each factor's exponent times the steps it can stack, and a weighted
+shift adds its largest j.
 
 Fixing a parameter removes it.  :meth:`QSeries.substitute_param` takes
 every name to fix, each sent to a q-monomial ``c*q^j`` or, with j = 0, to
@@ -28,7 +38,11 @@ parameter p at a rational r and weighs each term ``c p^a q^n`` by a
 rational ``w(a, n)`` in the same kind of pass: an x-derivative read at a
 point builds no derivative series.  With ``r = None`` p stays and
 ``w(a, n)`` is a Laurent polynomial in p, so a PDE with p-polynomial
-coefficients is one pass too.
+coefficients is one pass too.  Both passes read each exponent straight
+from its key's slot and sum each term on its key with the fixed slots
+cleared; :func:`_squeeze` takes those slots out of each summed key once.
+Only the readers decode keys: ``to_json``, ``__str__`` and the mismatch
+that ``equal_to_order`` reports, as ``ParamPoly.terms`` does for others.
 
 Per-parameter degree bounds record facts of the form
 ``0 <= deg_p(coeff of q^n) <= slope * n``.  They enter only through
@@ -47,20 +61,21 @@ import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter
+from operator import lshift
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _index, _integer, _powers, _rational
+from .poly import (_OFFSET, _SLOT, SLOT_BITS, AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _index,
+                   _integer, _layout, _powers, _rational, _unpack, _value, _within)
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
 
 def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -> dict:
     """The term maps of ``g_n = start_n + sum b p^w src_{n-dn}``, ``lo <= n <= order``, over the
-    steps ``(dn, w, b)`` sorted by dn.  ``src`` is a given term map (a product) or None for ``g``
-    itself (a division: every dn >= 1).  Every caller passes ints, and no map it returns holds
-    a zero, so :func:`_series` needs no cleaning."""
-    steps = [(dn, w if any(w) else (), b) for dn, w, b in steps]  # () skips the key shift
+    steps ``(dn, w, b)`` sorted by dn, each w the int that shifts a packed key by its vector
+    (0 for none).  ``src`` is a given term map (a product) or None for ``g`` itself (a division:
+    every dn >= 1).  Every caller passes int keys and values, and no map it returns holds a
+    zero, so :func:`_series` needs no cleaning."""
     out: dict[int, dict] = {}
     src, src_lo = (out, lo) if src is None else (src, min(src, default=lo))
     for n in range(lo, order + 1):
@@ -72,50 +87,75 @@ def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -
             prev = src.get(n - dn)
             if prev:
                 if acc is t:
-                    acc = dict(t) if t else {}
+                    if not t:  # the first sum at n: one comprehension
+                        acc = {v + w: a * b for v, a in prev.items()}
+                        continue
+                    acc = dict(t)
                 if w:
                     for v, a in prev.items():
-                        key = tuple(map(add, v, w))
-                        acc[key] = acc.get(key, 0) + a * b
+                        v += w
+                        acc[v] = acc.get(v, 0) + a * b
                 else:
                     for v, a in prev.items():
                         acc[v] = acc.get(v, 0) + a * b
         if acc is not t and 0 in acc.values():  # cancelled terms: drop them before they ride on
-            acc = {v: a for v, a in acc.items() if a}
+            for v in [v for v, a in acc.items() if not a]:
+                del acc[v]
         if acc:
             out[n] = acc
     return out
 
 
+def _reach(s: "QSeries") -> int:
+    """A bound on the |exponent| of every parameter over the coefficients of ``s``."""
+    return max((p.reach for p in s.coeffs.values()), default=0)
+
+
+def _squeeze(t: dict, cuts: Sequence[int]) -> dict:
+    """An int map with the cleared slots at the bits ``cuts``, highest first, taken out of its
+    keys: each slot above one moves down into its place, and the slots below stay."""
+    for s in cuts:
+        low = (1 << s) - 1
+        t = {(v >> s >> SLOT_BITS << s) | (v & low): c for v, c in t.items()}
+    return t
+
+
 def _scale(s: "QSeries", L: int = 1, lo: int = 0) -> Tuple[int, dict]:
-    """``(D, maps)``: D the lcm of the coefficient denominators of ``s``, and its term maps
-    times ``D * L^(n - lo)`` at q^n (each n >= lo unless L = 1), in integers."""
-    D = math.lcm(*(a.denominator for p in s.coeffs.values() for a in p.terms.values()))
+    """``(D, maps)``: D the lcm of the coefficient denominators of ``s``, and its numerator maps
+    times ``D * L^(n - lo)`` at q^n (each n >= lo unless L = 1), in integers: a map is copied
+    only where that factor over its own denominator is not 1."""
+    D = math.lcm(*(p.den for p in s.coeffs.values()))
     if D * L == 1:
-        return D, {n: p.terms for n, p in s.coeffs.items()}
+        return D, {n: p.num for n, p in s.coeffs.items()}
     out = {}
     for n, p in s.coeffs.items():
-        k = D * L ** (n - lo) if L > 1 else D
-        out[n] = {v: a * k if type(a) is int else a.numerator * (k // a.denominator) for v, a in p.terms.items()}
+        k = D // p.den * L ** (n - lo) if L > 1 else D // p.den
+        out[n] = {v: a * k for v, a in p.num.items()} if k != 1 else p.num
     return D, out
 
 
 def _series(params: Tuple[str, ...], order: int, terms: dict, D: int, L: int = 1, lo: int = 0,
-            N: int = 1) -> "QSeries":
-    """The series of the int term maps times ``N / (D * L^(n - lo))`` at q^n: with ``N = 1`` the
-    inverse of :func:`_scale`, and with ``N = 0`` the zero series.  Each value comes out an int
-    when integral and a reduced Fraction otherwise, and a map with no zero gives a poly with no
-    zero, so the polys are stored as they are."""
+            N: int = 1, reach: int = 0) -> "QSeries":
+    """The series of the int term maps times ``N / (D * L^(n - lo))`` at q^n, each coefficient
+    bounded by ``reach``: with ``N = 1`` the inverse of :func:`_scale`, and with ``N = 0`` the
+    zero series.  Each coefficient divides out one gcd, of its factor and its numerators, so
+    it is stored in lowest terms, and a map with no zero gives a poly with no zero."""
     out = QSeries(params, order)
     if not N:
         return out
     for n, t in terms.items():
         k = D * L ** (n - lo) if L > 1 else D
-        if N != 1:
-            t = {v: a * N for v, a in t.items()}
+        c = N
         if k != 1:
-            t = {v: a // k if not a % k else Fraction(a, k) for v, a in t.items()}
-        out.coeffs[n] = ParamPoly._raw(params, t)
+            g = math.gcd(k, c)
+            k, c = k // g, c // g
+            g = math.gcd(k, *t.values())
+            if g != 1:
+                t = {v: a // g for v, a in t.items()}
+                k //= g
+        if c != 1:
+            t = {v: a * c for v, a in t.items()}
+        out.coeffs[n] = ParamPoly._raw(params, t, k, reach)
     return out
 
 
@@ -262,12 +302,15 @@ class QSeries:
             return QSeries(self.params, self.order, {n: c * other for n, c in self.coeffs.items()})
         self._check_params(other)
         order = min(self.order + other.valuation, other.order + self.valuation)
+        reach = _within(_reach(self) + _reach(other), "a product")
         # the operand with fewer terms gives the steps: fewer visits of the inner loop
         # each operand times the lcm of its own denominators: the convolution is in integers
         (Ds, step), (Dt, src) = sorted(map(_scale, (self, other)),
                                        key=lambda scaled: sum(map(len, scaled[1].values())))
-        steps = [(j, v, b) for j, t in sorted(step.items()) for v, b in t.items()]
-        return _series(self.params, order, _recur({}, steps, src, self.valuation + other.valuation, order), Ds * Dt)
+        zero = _layout(len(self.params))[0]  # key + step key - zero is the product's key
+        steps = [(j, v - zero, b) for j, t in sorted(step.items()) for v, b in t.items()]
+        terms = _recur({}, steps, src, self.valuation + other.valuation, order)
+        return _series(self.params, order, terms, Ds * Dt, reach=reach)
 
     __rmul__ = __mul__
 
@@ -287,14 +330,17 @@ class QSeries:
                 f"(leading coefficient {lead})"
             )
         # with A = D * self and its lead A_v = sign * a * p^u0, g = 1/self is D * sign * h_n / a^(n+1)
-        # at q^(n-v), where h_0 = p^-u0 and h_n = -sign * p^-u0 * sum_{k>=1} A_{v+k} a^(k-1) h_{n-k}
+        # at q^(n-v), where h_0 = p^-u0 and h_n = -sign * p^-u0 * sum_{k>=1} A_{v+k} a^(k-1) h_{n-k};
+        # h_n stacks at most n steps p^(u - u0), so its exponents stay within r0 + n (R + r0)
+        r0 = lead.reach
+        reach = _within(r0 + (_reach(self) + r0) * (self.order - v), "an inverse")
         D, A = _scale(self)
         ((u0, a),) = A[v].items()
-        sign, a, inv = (1 if a > 0 else -1), abs(a), tuple(-x for x in u0)
-        steps = [(n - v, tuple(map(add, u, inv)), -sign * b * a ** (n - v - 1))
+        sign, a, zero = (1 if a > 0 else -1), abs(a), _layout(len(self.params))[0]
+        steps = [(n - v, u - u0, -sign * b * a ** (n - v - 1))
                  for n, t in sorted(A.items()) if n > v for u, b in t.items()]
-        h = _recur({0: {inv: 1}}, steps, None, 0, self.order - v)
-        return _series(self.params, self.order - v, h, a, a, 0, sign * D).shift(-v)
+        h = _recur({0: {2 * zero - u0: 1}}, steps, None, 0, self.order - v)
+        return _series(self.params, self.order - v, h, a, a, 0, sign * D, reach).shift(-v)
 
     def mul_one_minus(self, factors: Sequence[Tuple[Scalar, int, object, int]]) -> "QSeries":
         """Multiply by ``prod (1 - m)^power`` over the factors ``(c, qexp, pexps, power)``, each
@@ -313,35 +359,43 @@ class QSeries:
         factor with parameters (and a power e > 0) and ``c = a/b`` is ``(b - a*m)^e / b^e``: its
         ``1/b^e`` joins S, and its steps ``C(e, j) b^(e-j) (-a)^j`` start at j = 0 when b > 1.
         The end divides by ``D * L^(n - lo)`` and the denominator of S, times its numerator."""
-        scalar, chain = Fraction(1), []
+        scalar, chain, arity = Fraction(1), [], len(self.params)
         for c, qexp, pexps, power in factors:
-            vec = [0] * len(self.params)
+            vec = [0] * arity
             for name, x in dict(pexps).items():
                 vec[_index(self.params, name)] = int(x)
             if c and (qexp < 0 or (power < 0 and qexp == 0 and (any(vec) or c == 1))):
                 raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {tuple(vec)}")
             if not (c and power):
                 continue
-            c = Fraction(c)
             if qexp == 0 and not any(vec):
-                scalar *= (1 - c) ** power
+                scalar *= (1 - Fraction(c)) ** power
                 continue
             if qexp == 0:  # (1 - c m)^e = (b - a m)^e / b^e for c = a/b
                 scalar /= c.denominator ** power
-            chain.append((c, qexp, tuple(vec), power))
+            chain.append((c, qexp, vec, power))
         if not (scalar and self.coeffs):
             return QSeries(self.params, self.order)
         lo = min(self.coeffs)
+        # a factor stacks at most top j-steps of m^j on a term for a power > 0, and for a division
+        # as many as fit in the window
+        passes, reach, shifts = [], _reach(self), _layout(arity)[1]
+        for c, qexp, vec, power in chain:
+            e = abs(power)
+            room = (self.order - lo) // qexp if qexp else e
+            top = min(e, room)
+            reach += max(map(abs, vec), default=0) * (top if power > 0 else room)
+            passes.append((c, qexp, sum(map(lshift, vec, shifts)), power, top))
+        _within(reach, "a (1 - m)^power chain")
         L = math.lcm(*(c.denominator for c, qexp, _, _ in chain if qexp))
         D, terms = _scale(self, L, lo)
-        for c, qexp, vec, power in chain:
+        for c, qexp, w, power, top in passes:
             e, sign = abs(power), (1 if power > 0 else -1)
             u, b = (-c.numerator * (L ** qexp // c.denominator), 1) if qexp else (-c.numerator, c.denominator)
-            top = min(e, (self.order - lo) // qexp) if qexp else e
-            steps = [(j * qexp, tuple(j * x for x in vec), sign * math.comb(e, j) * u ** j * b ** (e - j))
+            steps = [(j * qexp, j * w, sign * math.comb(e, j) * u ** j * b ** (e - j))
                      for j in range(1 if b == 1 else 0, top + 1)]
             terms = _recur({} if b > 1 else terms, steps, terms if power > 0 else None, lo, self.order)
-        return _series(self.params, self.order, terms, D * scalar.denominator, L, lo, scalar.numerator)
+        return _series(self.params, self.order, terms, D * scalar.denominator, L, lo, scalar.numerator, reach)
 
     # -- reshaping ------------------------------------------------------
 
@@ -412,40 +466,45 @@ class QSeries:
         One pass in integers, as in :meth:`substitute_param`: the terms enter through
         :func:`_scale`, r^a is the integer ``num^(a - lo) den^(hi - a)`` over the exponents of p
         in [lo, hi] (1 when p stays), and the weights, computed once per distinct (a, n), are
-        scaled by the lcm of their denominators.  Each output term is one integer sum, and
-        :func:`_series` divides once by the common factor."""
+        scaled by the lcm of their denominators.  Each term reads a from its slot; a shift by j
+        adds ``j`` to that slot, and fixing p clears it, so each output term is one integer sum
+        on a key that :func:`_squeeze` takes the slot out of once, and :func:`_series` divides
+        once by the common factor."""
         i = _index(self.params, name)
-        exps = {n: {vec[i] for vec in p.terms} for n, p in self.coeffs.items()}
-        exponents, keep = set().union(*exps.values()), r is None
+        s, keep = _layout(len(self.params))[1][i], r is None
+        D, maps = _scale(self)
+        slots = {n: {(v >> s) & _SLOT for v in t} for n, t in maps.items()}
+        exponents = set().union(*slots.values())
         if keep:  # p stays: the row of shift j weighs c p^a q^n into w_j(a, n) c p^(a + j) q^n
             params, powers, factor = self.params, dict.fromkeys(exponents, 1), Fraction(1)
-            ws = {n: {a: weight(a, n) for a in row} for n, row in exps.items()}
+            ws = {n: {a: weight(a - _OFFSET, n) for a in row} for n, row in slots.items()}
             rows = {n: [(j, {a: _canon(w.get(j, 0)) for a, w in row.items()}) for j in set().union(*row.values())]
                     for n, row in ws.items()}
+            reach = _within(_reach(self) + max((abs(j) for rs in rows.values() for j, _ in rs), default=0),
+                            "a weighted series")
         else:  # p goes: one row, of the weights
             params = self.params[:i] + self.params[i + 1:]
             powers, factor = _powers(name, exponents, _as_fraction(r))
-            rows = {n: [(0, {a: _canon(weight(a, n)) for a in row})] for n, row in exps.items()}
-        others = [k for k in range(len(self.params)) if k != i]
-        pick = itemgetter(*others) if len(others) > 1 else lambda vec: vec[:i] + vec[i + 1:]
+            rows = {n: [(0, {a: _canon(weight(a - _OFFSET, n)) for a in row})] for n, row in slots.items()}
+            reach = _reach(self)
         W = math.lcm(*(w.denominator for rs in rows.values() for _, row in rs for w in row.values()))
         # the weight times the power of r of each (n, j, a), in integers
-        tables = {n: [(j, {a: w.numerator * (W // w.denominator) * powers[a] for a, w in row.items()}) for j, row in rs]
-                  for n, rs in rows.items()}
-        D, maps = _scale(self)
+        tables = {n: [(j << s, {a: w.numerator * (W // w.denominator) * powers[a] for a, w in row.items()})
+                      for j, row in rs] for n, rs in rows.items()}
+        clear = -1 - (_SLOT << s)  # every bit but p's slot
         out = {}
         for n, terms in maps.items():
             sums = {}
-            for j, row in tables[n]:
-                for vec, c in terms.items():
-                    w = row[vec[i]]
+            for shift, row in tables[n]:
+                for v, c in terms.items():
+                    w = row[(v >> s) & _SLOT]
                     if w:
-                        key = vec[:i] + (vec[i] + j,) + vec[i + 1:] if keep else pick(vec)
+                        key = v + shift if keep else v & clear
                         sums[key] = sums.get(key, 0) + c * w
             sums = {key: t for key, t in sums.items() if t}
             if sums:
-                out[n] = sums
-        return _series(params, self.order, out, D * W * factor.denominator, N=factor.numerator)
+                out[n] = sums if keep else _squeeze(sums, (s,))
+        return _series(params, self.order, out, D * W * factor.denominator, N=factor.numerator, reach=reach)
 
     def substitute_param(self, values: Mapping[str, Tuple[Scalar, int]]) -> "QSeries":
         """Replace each parameter p of ``values`` by the q-monomial ``c * q^j`` of its
@@ -459,6 +518,8 @@ class QSeries:
         so the window shrinks once, by ``shrink = 1 + sum_{j<0} j*slope_p``, which
         makes the output order provable.  ``c^a`` is read from the :func:`_powers`
         table of p over the terms that land, so only a term that lands can raise a pole at 0.
+        Each term reads a from its slot and sums on its key with the fixed slots cleared;
+        :func:`_squeeze` takes those slots out of each summed key once.
         """
         values = {name: (_as_fraction(c), j if c else 0) for name, (c, j) in values.items()}
         for name in values:
@@ -475,40 +536,41 @@ class QSeries:
                 f"the provable window (bound slope {', '.join(str(self.bounds[name]) for name in drops)})"
             )
         order = math.ceil((self.order + 1) * shrink) - 1
-        fixed = [(i, name, *values[name]) for i, name in enumerate(self.params) if name in values]
-        moved = [(i, j) for i, _, _, j in fixed if j]
-        keep = [i for i, name in enumerate(self.params) if name not in values]
-        params = tuple(self.params[i] for i in keep)
-        pick = itemgetter(*keep) if len(keep) > 1 else lambda vec: tuple(vec[i] for i in keep)
+        shifts = _layout(len(self.params))[1]
+        fixed = [(shifts[i], name, *values[name]) for i, name in enumerate(self.params) if name in values]
+        moved = [(s, j) for s, _, _, j in fixed if j]
+        params = tuple(name for name in self.params if name not in values)
+        cuts = [s for s, *_ in fixed]  # highest first: taking a slot out moves none below it
+        clear = -1 - sum(_SLOT << s for s in cuts)  # every bit but the fixed slots
         D, maps = _scale(self)
         if moved:
             # the bounds hold on every stored term, 0 <= a <= slope*n with n >= 0,
             # so each term lands at n + sum j*a >= min(1, shrink)*n >= 0
             landed: dict[int, list] = {}
             for n, terms in maps.items():
-                for vec, a in terms.items():
-                    ne = n + sum(j * vec[i] for i, j in moved)
+                for v, a in terms.items():
+                    ne = n + sum(j * (((v >> s) & _SLOT) - _OFFSET) for s, j in moved)
                     if ne <= order:
-                        landed.setdefault(ne, []).append((vec, a))
+                        landed.setdefault(ne, []).append((v, a))
         else:  # evaluations only: every term stays at its exponent
             landed = {n: terms.items() for n, terms in maps.items()}
         tables, factor = [], Fraction(1)  # c^a is table[a] times the factor of its name
-        for i, name, c, _ in fixed:
-            table, f = _powers(name, {vec[i] for terms in landed.values() for vec, _ in terms}, c)
-            tables.append((i, table))
+        for s, name, c, _ in fixed:
+            table, f = _powers(name, {(v >> s) & _SLOT for terms in landed.values() for v, _ in terms}, c)
+            tables.append((s, table))
             factor *= f
         sums = {}
         for ne, terms in landed.items():
             acc = {}
-            for vec, a in terms:
-                for i, table in tables:
-                    a *= table[vec[i]]
-                key = pick(vec)
+            for v, a in terms:
+                for s, table in tables:
+                    a *= table[(v >> s) & _SLOT]
+                key = v & clear
                 acc[key] = acc.get(key, 0) + a
             acc = {key: a for key, a in acc.items() if a}
             if acc:
-                sums[ne] = acc
-        return _series(params, order, sums, D * factor.denominator, N=factor.numerator)
+                sums[ne] = _squeeze(acc, cuts)
+        return _series(params, order, sums, D * factor.denominator, N=factor.numerator, reach=_reach(self))
 
     def delta_q(self) -> "QSeries":
         """The Euler operator q d/dq: multiplies the coeff of q^n by n."""
@@ -551,11 +613,10 @@ class QSeries:
             a = self.coeffs.get(n, ParamPoly.zero(self.params))
             b = other.coeffs.get(n, ParamPoly.zero(self.params))
             if a != b:
-                for vec in sorted(set(a.terms) | set(b.terms)):
-                    ca = a.terms.get(vec, Fraction(0))
-                    cb = b.terms.get(vec, Fraction(0))
+                for key in sorted(set(a.num) | set(b.num)):
+                    ca, cb = (_value(p.num[key], p.den) if key in p.num else Fraction(0) for p in (a, b))
                     if ca != cb:
-                        return False, (n, vec, ca, cb)
+                        return False, (n, _unpack(key, len(self.params)), ca, cb)
         return True, None
 
     def __eq__(self, other) -> bool:
@@ -578,7 +639,7 @@ class QSeries:
         parts = []
         for n, c in self.sorted_items():
             cs = str(c)
-            if len(c.terms) > 1:
+            if len(c.num) > 1:
                 cs = f"({cs})"
             parts.append(f"{cs}*q^{n}" if n else cs)
         return " + ".join(parts) + f" + O(q^{self.order + 1})"
@@ -590,7 +651,7 @@ class QSeries:
         """The JSON text of the object that :meth:`from_obj` reads: "params", "valuation",
         "order", "coeffs" (exponent text -> ``ParamPoly.to_obj``) and, if declared, "bounds"
         (name -> "p/q").  It is byte for byte ``json.dumps(obj, indent=2, sort_keys=True)``,
-        written straight from the term maps, each distinct exponent vector's text once."""
+        written straight from the packed keys, each distinct key's vector text once."""
         def pad(depth: int) -> str:  # what comes before an item at this depth
             return "\n" + "  " * depth
 
@@ -602,10 +663,11 @@ class QSeries:
         def members(pairs: list, depth: int) -> str:  # an object of (key, value text) pairs, keys sorted as text
             return block([f"{encode_basestring_ascii(k)}: {v}" for k, v in sorted(pairs)], depth, "{}")
 
-        vecs = {v: block([str(e) for e in v], 5) for v in set().union(*(p.terms for p in self.coeffs.values()))}
+        arity = len(self.params)
+        vecs = {v: block([str(e) for e in _unpack(v, arity)], 5) for v in set().union(*(p.num for p in self.coeffs.values()))}
         head, mid, tail = "[" + pad(4), "," + pad(4), pad(3) + "]"  # around a term's vector and value
-        coeffs = [(str(n), block([f'{head}{vecs[v]}{mid}"{c.numerator}/{c.denominator}"{tail}'
-                                  for v, c in sorted(p.terms.items())], 3)) for n, p in self.coeffs.items()]
+        coeffs = [(str(n), block([f'{head}{vecs[v]}{mid}"{text}"{tail}' for v, text in p.ratio_texts()], 3))
+                  for n, p in self.coeffs.items()]
         fields = [("params", block([encode_basestring_ascii(p) for p in self.params], 2)),
                   ("valuation", str(self.valuation)), ("order", str(self.order)), ("coeffs", members(coeffs, 2))]
         if self.bounds:

@@ -7,10 +7,11 @@ arithmetic paths, not stress testing.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from qpairs import AlgebraError, ParamPoly, QSeries, builders
+from qpairs import AlgebraError, ParamPoly, QSeries, builders, poly
 
 PARAMS = ("d", "e")
 
@@ -52,12 +53,28 @@ def random_unit_series(rng: random.Random, params=PARAMS) -> QSeries:
     return QSeries.from_terms(params, terms, order)
 
 
+def canonical_poly(p: ParamPoly) -> bool:
+    """``p`` is in its integer form: one denominator ``den >= 1`` coprime to the numerators,
+    no zero numerator, int keys that decode to vectors of the poly's arity within its reach
+    and the slot range and pack back to themselves; and the ``terms`` view gives an int
+    exactly when a coefficient is integral."""
+    arity = len(p.params)
+    assert type(p.den) is int and p.den >= 1, p.den
+    assert math.gcd(p.den, *p.num.values()) == 1, (p.den, p.num)
+    assert all(type(c) is int and c for c in p.num.values()), p.num
+    assert 0 <= p.reach <= poly.EXP_LIMIT, p.reach
+    for key in p.num:
+        assert type(key) is int and 0 <= key < 1 << (poly.SLOT_BITS * arity), key
+        vec = poly._unpack(key, arity)
+        assert len(vec) == arity and max(map(abs, vec), default=0) <= p.reach, (vec, p.reach)
+        assert poly._pack(arity, {vec: 1})[0] == {key: 1}, (key, vec)
+    assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction) for c in p.terms.values())
+    return True
+
+
 def canonical(s: QSeries) -> bool:
-    """Every stored coefficient is an int exactly when it is integral."""
-    return all(
-        type(c) is (int if Fraction(c).denominator == 1 else Fraction)
-        for poly in s.coeffs.values() for c in poly.terms.values()
-    )
+    """Every stored coefficient is in its integer form (:func:`canonical_poly`)."""
+    return all(canonical_poly(p) for p in s.coeffs.values())
 
 
 def check_ring_axioms(rng: random.Random, rounds: int) -> int:

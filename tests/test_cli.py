@@ -469,3 +469,23 @@ def test_closed_stdout_ends_streamed_listing_quietly():
     assert line == b"S,top,bottom,mu,nu,r,s,ranks,full_rank\r\n"
     assert b"Traceback" not in err, err.decode()
     assert code == 0
+
+
+def test_cli_import_leaves_out_the_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 9 ms of every cold CLI call;
+    # -S keeps site's own imports out of the count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; from qpairs import cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_an_exponent_past_the_slot_range_exits_2(capsys):
+    # J:x^K has exponents up to about K * order; past 2^30 a key slot would overflow
+    for k in (1 << 30, 1 << 28):
+        code, out, err = run(capsys, "coeffs", f"J:x^{k}", "--order", "3")
+        assert code == 2 and not out
+        assert "could hold the exponent" in err and "outside the slot range" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "coeffs", "J:x^1000", "--order", "2")
+    assert code == 0 and "x^2000" in out

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -55,7 +54,7 @@ def test_broken_check_is_an_error_not_an_abort(monkeypatch, capsys):
     def broken(ctx, order):
         return 1 // 0
 
-    monkeypatch.setitem(harness.REGISTRY, "C12", dataclasses.replace(spec, fn=broken))
+    monkeypatch.setitem(harness.REGISTRY, "C12", spec._replace(fn=broken))
     results = harness.run_suite("C1?", order=8)
     assert [r.id for r in results] == [f"C1{i}" for i in range(10)]
     (res,) = [r for r in results if r.id == "C12"]
@@ -82,7 +81,7 @@ def test_comparison_with_a_short_side_is_an_error(monkeypatch):
         one = QSeries.one((), order)
         ctx.equal(one, one.truncate(order - 1), order, "short side")
 
-    monkeypatch.setitem(harness.REGISTRY, "C12", dataclasses.replace(spec, fn=short))
+    monkeypatch.setitem(harness.REGISTRY, "C12", spec._replace(fn=short))
     res = harness.run_check("C12", 8)
     assert res.status == "error"
     assert res.first_mismatch == {"label": "comparison to order 8 exceeds mutual window 7"}
@@ -96,7 +95,7 @@ def test_a_sampled_check_that_errors_keeps_its_points(monkeypatch):
         ctx.points.append("x=2")
         raise ValueError("no value at x=2")
 
-    monkeypatch.setitem(harness.REGISTRY, "C12", dataclasses.replace(spec, fn=broken_at_a_point))
+    monkeypatch.setitem(harness.REGISTRY, "C12", spec._replace(fn=broken_at_a_point))
     res = harness.run_check("C12", 8)
     assert (res.status, res.mode, res.points) == ("error", "rational-points", ["x=2"])
     assert res.first_mismatch == {"label": "ValueError: no value at x=2"}

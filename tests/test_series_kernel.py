@@ -234,4 +234,5 @@ def test_kernel_runs_in_ints_and_stores_no_zero(int_kernel, case):
         s = QSeries(PARAMS, 5, {0: Fraction(1, 3), 2: ParamPoly.var(PARAMS, "e") + 1})
         got = s.mul_one_minus([(Fraction(1, 2), 0, {"d": 1}, 2)])
         assert got == s * expansion(Fraction(1, 2), 0, {"d": 1}, 2, 5) and _props.canonical(got)
-    assert int_kernel["calls"] and not int_kernel["non_int"] and not int_kernel["zeros"], int_kernel
+    assert int_kernel["calls"] and not int_kernel["non_int"] and not int_kernel["non_int_key"] and not int_kernel["zeros"], \
+        int_kernel
