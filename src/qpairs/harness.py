@@ -274,7 +274,7 @@ def _check_c07(ctx: _Ctx, order: int):
 
 
 def _check_c08(ctx: _Ctx, order: int):
-    table = O.rank_table(order)
+    table = O.rank_table(order, stats=False)
     nn = {n: {} for n in range(order + 1)}
     for n, tally in table.items():
         for (r, s, m), c in tally.items():
@@ -303,7 +303,7 @@ def _delta_x_A_at_1(j: int) -> Fraction:
 
 
 def _check_c09(ctx: _Ctx, order: int):
-    table = O.rank_table(order)
+    table = O.rank_table(order, stats=False)
     G = B.times_poch(B.crank_C(order), _aqinf(2), _qinf(-1))
     Gm1 = G - QSeries.one(("x",), order)
     A = [_delta_x_A_at_1(j) for j in range(5)]

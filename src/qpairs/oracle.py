@@ -4,14 +4,14 @@ Everything here is taken from the definitions of the objects (overpartition
 pairs, marked Durfee symbols) and of their statistics, with no q-series
 machinery, so the results are an independent check on the analytic
 builders.  The tables are counted: `rank_table` and `spt_table` count pairs
-part value by part value, and `_durfee_parts` counts the row pairs of the
-symbols of every weight up to n_max block by block, one subscript at a
-time; `durfee_tally` reads one weight from that count, and `durfee_values`
-evaluates every weight at rational points in integers.  The listings,
+part value by part value, and `_durfee_sums` counts the marked symbols of
+every weight up to n_max block by block, one subscript at a time, folding
+each block's rank into the key its reader keeps: the rank vector, the full
+rank, nothing, or the value at a rational point.  The listings,
 `overpartition_pairs` and `enumerate_durfee`, stay for the CLI and as the
 tests' reference; they are exponential in n and are intended for small n
 only.  `_durfee_rows` lists the symbols' row pairs over the same blocks
-that `_durfee_parts` counts, in separate code, and the tests check that
+that `_durfee_sums` counts, in separate code, and the tests check that
 listing against a brute force over all marked rows and against the moment
 identity D_{v+1}(r, s, n) = eta_{2v}(r, s, n).
 
@@ -27,8 +27,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from operator import getitem
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .poly import AlgebraError, ParamPoly, Scalar
 
@@ -114,8 +113,8 @@ def spt_weight(lam: Overpartition, mu: Overpartition) -> int:
 # are ints with one digit of base n_max + 1 per statistic, weight first:
 # keys add digit by digit without carries.
 #
-# Each table is kept across calls for its last few orders only: one run of the
-# whole suite reads the rank table at three orders and the spt table at two.
+# Each table keeps only its last few orders across calls: one suite run reads
+# the rank table at three orders and once without (r, s), the spt table at two.
 _TABLES_KEPT = 4
 
 
@@ -153,8 +152,9 @@ def _convolve(counts: Dict[int, int], steps: Counter, n_max: int, unit: int) -> 
 
 
 @lru_cache(maxsize=_TABLES_KEPT)
-def rank_table(n_max: int) -> Dict[int, Dict[Tuple[int, int, int], int]]:
-    """Counts of the pairs of weight n <= n_max by (r, s, rank).
+def rank_table(n_max: int, stats: bool = True) -> Dict[int, Dict[Tuple[int, int, int], int]]:
+    """Counts of the pairs of weight n <= n_max by (r, s, rank), or by
+    (0, 0, rank) when ``stats`` is false and (r, s) are not kept.
 
     A nonempty pair has a largest part L, and rank L - c - chi.  ``below``
     counts the pairs with every part below L by (weight, c, r, s).  chi is 1
@@ -169,10 +169,10 @@ def rank_table(n_max: int) -> Dict[int, Dict[Tuple[int, int, int], int]]:
     for L in range(1, n_max + 1):
         step, top = Counter(), Counter()
         for a, b, over_a, over_b in _value_choices(L, n_max):
-            w, r = L * (a + b), over_a + b - over_b
-            step[w, _pack(base, w, a + over_b, r, b)] += 1
+            w, r, s = L * (a + b), (over_a + b - over_b) * stats, b * stats
+            step[w, _pack(base, w, a + over_b, r, s)] += 1
             if w:
-                top[w, _pack(base, w, a + over_b if a else 1, r, b)] += 1
+                top[w, _pack(base, w, a + over_b if a else 1, r, s)] += 1
         for key, x in _convolve(below, top, n_max, unit).items():
             key, s = divmod(key, base)
             key, r = divmod(key, base)
@@ -412,7 +412,7 @@ def _durfee_rows(
     every pair of rows once, with the decorations that complete it to
     weight n grouped by their (r, s).
 
-    The rows are listed block by block, the blocks `_durfee_parts` counts:
+    The rows are listed block by block, the blocks `_durfee_sums` counts:
     with M_0 = 1, block j < k is the top part (M_j, j) plus free top and
     bottom parts of subscript j in [M_{j-1}, M_j], and block k is free top
     and bottom parts of subscript k in [M_{k-1}, S].  A rank vector asks
@@ -481,7 +481,7 @@ def enumerate_durfee(
     """All generalized k-marked symbols of weight n, for k >= 2.
 
     The row pairs come from `_durfee_rows`, which walks the subscript
-    blocks that `_durfee_parts` counts but shares no code with it; the
+    blocks that `_durfee_sums` counts but shares no code with it; the
     tests check the listing against a brute force over all marked rows and
     against the moment identity D_{v+1}(r, s, n) = eta_{2v}(r, s, n).
     Fixing r or s restricts the decoration sizes up front, and fixing the
@@ -507,93 +507,110 @@ def _box_counts(parts: int, width: int) -> Tuple[int, ...]:
     return tuple(counts)
 
 
-def _durfee_parts(k: int, n_max: int) -> List[Tuple[int, list, Dict[int, list]]]:
-    """``(S, pairs, decorations)`` for each side S of the k-marked symbols
-    of weight at most n_max: ``pairs`` lists the row pairs as
-    ``(w, rho, count)`` by their weight w and rank vector rho, and
-    ``decorations[sigma]`` the decorations of size sigma as
-    ``((r, s), count)``.  The symbols of weight n are the row pairs of one S
-    with the decorations of size n - S - w, so one count serves every n.
+def _decoration_counts(S: int, room: int) -> Dict[int, Dict[Tuple[int, int], int]]:
+    """``counts[sigma][r, s]``: the decorations (mu, nu) of side S with
+    |mu| + |nu| = sigma <= room.  S - r numbers from 0..S-1 weigh 0 + 1 +
+    ... + (S - r - 1) plus a partition into at most S - r parts of at most r."""
+    sides = [(a, r, x) for r in range(S + 1)
+             for a, x in enumerate(_box_counts(S - r, r), (S - r) * (S - r - 1) // 2) if a <= room]
+    counts: Dict[int, Dict[Tuple[int, int], int]] = {}
+    for a, r, x in sides:
+        for b, s, y in sides:
+            if a + b <= room:
+                group = counts.setdefault(a + b, {})
+                group[r, s] = group.get((r, s), 0) + x * y
+    return counts
+
+
+def _durfee_sums(k: int, n_max: int, join: Callable[[tuple, int, int], Tuple[tuple, int]]) -> List[Dict[tuple, int]]:
+    """``sums[n][(r, s) + key]`` for n = 0..n_max: the k-marked symbols of
+    weight n by their (r, s) and a key folded from their rank vector, each
+    counted times the factors its blocks multiply in.  ``join(key, j, rho_j)
+    -> (key, factor)`` says how block j's rank rho_j joins the running key,
+    ``()`` before block 1, and what it multiplies into the count.
 
     With M_j the largest top part of subscript j and M_0 = 1, the conditions
     of `is_valid_durfee` make the blocks of subscripts j = 1..k independent
     once the M_j are fixed: block j < k is tau_j >= 1 top parts in
     [M_{j-1}, M_j], one equal to M_j, and b_j >= 0 bottom parts there; block
-    k is any top and bottom parts in [M_{k-1}, S].  So the rows are counted
-    one block at a time with M_j as the state, each block by its weight and
-    rho_j = tau_j - b_j - [j < k] (`_box_counts` counts parts in an interval).
+    k is any top and bottom parts in [M_{k-1}, S].  So for each side S the
+    rows are counted one block at a time with M_j as the state, each block by
+    its weight and rho_j = tau_j - b_j - [j < k] (`_box_counts` counts parts
+    in an interval), and rows of weight w take the decorations of size
+    n - S - w.
     """
     if k < 2:
         raise ValueError("marked symbols need k >= 2")
-    parts = []
+    sums: List[Dict[tuple, int]] = [{} for _ in range(n_max + 1)]
+
+    @lru_cache(maxsize=None)
+    def block(lo: int, hi: int, top: int) -> List[Tuple[int, list]]:
+        # (w, [(rho_j, count)]) by increasing w of one block in [lo, hi] with the top
+        # part ``top`` forced (0 for none), up to the room any side S >= hi leaves
+        room = n_max - hi
+        runs: Dict[int, list] = {}  # total: [(parts, count)] of parts in [lo, hi]
+        for c in range(room // lo + 1):
+            for m, x in enumerate(_box_counts(c, hi - lo)[:room - c * lo + 1]):
+                runs.setdefault(c * lo + m, []).append((c, x))
+        counts: Dict[int, Dict[int, int]] = {}
+        for t, tops in runs.items():
+            for u, bottoms in runs.items():
+                if top + t + u <= room:
+                    row = counts.setdefault(top + t + u, {})
+                    for tau, x in tops:
+                        for b, y in bottoms:
+                            row[tau - b] = row.get(tau - b, 0) + x * y
+        return [(w, list(row.items())) for w, row in sorted(counts.items())]
+
     for S in range(1, n_max + 1):
         room = n_max - S
-
-        @lru_cache(maxsize=None)
-        def block(lo: int, hi: int, top: int) -> List[Tuple[int, list]]:
-            # (w, [(rho_j, count)]) of one block of weight w <= room in [lo, hi]
-            # with the top part ``top`` forced (0 for none)
-            runs: Dict[int, list] = {}  # total: [(parts, count)] of parts in [lo, hi]
-            for c in range(room // lo + 1):
-                for m, x in enumerate(_box_counts(c, hi - lo)[:room - c * lo + 1]):
-                    runs.setdefault(c * lo + m, []).append((c, x))
-            counts: Dict[int, Dict[int, int]] = {}
-            for t, tops in runs.items():
-                for u, bottoms in runs.items():
-                    if top + t + u <= room:
-                        row = counts.setdefault(top + t + u, {})
-                        for tau, x in tops:
-                            for b, y in bottoms:
-                                row[tau - b] = row.get(tau - b, 0) + x * y
-            return [(w, list(row.items())) for w, row in counts.items()]
-
-        states = {1: {0: {(): 1}}}  # M_{j-1}: weight: rho_1..rho_{j-1}: count
+        states = {1: {0: {(): 1}}}  # M_{j-1}: weight: key: count
         for j in range(1, k + 1):
             grown: Dict[int, Dict[int, Dict[tuple, int]]] = {}
             for lo, rows in states.items():
                 for hi in range(lo, min(S, room) + 1) if j < k else (S,):
                     out = grown.setdefault(hi, {})
                     for v, table in block(lo, hi, hi if j < k else 0):
-                        for w, rhos in rows.items():
+                        if v > room:
+                            break
+                        steps: Dict[tuple, list] = {}  # key: [(joined key, count times factor)]
+                        for w, keys in rows.items():
                             if w + v <= room:
                                 got = out.setdefault(w + v, {})
-                                for rho, x in rhos.items():
-                                    for r, y in table:
-                                        key = rho + (r,)
-                                        got[key] = got.get(key, 0) + x * y
+                                for key, x in keys.items():
+                                    if key not in steps:
+                                        steps[key] = [(new, y * f) for rho, y in table
+                                                      for new, f in [join(key, j, rho)]]
+                                    for new, y in steps[key]:
+                                        got[new] = got.get(new, 0) + x * y
             states = grown
-        pairs = [(w, rho, x) for w, rhos in states.get(S, {}).items() for rho, x in rhos.items()]
-        decorations = {room - budget: [(stats, len(group)) for stats, group in groups.items()]
-                       for budget, groups in _decorations(S, room, None, None).items()}
-        parts.append((S, pairs, decorations))
-    return parts
+        decorations = _decoration_counts(S, room)
+        for w, keys in states.get(S, {}).items():
+            for sigma, group in decorations.items():
+                if w + sigma <= room:
+                    tally = sums[S + w + sigma]
+                    for rs, y in group.items():
+                        for key, x in keys.items():
+                            vec = rs + key
+                            tally[vec] = tally.get(vec, 0) + x * y
+    return sums
 
 
 def durfee_tally(k: int, n: int) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
-    """Counts of the weight-n k-marked symbols by (r, s, rank vector): the
-    row pairs of `_durfee_parts` times the decorations that complete them
-    to weight n."""
-    tally: Counter = Counter()
-    for S, pairs, decorations in _durfee_parts(k, n):
-        for w, rho, x in pairs:
-            for (r, s), y in decorations.get(n - S - w, ()):
-                tally[r, s, rho] += x * y
-    return tally
+    """Counts of the weight-n k-marked symbols by (r, s, rank vector)."""
+    sums = _durfee_sums(k, n, lambda key, j, rho: (key + (rho,), 1))
+    return {(vec[0], vec[1], vec[2:]): c for vec, c in sums[n].items()}
 
 
 def durfee_values(k: int, n_max: int, points: Iterable[Tuple[Scalar, ...]]) -> List[List[ParamPoly]]:
     """For each point ``(x_1, ..., x_k)`` of nonzero rationals, the polys
     ``sum d^r e^s x_1^{rho_1} ... x_k^{rho_k}`` over the symbols of weight
-    n, for n = 0..n_max: `durfee_rank_poly` at that point, from one count
-    of the row pairs.
-
-    In integers: with x_j = p_j/q_j and R = n_max + 1, every rho_j lies in
-    [-R, R), so x_j^{rho_j} (p_j q_j)^R is the integer
-    p_j^{rho_j + R} q_j^{R - rho_j}, read from one power table per slot.
-    The sums are integers, and each coefficient is divided once by
-    prod_j (p_j q_j)^R.
+    n, for n = 0..n_max: `durfee_rank_poly` at that point, by a walk that
+    keeps no rank.  In integers: with x_j = p_j/q_j and R = n_max + 1,
+    every rho_j lies in [-R, R), so block j multiplies in the integer
+    x_j^{rho_j} (p_j q_j)^R = p_j^{rho_j + R} q_j^{R - rho_j}, and each sum
+    is divided once by prod_j (p_j q_j)^R.
     """
-    parts = _durfee_parts(k, n_max)
     R = n_max + 1
     out = []
     for xs in points:
@@ -602,26 +619,9 @@ def durfee_values(k: int, n_max: int, points: Iterable[Tuple[Scalar, ...]]) -> L
             raise ValueError(f"a point needs {k} coordinates")
         if not all(xs):
             raise AlgebraError("Durfee points need nonzero coordinates")
-        tables, den = [], 1
-        for x in xs:
-            p, q = x.numerator, x.denominator
-            tables.append({rho: p ** (rho + R) * q ** (R - rho) for rho in range(-R, R)})
-            den *= (p * q) ** R
-        sums: List[Dict[Tuple[int, int], int]] = [{} for _ in range(n_max + 1)]
-        monos: Dict[Tuple[int, ...], int] = {}  # x^rho (p q)^R, once per rank vector
-        for S, pairs, decorations in parts:
-            by_weight: Dict[int, int] = {}
-            for w, rho, x in pairs:
-                m = monos.get(rho)
-                if m is None:
-                    m = monos[rho] = math.prod(map(getitem, tables, rho))
-                by_weight[w] = by_weight.get(w, 0) + x * m
-            for w, v in by_weight.items():
-                for sigma, group in decorations.items():
-                    if S + w + sigma <= n_max:
-                        tally = sums[S + w + sigma]
-                        for stats, y in group:
-                            tally[stats] = tally.get(stats, 0) + v * y
+        den = math.prod((x.numerator * x.denominator) ** R for x in xs)
+        sums = _durfee_sums(k, n_max, lambda key, j, rho: (
+            key, xs[j - 1].numerator ** (rho + R) * xs[j - 1].denominator ** (R - rho)))
         out.append([ParamPoly._from_ints(("d", "e"), tally, den) for tally in sums])
     return out
 
@@ -633,11 +633,10 @@ def durfee_rank_poly(k: int, n: int) -> ParamPoly:
 
 
 def durfee_fullrank_poly(k: int, n: int) -> ParamPoly:
-    """``sum d^r e^s x^{FR}`` over symbols of weight n, FR the full rank."""
-    return _summed_poly(("d", "e", "x"), (
-        ((r, s, full_rank(rho)), c) for (r, s, rho), c in durfee_tally(k, n).items()))
+    """``sum d^r e^s x^{FR}`` over symbols of weight n, FR the full rank as a one-entry key."""
+    return ParamPoly._from_ints(("d", "e", "x"), _durfee_sums(k, n, lambda key, j, rho: ((sum(key) + j * rho,), 1))[n])
 
 
 def durfee_stats_poly(k: int, n: int) -> ParamPoly:
     """``sum d^r e^s`` over symbols of weight n."""
-    return _summed_poly(("d", "e"), (((r, s), c) for (r, s, _), c in durfee_tally(k, n).items()))
+    return ParamPoly._from_ints(("d", "e"), _durfee_sums(k, n, lambda key, j, rho: (key, 1))[n])

@@ -102,19 +102,19 @@ def test_a_sampled_check_that_errors_keeps_its_points(monkeypatch):
 
 
 def test_a_shifted_durfee_count_fails_c04_c05_c06(monkeypatch):
-    counted = oracle._durfee_parts
+    walk = oracle._durfee_sums
 
-    def shifted(k, n_max):
-        # one row pair of side 1 counted once too often
-        parts = counted(k, n_max)
-        S, ((w, rho, x), *pairs), decorations = parts[0]
-        parts[0] = (S, [(w, rho, x + 1), *pairs], decorations)
-        return parts
+    def shifted(k, n_max, join):
+        # the walk every fold reads, with one count of the top weight once too often
+        sums = walk(k, n_max, join)
+        if sums[n_max]:
+            sums[n_max][min(sums[n_max])] += 1
+        return sums
 
-    monkeypatch.setattr(oracle, "_durfee_parts", shifted)
+    monkeypatch.setattr(oracle, "_durfee_sums", shifted)
     for check_id in ("C04", "C05", "C06"):
         res = harness.run_check(check_id, order=6)
-        assert res.status == "fail" and res.first_mismatch, check_id
+        assert res.status == "fail" and res.first_mismatch.get("exponent") == 6, check_id
 
 
 @pytest.mark.parametrize("table, readers", [
@@ -124,10 +124,10 @@ def test_a_shifted_durfee_count_fails_c04_c05_c06(monkeypatch):
 def test_a_shifted_table_count_fails_every_reader_at_its_weight(monkeypatch, table, readers):
     counted = getattr(oracle, table)
 
-    def shifted(n_max):
+    def shifted(n_max, **kept):
         # one count of weight 2 too many: the lowest key by its last entry, so
         # for the rank table a negative rank, which every moment sees
-        out = {n: dict(tally) for n, tally in counted(n_max).items()}
+        out = {n: dict(tally) for n, tally in counted(n_max, **kept).items()}
         key = min(out[2], key=lambda k: k[-1])
         out[2][key] += 1
         return out
@@ -224,8 +224,8 @@ def test_no_check_reaches_an_unguarded_builder(monkeypatch):
 def _shifted(key):
     """An oracle table reader with a bump added at ``key`` in weight min(n_max, 1)."""
     def bump(fn):
-        def wrapper(n_max):
-            out = {n: dict(tally) for n, tally in fn(n_max).items()}  # the table is cached: copy it
+        def wrapper(n_max, **kept):
+            out = {n: dict(tally) for n, tally in fn(n_max, **kept).items()}  # the table is cached: copy it
             w = min(n_max, 1)
             out[w][key] = out[w].get(key, 0) + _amount([n_max])
             return out

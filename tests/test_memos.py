@@ -3,7 +3,7 @@
 An unbounded module memo keeps one entry for every argument it is ever asked
 for, so a long session's memory grows with its calls.  No builder keeps a
 memo (``poch_inf``'s bounded one has no caller in the program); the oracle's
-tables and blocks are bounded ``lru_cache``s.  A memo made inside one call (``_durfee_parts``' ``block``, the CLI's cell
+tables and blocks are bounded ``lru_cache``s.  A memo made inside one call (``_durfee_sums``' ``block``, the CLI's cell
 caches) dies with the call and is allowed.
 """
 

@@ -266,19 +266,54 @@ def test_counted_pair_tables_equal_the_listing():
     assert oracle.spt_table(12) == _listing.spt_table(12)
 
 
+def test_the_rank_counts_without_r_and_s_are_the_full_table_summed_over_them():
+    for n_max in (0, 1, 2, 24):
+        summed = {n: Counter() for n in range(n_max + 1)}
+        for n, tally in oracle.rank_table(n_max).items():
+            for (r, s, m), c in tally.items():
+                summed[n][0, 0, m] += c
+        assert oracle.rank_table(n_max, stats=False) == summed, n_max
+
+
+def test_counted_decorations_equal_the_listed_ones():
+    for S in range(1, 10):
+        for room in range(16):
+            listed = {room - budget: {rs: len(group) for rs, group in groups.items()}
+                      for budget, groups in oracle._decorations(S, room, None, None).items()}
+            assert oracle._decoration_counts(S, room) == listed, (S, room)
+
+
 @pytest.mark.parametrize("k,n_max", [(2, 12), (3, 12), (4, 9)])
-def test_counted_durfee_tally_equals_the_listing(k, n_max):
+def test_every_durfee_fold_equals_the_listing(k, n_max):
+    # the rank vector kept, its full rank, no rank, and its value at a point:
+    # four folds of one walk against the tallies of the listed symbols
+    point = (Fraction(-2), Fraction(1, 3), Fraction(3, 5), Fraction(7))[:k]
+    (values,) = oracle.durfee_values(k, n_max, [point])
     for n in range(n_max + 1):
-        assert oracle.durfee_tally(k, n) == _listing.durfee_tally(k, n), n
+        listed = _listing.durfee_tally(k, n)
+        full, stats, at_point = Counter(), Counter(), Counter()
+        for (r, s, rho), c in listed.items():
+            full[r, s, oracle.full_rank(rho)] += c
+            stats[r, s] += c
+            at_point[r, s] += c * math.prod(x ** e for x, e in zip(point, rho))
+        assert oracle.durfee_tally(k, n) == listed, n
+        assert oracle.durfee_fullrank_poly(k, n) == ParamPoly(("d", "e", "x"), full), n
+        assert oracle.durfee_stats_poly(k, n) == ParamPoly(("d", "e"), stats), n
+        assert values[n] == ParamPoly(("d", "e"), at_point), n
 
 
 @pytest.mark.parametrize("k,n_max", [(2, 12), (3, 12), (4, 9)])
-def test_counted_durfee_pairs_equal_the_listing(k, n_max):
+def test_counted_durfee_pairs_equal_the_listing(monkeypatch, k, n_max):
+    # with the empty decoration alone, the vector fold's symbols of weight n
+    # have (r, s) = (S, S), and are the row pairs of side S and weight n - S
+    listed = _listing.durfee_pairs(k, n_max)
+    monkeypatch.setattr(oracle, "_decoration_counts", lambda S, room: {0: {(S, S): 1}})
     counted = Counter()
-    for S, pairs, _ in oracle._durfee_parts(k, n_max):
-        for w, rho, x in pairs:
-            counted[S, w, rho] += x
-    assert counted == _listing.durfee_pairs(k, n_max)
+    for n in range(n_max + 1):
+        for (S, s, rho), x in oracle.durfee_tally(k, n).items():
+            assert s == S
+            counted[S, n - S, rho] += x
+    assert counted == listed
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
