@@ -46,12 +46,11 @@ point's rank refinement.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _integer
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _integer, gbinom
 from .series import QSeries
 
 # a parameter slot: None keeps the parameter symbolic, a number fixes it
@@ -613,11 +612,6 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
 # moment extraction
 
 
-def _binom(m: int, k: int) -> int:
-    """The generalized binomial ``C(m, k) = m (m-1) ... (m-k+1) / k!``, for any integer m."""
-    return math.prod(range(m - k + 1, m + 1)) // math.factorial(k)
-
-
 def symmetrized_moment_series(k: int, N: QSeries) -> QSeries:
     """k-th symmetrized moment extraction from the rank refinement N, symbolic in x:
     ``(1/k!) [d^k/dx^k (x^j N)]_{x=1}`` with ``j = floor((k-1)/2)``.  That weighs each term
@@ -629,7 +623,7 @@ def symmetrized_moment_series(k: int, N: QSeries) -> QSeries:
     if k < 1:
         raise AlgebraError("moment index must be >= 1")
     j = (k - 1) // 2
-    s = N.eval_weighted("x", 1, lambda a, n: _binom(a + j, k))
+    s = N.eval_weighted("x", 1, lambda a, n: gbinom(a + j, k))
     return s.with_bounds({p: slope for p, slope in N.bounds.items() if p in s.params})
 
 

@@ -7,7 +7,8 @@ builders.  The tables are counted: `rank_table` and `spt_table` count pairs
 part value by part value, and `_durfee_sums` counts the marked symbols of
 every weight up to n_max block by block, one subscript at a time, folding
 each block's rank into the key its reader keeps: the rank vector, the full
-rank, nothing, or the value at a rational point.  The listings,
+rank, nothing, or the index of a rational point, at which the blocks
+multiply in the rank's value; one walk serves all the points.  The listings,
 `overpartition_pairs` and `enumerate_durfee`, stay for the CLI and as the
 tests' reference; they are exponential in n and are intended for small n
 only.  `_durfee_rows` lists the symbols' row pairs over the same blocks
@@ -25,11 +26,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .poly import AlgebraError, ParamPoly, Scalar
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, gbinom
 
 # an overpartition: parts in weakly decreasing order plus the set of
 # part values whose first occurrence is overlined
@@ -209,14 +209,6 @@ def spt_table(n_max: int) -> Dict[int, Dict[Tuple[int, int], int]]:
             step[w, _pack(base, w, over_a + b - over_b, b)] += 1
         above = _convolve(above, step, n_max, unit)
     return out
-
-
-def gbinom(top: int, k: int) -> int:
-    """Binomial coefficient with possibly negative integer top."""
-    num = 1
-    for i in range(k):
-        num *= top - i
-    return num // math.factorial(k)  # k! divides a product of k consecutive integers
 
 
 def _summed_poly(params: Tuple[str, ...], items: Iterable[Tuple[Tuple[int, ...], int]]) -> ParamPoly:
@@ -522,12 +514,14 @@ def _decoration_counts(S: int, room: int) -> Dict[int, Dict[Tuple[int, int], int
     return counts
 
 
-def _durfee_sums(k: int, n_max: int, join: Callable[[tuple, int, int], Tuple[tuple, int]]) -> List[Dict[tuple, int]]:
+def _durfee_sums(k: int, n_max: int, join: Callable[[tuple, int, int], List[Tuple[tuple, int]]]) -> List[Dict[tuple, int]]:
     """``sums[n][(r, s) + key]`` for n = 0..n_max: the k-marked symbols of
     weight n by their (r, s) and a key folded from their rank vector, each
     counted times the factors its blocks multiply in.  ``join(key, j, rho_j)
-    -> (key, factor)`` says how block j's rank rho_j joins the running key,
-    ``()`` before block 1, and what it multiplies into the count.
+    -> [(key, factor), ...]`` says which keys block j's rank rho_j takes the
+    running key to, ``()`` before block 1, and what each multiplies into the
+    count; a key may fan out to several.  All the ranks of a block row that
+    join one key are one step: their counts times factors, summed.
 
     With M_j the largest top part of subscript j and M_0 = 1, the conditions
     of `is_valid_durfee` make the blocks of subscripts j = 1..k independent
@@ -573,15 +567,17 @@ def _durfee_sums(k: int, n_max: int, join: Callable[[tuple, int, int], Tuple[tup
                     for v, table in block(lo, hi, hi if j < k else 0):
                         if v > room:
                             break
-                        steps: Dict[tuple, list] = {}  # key: [(joined key, count times factor)]
+                        steps: Dict[tuple, Dict[tuple, int]] = {}  # key: joined key: count times factor
                         for w, keys in rows.items():
                             if w + v <= room:
                                 got = out.setdefault(w + v, {})
                                 for key, x in keys.items():
                                     if key not in steps:
-                                        steps[key] = [(new, y * f) for rho, y in table
-                                                      for new, f in [join(key, j, rho)]]
-                                    for new, y in steps[key]:
+                                        step = steps[key] = {}
+                                        for rho, y in table:
+                                            for new, f in join(key, j, rho):
+                                                step[new] = step.get(new, 0) + y * f
+                                    for new, y in steps[key].items():
                                         got[new] = got.get(new, 0) + x * y
             states = grown
         decorations = _decoration_counts(S, room)
@@ -596,47 +592,51 @@ def _durfee_sums(k: int, n_max: int, join: Callable[[tuple, int, int], Tuple[tup
     return sums
 
 
-def durfee_tally(k: int, n: int) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
-    """Counts of the weight-n k-marked symbols by (r, s, rank vector)."""
-    sums = _durfee_sums(k, n, lambda key, j, rho: (key + (rho,), 1))
-    return {(vec[0], vec[1], vec[2:]): c for vec, c in sums[n].items()}
-
-
 def durfee_values(k: int, n_max: int, points: Iterable[Tuple[Scalar, ...]]) -> List[List[ParamPoly]]:
     """For each point ``(x_1, ..., x_k)`` of nonzero rationals, the polys
     ``sum d^r e^s x_1^{rho_1} ... x_k^{rho_k}`` over the symbols of weight
-    n, for n = 0..n_max: `durfee_rank_poly` at that point, by a walk that
-    keeps no rank.  In integers: with x_j = p_j/q_j and R = n_max + 1,
-    every rho_j lies in [-R, R), so block j multiplies in the integer
-    x_j^{rho_j} (p_j q_j)^R = p_j^{rho_j + R} q_j^{R - rho_j}, and each sum
-    is divided once by prod_j (p_j q_j)^R.
+    n, for n = 0..n_max: `durfee_rank_poly` at that point, by one walk for
+    all the points that keeps the point's index i as its key and no rank.
+    In integers: with x_j = p_j/q_j and R = n_max + 1, every rho_j lies in
+    [-R, R), so block j multiplies in the integer x_j^{rho_j} (p_j q_j)^R =
+    p_j^{rho_j + R} q_j^{R - rho_j}, read from a table of each point's
+    factors, and point i's sums are divided once by prod_j (p_j q_j)^R.
     """
     R = n_max + 1
-    out = []
+    factors = []  # factors[i][j - 1][rho + R]: point i's factor for rank rho in block j
     for xs in points:
-        xs = [Fraction(x) for x in xs]
+        xs = [_as_fraction(x) for x in xs]
         if len(xs) != k:
             raise ValueError(f"a point needs {k} coordinates")
         if not all(xs):
             raise AlgebraError("Durfee points need nonzero coordinates")
-        den = math.prod((x.numerator * x.denominator) ** R for x in xs)
-        sums = _durfee_sums(k, n_max, lambda key, j, rho: (
-            key, xs[j - 1].numerator ** (rho + R) * xs[j - 1].denominator ** (R - rho)))
-        out.append([ParamPoly._from_ints(("d", "e"), tally, den) for tally in sums])
-    return out
+        factors.append([[x.numerator ** (rho + R) * x.denominator ** (R - rho) for rho in range(-R, R)] for x in xs])
+
+    def join(key, j, rho):
+        if j == 1:
+            return [((i,), f[0][rho + R]) for i, f in enumerate(factors)]
+        return [(key, factors[key[0]][j - 1][rho + R])]
+
+    split = [[{} for _ in range(R)] for _ in factors]
+    for n, tally in enumerate(_durfee_sums(k, n_max, join)):
+        for (r, s, i), c in tally.items():
+            split[i][n][r, s] = c
+    # a point's factors at rho = 0 multiply to its prod_j (p_j q_j)^R
+    return [[ParamPoly._from_ints(("d", "e"), tally, math.prod(f[R] for f in fs)) for tally in rows]
+            for fs, rows in zip(factors, split)]
 
 
 def durfee_rank_poly(k: int, n: int) -> ParamPoly:
     """``sum d^r e^s x_1^{rho_1} ... x_k^{rho_k}`` over symbols of weight n."""
     params = ("d", "e") + tuple(f"x{j + 1}" for j in range(k))
-    return ParamPoly._from_ints(params, {(r, s) + rho: c for (r, s, rho), c in durfee_tally(k, n).items()})
+    return ParamPoly._from_ints(params, _durfee_sums(k, n, lambda key, j, rho: [(key + (rho,), 1)])[n])
 
 
 def durfee_fullrank_poly(k: int, n: int) -> ParamPoly:
     """``sum d^r e^s x^{FR}`` over symbols of weight n, FR the full rank as a one-entry key."""
-    return ParamPoly._from_ints(("d", "e", "x"), _durfee_sums(k, n, lambda key, j, rho: ((sum(key) + j * rho,), 1))[n])
+    return ParamPoly._from_ints(("d", "e", "x"), _durfee_sums(k, n, lambda key, j, rho: [((sum(key) + j * rho,), 1)])[n])
 
 
 def durfee_stats_poly(k: int, n: int) -> ParamPoly:
     """``sum d^r e^s`` over symbols of weight n."""
-    return ParamPoly._from_ints(("d", "e"), _durfee_sums(k, n, lambda key, j, rho: (key, 1))[n])
+    return ParamPoly._from_ints(("d", "e"), _durfee_sums(k, n, lambda key, j, rho: [(key, 1)])[n])

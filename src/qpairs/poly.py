@@ -60,6 +60,11 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
 
 
+def gbinom(m: int, k: int) -> int:
+    """The generalized binomial ``C(m, k) = m (m-1) ... (m-k+1) / k!`` for any int m and k >= 0."""
+    return 0 if 0 <= m < k else math.prod(range(m - k + 1, m + 1)) // math.factorial(k)
+
+
 def _canon(c: Scalar) -> Scalar:
     """A rational as an int when integral, else a Fraction."""
     if isinstance(c, (int, Fraction)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from qpairs import oracle
+from qpairs import ParamPoly, oracle
 
 
 def rank_table(n_max):
@@ -43,6 +43,12 @@ def durfee_tally(k, n):
         for (r, s), group in decorations.items():
             tally[r, s, rho] += len(group)
     return tally
+
+
+def rank_poly(k, tally):
+    """A tally by (r, s, rank vector) as the poly `oracle.durfee_rank_poly` returns."""
+    params = ("d", "e") + tuple(f"x{j + 1}" for j in range(k))
+    return ParamPoly(params, {(r, s) + rho: c for (r, s, rho), c in tally.items()})
 
 
 def durfee_pairs(k, n_max):

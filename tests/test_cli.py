@@ -39,6 +39,17 @@ def test_coeffs_moment_series_with_params(capsys):
     assert rows["2"] == "1"
 
 
+def test_a_huge_moment_index_is_zero_at_once(capsys):
+    # C(m, K) = 0 for 0 <= m < K, so no K-term product is formed
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    huge = subprocess.run([sys.executable, "-m", "qpairs.cli", "coeffs", f"moment:k={10 ** 20}", "--order", "3"],
+                          capture_output=True, text=True, env=env, timeout=2)
+    code, out, _ = run(capsys, "coeffs", "moment:k=1000", "--order", "3")
+    assert huge.returncode == code == 0 and huge.stdout == out
+
+
 def test_coeffs_help_lists_every_builder(capsys):
     code, out, _ = run(capsys, "coeffs", "--help")
     assert code == 0

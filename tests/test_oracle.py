@@ -230,7 +230,7 @@ def test_filtered_enumeration_beyond_cap_is_consistent():
 def test_durfee_tally_counts_the_listing(k):
     for n in range(9):
         listed = Counter(x.stats() + (x.ranks(),) for x in oracle.enumerate_durfee(k, n))
-        assert oracle.durfee_tally(k, n) == listed
+        assert oracle.durfee_rank_poly(k, n) == _listing.rank_poly(k, listed)
 
 
 def test_filtered_enumeration_is_a_slice_of_the_listing():
@@ -296,7 +296,7 @@ def test_every_durfee_fold_equals_the_listing(k, n_max):
             full[r, s, oracle.full_rank(rho)] += c
             stats[r, s] += c
             at_point[r, s] += c * math.prod(x ** e for x, e in zip(point, rho))
-        assert oracle.durfee_tally(k, n) == listed, n
+        assert oracle.durfee_rank_poly(k, n) == _listing.rank_poly(k, listed), n
         assert oracle.durfee_fullrank_poly(k, n) == ParamPoly(("d", "e", "x"), full), n
         assert oracle.durfee_stats_poly(k, n) == ParamPoly(("d", "e"), stats), n
         assert values[n] == ParamPoly(("d", "e"), at_point), n
@@ -308,12 +308,9 @@ def test_counted_durfee_pairs_equal_the_listing(monkeypatch, k, n_max):
     # have (r, s) = (S, S), and are the row pairs of side S and weight n - S
     listed = _listing.durfee_pairs(k, n_max)
     monkeypatch.setattr(oracle, "_decoration_counts", lambda S, room: {0: {(S, S): 1}})
-    counted = Counter()
     for n in range(n_max + 1):
-        for (S, s, rho), x in oracle.durfee_tally(k, n).items():
-            assert s == S
-            counted[S, n - S, rho] += x
-    assert counted == listed
+        pairs = {(S, S, rho): c for (S, w, rho), c in listed.items() if S + w == n}
+        assert oracle.durfee_rank_poly(k, n) == _listing.rank_poly(k, pairs), n
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -346,8 +343,40 @@ def test_durfee_values_equal_the_symbolic_polys(k):
     assert all(len(got) == n_max + 1 for got in values)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_durfee_values_walk_once_for_all_their_points(monkeypatch, k):
+    F = Fraction
+    n_max = 9
+    x = (F(-2), F(1, 3), F(3, 5), F(7))[:k]
+    # repeated, +-1 and mutually reciprocal points in one list
+    points = [x, (1,) * k, tuple(1 / c for c in x), (-1,) * k, x, (F(1), F(-1), F(-1), F(1))[:k]]
+    singles = [oracle.durfee_values(k, n_max, [point])[0] for point in points]
+    walk, calls = oracle._durfee_sums, []
+    monkeypatch.setattr(oracle, "_durfee_sums", lambda *args: calls.append(args) or walk(*args))
+    assert oracle.durfee_values(k, n_max, points) == singles
+    assert len(calls) == 1
+    assert oracle.durfee_values(k, n_max, []) == []
+
+
+def test_a_join_that_sends_ranks_to_one_key_sums_their_counts():
+    # ranks clipped at 0 join one key, each with its own factor: every count is the
+    # sum of the vector fold's counts times factors that the clipping merges
+    k, n_max = 3, 9
+    vector = oracle._durfee_sums(k, n_max, lambda key, j, rho: [(key + (rho,), 1)])
+    clipped = oracle._durfee_sums(k, n_max, lambda key, j, rho: [(key + (max(rho, 0),), 1 + rho * rho)])
+    for n in range(n_max + 1):
+        want = Counter()
+        for (r, s, *rho), c in vector[n].items():
+            want[(r, s) + tuple(max(e, 0) for e in rho)] += c * math.prod(1 + e * e for e in rho)
+        assert clipped[n] == want, n
+    assert any(len(vector[n]) > len(clipped[n]) for n in range(n_max + 1))
+
+
 def test_durfee_values_reject_a_zero_or_a_short_point():
     with pytest.raises(ValueError, match="nonzero"):
         oracle.durfee_values(2, 3, [(1, 0)])
     with pytest.raises(ValueError, match="2 coordinates"):
         oracle.durfee_values(2, 3, [(1, 2, 3)])
+    for bad in (0.1, "1/2"):  # refused, as the sum side refuses them
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            oracle.durfee_values(2, 5, [(bad, 2)])
