@@ -4,14 +4,15 @@ Everything here is taken from the definitions of the objects (overpartition
 pairs, marked Durfee symbols) and of their statistics, with no q-series
 machinery, so the results are an independent check on the analytic
 builders.  The tables are counted: `rank_table` and `spt_table` count pairs
-part value by part value, and `_durfee_sums` counts the marked symbols of
-every weight up to n_max block by block, one subscript at a time, folding
-each block's rank into the key its reader keeps: the rank vector, the full
-rank, nothing, or the index of a rational point, at which the blocks
-multiply in the rank's value; one walk serves all the points.  The listings,
-`overpartition_pairs` and `enumerate_durfee`, stay for the CLI and as the
-tests' reference; they are exponential in n and are intended for small n
-only.  `_durfee_rows` lists the symbols' row pairs over the same blocks
+one part at a time, part values from the largest down, each part a fixed
+shift of a packed statistics key.  `_durfee_sums` counts the marked
+symbols of every weight up to n_max block by block, one subscript at a
+time, folding each block's rank into the key its reader keeps: the rank
+vector, the full rank, nothing, or the index of a rational point, at which
+the blocks multiply in the rank's value; one walk serves all the points.
+The listings, `overpartition_pairs` and `enumerate_durfee`, stay for the
+CLI and as the tests' reference; they are exponential in n and are
+intended for small n only.  `_durfee_rows` lists the symbols' row pairs over the same blocks
 that `_durfee_sums` counts, in separate code, and the tests check that
 listing against a brute force over all marked rows and against the moment
 identity D_{v+1}(r, s, n) = eta_{2v}(r, s, n).
@@ -25,7 +26,6 @@ are unbounded, since their size is set by the largest argument asked for.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
@@ -104,120 +104,115 @@ def spt_weight(lam: Overpartition, mu: Overpartition) -> int:
 
 # table layouts: rank_table(n)[r, s, m] and spt_table(n)[r, s] are counts
 #
-# A pair is counted value by value.  At a part value v it has a parts of v
-# in its first component and b in its second, and over_a, over_b say whether
-# each component overlines its first v.  By `pair_stats`, these parts add
-# over_a + b - over_b to r and b to s; by `pair_rank`, they add a + over_b to
-# c, the first component's part count plus the second's overlined count.
-# Up to weight n_max, each of these is at most n_max, so the counting keys
-# are ints with one digit of base n_max + 1 per statistic, weight first:
-# keys add digit by digit without carries.
+# A pair is counted one part at a time, part values from n_max down to 1.  The
+# state is one int map per weight, ``layers[w][key]``, counting the pairs of
+# weight w built so far by their statistics, packed one digit each into the
+# key.  No digit leaves its range, so a part adds a fixed shift to the key.
+# An overpartition's parts of value v are at most one overlined part and any
+# number of plain ones; in generating-function terms a plain part divides by
+# (1 - q^v k) and an overlined one multiplies by (1 + q^v k), for the key
+# shift k that the part's statistics make.
 #
 # Each table keeps only its last few orders across calls: one suite run reads
 # the rank table at three orders and once without (r, s), the spt table at two.
 _TABLES_KEPT = 4
 
 
-def _value_choices(v: int, room: int) -> Iterator[Tuple[int, int, int, int]]:
-    """``(a, b, over_a, over_b)`` for the parts of value v in a pair of
-    weight at most room."""
-    for a in range(room // v + 1):
-        for b in range(room // v - a + 1):
-            for over_a in (0, 1) if a else (0,):
-                for over_b in (0, 1) if b else (0,):
-                    yield a, b, over_a, over_b
-
-
-def _pack(base: int, *digits: int) -> int:
-    key = 0
-    for d in digits:
-        key = key * base + d
-    return key
-
-
-def _convolve(counts: Dict[int, int], steps: Counter, n_max: int, unit: int) -> Dict[int, int]:
-    """Counts of one value's parts, ``steps[weight, key]``, added to counts
-    of the others' by key; ``unit`` is the weight digit's place value, and
-    weights above n_max drop."""
-    steps = sorted(steps.items())
-    out: Dict[int, int] = {}
-    for key, x in counts.items():
-        room = n_max - key // unit
-        for (w, step), y in steps:
-            if w > room:
-                break
-            total = key + step
-            out[total] = out.get(total, 0) + x * y
-    return out
+def _put(layers: List[Dict[int, int]], v: int, k: int, many: bool) -> None:
+    """Parts of value v, each shifting a key by k, put into the pairs of ``layers``, in place:
+    any number of them when ``many``, walking weights upward so that a part joins pairs that
+    already took some; else at most one, walking downward so that it joins only pairs that
+    took none."""
+    top = len(layers) - 1
+    for w in range(v, top + 1) if many else range(top, v - 1, -1):
+        layer = layers[w]
+        for key, x in layers[w - v].items():
+            key += k
+            layer[key] = layer.get(key, 0) + x
 
 
 @lru_cache(maxsize=_TABLES_KEPT)
 def rank_table(n_max: int, stats: bool = True) -> Dict[int, Dict[Tuple[int, int, int], int]]:
     """Counts of the pairs of weight n <= n_max by (r, s, rank), or by
-    (0, 0, rank) when ``stats`` is false and (r, s) are not kept.
+    (0, 0, rank) when ``stats`` is false and (r, s) are not kept; each weight's
+    tally is in increasing order of (r, s, rank).
 
-    A nonempty pair has a largest part L, and rank L - c - chi.  ``below``
-    counts the pairs with every part below L by (weight, c, r, s).  chi is 1
-    when L is only in the second component and not overlined there, so
-    whenever a = 0 at L, its parts add 1 to c + chi, overlined or not.
+    A nonempty pair has a largest part L and, by `pair_rank`, rank
+    m = L - chi - c, where c is the part count of the first component plus the
+    overlined count of the second.  Its key holds its running m from the
+    moment L is placed: at v = L the pairs whose largest part is v enter from
+    the empty pair, with a parts of v in the first component, b in the second,
+    and over_a, over_b saying whether each overlines its first v.  They enter
+    at m = v - a - over_b when a > 0, and at m = v - 1 when a = 0: then L is
+    only in the second component, and chi = 1 - over_b.  By `pair_stats`, they
+    add over_a + b - over_b to r and b to s.
+
+    Each smaller part then takes its step into the key.  A first-component part
+    adds 1 to c, so m - 1, and when it is the overlined one also 1 to r.  A
+    plain second-component part adds 1 to r and 1 to s; the overlined one adds
+    1 to s and to c, so m - 1.  The parts of v join only the pairs whose
+    largest part is above v, so these steps come before the pairs of v enter.
     """
-    base = n_max + 1
-    unit = base ** 3
-    out: Dict[int, Dict[Tuple[int, int, int], int]] = {n: {} for n in range(n_max + 1)}
-    out[0][0, 0, 0] = 1  # the empty pair
-    below = {0: 1}
-    for L in range(1, n_max + 1):
-        step, top = Counter(), Counter()
-        for a, b, over_a, over_b in _value_choices(L, n_max):
-            w, r, s = L * (a + b), (over_a + b - over_b) * stats, b * stats
-            step[w, _pack(base, w, a + over_b, r, s)] += 1
-            if w:
-                top[w, _pack(base, w, a + over_b if a else 1, r, s)] += 1
-        for key, x in _convolve(below, top, n_max, unit).items():
-            key, s = divmod(key, base)
-            key, r = divmod(key, base)
-            w, c = divmod(key, base)
-            tally = out[w]
-            tally[r, s, L - c] = tally.get((r, s, L - c), 0) + x
-        below = _convolve(below, step, n_max, unit)
-    return out
+    base = 2 * n_max + 1  # digits (r, s, m + n_max), each in 0..2 n_max
+    place = base * base
+    R, S = (place, base) if stats else (0, 0)
+    layers: List[Dict[int, int]] = [{} for _ in range(n_max + 1)]
+    for v in range(n_max, 0, -1):
+        for k, many in ((-1, True), (R - 1, False), (R + S, True), (S - 1, False)):
+            _put(layers, v, k, many)
+        for a in range(n_max // v + 1):
+            for b in range(not a, n_max // v - a + 1):
+                layer = layers[v * (a + b)]
+                for over_a in (0, 1) if a else (0,):
+                    for over_b in (0, 1) if b else (0,):
+                        key = (over_a + b - over_b) * R + b * S + v - (a + over_b if a else 1) + n_max
+                        layer[key] = layer.get(key, 0) + 1
+    layers[0][n_max] = 1  # the empty pair, at (0, 0, 0)
+    return {n: {(key // place, key // base % base, key % base - n_max): c for key, c in sorted(layer.items())}
+            for n, layer in enumerate(layers)}
 
 
 @lru_cache(maxsize=_TABLES_KEPT)
 def spt_table(n_max: int) -> Dict[int, Dict[Tuple[int, int], int]]:
-    """Sums of `spt_weight` over the pairs of weight n <= n_max, by (r, s).
+    """Sums of `spt_weight` over the pairs of weight n <= n_max, by (r, s);
+    each weight's tally is in increasing order of (r, s).
 
     A pair of nonzero weight has a smallest first-component part v, of
     multiplicity i, not overlined, and no second-component part at or below
-    v; its weight is i.  ``above`` counts the pairs with every part above v
-    by (weight, r, s); the parts equal to v add v * i to the weight only.
+    v; its weight is i.  So at each v, before the parts of v are placed, every
+    pair so far (all its parts above v) is read out with i plain parts of v,
+    which add v * i to the weight and nothing to r or s.  Then the parts of v
+    take their steps, by `pair_stats`: a plain first-component part changes
+    neither r nor s, the overlined one adds 1 to r; a plain second-component
+    part adds 1 to r and 1 to s, the overlined one 1 to s.
     """
-    base = n_max + 1
-    unit = base ** 2
-    out: Dict[int, Dict[Tuple[int, int], int]] = {n: {} for n in range(n_max + 1)}
-    above = {0: 1}
+    base = n_max + 1  # digits (r, s), each in 0..n_max
+    layers: List[Dict[int, int]] = [{} for _ in range(n_max + 1)]
+    layers[0][0] = 1  # the empty pair
+    out: List[Dict[int, int]] = [{} for _ in range(n_max + 1)]
     for v in range(n_max, 0, -1):
-        for key, x in above.items():
-            key, s = divmod(key, base)
-            w, r = divmod(key, base)
-            for i in range(1, (n_max - w) // v + 1):
-                tally = out[w + v * i]
-                tally[r, s] = tally.get((r, s), 0) + i * x
-        step = Counter()
-        for a, b, over_a, over_b in _value_choices(v, n_max):
-            w = v * (a + b)
-            step[w, _pack(base, w, over_a + b - over_b, b)] += 1
-        above = _convolve(above, step, n_max, unit)
-    return out
+        for w in range(n_max - v + 1):
+            for key, x in layers[w].items():
+                for i in range(1, (n_max - w) // v + 1):
+                    tally = out[w + v * i]
+                    tally[key] = tally.get(key, 0) + i * x
+        for k, many in ((0, True), (base, False), (base + 1, True), (1, False)):
+            _put(layers, v, k, many)
+    return {n: {divmod(key, base): c for key, c in sorted(tally.items())} for n, tally in enumerate(out)}
 
 
-def _summed_poly(params: Tuple[str, ...], items: Iterable[Tuple[Tuple[int, ...], int]]) -> ParamPoly:
-    """One ParamPoly from (exponent vector, coefficient) pairs, adding the
-    coefficients of repeated vectors."""
-    terms: Dict[Tuple[int, ...], int] = {}
-    for vec, c in items:
-        terms[vec] = terms.get(vec, 0) + c
-    return ParamPoly._from_ints(params, terms)
+def _weighed_poly(tally: Dict[Tuple[int, int, int], int], weigh: Callable[[int], int]) -> ParamPoly:
+    """``sum weigh(m) N(r,s,m,n) d^r e^s`` for one weight n: ``weigh`` is called once per
+    distinct rank, and the entries it weighs 0 are skipped."""
+    weights: Dict[int, int] = {}
+    terms: Dict[Tuple[int, int], int] = {}
+    for (r, s, m), c in tally.items():
+        w = weights.get(m)
+        if w is None:
+            w = weights[m] = weigh(m)
+        if w:
+            terms[r, s] = terms.get((r, s), 0) + w * c
+    return ParamPoly._from_ints(("d", "e"), terms)
 
 
 def rank_poly(tally: Dict[Tuple[int, int, int], int]) -> ParamPoly:
@@ -227,14 +222,13 @@ def rank_poly(tally: Dict[Tuple[int, int, int], int]) -> ParamPoly:
 
 def moment_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPoly:
     """k-th power-of-rank moment ``sum m^k N(r,s,m,n) d^r e^s`` for one n."""
-    return _summed_poly(("d", "e"), (((r, s), c * m ** k) for (r, s, m), c in tally.items()))
+    return _weighed_poly(tally, lambda m: m ** k)
 
 
 def symmetrized_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPoly:
     """k-th symmetrized moment ``sum C(m + floor((k-1)/2), k) N(r,s,m,n) d^r e^s``."""
     shift = (k - 1) // 2
-    return _summed_poly(("d", "e"), (
-        ((r, s), gbinom(m + shift, k) * c) for (r, s, m), c in tally.items()))
+    return _weighed_poly(tally, lambda m: gbinom(m + shift, k))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_empty_pair():
 
 
 def test_rank_symmetry():
-    table = oracle.rank_table(8)
+    table = oracle.rank_table(30)
     for n, tally in table.items():
         for (r, s, m), c in tally.items():
             assert tally.get((r, s, -m), 0) == c
@@ -79,9 +79,9 @@ def test_spt_multiplicity():
 
 
 def test_spt_quarter_of_pair_count():
-    spt = oracle.spt_table(6)
-    ranks = oracle.rank_table(6)
-    for n in range(1, 7):
+    spt = oracle.spt_table(40)
+    ranks = oracle.rank_table(40)
+    for n in range(1, 41):
         total_pairs = sum(ranks[n].values())
         assert sum(spt[n].values()) * 4 == total_pairs
 
@@ -118,6 +118,30 @@ def test_odd_symmetrized_moments_vanish():
     for n in range(9):
         for k in (1, 3, 5):
             assert not oracle.symmetrized_poly(table[n], k).terms
+
+
+def test_the_moment_readers_equal_their_definitions():
+    for n, tally in oracle.rank_table(10).items():
+        for k in range(7):
+            power, symmetrized = Counter(), Counter()
+            for (r, s, m), c in tally.items():
+                power[r, s] += m ** k * c
+                symmetrized[r, s] += oracle.gbinom(m + (k - 1) // 2, k) * c
+            assert oracle.moment_poly(tally, k) == ParamPoly(("d", "e"), power), (n, k)
+            assert oracle.symmetrized_poly(tally, k) == ParamPoly(("d", "e"), symmetrized), (n, k)
+
+
+def test_the_symmetrized_reader_weighs_each_rank_once(monkeypatch):
+    tally, tops = oracle.rank_table(10)[10], []
+    gbinom = oracle.gbinom
+
+    def counted(top, k):
+        tops.append(top)
+        return gbinom(top, k)
+
+    monkeypatch.setattr(oracle, "gbinom", counted)
+    oracle.symmetrized_poly(tally, 4)
+    assert sorted(tops) == sorted({m + 1 for _, _, m in tally})
 
 
 # -- marked Durfee symbols ------------------------------------------------
@@ -267,12 +291,47 @@ def test_counted_pair_tables_equal_the_listing():
 
 
 def test_the_rank_counts_without_r_and_s_are_the_full_table_summed_over_them():
-    for n_max in (0, 1, 2, 24):
+    for n_max in (0, 1, 2, 30):
         summed = {n: Counter() for n in range(n_max + 1)}
         for n, tally in oracle.rank_table(n_max).items():
             for (r, s, m), c in tally.items():
                 summed[n][0, 0, m] += c
         assert oracle.rank_table(n_max, stats=False) == summed, n_max
+
+
+def _pair_totals(n_max):
+    """The q^0..q^n_max coefficients of prod_j (1 + q^j)^2 / (1 - q^j)^2, the
+    overpartition pairs of each weight, by plain list convolutions."""
+    def times(c, f):
+        return [sum(c[i] * f[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
+    c = [1] + [0] * n_max
+    for j in range(1, n_max + 1):
+        plus = [int(n in (0, j)) for n in range(n_max + 1)]
+        geometric = [int(n % j == 0) for n in range(n_max + 1)]
+        for f in (plus, plus, geometric, geometric):
+            c = times(c, f)
+    return c
+
+
+def test_pair_totals_equal_the_product_expansion():
+    totals = _pair_totals(40)
+    assert totals[:4] == [1, 4, 12, 32]
+    assert [sum(tally.values()) for tally in oracle.rank_table(40).values()] == totals
+
+
+def test_the_pair_tables_at_weights_0_and_1():
+    # first component 1 or 1' at (0, 0, 0) and (1, 0, 0); second 1' or 1 at (0, 1, 0) and (1, 1, 0)
+    one = {(0, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 1, (1, 1, 0): 1}
+    assert oracle.rank_table(0) == oracle.rank_table(0, stats=False) == {0: {(0, 0, 0): 1}}
+    assert oracle.rank_table(1) == {0: {(0, 0, 0): 1}, 1: one}
+    assert oracle.rank_table(1, stats=False) == {0: {(0, 0, 0): 1}, 1: {(0, 0, 0): 4}}
+    assert oracle.spt_table(0) == {0: {}}
+    assert oracle.spt_table(1) == {0: {}, 1: {(0, 0): 1}}
+
+
+def test_each_tally_of_the_pair_tables_is_in_the_order_of_its_keys():
+    for table in (oracle.rank_table(12), oracle.rank_table(12, stats=False), oracle.spt_table(12)):
+        assert all(list(tally) == sorted(tally) for tally in table.values())
 
 
 def test_counted_decorations_equal_the_listed_ones():
