@@ -3,8 +3,11 @@
 Every builder returns a :class:`QSeries` exact to the requested order.
 Every q-Pochhammer factor ``(1 - m)^{+-e}`` goes through one kernel,
 :meth:`QSeries.mul_one_minus`, and a chain of them is one kernel call in
-integer arithmetic: per factor a two-term product for a positive power, a
-two-term recurrence (``g_n = f_n + m g_{n-k}``) for a negative one.  Every
+integer arithmetic: the factors whose m is a rational times one
+``t = p^vec q^k`` multiply out into one polynomial in t per sign, applied
+as one product for the positive powers and one recurrence
+(``g_n = f_n - sum_j Q_j t^j g_{n-jk}``) for the negative ones, so a
+chain runs at most two passes per distinct t.  Every
 product, the prefactor ``(-dq, -eq)_inf / (q, deq)_inf`` included, is
 applied by :func:`times_poch` to the series it multiplies, all its linear
 factors as one chain, each Pochhammer symbol with its own base.  No
@@ -312,7 +315,8 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
     ``A < 0``, or ``A = 0`` and a slope ``s B + e max(0, -s a)`` (``s B`` if ``u = 0``) of at
     most 0.  Every other walk has a convex V that grows without bound, so it stops.  With
     ``u = 1``, a spec whose ``1 - q^M`` vanishes at an index of the domain is rejected up front
-    too, at every order, wherever that index lies.
+    too, at every order, wherever that index lies.  Each term is one kernel call; the terms'
+    coefficients are added per exponent, and the series is built once at the end.
     """
     if domain not in _DOMAINS:
         raise AlgebraError(f"unknown summation domain {domain!r}")
@@ -331,7 +335,7 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
         z = Fraction(-b) / a if a else Fraction(first)
         if z.denominator == 1 and any((z - n) * step >= 0 and (z - n) % stride == 0 for n, step in walks):
             raise AlgebraError(f"zero denominator 1 - q^0 at n={z}")
-    acc = QSeries.zero((), order)
+    coeffs: dict = {}  # exponent -> the sum of the terms' coefficients
     for n, step in walks:
         prev: Optional[int] = None
         while True:
@@ -345,12 +349,13 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
                 # rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
                 val, lead, m, M = val - e * M, lead * (-1 / u) ** e, 1 / u, -M
             if val <= order:
-                acc = acc + QSeries((), order, {val: lead}).mul_one_minus([(m, M, (), -e)])
+                for k, p in QSeries((), order, {val: lead}).mul_one_minus([(m, M, (), -e)]).coeffs.items():
+                    coeffs[k] = coeffs[k] + p if k in coeffs else p
             elif prev is not None and val >= prev:
                 break  # V is convex: the rest of this walk lies past the window too
             prev = val
             n += step
-    return acc
+    return QSeries((), order, coeffs)
 
 
 # ---------------------------------------------------------------------------

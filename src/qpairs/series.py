@@ -20,7 +20,9 @@ denominators, and ``invert`` by ``a^n``, for its leading coefficient a);
 ``_recur`` stores no zero; and :func:`_series` divides out one gcd per
 coefficient, of its numerators and its factor, so each poly is stored in
 lowest terms as it comes, with no Fraction per term.  The q^0 factors of
-a chain leave one rational scalar, applied in that division.
+a chain leave one rational scalar, applied in that division, and the
+factors that share a monomial multiply out into one int polynomial per
+sign, so a chain runs at most two passes per distinct monomial.
 
 Range rule (poly.py): every stored exponent lies in ``|e| <= 2^(S-2)``.
 No key is rechecked; each operation derives a bound before it forms a key
@@ -350,15 +352,19 @@ class QSeries:
         ``self.order`` and has no bounds.
 
         A parameter-free q^0 factor is the scalar ``(1 - c)^power``.  All of them multiply into
-        one rational S, applied once at the end; ``S = 0`` gives the zero series.  Each other
-        factor is one pass over plain term maps, in integers: with ``lo`` the entry valuation (no
-        factor lowers it), ``D`` the lcm of the coefficient denominators and ``L`` that of ``c``
-        over the factors with ``qexp >= 1``, the chain works on ``g_n * D * L^(n - lo)``.  Step j
-        of a factor is then the integer ``sign * C(e, j) * u^j`` with ``u = -c * L^qexp``, and
-        the steps stop at ``j * qexp > self.order - lo``, which no coefficient reads.  A q^0
-        factor with parameters (and a power e > 0) and ``c = a/b`` is ``(b - a*m)^e / b^e``: its
-        ``1/b^e`` joins S, and its steps ``C(e, j) b^(e-j) (-a)^j`` start at j = 0 when b > 1.
-        The end divides by ``D * L^(n - lo)`` and the denominator of S, times its numerator."""
+        one rational S, applied once at the end; ``S = 0`` gives the zero series.  The other
+        factors work on plain term maps, in integers: with ``lo`` the entry valuation (no factor
+        lowers it), ``D`` the lcm of the coefficient denominators and ``L`` that of ``c`` over
+        the factors with ``qexp >= 1``, the chain works on ``g_n * D * L^(n - lo)``, and a factor
+        is ``(1 + u t)^e`` for ``t = m / c`` and the integer ``u = -c * L^qexp``.  A
+        q^0 factor with parameters (and a power e > 0) and ``c = a/b`` is ``(b - a t)^e / b^e``,
+        and its ``1/b^e`` joins S.  The factors on one monomial t multiply out into one int
+        polynomial in t per sign, cut at the degree ``(self.order - lo) // qexp`` past which no
+        coefficient reads (not cut at q^0), and each polynomial other than 1 is one pass: the
+        positive powers' P a product, from j = 0 on an empty start when ``P_0 != 1`` (some
+        b > 1), and the negative powers' Q a division with the steps ``-Q_j``.  So a chain runs
+        at most two passes per distinct monomial.  The end divides by ``D * L^(n - lo)`` and
+        the denominator of S, times its numerator."""
         scalar, chain, arity = Fraction(1), [], len(self.params)
         for c, qexp, pexps, power in factors:
             vec = [0] * arity
@@ -377,24 +383,44 @@ class QSeries:
         if not (scalar and self.coeffs):
             return QSeries(self.params, self.order)
         lo = min(self.coeffs)
-        # a factor stacks at most top j-steps of m^j on a term for a power > 0, and for a division
-        # as many as fit in the window
-        passes, reach, shifts = [], _reach(self), _layout(arity)[1]
+        # a factor stacks at most min(e, room) j-steps of m^j on a term for a power e > 0, and for
+        # a division as many as fit in the window
+        reach, shifts = _reach(self), _layout(arity)[1]
         for c, qexp, vec, power in chain:
-            e = abs(power)
-            room = (self.order - lo) // qexp if qexp else e
-            top = min(e, room)
-            reach += max(map(abs, vec), default=0) * (top if power > 0 else room)
-            passes.append((c, qexp, sum(map(lshift, vec, shifts)), power, top))
+            if any(vec):
+                room = (self.order - lo) // qexp if qexp else abs(power)
+                reach += max(map(abs, vec)) * (min(abs(power), room) if power > 0 else room)
         _within(reach, "a (1 - m)^power chain")
         L = math.lcm(*(c.denominator for c, qexp, _, _ in chain if qexp))
-        D, terms = _scale(self, L, lo)
-        for c, qexp, w, power, top in passes:
-            e, sign = abs(power), (1 if power > 0 else -1)
+        # per monomial t = p^vec q^qexp, one int polynomial in t for the positive-power factors
+        # (b + u t)^e and one for the negative-power ones (1 + u t)^e, each cut at the window
+        polys: dict[Tuple[int, int], list] = {}
+        for c, qexp, vec, power in chain:
+            e, cut = abs(power), (self.order - lo) // qexp + 1 if qexp else None
             u, b = (-c.numerator * (L ** qexp // c.denominator), 1) if qexp else (-c.numerator, c.denominator)
-            steps = [(j * qexp, j * w, sign * math.comb(e, j) * u ** j * b ** (e - j))
-                     for j in range(1 if b == 1 else 0, top + 1)]
-            terms = _recur({} if b > 1 else terms, steps, terms if power > 0 else None, lo, self.order)
+            pair = polys.setdefault((qexp, sum(map(lshift, vec, shifts))), [[1], [1]])
+            p = pair[power < 0]
+            if e == 1:  # times b + u t, in place from the top down
+                p.append(0)
+                for i in range(len(p) - 1, 0, -1):
+                    p[i] = b * p[i] + u * p[i - 1]
+                p[0] *= b
+                del p[cut or len(p):]
+            else:  # times its binomial row
+                row = [math.comb(e, j) * u ** j * b ** (e - j) for j in range(e + 1)[:cut]]
+                prod = [0] * (len(p) + len(row) - 1)
+                for i, x in enumerate(p):
+                    for j, y in enumerate(row):
+                        prod[i + j] += x * y
+                pair[power < 0] = prod[:cut]
+        D, terms = _scale(self, L, lo)
+        for (qexp, w), (num, den) in polys.items():
+            steps = [(j * qexp, j * w, a) for j, a in enumerate(num) if a][num[0] == 1:]
+            if steps:  # from j = 0, on an empty start, unless the constant is 1
+                terms = _recur(terms if num[0] == 1 else {}, steps, terms, lo, self.order)
+            steps = [(j * qexp, j * w, -a) for j, a in enumerate(den) if a][1:]
+            if steps:
+                terms = _recur(terms, steps, None, lo, self.order)
         return _series(self.params, self.order, terms, D * scalar.denominator, L, lo, scalar.numerator, reach)
 
     # -- reshaping ------------------------------------------------------

@@ -236,3 +236,123 @@ def test_kernel_runs_in_ints_and_stores_no_zero(int_kernel, case):
         assert got == s * expansion(Fraction(1, 2), 0, {"d": 1}, 2, 5) and _props.canonical(got)
     assert int_kernel["calls"] and not int_kernel["non_int"] and not int_kernel["non_int_key"] and not int_kernel["zeros"], \
         int_kernel
+
+
+# monomials t = d^i e^j q^k that several factors of one chain share; the q^0 ones carry parameters
+MONOMIALS = [(1, {}), (1, {"d": 1}), (2, {}), (2, {"d": -1, "e": 1}), (3, {"e": 1}), (0, {"d": 1}),
+             (0, {"e": -1}), (1, {"d": 1, "e": 1})]
+
+
+def shared_factor(rng: random.Random, pool: list):
+    """A factor ``(c, k, pexps, power)`` on a monomial of ``pool``: a q^0 one has a positive
+    power and, mostly, ``c = a/b`` with b > 1; any other has a power in -3..3 and may have c = 0."""
+    k, pexps = rng.choice(pool)
+    if k == 0:
+        return rng.choice([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), 2, -1]), k, pexps, rng.randint(1, 3)
+    return rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-2, 3), 0]), k, pexps, rng.randint(-3, 3)
+
+
+@pytest.mark.usefixtures("int_kernel")
+def test_chains_on_shared_monomials_match_factors_one_call_at_a_time():
+    """Factors on one monomial multiply out into one polynomial per sign, cut at the window:
+    the chain equals the factors applied one call at a time, in any order."""
+    rng = random.Random(20261021)
+    seen = {"positive_group": 0, "negative_group": 0, "cut": 0, "q0_rational": 0, "zero_c": 0, "laurent": 0}
+    for _ in range(250):
+        s = bounded(rng) if rng.random() < 0.15 else operand(rng)
+        pool = rng.sample(MONOMIALS, rng.choice([3, 4]))
+        factors = [shared_factor(rng, pool) for _ in range(rng.randint(6, 12))]
+        one_at_a_time = s
+        for f in factors:
+            one_at_a_time = one_at_a_time.mul_one_minus([f])
+        shuffled = rng.sample(factors, len(factors))
+        got = s.mul_one_minus(factors)
+        assert got.order == s.order and not got.bounds and _props.canonical(got)
+        assert got.coeffs == one_at_a_time.coeffs == s.mul_one_minus(shuffled).coeffs, (s, factors)
+        # the factors that share a monomial and a sign, and the degree they reach together
+        groups: dict = {}
+        for c, k, pexps, power in factors:
+            if c and power:
+                group = groups.setdefault((k, tuple(sorted(pexps.items())), power > 0), [0, 0])
+                group[0] += 1
+                group[1] += abs(power)
+        room = s.order - s.valuation
+        seen["positive_group"] += any(n > 1 for (_, _, pos), (n, _) in groups.items() if pos)
+        seen["negative_group"] += any(n > 1 for (_, _, pos), (n, _) in groups.items() if not pos)
+        seen["cut"] += not s.is_zero() and any(k and degree > room // k for (k, _, _), (_, degree) in groups.items())
+        seen["q0_rational"] += any(k == 0 and Fraction(c).denominator > 1 for c, k, _, _ in factors)
+        seen["zero_c"] += any(not c for c, _, _, _ in factors)
+        seen["laurent"] += s.valuation < 0
+    assert all(seen.values()), seen
+
+
+def test_a_chain_with_two_bad_factors_reports_the_first():
+    s = QSeries(PARAMS, 3, {0: 1, 2: Fraction(1, 3)})
+    first, second = (1, 0, {"d": 1}, -1), (1, -1, {}, 1)
+    errors = []
+    for bad in (first, second):
+        with pytest.raises(AlgebraError) as alone:
+            s.mul_one_minus([bad])
+        errors.append(str(alone.value))
+    assert errors == ["cannot apply (1 - m)^-1 for m = 1*q^0 with exponents (1, 0)",
+                      "cannot apply (1 - m)^1 for m = 1*q^-1 with exponents (0, 0)"]
+    for chain, text in ((GOOD[:1] + [first] + GOOD[1:] + [second], errors[0]),
+                        ([second] + GOOD + [first], errors[1])):
+        with pytest.raises(AlgebraError) as chained:
+            s.mul_one_minus(chain)
+        assert str(chained.value) == text
+
+
+def passes_of(monkeypatch) -> list:
+    """Wrap ``series._recur`` and list for each pass whether it is a division."""
+    passes = []
+    real = series._recur
+
+    def recur(start, steps, src, lo, order):
+        passes.append(src is None)
+        return real(start, steps, src, lo, order)
+
+    monkeypatch.setattr(series, "_recur", recur)
+    return passes
+
+
+def test_a_theta_quotient_is_two_passes_per_q_exponent(monkeypatch):
+    """C13's right-hand quotient at order 20: 300 factors over the exponents q^1 .. q^20 take at
+    most two passes each, and give what the factors give one call at a time."""
+    x, z = H.XZ_POINTS[0]
+    quotient = (*H._J(z, 0), *H._J(z * z, 0), *H._J(-x, 0), H._qinf(2),
+                *H._J(-z, 0, p=-1), *H._J(x * z, 0, p=-1), *H._J(x / z, 0, p=-1), *H._J(x, 0, p=-1))
+    calls = []
+    real = QSeries.mul_one_minus
+    monkeypatch.setattr(QSeries, "mul_one_minus", lambda s, factors: calls.append(factors) or real(s, factors))
+    passes = passes_of(monkeypatch)
+    got = B.times_poch(QSeries.one((), 20), *quotient)
+    (factors,) = calls
+    qexps = [k for _, k, _, _ in factors if k]
+    assert len(qexps) == 300 and set(qexps) == set(range(1, 21))
+    assert len(passes) <= 2 * 20
+    monkeypatch.undo()
+    one_at_a_time = QSeries.one((), 20)
+    for f in factors:
+        one_at_a_time = one_at_a_time.mul_one_minus([f])
+    assert got == one_at_a_time
+
+
+def test_rank_ratios_divide_in_one_pass(monkeypatch):
+    """``rank_gf(8, x=2)`` divides each Horner ratio by (1 - 2Q^n)(1 - Q^n/2), one monomial,
+    in one pass, and skips the division where Q^n lies past the window."""
+    divisions = []
+    real = QSeries.mul_one_minus
+
+    def counted(s, factors):
+        before = sum(passes)
+        out = real(s, factors)
+        if factors:  # not the empty chain of a Horner summand
+            divisions.append(sum(passes) - before)
+        return out
+
+    passes = passes_of(monkeypatch)
+    monkeypatch.setattr(QSeries, "mul_one_minus", counted)
+    B.rank_gf(8, x=2)
+    assert len(divisions) == 8 and max(divisions) == 1
+    assert len(passes) == 12  # 8 products by (d + Q^(n-1))(e + Q^(n-1)) and 4 divisions
