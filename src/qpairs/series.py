@@ -66,8 +66,8 @@ from json.encoder import encode_basestring_ascii
 from operator import lshift
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import (_OFFSET, _SLOT, SLOT_BITS, AlgebraError, ParamPoly, Scalar, _as_fraction, _canon, _index,
-                   _integer, _layout, _powers, _rational, _unpack, _value, _within)
+from .poly import (_OFFSET, _SLOT, EXP_LIMIT, SLOT_BITS, AlgebraError, ParamPoly, Scalar, _as_fraction, _canon,
+                   _index, _integer, _layout, _powers, _rational, _unpack, _value, _within)
 
 CoeffLike = Union[int, Fraction, ParamPoly]
 
@@ -383,36 +383,36 @@ class QSeries:
         if not (scalar and self.coeffs):
             return QSeries(self.params, self.order)
         lo = min(self.coeffs)
-        # a factor stacks at most min(e, room) j-steps of m^j on a term for a power e > 0, and for
-        # a division as many as fit in the window
-        reach, shifts = _reach(self), _layout(arity)[1]
-        for c, qexp, vec, power in chain:
-            if any(vec):
-                room = (self.order - lo) // qexp if qexp else abs(power)
-                reach += max(map(abs, vec)) * (min(abs(power), room) if power > 0 else room)
-        _within(reach, "a (1 - m)^power chain")
         L = math.lcm(*(c.denominator for c, qexp, _, _ in chain if qexp))
         # per monomial t = p^vec q^qexp, one int polynomial in t for the positive-power factors
-        # (b + u t)^e and one for the negative-power ones (1 + u t)^e, each cut at the window
-        polys: dict[Tuple[int, int], list] = {}
+        # (b + u t)^e and one for the negative-power ones (1 + u t)^e, each cut at the window;
+        # a factor stacks at most min(e, room) j-steps of m^j on a term for a power e > 0, and for
+        # a division as many as fit in the window
+        reach, shifts, polys = _reach(self), _layout(arity)[1], {}
         for c, qexp, vec, power in chain:
-            e, cut = abs(power), (self.order - lo) // qexp + 1 if qexp else None
+            e = abs(power)
+            room = (self.order - lo) // qexp if qexp else e
+            top, cut = min(e, room), room + 1 if qexp else None
+            reach += max(map(abs, vec), default=0) * (top if power > 0 else room)
+            if reach > EXP_LIMIT:  # rejected below; a q^0 row, of e + 1 entries, could be vast
+                continue
             u, b = (-c.numerator * (L ** qexp // c.denominator), 1) if qexp else (-c.numerator, c.denominator)
             pair = polys.setdefault((qexp, sum(map(lshift, vec, shifts))), [[1], [1]])
             p = pair[power < 0]
-            if e == 1:  # times b + u t, in place from the top down
+            if e == 1:  # most factors: times b + u t, in place from the top down, with no row
                 p.append(0)
                 for i in range(len(p) - 1, 0, -1):
                     p[i] = b * p[i] + u * p[i - 1]
                 p[0] *= b
                 del p[cut or len(p):]
-            else:  # times its binomial row
-                row = [math.comb(e, j) * u ** j * b ** (e - j) for j in range(e + 1)[:cut]]
-                prod = [0] * (len(p) + len(row) - 1)
-                for i, x in enumerate(p):
-                    for j, y in enumerate(row):
-                        prod[i + j] += x * y
-                pair[power < 0] = prod[:cut]
+                continue
+            row = [math.comb(e, j) * u ** j * b ** (e - j) for j in range(top + 1)]
+            prod = [0] * (len(p) + top)
+            for i, x in enumerate(p):
+                for j, y in enumerate(row):
+                    prod[i + j] += x * y
+            pair[power < 0] = prod[:cut]
+        _within(reach, "a (1 - m)^power chain")
         D, terms = _scale(self, L, lo)
         for (qexp, w), (num, den) in polys.items():
             steps = [(j * qexp, j * w, a) for j, a in enumerate(num) if a][num[0] == 1:]

@@ -11,6 +11,7 @@ any key is formed.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -137,7 +138,7 @@ def test_one_past_the_slot_range_is_rejected_when_packed(e):
         QSeries.from_json(text)
 
 
-def test_derived_bounds_past_the_slot_range_raise_before_any_key_is_formed():
+def test_derived_bounds_past_the_slot_range_raise_before_any_key_is_formed(monkeypatch):
     params = ("d", "e")
     half = ParamPoly.var(params, "e", EDGE // 2)
     assert (half * half).terms == {(0, EDGE): 1}
@@ -156,5 +157,17 @@ def test_derived_bounds_past_the_slot_range_raise_before_any_key_is_formed():
     assert geo.coefficient(4).terms == {(EDGE, 0): 1} and _props.canonical(geo)
     with pytest.raises(AlgebraError, match=r"a \(1 - m\)\^power chain could hold the exponent"):
         QSeries.one(params, 5).mul_one_minus([(1, 1, {"d": EDGE // 4}, -1)])
+    # the bound is the sum over the whole chain, also when a factor before the last passes the range
+    with pytest.raises(AlgebraError, match=f"chain could hold the exponent {4 * EDGE + 4},"):
+        QSeries.one(params, 4).mul_one_minus([(1, 1, {"d": EDGE}, -1), (1, 1, {"e": 1}, -1)])
+    with pytest.raises(AlgebraError, match=f"chain could hold the exponent {3 * (EDGE // 2) + 6},"):
+        QSeries.one(params, 3).mul_one_minus([(Fraction(1, 2), 0, {"d": EDGE // 2}, 3), (1, 1, {"e": 3}, 2)])
     with pytest.raises(AlgebraError, match="a weighted series could hold the exponent"):
         QSeries(params, 2, {1: ParamPoly.var(params, "e", EDGE)}).eval_weighted("e", None, lambda a, n: {1: 1})
+    # (1 - d/2)^(2^30 + 1) has a row of 2^30 + 2 binomial terms; the chain raises before forming one
+    def comb(n, k):
+        raise AssertionError(f"the row of (1 - d/2)^{n} is being built")
+
+    monkeypatch.setattr(math, "comb", comb)
+    with pytest.raises(AlgebraError, match=f"chain could hold the exponent {EDGE + 1},"):
+        QSeries.one(params, 2).mul_one_minus([(Fraction(1, 2), 0, {"d": 1}, EDGE + 1)])
