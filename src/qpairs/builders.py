@@ -402,9 +402,12 @@ def _horner(params: Tuple[str, ...], order: int, E: Callable[[int], int],
         top += 1
     if not top:
         return QSeries.zero(params, order)
-    S = _times(QSeries.one(params, order - E(top)), *summand(top))
+    def F(m: int) -> QSeries:  # a summand with no factor is the one-series itself, with no kernel call
+        one, factors = QSeries.one(params, order - E(m)), summand(m)
+        return _times(one, *factors) if factors else one
+    S = F(top)
     for m in range(top - 1, 0, -1):
-        S = _times(QSeries.one(params, order - E(m)), *summand(m)) + ratio(m + 1, S).shift(E(m + 1) - E(m))
+        S = F(m) + ratio(m + 1, S).shift(E(m + 1) - E(m))
     return ratio(1, S).shift(E(1))
 
 
@@ -657,7 +660,9 @@ between factors); omit a parameter to keep it symbolic.
 
 d and e accept q-monomials c*q^j, applied by exact substitution; the
 substitutions with j < 0 require base > the sum of their |j| so the declared
-degree bounds keep exponents provable.
+degree bounds keep exponents provable.  c*q^0 is the rational c at every key,
+and the rank variables x, x1 .. xk (C's and Cstar's x too) take rational
+points only.
 """
 
 
@@ -691,13 +696,6 @@ _BUILDER_KEYS = {
 _POSITIONAL = ("eta", "J")  # builders that take one positional argument
 
 
-def _value_or_mono(text: str) -> Union[Fraction, Monomial]:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return parse_monomial(text)
-
-
 def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None) -> QSeries:
     """Construct a series from its string identifier (see BUILDER_GRAMMAR)."""
     name, kw, pos = _split_id(spec.strip())
@@ -706,11 +704,22 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
             raise AlgebraError(f"key {k!r} given twice, in {spec!r} and as a parameter")
         kw[k] = str(v)
 
-    def val(key):
-        v = _value_or_mono(kw[key]) if key in kw else None
-        if isinstance(v, Monomial) and v.pexps:
+    def val(key) -> Optional[Tuple[Fraction, int]]:  # the value c*q^j at key as (c, j), None when absent
+        if key not in kw:
+            return None
+        try:
+            return Fraction(kw[key]), 0
+        except (ValueError, ZeroDivisionError):
+            v = parse_monomial(kw[key])
+        if v.pexps:
             raise AlgebraError(f"value {kw[key]!r} for {key} carries a parameter; values are rationals or c*q^j")
-        return v.c if isinstance(v, Monomial) and not v.c else v  # 0*q^j is the rational 0
+        return v.c, v.qexp if v.c else 0  # 0*q^j is the rational 0
+
+    def point(key) -> ParamValue:  # a rank variable: x^-k terms above the window would land inside it
+        v = val(key)
+        if v and v[1]:
+            raise AlgebraError(f"{key} takes rational points: the series is Laurent in {key}")
+        return None if v is None else v[0]
 
     def intval(key, default):
         return _integer(kw[key], key) if key in kw else default
@@ -749,33 +758,17 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
             raise AlgebraError("J needs a monomial argument, e.g. J:-x")
         return jacobi_J(parse_monomial(pos[0]), order, base)
     if name == "C":
-        x = val("x")
-        if isinstance(x, Monomial):
-            raise AlgebraError("crank product takes rational x only")
-        return crank_C(order, x, base)
+        return crank_C(order, point("x"), base)
     if name == "Cstar":
-        x = val("x")
-        if not isinstance(x, Fraction):
+        x = point("x")
+        if x is None:
             raise AlgebraError("starred crank product needs a rational x")
         return crank_C_star(order, x, base)
 
-    slots: dict[str, Union[None, Fraction, Monomial]] = {
-        "d": val("d"), "e": val("e"), "x": val("x")
-    }
-    subs: dict[str, Tuple[Fraction, int]] = {}  # p -> (c, j) for p -> c*q^j
-    fixed: dict[str, ParamValue] = {}
-    for pname, v in slots.items():
-        if v is None:
-            fixed[pname] = None
-        elif isinstance(v, Fraction):
-            fixed[pname] = v
-        elif v.qexp == 0:
-            fixed[pname] = v.c
-        elif pname == "x":  # x^-k terms above the window would land inside it
-            raise AlgebraError("x takes rational points: the series is Laurent in x")
-        else:
-            fixed[pname] = None
-            subs[pname] = (v.c, v.qexp)
+    de = {p: val(p) for p in ("d", "e")}
+    subs = {p: v for p, v in de.items() if v and v[1]}  # p -> (c, j) for p -> c*q^j, j != 0
+    d, e = (None if v is None or v[1] else v[0] for v in de.values())
+    x = point("x")
     drop = -sum(j for _, j in subs.values() if j < 0)
     if drop >= base:
         raise AlgebraError(f"substitutions c*q^j with j < 0 need base > {drop}, the sum of their |j|")
@@ -784,29 +777,23 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
     work_order = order * base // (base - drop)
 
     if name == "rank":
-        s = rank_gf(work_order, fixed["d"], fixed["e"], fixed["x"], base)
+        s = rank_gf(work_order, d, e, x, base)
     elif name == "rank-lambert":
-        s = rank_gf_lambert(work_order, fixed["d"], fixed["e"], fixed["x"], base)
+        s = rank_gf_lambert(work_order, d, e, x, base)
     elif name == "n2v":
-        s = n2v(intval("v", 1), work_order, fixed["d"], fixed["e"], base)
+        s = n2v(intval("v", 1), work_order, d, e, base)
     elif name == "moment":
         k = intval("k", 2)
         if k < 1:  # rejected before the rank refinement is built
             raise AlgebraError("moment index must be >= 1")
-        s = symmetrized_moment_series(k, rank_gf(work_order, fixed["d"], fixed["e"]))
+        s = symmetrized_moment_series(k, rank_gf(work_order, d, e))
     elif name == "spt":
-        s = spt_gf(work_order, fixed["d"], fixed["e"])
+        s = spt_gf(work_order, d, e)
     elif name == "spt-direct":
-        s = spt_gf_direct(work_order, fixed["d"], fixed["e"])
+        s = spt_gf_direct(work_order, d, e)
     else:  # durfee
         k = intval("k", 2)
-        xs = []
-        for j in range(k):
-            vj = val(f"x{j + 1}")
-            if isinstance(vj, Monomial):
-                raise AlgebraError("marked-symbol rank variables take rational points")
-            xs.append(vj)
-        s = durfee_rhs(k, work_order, xs, fixed["d"], fixed["e"])
+        s = durfee_rhs(k, work_order, [point(f"x{j + 1}") for j in range(k)], d, e)
     if subs:
         s = s.substitute_param(subs)
     return s.truncate(order)

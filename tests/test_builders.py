@@ -677,6 +677,21 @@ def test_horner_sum_is_the_term_by_term_sum(monkeypatch, name):
                 assert got.is_zero()
 
 
+def test_horner_summand_without_factors_makes_no_kernel_call(monkeypatch):
+    # rank_gf's summands list no factor, so its only kernel calls are the 8 ratio divisions;
+    # test_horner_sum_is_the_term_by_term_sum checks the sum against the one with a call per summand
+    chains = []
+    real = QSeries.mul_one_minus
+
+    def spy(s, factors):
+        chains.append(list(factors))
+        return real(s, factors)
+
+    monkeypatch.setattr(QSeries, "mul_one_minus", spy)
+    B.rank_gf(8, x=2)
+    assert len(chains) == 8 and all(chains)
+
+
 def test_bounds_declared_by_builders():
     s = B.rank_gf(6)
     assert s.bounds.get("d") is not None

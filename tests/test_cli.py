@@ -148,6 +148,38 @@ def test_coeffs_substitution_without_a_provable_window_is_one_line_usage_error(c
     assert err.count("\n") == 1 and message in err
 
 
+# every value key: (builder id, key, whether the key is a rank variable)
+VALUE_KEYS = [("rank", "x", True), ("rank-lambert", "x", True), ("C", "x", True), ("Cstar", "x", True),
+              ("durfee:k=2:x2=3", "x1", True), ("rank", "d", False), ("spt", "e", False)]
+
+
+@pytest.mark.parametrize("via_params", [False, True], ids=["in-id", "params"])
+@pytest.mark.parametrize("spec,key,rank_variable", VALUE_KEYS,
+                         ids=[f"{spec.partition(':')[0]}:{key}" for spec, key, _ in VALUE_KEYS])
+def test_coeffs_reads_every_value_by_one_rule(capsys, spec, key, rank_variable, via_params):
+    # c*q^0 is the rational c and 0*q^j the rational 0 at every key, in an id as in
+    # --params; a rank variable takes rational points only, with one error text
+    def at(value):
+        argv = [spec, "--params", f"{key}={value}"] if via_params else [f"{spec}:{key}={value}"]
+        code, out, err = run(capsys, "coeffs", *argv, "--order", "4", "--format", "json")
+        return code, out, err.replace(repr(argv[0]), "ID")
+
+    two = at("2")
+    assert two[0] == 0 and two[2] == ""
+    assert at("4/2") == at("2*q^0") == two
+    assert at("0*q^-1") == at("0")
+    if rank_variable:
+        for value in ("q", "2*q^-1"):
+            assert at(value) == (2, "", f"error: cannot build ID: {key} takes rational points: "
+                                        f"the series is Laurent in {key}\n")
+
+
+def test_coeffs_cstar_without_x_is_one_line_usage_error(capsys):
+    code, out, err = run(capsys, "coeffs", "Cstar", "--order", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot build 'Cstar': starred crank product needs a rational x\n"
+
+
 @pytest.mark.parametrize("spec", ["rank", "rank-lambert", "n2v", "J:-x", "C", "Cstar:x=2"])
 @pytest.mark.parametrize("base", [0, -1])
 def test_coeffs_base_below_one_is_one_line_usage_error(capsys, spec, base):

@@ -64,7 +64,7 @@ def test_series_text_that_is_not_json_raises_algebra_error(text):
 
 
 VALUES = st.sampled_from(["0", "1", "-1", "2", "3", "1/2", "-2/3", "1/0", "q", "q^-1", "2*q^-1",
-                          "q^-2", "-q^2", "0*q^-1", "x", "d*q", "abc", "", "q^", "1/", "x^-1*q"])
+                          "q^-2", "-q^2", "0*q^-1", "2*q^0", "-1/2*q^0", "x", "d*q", "abc", "", "q^", "1/", "x^-1*q"])
 POSITIONAL = st.sampled_from(["1^24", "8^1,16^-2", "1^a", "0^1", "-1^2", "1^24,2", "1^1,1^-1",
                               "x", "-x", "-x*q", "q^-1", "1/0*x", "", "1^25"])
 SEGMENT = (st.tuples(st.sampled_from(["d", "e", "x", "base", "v", "k", "m", "x1", "x2", "x3", "y"]), VALUES)
