@@ -36,7 +36,7 @@ def main():
     print(f"coefficient of q^n in N(d,e,x;q), checked against enumeration, n <= {show}:")
     for n in range(show + 1):
         got = series.coefficient(n)
-        want = oracle.rank_poly(table[n])
+        want = table[n]
         status = "ok" if got.terms == want.terms else "MISMATCH"
         print(f"  n={n}: {got}  [{status}]")
     print()

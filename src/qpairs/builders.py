@@ -707,10 +707,7 @@ def build(spec: str, order: int, assignments: Optional[Mapping[str, str]] = None
     def val(key) -> Optional[Tuple[Fraction, int]]:  # the value c*q^j at key as (c, j), None when absent
         if key not in kw:
             return None
-        try:
-            return Fraction(kw[key]), 0
-        except (ValueError, ZeroDivisionError):
-            v = parse_monomial(kw[key])
+        v = parse_monomial(kw[key])
         if v.pexps:
             raise AlgebraError(f"value {kw[key]!r} for {key} carries a parameter; values are rationals or c*q^j")
         return v.c, v.qexp if v.c else 0  # 0*q^j is the rational 0

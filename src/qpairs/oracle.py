@@ -3,19 +3,19 @@
 Everything here is taken from the definitions of the objects (overpartition
 pairs, marked Durfee symbols) and of their statistics, with no q-series
 machinery, so the results are an independent check on the analytic
-builders.  The tables are counted: `rank_table` and `spt_table` count pairs
-one part at a time, part values from the largest down, each part a fixed
-shift of a packed statistics key.  `_durfee_sums` counts the marked
-symbols of every weight up to n_max block by block, one subscript at a
-time, folding each block's rank into the key its reader keeps: the rank
-vector, the full rank, nothing, or the index of a rational point, at which
-the blocks multiply in the rank's value; one walk serves all the points.
-The listings, `overpartition_pairs` and `enumerate_durfee`, stay for the
-CLI and as the tests' reference; they are exponential in n and are
-intended for small n only.  `_durfee_rows` lists the symbols' row pairs over the same blocks
-that `_durfee_sums` counts, in separate code, and the tests check that
-listing against a brute force over all marked rows and against the moment
-identity D_{v+1}(r, s, n) = eta_{2v}(r, s, n).
+builders.  Every table is counted by one step, `_put`, which puts the parts
+of one value into counts by weight, each part a fixed shift of an int key.
+`rank_table` and `spt_table` count pairs in `ParamPoly`'s own keys, so each
+weight's row is the poly the checks compare.  `_durfee_sums` counts the
+marked symbols of every weight up to n_max block by block, folding each
+block's rank into the key its reader keeps: the rank vector, the full rank,
+nothing, or the index of a rational point, at which the blocks multiply in
+the rank's value; one walk serves all the points.  The listings,
+`overpartition_pairs` and `enumerate_durfee`, stay for the CLI and as the
+tests' reference; they are exponential in n, for small n only.
+`_durfee_rows` lists the symbols' row pairs over the blocks that
+`_durfee_sums` counts, in separate code, and the tests check that listing
+against a brute force and the moment identity D_{v+1}(r, s, n) = eta_{2v}(r, s, n).
 
 A memo kept across calls is a module-level `lru_cache` with a bound: the
 tables keep their last few orders and `_bounded_parts` its recent blocks.
@@ -29,7 +29,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, gbinom
+from .poly import _OFFSET, _SLOT, SLOT_BITS, AlgebraError, ParamPoly, Scalar, _as_fraction, _layout, _unpack, gbinom
 
 # an overpartition: parts in weakly decreasing order plus the set of
 # part values whose first occurrence is overlined
@@ -102,16 +102,19 @@ def spt_weight(lam: Overpartition, mu: Overpartition) -> int:
     return sum(1 for p in lparts if p == v)
 
 
-# table layouts: rank_table(n)[r, s, m] and spt_table(n)[r, s] are counts
+# table layouts: weight n's row of rank_table is the poly sum N(r,s,m,n) d^r e^s x^m, and
+# of spt_table the poly sum spt(r,s,n) d^r e^s
 #
 # A pair is counted one part at a time, part values from n_max down to 1.  The
 # state is one int map per weight, ``layers[w][key]``, counting the pairs of
-# weight w built so far by their statistics, packed one digit each into the
-# key.  No digit leaves its range, so a part adds a fixed shift to the key.
+# weight w built so far by their statistics, one `ParamPoly` slot per statistic,
+# so each map is its row's ``num``.  No slot leaves its range, so a part adds a
+# fixed shift to the key, ``1 << slot`` per unit of a statistic.
 # An overpartition's parts of value v are at most one overlined part and any
 # number of plain ones; in generating-function terms a plain part divides by
 # (1 - q^v k) and an overlined one multiplies by (1 + q^v k), for the key
-# shift k that the part's statistics make.
+# shift k that the part's statistics make.  The overlined parts go in first:
+# each adds at most one part, so the passes that add any number see fewer keys.
 #
 # Each table keeps only its last few orders across calls: one suite run reads
 # the rank table at three orders and once without (r, s), the spt table at two.
@@ -132,10 +135,9 @@ def _put(layers: List[Dict[int, int]], v: int, k: int, many: bool) -> None:
 
 
 @lru_cache(maxsize=_TABLES_KEPT)
-def rank_table(n_max: int, stats: bool = True) -> Dict[int, Dict[Tuple[int, int, int], int]]:
-    """Counts of the pairs of weight n <= n_max by (r, s, rank), or by
-    (0, 0, rank) when ``stats`` is false and (r, s) are not kept; each weight's
-    tally is in increasing order of (r, s, rank).
+def rank_table(n_max: int, stats: bool = True) -> Dict[int, ParamPoly]:
+    """For each weight n <= n_max, ``sum N(r,s,m,n) d^r e^s x^m`` over the pairs of weight n,
+    with r = s = 0 when ``stats`` is false and (r, s) are not kept.
 
     A nonempty pair has a largest part L and, by `pair_rank`, rank
     m = L - chi - c, where c is the part count of the first component plus the
@@ -153,29 +155,26 @@ def rank_table(n_max: int, stats: bool = True) -> Dict[int, Dict[Tuple[int, int,
     1 to s and to c, so m - 1.  The parts of v join only the pairs whose
     largest part is above v, so these steps come before the pairs of v enter.
     """
-    base = 2 * n_max + 1  # digits (r, s, m + n_max), each in 0..2 n_max
-    place = base * base
-    R, S = (place, base) if stats else (0, 0)
+    zero, (r, s, m) = _layout(3)  # a step of 1 in r, s or m adds 1 << its slot to the key
+    R, S, M = (1 << r, 1 << s, 1 << m) if stats else (0, 0, 1 << m)
     layers: List[Dict[int, int]] = [{} for _ in range(n_max + 1)]
     for v in range(n_max, 0, -1):
-        for k, many in ((-1, True), (R - 1, False), (R + S, True), (S - 1, False)):
+        for k, many in ((R - M, False), (S - M, False), (-M, True), (R + S, True)):
             _put(layers, v, k, many)
         for a in range(n_max // v + 1):
             for b in range(not a, n_max // v - a + 1):
                 layer = layers[v * (a + b)]
                 for over_a in (0, 1) if a else (0,):
                     for over_b in (0, 1) if b else (0,):
-                        key = (over_a + b - over_b) * R + b * S + v - (a + over_b if a else 1) + n_max
+                        key = zero + (over_a + b - over_b) * R + b * S + (v - (a + over_b if a else 1)) * M
                         layer[key] = layer.get(key, 0) + 1
-    layers[0][n_max] = 1  # the empty pair, at (0, 0, 0)
-    return {n: {(key // place, key // base % base, key % base - n_max): c for key, c in sorted(layer.items())}
-            for n, layer in enumerate(layers)}
+    layers[0][zero] = 1  # the empty pair, at (0, 0, 0)
+    return {n: ParamPoly._raw(("d", "e", "x"), layer, 1, n_max) for n, layer in enumerate(layers)}
 
 
 @lru_cache(maxsize=_TABLES_KEPT)
-def spt_table(n_max: int) -> Dict[int, Dict[Tuple[int, int], int]]:
-    """Sums of `spt_weight` over the pairs of weight n <= n_max, by (r, s);
-    each weight's tally is in increasing order of (r, s).
+def spt_table(n_max: int) -> Dict[int, ParamPoly]:
+    """For each weight n <= n_max, ``sum spt_weight * d^r e^s`` over the pairs of weight n.
 
     A pair of nonzero weight has a smallest first-component part v, of
     multiplicity i, not overlined, and no second-component part at or below
@@ -186,9 +185,10 @@ def spt_table(n_max: int) -> Dict[int, Dict[Tuple[int, int], int]]:
     neither r nor s, the overlined one adds 1 to r; a plain second-component
     part adds 1 to r and 1 to s, the overlined one 1 to s.
     """
-    base = n_max + 1  # digits (r, s), each in 0..n_max
+    zero, (r, s) = _layout(2)
+    R, S = 1 << r, 1 << s
     layers: List[Dict[int, int]] = [{} for _ in range(n_max + 1)]
-    layers[0][0] = 1  # the empty pair
+    layers[0][zero] = 1  # the empty pair
     out: List[Dict[int, int]] = [{} for _ in range(n_max + 1)]
     for v in range(n_max, 0, -1):
         for w in range(n_max - v + 1):
@@ -196,39 +196,44 @@ def spt_table(n_max: int) -> Dict[int, Dict[Tuple[int, int], int]]:
                 for i in range(1, (n_max - w) // v + 1):
                     tally = out[w + v * i]
                     tally[key] = tally.get(key, 0) + i * x
-        for k, many in ((0, True), (base, False), (base + 1, True), (1, False)):
+        for k, many in ((R, False), (S, False), (0, True), (R + S, True)):
             _put(layers, v, k, many)
-    return {n: {divmod(key, base): c for key, c in sorted(tally.items())} for n, tally in enumerate(out)}
+    return {n: ParamPoly._raw(("d", "e"), tally, 1, n_max) for n, tally in enumerate(out)}
 
 
-def _weighed_poly(tally: Dict[Tuple[int, int, int], int], weigh: Callable[[int], int]) -> ParamPoly:
-    """``sum weigh(m) N(r,s,m,n) d^r e^s`` for one weight n: ``weigh`` is called once per
-    distinct rank, and the entries it weighs 0 are skipped."""
+def _weighed_poly(row: ParamPoly, weigh: Callable[[int], int]) -> ParamPoly:
+    """``sum weigh(m) N(r,s,m,n) d^r e^s`` of one weight's row: m is read from the x slot, and the
+    key shifted past it is the (d, e) key.  ``weigh`` is called once per rank; an entry it weighs
+    0 is skipped."""
     weights: Dict[int, int] = {}
-    terms: Dict[Tuple[int, int], int] = {}
-    for (r, s, m), c in tally.items():
-        w = weights.get(m)
+    terms: Dict[int, int] = {}
+    for key, c in row.num.items():
+        a = key & _SLOT
+        w = weights.get(a)
         if w is None:
-            w = weights[m] = weigh(m)
+            w = weights[a] = weigh(a - _OFFSET)
         if w:
-            terms[r, s] = terms.get((r, s), 0) + w * c
-    return ParamPoly._from_ints(("d", "e"), terms)
+            key >>= SLOT_BITS
+            terms[key] = terms.get(key, 0) + w * c
+    return ParamPoly._make(("d", "e"), terms, 1, row.reach)
 
 
-def rank_poly(tally: Dict[Tuple[int, int, int], int]) -> ParamPoly:
-    """``sum N(r,s,m,n) d^r e^s x^m`` for one weight n."""
-    return ParamPoly._from_ints(("d", "e", "x"), tally)
+def rank_asymmetries(row: ParamPoly) -> List[Tuple[int, int, int]]:
+    """The (r, s, m) that one weight's `rank_table` row counts other than (r, s, -m), in
+    increasing order: the key of -m is the key of m less twice m in the x slot."""
+    num = row.num
+    return sorted(_unpack(key, 3) for key, c in num.items() if num.get(key - 2 * ((key & _SLOT) - _OFFSET)) != c)
 
 
-def moment_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPoly:
-    """k-th power-of-rank moment ``sum m^k N(r,s,m,n) d^r e^s`` for one n."""
-    return _weighed_poly(tally, lambda m: m ** k)
+def moment_poly(row: ParamPoly, k: int) -> ParamPoly:
+    """k-th power-of-rank moment ``sum m^k N(r,s,m,n) d^r e^s`` of one weight's row."""
+    return _weighed_poly(row, lambda m: m ** k)
 
 
-def symmetrized_poly(tally: Dict[Tuple[int, int, int], int], k: int) -> ParamPoly:
+def symmetrized_poly(row: ParamPoly, k: int) -> ParamPoly:
     """k-th symmetrized moment ``sum C(m + floor((k-1)/2), k) N(r,s,m,n) d^r e^s``."""
     shift = (k - 1) // 2
-    return _weighed_poly(tally, lambda m: gbinom(m + shift, k))
+    return _weighed_poly(row, lambda m: gbinom(m + shift, k))
 
 
 # ---------------------------------------------------------------------------
@@ -523,32 +528,29 @@ def _durfee_sums(k: int, n_max: int, join: Callable[[tuple, int, int], List[Tupl
     [M_{j-1}, M_j], one equal to M_j, and b_j >= 0 bottom parts there; block
     k is any top and bottom parts in [M_{k-1}, S].  So for each side S the
     rows are counted one block at a time with M_j as the state, each block by
-    its weight and rho_j = tau_j - b_j - [j < k] (`_box_counts` counts parts
-    in an interval), and rows of weight w take the decorations of size
-    n - S - w.
+    its weight and rho_j = tau_j - b_j - [j < k], and rows of weight w take
+    the decorations of size n - S - w.  A block's free parts are put in one
+    value at a time by `_put`; its forced top part adds 1 to tau_j, which
+    -[j < k] takes back, so it adds only its weight M_j.
     """
     if k < 2:
         raise ValueError("marked symbols need k >= 2")
     sums: List[Dict[tuple, int]] = [{} for _ in range(n_max + 1)]
+    memo: Dict[int, List[List[Dict[int, int]]]] = {}  # lo: the tables of [lo, hi] for hi = lo, lo + 1, ...
 
-    @lru_cache(maxsize=None)
-    def block(lo: int, hi: int, top: int) -> List[Tuple[int, list]]:
-        # (w, [(rho_j, count)]) by increasing w of one block in [lo, hi] with the top
-        # part ``top`` forced (0 for none), up to the room any side S >= hi leaves
-        room = n_max - hi
-        runs: Dict[int, list] = {}  # total: [(parts, count)] of parts in [lo, hi]
-        for c in range(room // lo + 1):
-            for m, x in enumerate(_box_counts(c, hi - lo)[:room - c * lo + 1]):
-                runs.setdefault(c * lo + m, []).append((c, x))
-        counts: Dict[int, Dict[int, int]] = {}
-        for t, tops in runs.items():
-            for u, bottoms in runs.items():
-                if top + t + u <= room:
-                    row = counts.setdefault(top + t + u, {})
-                    for tau, x in tops:
-                        for b, y in bottoms:
-                            row[tau - b] = row.get(tau - b, 0) + x * y
-        return [(w, list(row.items())) for w, row in sorted(counts.items())]
+    def block(lo: int, hi: int) -> List[Dict[int, int]]:
+        # by weight, the counts by rho = tau - b of tau top and b bottom free parts in [lo, hi]: the
+        # table of [lo, hi - 1] with the parts of value hi put in, cut at n_max - hi - 1, since a
+        # symbol also has its side S >= hi and a forced top part (block j's, or block 1's for k)
+        tables = memo.setdefault(lo, [])
+        while len(tables) <= hi - lo:
+            v = lo + len(tables)
+            layers = ([dict(layer) for layer in tables[-1][:n_max - v]] if tables
+                      else [{0: 1}] + [{} for _ in range(n_max - v - 1)])
+            _put(layers, v, 1, True)
+            _put(layers, v, -1, True)
+            tables.append(layers)
+        return tables[hi - lo]
 
     for S in range(1, n_max + 1):
         room = n_max - S
@@ -558,7 +560,7 @@ def _durfee_sums(k: int, n_max: int, join: Callable[[tuple, int, int], List[Tupl
             for lo, rows in states.items():
                 for hi in range(lo, min(S, room) + 1) if j < k else (S,):
                     out = grown.setdefault(hi, {})
-                    for v, table in block(lo, hi, hi if j < k else 0):
+                    for v, table in enumerate(block(lo, hi), hi if j < k else 0):
                         if v > room:
                             break
                         steps: Dict[tuple, Dict[tuple, int]] = {}  # key: joined key: count times factor
@@ -568,7 +570,7 @@ def _durfee_sums(k: int, n_max: int, join: Callable[[tuple, int, int], List[Tupl
                                 for key, x in keys.items():
                                     if key not in steps:
                                         step = steps[key] = {}
-                                        for rho, y in table:
+                                        for rho, y in table.items():
                                             for new, f in join(key, j, rho):
                                                 step[new] = step.get(new, 0) + y * f
                                     for new, y in steps[key].items():

@@ -377,8 +377,6 @@ class QSeries:
             if qexp == 0 and not any(vec):
                 scalar *= (1 - Fraction(c)) ** power
                 continue
-            if qexp == 0:  # (1 - c m)^e = (b - a m)^e / b^e for c = a/b
-                scalar /= c.denominator ** power
             chain.append((c, qexp, vec, power))
         if not (scalar and self.coeffs):
             return QSeries(self.params, self.order)
@@ -394,8 +392,10 @@ class QSeries:
             room = (self.order - lo) // qexp if qexp else e
             top, cut = min(e, room), room + 1 if qexp else None
             reach += max(map(abs, vec), default=0) * (top if power > 0 else room)
-            if reach > EXP_LIMIT:  # rejected below; a q^0 row, of e + 1 entries, could be vast
+            if reach > EXP_LIMIT:  # rejected below; a q^0 row, of e + 1 entries, and b^e could be vast
                 continue
+            if not qexp:  # (1 - c m)^e = (b - a m)^e / b^e for c = a/b
+                scalar /= c.denominator ** power
             u, b = (-c.numerator * (L ** qexp // c.denominator), 1) if qexp else (-c.numerator, c.denominator)
             pair = polys.setdefault((qexp, sum(map(lshift, vec, shifts))), [[1], [1]])
             p = pair[power < 0]

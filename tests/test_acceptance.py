@@ -73,7 +73,7 @@ def test_a3_rank_generating_functions():
             res = harness.run_check(cid, order=12)
             assert res.status == "pass", (cid, res.first_mismatch)
         table = oracle.rank_table(3)
-        totals = [sum(table[n].values()) for n in (1, 2, 3)]
+        totals = [sum(table[n].terms.values()) for n in (1, 2, 3)]
         assert totals == [4, 12, 32]
     _verdict("A3 rank-generating-functions", body)
 
@@ -105,8 +105,8 @@ def test_a6_spt_suite():
             res = harness.run_check(cid)
             assert res.status == "pass", (cid, res.first_mismatch)
         table = oracle.spt_table(2)
-        assert sum(table[1].values()) == 1
-        assert sum(table[2].values()) == 3
+        assert sum(table[1].terms.values()) == 1
+        assert sum(table[2].terms.values()) == 3
     _verdict("A6 spt-suite", body)
 
 

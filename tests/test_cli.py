@@ -174,6 +174,17 @@ def test_coeffs_reads_every_value_by_one_rule(capsys, spec, key, rank_variable, 
                                         f"the series is Laurent in {key}\n")
 
 
+@pytest.mark.parametrize("spec,factor", [("rank:x=1.5", "1.5"), ("rank:x=1e3", "1e3"), ("rank:x=1_000", "1_000"),
+                                         ("rank:d=1.5*q", "1.5")])
+def test_coeffs_reads_a_plain_value_by_the_monomial_grammar(capsys, spec, factor):
+    # a plain value is a monomial with no q: decimal, exponent and underscore spellings
+    # exit 2 with the text a monomial's coefficient gets
+    code, out, err = run(capsys, "coeffs", spec, "--order", "1")
+    assert (code, out) == (2, "")
+    value = spec.partition("=")[2]
+    assert err == f"error: cannot build {spec!r}: cannot parse monomial factor {factor!r} in {value!r}\n"
+
+
 def test_coeffs_cstar_without_x_is_one_line_usage_error(capsys):
     code, out, err = run(capsys, "coeffs", "Cstar", "--order", "2")
     assert (code, out) == (2, "")

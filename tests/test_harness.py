@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qpairs import QSeries, builders, harness, oracle
+from qpairs import ParamPoly, QSeries, builders, harness, oracle
 from qpairs.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -127,9 +127,9 @@ def test_a_shifted_table_count_fails_every_reader_at_its_weight(monkeypatch, tab
     def shifted(n_max, **kept):
         # one count of weight 2 too many: the lowest key by its last entry, so
         # for the rank table a negative rank, which every moment sees
-        out = {n: dict(tally) for n, tally in counted(n_max, **kept).items()}
-        key = min(out[2], key=lambda k: k[-1])
-        out[2][key] += 1
+        out = dict(counted(n_max, **kept))  # the table is cached: copy it
+        key = min(out[2].terms, key=lambda k: k[-1])
+        out[2] += ParamPoly(out[2].params, {key: 1})
         return out
 
     monkeypatch.setattr(oracle, table, shifted)
@@ -225,9 +225,9 @@ def _shifted(key):
     """An oracle table reader with a bump added at ``key`` in weight min(n_max, 1)."""
     def bump(fn):
         def wrapper(n_max, **kept):
-            out = {n: dict(tally) for n, tally in fn(n_max, **kept).items()}  # the table is cached: copy it
+            out = dict(fn(n_max, **kept))  # the table is cached: copy it
             w = min(n_max, 1)
-            out[w][key] = out[w].get(key, 0) + _amount([n_max])
+            out[w] += ParamPoly(out[w].params, {key: _amount([n_max])})
             return out
         return wrapper
     return bump
@@ -323,9 +323,8 @@ def test_c33_labels_only_the_entry_that_fails(monkeypatch):
     true = harness._Ctx.true
 
     def perturbed(n_max):
-        out = {n: dict(tally) for n, tally in counted(n_max).items()}
-        for m, c in ((1, 5), (2, -4), (3, 1)):
-            out[5][(1, 1, m)] = out[5].get((1, 1, m), 0) + c
+        out = dict(counted(n_max))
+        out[5] += ParamPoly(out[5].params, {(1, 1, m): c for m, c in ((1, 5), (2, -4), (3, 1))})
         return out
 
     def spy(self, cond, label):

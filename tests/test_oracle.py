@@ -5,8 +5,19 @@ from fractions import Fraction
 import pytest
 
 import _listing
+import _props
 from qpairs import ParamPoly, QSeries, oracle
 from qpairs.oracle import DurfeeSymbol
+
+
+def _tallies(table):
+    """A pair table's rows as the listing's tallies: each row's terms as a plain dict."""
+    return {n: dict(row.terms) for n, row in table.items()}
+
+
+def _total(row):
+    """The sum of a pair-table row's counts."""
+    return sum(c for _, c in row.sorted_terms())
 
 
 # -- overpartition pairs --------------------------------------------------
@@ -48,7 +59,8 @@ def test_empty_pair():
 
 def test_rank_symmetry():
     table = oracle.rank_table(30)
-    for n, tally in table.items():
+    for n, row in table.items():
+        tally = dict(row.sorted_terms())
         for (r, s, m), c in tally.items():
             assert tally.get((r, s, -m), 0) == c
 
@@ -58,8 +70,8 @@ def test_rank_symmetry():
 
 def test_spt_totals():
     table = oracle.spt_table(2)
-    assert sum(table[1].values()) == 1
-    assert sum(table[2].values()) == 3
+    assert sum(table[1].terms.values()) == 1
+    assert sum(table[2].terms.values()) == 3
 
 
 def test_spt_overlined_smallest_contributes_zero():
@@ -82,8 +94,7 @@ def test_spt_quarter_of_pair_count():
     spt = oracle.spt_table(40)
     ranks = oracle.rank_table(40)
     for n in range(1, 41):
-        total_pairs = sum(ranks[n].values())
-        assert sum(spt[n].values()) * 4 == total_pairs
+        assert _total(spt[n]) * 4 == _total(ranks[n])
 
 
 # -- moments --------------------------------------------------------------
@@ -121,18 +132,18 @@ def test_odd_symmetrized_moments_vanish():
 
 
 def test_the_moment_readers_equal_their_definitions():
-    for n, tally in oracle.rank_table(10).items():
+    for n, row in oracle.rank_table(10).items():
         for k in range(7):
             power, symmetrized = Counter(), Counter()
-            for (r, s, m), c in tally.items():
+            for (r, s, m), c in row.terms.items():
                 power[r, s] += m ** k * c
                 symmetrized[r, s] += oracle.gbinom(m + (k - 1) // 2, k) * c
-            assert oracle.moment_poly(tally, k) == ParamPoly(("d", "e"), power), (n, k)
-            assert oracle.symmetrized_poly(tally, k) == ParamPoly(("d", "e"), symmetrized), (n, k)
+            assert oracle.moment_poly(row, k) == ParamPoly(("d", "e"), power), (n, k)
+            assert oracle.symmetrized_poly(row, k) == ParamPoly(("d", "e"), symmetrized), (n, k)
 
 
 def test_the_symmetrized_reader_weighs_each_rank_once(monkeypatch):
-    tally, tops = oracle.rank_table(10)[10], []
+    row, tops = oracle.rank_table(10)[10], []
     gbinom = oracle.gbinom
 
     def counted(top, k):
@@ -140,8 +151,8 @@ def test_the_symmetrized_reader_weighs_each_rank_once(monkeypatch):
         return gbinom(top, k)
 
     monkeypatch.setattr(oracle, "gbinom", counted)
-    oracle.symmetrized_poly(tally, 4)
-    assert sorted(tops) == sorted({m + 1 for _, _, m in tally})
+    oracle.symmetrized_poly(row, 4)
+    assert sorted(tops) == sorted({m + 1 for _, _, m in row.terms})
 
 
 # -- marked Durfee symbols ------------------------------------------------
@@ -286,17 +297,17 @@ def test_durfee_symbol_has_slots_and_keeps_its_repr():
 
 
 def test_counted_pair_tables_equal_the_listing():
-    assert oracle.rank_table(12) == _listing.rank_table(12)
-    assert oracle.spt_table(12) == _listing.spt_table(12)
+    assert _tallies(oracle.rank_table(12)) == _listing.rank_table(12)
+    assert _tallies(oracle.spt_table(12)) == _listing.spt_table(12)
 
 
 def test_the_rank_counts_without_r_and_s_are_the_full_table_summed_over_them():
     for n_max in (0, 1, 2, 30):
         summed = {n: Counter() for n in range(n_max + 1)}
-        for n, tally in oracle.rank_table(n_max).items():
-            for (r, s, m), c in tally.items():
+        for n, row in oracle.rank_table(n_max).items():
+            for (r, s, m), c in row.terms.items():
                 summed[n][0, 0, m] += c
-        assert oracle.rank_table(n_max, stats=False) == summed, n_max
+        assert _tallies(oracle.rank_table(n_max, stats=False)) == summed, n_max
 
 
 def _pair_totals(n_max):
@@ -316,22 +327,26 @@ def _pair_totals(n_max):
 def test_pair_totals_equal_the_product_expansion():
     totals = _pair_totals(40)
     assert totals[:4] == [1, 4, 12, 32]
-    assert [sum(tally.values()) for tally in oracle.rank_table(40).values()] == totals
+    assert [_total(row) for row in oracle.rank_table(40).values()] == totals
 
 
 def test_the_pair_tables_at_weights_0_and_1():
     # first component 1 or 1' at (0, 0, 0) and (1, 0, 0); second 1' or 1 at (0, 1, 0) and (1, 1, 0)
     one = {(0, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 1, (1, 1, 0): 1}
-    assert oracle.rank_table(0) == oracle.rank_table(0, stats=False) == {0: {(0, 0, 0): 1}}
-    assert oracle.rank_table(1) == {0: {(0, 0, 0): 1}, 1: one}
-    assert oracle.rank_table(1, stats=False) == {0: {(0, 0, 0): 1}, 1: {(0, 0, 0): 4}}
-    assert oracle.spt_table(0) == {0: {}}
-    assert oracle.spt_table(1) == {0: {}, 1: {(0, 0): 1}}
+    assert _tallies(oracle.rank_table(0)) == _tallies(oracle.rank_table(0, stats=False)) == {0: {(0, 0, 0): 1}}
+    assert _tallies(oracle.rank_table(1)) == {0: {(0, 0, 0): 1}, 1: one}
+    assert _tallies(oracle.rank_table(1, stats=False)) == {0: {(0, 0, 0): 1}, 1: {(0, 0, 0): 4}}
+    assert _tallies(oracle.spt_table(0)) == {0: {}}
+    assert _tallies(oracle.spt_table(1)) == {0: {}, 1: {(0, 0): 1}}
 
 
-def test_each_tally_of_the_pair_tables_is_in_the_order_of_its_keys():
-    for table in (oracle.rank_table(12), oracle.rank_table(12, stats=False), oracle.spt_table(12)):
-        assert all(list(tally) == sorted(tally) for tally in table.values())
+def test_each_row_of_the_pair_tables_is_a_canonical_int_poly():
+    # counted straight into the poly's own keys: ints, den 1, every key in its slots
+    rank = ("d", "e", "x")
+    for table, params in ((oracle.rank_table(12), rank), (oracle.rank_table(12, stats=False), rank),
+                          (oracle.spt_table(12), ("d", "e"))):
+        for row in table.values():
+            assert row.params == params and row.den == 1 and _props.canonical_poly(row)
 
 
 def test_counted_decorations_equal_the_listed_ones():

@@ -171,3 +171,14 @@ def test_derived_bounds_past_the_slot_range_raise_before_any_key_is_formed(monke
     monkeypatch.setattr(math, "comb", comb)
     with pytest.raises(AlgebraError, match=f"chain could hold the exponent {EDGE + 1},"):
         QSeries.one(params, 2).mul_one_minus([(Fraction(1, 2), 0, {"d": 1}, EDGE + 1)])
+    # nor its 1/2^(2^30 + 1), the 1/b^e that would join the chain's scalar: a 1/2 whose
+    # denominator refuses a power
+    class Base(int):
+        def __pow__(self, e, mod=None):
+            raise AssertionError(f"{int(self)}^{e} is being formed")
+
+    class Half(Fraction):
+        denominator = property(lambda self: Base(2))
+
+    with pytest.raises(AlgebraError, match=f"chain could hold the exponent {EDGE + 1},"):
+        QSeries.one(params, 2).mul_one_minus([(Half(1, 2), 0, {"d": 1}, EDGE + 1)])
