@@ -6,6 +6,12 @@ oracle, and ``verify``/``report`` run the identity check suite.  All
 output is deterministic and sorted so runs can be diffed or golden-file
 tested.  Exit codes: 0 success / all checks pass, 1 any check failed,
 2 usage or internal error.
+
+``COMMANDS`` defines each command once: help line, parser keywords,
+arguments and handler.  A call that names a command builds only that
+command's parser; the root parser, with all six, is built only when no
+known command is named or arguments are left over, so every help and
+error text is argparse's own, worded as the root parser words it.
 """
 
 from __future__ import annotations
@@ -380,64 +386,71 @@ def cmd_report(args) -> int:
 # parser
 
 
+def _io(formats=("json", "csv", "text"), default="text"):
+    """The --format and --out arguments that every command ends with."""
+    return [("--format", dict(choices=formats, default=default)), ("--out", dict(metavar="PATH", default=None))]
+
+
+# name: (help, parser keywords, arguments as (*flags, keywords), handler)
+COMMANDS = {
+    "coeffs": ("expand a named series to a coefficient table",
+               dict(epilog=builders.BUILDER_GRAMMAR, formatter_class=argparse.RawDescriptionHelpFormatter),
+               [("builder", dict(help="builder identifier, e.g. n2v:v=1 or E2")),
+                ("--order", dict(type=int, default=10)),
+                ("--params", dict(default=None, metavar="k=v,...")), *_io()],
+               cmd_coeffs),
+    "enumerate": ("list combinatorial objects of one weight", {},
+                  [("kind", dict(choices=("pairs", "durfee"))),
+                   ("--n", "--n-max", dict(dest="n_max", type=int, default=None)),
+                   ("--k", dict(type=int, default=None)),
+                   ("--filter", dict(default=None, help='durfee only, e.g. "r=1,s=2,ranks=-1,-1,-1"')),
+                   ("--force", dict(action="store_true", help="lift the enumeration size cap")), *_io()],
+                  cmd_enumerate),
+    "moments": ("symmetrized rank moment table", {},
+                [("--v", dict(type=int, default=1)), ("--n-max", dict(type=int, default=12)), *_io()], cmd_moments),
+    "spt": ("smallest-parts counts with refinement", {}, [("--n-max", dict(type=int, default=12)), *_io()], cmd_spt),
+    "verify": ("run identity checks", {},
+               [("--filter", dict(default=None, metavar="GLOB")), ("--order", dict(type=int, default=None)),
+                *_io(("json", "text"))],
+               cmd_verify),
+    "report": ("merge JSON check reports", {},
+               [("files", dict(nargs="+", metavar="REPORT.json")), *_io(("json", "text"), "json")], cmd_report),
+}
+
+
+def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, _, arguments, handler = COMMANDS[name]
+    for *flags, keywords in arguments:
+        parser.add_argument(*flags, **keywords)
+    parser.set_defaults(fn=handler)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The root parser with every command's subparser."""
     p = argparse.ArgumentParser(
         prog="qpairs",
         description="Exact q-series coefficients, enumeration, and identity checks.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, formats=("json", "csv", "text"), default="text"):
-        sp.add_argument("--format", choices=formats, default=default)
-        sp.add_argument("--out", metavar="PATH", default=None)
-
-    sp = sub.add_parser("coeffs", help="expand a named series to a coefficient table",
-                        epilog=builders.BUILDER_GRAMMAR, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sp.add_argument("builder", help="builder identifier, e.g. n2v:v=1 or E2")
-    sp.add_argument("--order", type=int, default=10)
-    sp.add_argument("--params", default=None, metavar="k=v,...")
-    common(sp)
-    sp.set_defaults(fn=cmd_coeffs)
-
-    sp = sub.add_parser("enumerate", help="list combinatorial objects of one weight")
-    sp.add_argument("kind", choices=("pairs", "durfee"))
-    sp.add_argument("--n", "--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--filter", default=None,
-                    help='durfee only, e.g. "r=1,s=2,ranks=-1,-1,-1"')
-    sp.add_argument("--force", action="store_true",
-                    help="lift the enumeration size cap")
-    common(sp)
-    sp.set_defaults(fn=cmd_enumerate)
-
-    sp = sub.add_parser("moments", help="symmetrized rank moment table")
-    sp.add_argument("--v", type=int, default=1)
-    sp.add_argument("--n-max", type=int, default=12)
-    common(sp)
-    sp.set_defaults(fn=cmd_moments)
-
-    sp = sub.add_parser("spt", help="smallest-parts counts with refinement")
-    sp.add_argument("--n-max", type=int, default=12)
-    common(sp)
-    sp.set_defaults(fn=cmd_spt)
-
-    sp = sub.add_parser("verify", help="run identity checks")
-    sp.add_argument("--filter", default=None, metavar="GLOB")
-    sp.add_argument("--order", type=int, default=None)
-    common(sp, formats=("json", "text"))
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("report", help="merge JSON check reports")
-    sp.add_argument("files", nargs="+", metavar="REPORT.json")
-    common(sp, formats=("json", "text"), default="json")
-    sp.set_defaults(fn=cmd_report)
-
+    for name, (help_text, keywords, _, _) in COMMANDS.items():
+        _with_arguments(sub.add_parser(name, help=help_text, **keywords), name)
     return p
 
 
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone, as the root's subparser would; the
+    root parses the root's own cases, and rejects arguments left over in its own words."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"qpairs {argv[0]}", **COMMANDS[argv[0]][1])
+        args, extra = _with_arguments(parser, argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

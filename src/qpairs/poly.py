@@ -182,6 +182,13 @@ class _Terms(Mapping):
             raise KeyError(vec) from None
         return _value(p.num[key], p.den)
 
+    def items(self):  # the Mapping mixins would decode each key and pack it again to look it up
+        arity, den = len(self._poly.params), self._poly.den
+        return [(_unpack(key, arity), _value(c, den)) for key, c in self._poly.num.items()]
+
+    def values(self):
+        return [_value(c, self._poly.den) for c in self._poly.num.values()]
+
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 

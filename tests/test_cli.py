@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -482,14 +483,52 @@ def test_unwritable_out_is_reported_before_the_work(tmp_path, capsys, monkeypatc
     assert err.startswith("error: --out ") and err.count("\n") == 1
 
 
-def test_unknown_flag_is_usage_error(capsys):
-    code, _, _ = run(capsys, "--definitely-not-a-flag")
-    assert code == 2
+# argv and its exit code: each command's help, its parser's errors, arguments left over
+# (which the root rejects), and the root's own cases
+PARSER_TEXTS = [
+    *(([name, "--help"], 0) for name in cli.COMMANDS),
+    (["coeffs"], 2), (["coeffs", "rank", "--order", "x"], 2), (["coeffs", "rank", "--format", "yaml"], 2),
+    (["coeffs", "rank", "--bogus"], 2), (["coeffs", "rank", "extra"], 2),
+    (["coeffs", "--", "rank", "--order", "2"], 2), (["coeffs", "rank", "--ord", "2"], 0),
+    (["verify", "--order"], 2), (["verify", "-h", "extra"], 0), (["enumerate", "bogus"], 2),
+    ([""], 2), (["-h"], 0), (["frobnicate"], 2), (["--definitely-not-a-flag"], 2),
+]
 
 
-def test_unknown_subcommand_is_usage_error(capsys):
-    code, _, _ = run(capsys, "frobnicate")
-    assert code == 2
+@pytest.mark.parametrize("argv,code", PARSER_TEXTS, ids=[" ".join(argv) or "''" for argv, _ in PARSER_TEXTS])
+def test_help_and_usage_errors_are_the_full_parsers(capsys, monkeypatch, argv, code):
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    assert got == run(capsys, *argv)
+    assert got[0] == code
+    assert got[1] if code == 0 else got[2]
+
+
+def count_parsers(monkeypatch):
+    """A list that gains one entry for each ArgumentParser built from now on."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("argv", [[name, "--help"] for name in cli.COMMANDS] + [["coeffs", "E2", "--order", "1"]],
+                         ids=" ".join)
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch, argv):
+    built = count_parsers(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert built == [f"qpairs {argv[0]}"]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["frobnicate"]], ids=" ".join)
+def test_the_root_parser_lists_every_command(capsys, monkeypatch, argv):
+    built = count_parsers(monkeypatch)
+    _, out, err = run(capsys, *argv)
+    assert "{" + ",".join(cli.COMMANDS) + "}" in out + err
+    assert built == ["qpairs", *(f"qpairs {name}" for name in cli.COMMANDS)]
 
 
 def read_first_line_then_close(*argv):
@@ -527,9 +566,10 @@ def test_closed_stdout_ends_streamed_listing_quietly():
 
 def test_cli_import_leaves_out_the_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize: about 9 ms of every cold CLI call;
-    # -S keeps site's own imports out of the count
+    # gettext imports locale in the first parser build, which belongs to the command, not
+    # to the import; -S keeps site's own imports out of the count
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys; from qpairs import cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = "import sys; from qpairs import cli; print(sorted({'dataclasses', 'inspect', 'locale'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]", out.stdout

@@ -12,7 +12,7 @@ from qpairs.oracle import DurfeeSymbol
 
 def _tallies(table):
     """A pair table's rows as the listing's tallies: each row's terms as a plain dict."""
-    return {n: dict(row.terms) for n, row in table.items()}
+    return {n: dict(row.terms.items()) for n, row in table.items()}
 
 
 def _total(row):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpairs import AlgebraError, ParamPoly
+from qpairs import AlgebraError, ParamPoly, oracle, poly
 
 
 P = ("d", "e")
@@ -57,6 +57,20 @@ def test_serialization_round_trip():
 def test_sorted_terms_deterministic():
     a = ParamPoly.var(P, "e") + ParamPoly.var(P, "d")
     assert a.sorted_terms() == sorted(a.terms.items())
+
+
+def test_terms_items_and_values_decode_each_key_once(monkeypatch):
+    polys = [*oracle.rank_table(12).values(),
+             ParamPoly(P, {(1, -2): Fraction(1, 3), (0, 0): 2, (-1, 5): Fraction(-7, 2)})]
+    want = [dict(p.sorted_terms()) for p in polys]
+
+    def lookup(self, vec):
+        raise AssertionError(f"{vec} looked up through __getitem__")
+    monkeypatch.setattr(poly._Terms, "__getitem__", lookup)
+    for p, terms in zip(polys, want):
+        assert dict(p.terms.items()) == terms
+        assert sorted(p.terms.values()) == sorted(terms.values())
+        assert {v: type(c) for v, c in p.terms.items()} == {v: type(c) for v, c in terms.items()}
 
 
 def test_integral_coefficients_are_stored_as_int():
