@@ -8,10 +8,14 @@ tested.  Exit codes: 0 success / all checks pass, 1 any check failed,
 2 usage or internal error.
 
 ``COMMANDS`` defines each command once: help line, parser keywords,
-arguments and handler.  A call that names a command builds only that
-command's parser; the root parser, with all six, is built only when no
-known command is named or arguments are left over, so every help and
-error text is argparse's own, worded as the root parser words it.
+arguments and handler.  A plain command line (a known command; exact table
+flags, each given once with a value that does not start with ``-``; values
+that pass their ``type`` and ``choices``; its one positional; no ``nargs``
+argument, so never ``report``) is read from the table, building no parser.
+argparse parses every other call, help and errors included: a call that
+names a command builds only that command's parser, and the root parser,
+with all six, is built only when no known command is named or arguments
+are left over, so every help and error text is argparse's own.
 """
 
 from __future__ import annotations
@@ -437,9 +441,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The namespace the named command's parser gives for a plain argv (see the module
+    docstring), read from its ``COMMANDS`` entry; None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, _, arguments, handler = COMMANDS[argv[0]]
+    values, options, positionals = {"fn": handler}, {}, []
+    for *flags, keywords in arguments:
+        if "nargs" in keywords:
+            return None
+        if flags[0].startswith("-"):
+            dest = keywords.get("dest", flags[0].lstrip("-").replace("-", "_"))
+            values[dest] = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+            options.update(dict.fromkeys(flags, (dest, keywords)))
+        else:
+            positionals.append((flags[0], keywords))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, keywords = options[token]
+            # an option given again is no longer a table flag, so it is declined below
+            options = {flag: option for flag, option in options.items() if option[0] != dest}
+            if keywords.get("action") == "store_true":
+                values[dest] = True
+                continue
+            token = next(tokens, "-")
+        elif positionals:
+            dest, keywords = positionals.pop(0)
+        else:
+            return None
+        if token.startswith("-"):
+            return None
+        try:
+            values[dest] = keywords.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in keywords and values[dest] not in keywords["choices"]:
+            return None
+    return None if positionals else argparse.Namespace(**values)
+
+
 def _parse(argv: List[str]) -> argparse.Namespace:
-    """Parse with the named command's parser alone, as the root's subparser would; the
-    root parses the root's own cases, and rejects arguments left over in its own words."""
+    """Read a plain argv from the table, or parse with the named command's parser alone, as
+    the root's subparser would; the root parses the root's own cases, and rejects arguments
+    left over in its own words."""
+    args = _read(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog=f"qpairs {argv[0]}", **COMMANDS[argv[0]][1])
         args, extra = _with_arguments(parser, argv[0]).parse_known_args(argv[1:])

@@ -176,11 +176,13 @@ class _Terms(Mapping):
 
     def __getitem__(self, vec):
         p = self._poly
-        try:
-            key, = _pack(len(p.params), {tuple(vec): 1})[0]
-        except (AlgebraError, TypeError):
-            raise KeyError(vec) from None
-        return _value(p.num[key], p.den)
+        zero, shifts = _layout(len(p.params))
+        try:  # the key _pack would give, for a vector of the poly's arity within the slot range
+            if len(vec) == len(shifts) and max(map(abs, vec), default=0) <= EXP_LIMIT:
+                return _value(p.num[zero + sum(map(lshift, vec, shifts))], p.den)
+        except (KeyError, TypeError):
+            pass
+        raise KeyError(vec)
 
     def items(self):  # the Mapping mixins would decode each key and pack it again to look it up
         arity, den = len(self._poly.params), self._poly.den

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpairs import builders, cli, oracle
 from qpairs.cli import main
@@ -515,12 +518,63 @@ def count_parsers(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("argv", [[name, "--help"] for name in cli.COMMANDS] + [["coeffs", "E2", "--order", "1"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", [[name, "--help"] for name in cli.COMMANDS], ids=" ".join)
 def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch, argv):
     built = count_parsers(monkeypatch)
     assert run(capsys, *argv)[0] == 0
     assert built == [f"qpairs {argv[0]}"]
+
+
+PLAIN = [
+    ["coeffs", "E2", "--order", "1"], ["verify", "--filter", "C01", "--format", "json"],
+    ["coeffs", "rank:e=q^-1:base=2", "--order", "12", "--format", "json"],
+    ["enumerate", "durfee", "--k", "3", "--n", "12", "--filter", "r=1,s=2,ranks=-1,-1,-1", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+def test_a_plain_command_line_builds_no_parser(capsys, monkeypatch, argv):
+    built = count_parsers(monkeypatch)
+    got = run(capsys, *argv)
+    assert built == []
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
+    assert got == run(capsys, *argv)
+    assert got[0] == 0 and got[1] and not got[2]
+
+
+VALUES = ["3", "0", "-1", "1_000", " 7", "", "1e3", "x", "yaml", "json", "csv", "text", "rank", "durfee",
+          "pairs", "a.json"]
+OWN_FLAGS = {name: [flag for *flags, _ in arguments for flag in flags if flag.startswith("-")]
+             for name, (_, _, arguments, _) in cli.COMMANDS.items()}
+TOKENS = [*cli.COMMANDS, *sorted({flag for flags in OWN_FLAGS.values() for flag in flags}),
+          "-h", "--help", "--", "-", "--ord", "--order=3", "--n=2", *VALUES]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and pieces of its argv: its own flags with a value or any token, and lone tokens."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    own, value, token = st.sampled_from(OWN_FLAGS[name]), st.sampled_from(VALUES), st.sampled_from(TOKENS)
+    pieces = draw(st.lists(st.sampled_from([(own, value)] * 3 + [(own, token), (value,), (token,)]).flatmap(
+        lambda piece: st.tuples(*piece)), max_size=4))
+    return [name, *(t for piece in pieces for t in piece)]
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(command_lines())
+def test_read_gives_the_commands_parse_or_declines(argv):
+    name, got = argv[0], cli._read(argv)
+    if got is None:
+        return
+    parser = cli._with_arguments(argparse.ArgumentParser(prog=f"qpairs {name}", **cli.COMMANDS[name][1]), name)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            want = parser.parse_args(argv[1:])
+    except SystemExit:
+        pytest.fail(f"{argv} read as {got}, but the parser rejects it")
+    assert vars(got) == vars(want)
+    options = [parser._option_string_actions[token] for token in argv[1:] if token in parser._option_string_actions]
+    assert len(options) == len(set(options)), f"{argv} gives an option twice"
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["frobnicate"]], ids=" ".join)
@@ -566,13 +620,16 @@ def test_closed_stdout_ends_streamed_listing_quietly():
 
 def test_cli_import_leaves_out_the_introspection_modules():
     # dataclasses pulls in inspect, ast, dis and tokenize: about 9 ms of every cold CLI call;
-    # gettext imports locale in the first parser build, which belongs to the command, not
-    # to the import; -S keeps site's own imports out of the count
+    # gettext imports locale in a parser build, which a plain command line never makes, so
+    # locale stays out after the import and after such a call; -S keeps site's own imports
+    # out of the count
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys; from qpairs import cli; print(sorted({'dataclasses', 'inspect', 'locale'} & set(sys.modules)))"
+    code = ("import sys; from qpairs import cli; loaded = lambda: sorted({'dataclasses', 'inspect', 'locale'} & "
+            "set(sys.modules)); print(loaded()); cli.main(['coeffs', 'E2', '--order', '1']); print(loaded())")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]", out.stdout
+    lines = out.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]" and len(lines) > 2, out.stdout
 
 
 def test_an_exponent_past_the_slot_range_exits_2(capsys):

@@ -73,6 +73,24 @@ def test_terms_items_and_values_decode_each_key_once(monkeypatch):
         assert {v: type(c) for v, c in p.terms.items()} == {v: type(c) for v, c in terms.items()}
 
 
+def test_terms_lookup_packs_the_one_vector(monkeypatch):
+    polys = [*oracle.rank_table(12).values(),
+             ParamPoly(P, {(1, -2): Fraction(1, 3), (0, 0): 2, (-1, 5): Fraction(-7, 2)})]
+
+    def pack(arity, terms):
+        raise AssertionError(f"{dict(terms)} packed through _pack")
+    monkeypatch.setattr(poly, "_pack", pack)
+    for p in polys:
+        assert dict(p.terms) == dict(p.sorted_terms())
+    p = polys[-1]
+    assert (1, -2) in p.terms and p.terms[[1, -2]] == Fraction(1, 3)
+    # (0, 2^32 - 2) would carry into the first slot and alias (1, -2)'s key
+    for vec in [(1,), (1, -2, 0), (), (0, (1 << 32) - 2), (poly.EXP_LIMIT + 1, 0), (2, 2), (1, "x"), 5]:
+        assert vec not in p.terms
+        with pytest.raises(KeyError):
+            p.terms[vec]
+
+
 def test_integral_coefficients_are_stored_as_int():
     p = ParamPoly.const(P, Fraction(6, 2)) + ParamPoly.var(P, "d") * Fraction(1, 2)
     assert {vec: type(c) for vec, c in p.terms.items()} == {(0, 0): int, (1, 0): Fraction}
