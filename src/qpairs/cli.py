@@ -16,6 +16,12 @@ argparse parses every other call, help and errors included: a call that
 names a command builds only that command's parser, and the root parser,
 with all six, is built only when no known command is named or arguments
 are left over, so every help and error text is argparse's own.
+
+``enumerate durfee`` walks, sorts and writes its listing one side S at a
+time, in output order (the sides in text order, "10" before "2"), so csv
+and json rows leave before the later sides are walked, and a reader that
+closes stdout stops the walk at the side being written; text gathers every
+side first, since its column widths depend on every cell.
 """
 
 from __future__ import annotations
@@ -73,9 +79,14 @@ def _check_out(out_path: str) -> None:
 
 
 def _write(chunks: Iterable[str], out_path: Optional[str]) -> None:
-    """Write the chunks to out_path, or to stdout as they come."""
+    """Write the chunks to out_path, or to stdout as they come.  The file is
+    opened only once the first chunk is ready, so work that fails before it
+    leaves the file as it was."""
     if out_path:
+        chunks = iter(chunks)
+        first = next(chunks, "")
         with open(out_path, "w") as fh:
+            fh.write(first)
             fh.writelines(chunks)
         return
     try:
@@ -214,24 +225,28 @@ def cmd_enumerate(args) -> int:
     if n > DURFEE_CAP and not args.force and not pruned:
         raise UsageError(
             f"n={n} exceeds the enumeration cap {DURFEE_CAP}; pass --force to override")
-    pairs, groups, count = _durfee_table(args.k, n, want)
-    _write(_durfee_lines(pairs, groups, args.format, f"{count} symbols of weight {n} (k={args.k})"), args.out)
+    _write(_durfee_lines(_durfee_table(args.k, n, want), args.format,
+                         f"symbols of weight {n} (k={args.k})"), args.out)
     return 0
 
 
 def _durfee_table(k: int, n: int, want: Dict[str, object]):
-    """The ``enumerate durfee`` listing in its sorted order, built from the
-    row pairs with no symbol and no row sort.
+    """The ``enumerate durfee`` listing in its sorted order, one side S at a
+    time, built from the row pairs with no symbol and no row sort.
 
-    Each (S, top, bottom) names one row pair and a pair's decorations are
-    distinct, so the rows, sorted as texts, are the pairs sorted by their
-    (S, top, bottom) texts, each followed by its decorations sorted by their
-    (mu, nu) texts.  A pair's decorations depend only on S and the pair's
-    weight, so each such group is formatted and sorted once.
+    The rows sort first by the text of S ("10" before "2"), each (S, top,
+    bottom) names one row pair and a pair's decorations are distinct, so the
+    rows, sorted as texts, are the sides in text order, each side's pairs
+    sorted by their (top, bottom) texts and each followed by its decorations
+    sorted by their (mu, nu) texts.  A side is walked only when the side
+    before it has been taken, and an S filter walks its side alone.  A pair's
+    decorations depend only on S and the pair's weight, so each such group is
+    formatted and sorted once; the row and rank texts are cached for the
+    whole listing.
 
-    Returns ``(pairs, groups, count)``: the sorted pairs as (S, top, bottom,
-    ranks, full_rank) texts plus their group's key, each group's sorted
-    (mu, nu, r, s) texts, and the number of rows.
+    Yields ``(pairs, groups)`` for each side: its sorted pairs as (S, top,
+    bottom, ranks, full_rank) texts plus their group's key, and each of its
+    groups' sorted (mu, nu, r, s) texts.
     """
     want_S, want_full, want_ranks = want.get("S"), want.get("full_rank"), want.get("ranks")
 
@@ -244,45 +259,48 @@ def _durfee_table(k: int, n: int, want: Dict[str, object]):
     # every pair the enumerator yields has that rank vector
     fixed = None if want_ranks is None else rank_cells(want_ranks)
     row_cells = functools.cache(lambda row: (_fmt_marked_row(row), sum(v for v, _ in row)))
-    S_texts = [str(S) for S in range(n + 1)]  # one text per side, shared by its pairs
-    groups: Dict[Tuple[int, int], List[Tuple[str, str, str, str]]] = {}
-    pairs = []
-    count = 0
-    for S, top, bottom, decorations in oracle._durfee_rows(
-            k, n, want.get("r"), want.get("s"), want_ranks):
-        if want_S is not None and S != want_S:
-            continue
-        ranks, full_text, full = fixed or rank_cells(oracle.rank_vector(k, top, bottom))
-        if want_full is not None and full != want_full:
-            continue
-        top_text, top_weight = row_cells(top)
-        bottom_text, bottom_weight = row_cells(bottom)
-        group = (S, top_weight + bottom_weight)
-        members = groups.get(group)
-        if members is None:
-            members = groups[group] = sorted(
-                (_fmt_ints(mu), _fmt_ints(nu), str(r), str(s))
-                for (r, s), decorated in decorations.items() for mu, nu in decorated)
-        count += len(members)
-        pairs.append((S_texts[S], top_text, bottom_text, ranks, full_text, group))
-    pairs.sort()
-    return pairs, groups, count
+    walk = functools.partial(oracle._durfee_rows, k, n, want.get("r"), want.get("s"), want_ranks)
+    sides = [S for S in sorted(range(1, n + 1), key=str) if want_S in (None, S)]
+    if not sides:  # nothing to walk, but a bad k or rank vector is still an error
+        next(walk(()), None)
+    for S in sides:
+        S_text = str(S)
+        groups: Dict[Tuple[int, int], List[Tuple[str, str, str, str]]] = {}
+        pairs = []
+        for _, top, bottom, decorations in walk((S,)):
+            ranks, full_text, full = fixed or rank_cells(oracle.rank_vector(k, top, bottom))
+            if want_full is not None and full != want_full:
+                continue
+            top_text, top_weight = row_cells(top)
+            bottom_text, bottom_weight = row_cells(bottom)
+            group = (S, top_weight + bottom_weight)
+            if group not in groups:
+                groups[group] = sorted(
+                    (_fmt_ints(mu), _fmt_ints(nu), str(r), str(s))
+                    for (r, s), decorated in decorations.items() for mu, nu in decorated)
+            pairs.append((S_text, top_text, bottom_text, ranks, full_text, group))
+        pairs.sort()
+        yield pairs, groups
 
 
-def _durfee_lines(pairs, groups, fmt: str, footer: str) -> Iterator[str]:
-    """The csv, text or json listing of ``_durfee_table``'s pairs, in chunks.
-    Each distinct cell is escaped, padded or encoded once, and each group's
-    decoration cells are joined once."""
+def _durfee_lines(sides, fmt: str, footer: str) -> Iterator[str]:
+    """The csv, text or json listing of ``_durfee_table``'s sides, in chunks.
+    csv and json send each side on as soon as it is walked, the header or
+    ``[`` with the first row; text needs every cell for its column widths, so
+    it gathers every side first and ends with the row count and ``footer``.
+    Each distinct cell is escaped, padded or encoded once in the listing, and
+    each group's decoration cells are joined once."""
     if fmt == "json":  # json.dumps(rows, indent=2, sort_keys=True): S, bottom, full_rank, mu, nu, r, ranks, s, top
         cell = functools.cache(lambda i, text: f"    {json.dumps(DURFEE_HEADER[i])}: {json.dumps(text)},\n")
-        decorations = {group: [(cell(3, mu) + cell(4, nu) + cell(5, r), cell(6, s)) for mu, nu, r, s in members]
-                       for group, members in groups.items()}
+
+        def decorate(members):
+            return [(cell(3, mu) + cell(4, nu) + cell(5, r), cell(6, s)) for mu, nu, r, s in members]
 
         def rows(S, top, bottom, ranks, full, group):
             head, mid = "  {\n" + cell(0, S) + cell(2, bottom) + cell(8, full), cell(7, ranks)
             tail = cell(1, top)[:-2] + "\n  }"
             return ",\n".join(head + a + mid + b + tail for a, b in decorations[group])
-        opening, between, closing = ("[\n", ",\n", "\n]\n") if pairs else ("[", "", "]\n")
+        batch, lead, between = [], "[\n", ",\n"
     else:
         if fmt == "csv":
             sep, end = ",", "\r\n"
@@ -295,6 +313,11 @@ def _durfee_lines(pairs, groups, fmt: str, footer: str) -> Iterator[str]:
                 return buf.getvalue()
         else:
             sep, end = "  ", "\n"
+            sides = list(sides)
+            pairs = [pair for side, _ in sides for pair in side]
+            groups = {group: members for _, side in sides for group, members in side.items()}
+            sides = [(pairs, groups)]
+            footer = f"{sum(len(groups[pair[-1]]) for pair in pairs)} {footer}"
             pair_columns = list(zip(*pairs))
             decoration_columns = list(zip(*(d for members in groups.values() for d in members)))
             columns = pair_columns[:3] + decoration_columns + pair_columns[3:5] if pairs else [()] * 9
@@ -303,23 +326,32 @@ def _durfee_lines(pairs, groups, fmt: str, footer: str) -> Iterator[str]:
             def cell(i, text):
                 return text.ljust(widths[i])
         cell = functools.cache(cell)
-        decorations = {group: [sep.join(cell(i, text) for i, text in enumerate(d, 3)) for d in members]
-                       for group, members in groups.items()}
+
+        def decorate(members):
+            return [sep.join(cell(i, text) for i, text in enumerate(d, 3)) for d in members]
 
         def rows(S, top, bottom, ranks, full, group):
             head = cell(0, S) + sep + cell(1, top) + sep + cell(2, bottom) + sep
             tail = sep + cell(7, ranks) + sep + cell(8, full) + end
             return head + (tail + head).join(decorations[group]) + tail
-        opening = sep.join(cell(i, h) for i, h in enumerate(DURFEE_HEADER)) + end
-        between, closing = "", ("" if fmt == "csv" else footer + "\n")
-    batch, lead = [opening], ""
-    for pair in pairs:
-        batch += lead, rows(*pair)
-        lead = between
-        if len(batch) >= 2048:
+        batch = [sep.join(cell(i, h) for i, h in enumerate(DURFEE_HEADER)) + end]
+        lead = between = ""
+    decorations = {}
+    for pairs, groups in sides:
+        decorations.update((group, decorate(members)) for group, members in groups.items())
+        for pair in pairs:
+            batch += lead, rows(*pair)
+            lead = between
+            if len(batch) >= 2048:
+                yield "".join(batch)
+                batch = []
+        if pairs:  # the side leaves before the next one is walked
             yield "".join(batch)
             batch = []
-    batch.append(closing)
+    if fmt == "json":
+        batch.append("\n]\n" if lead == between else "[]\n")
+    elif fmt == "text":
+        batch.append(footer + "\n")
     yield "".join(batch)
 
 

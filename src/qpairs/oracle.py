@@ -398,10 +398,14 @@ def _durfee_rows(
     r: int | None = None,
     s: int | None = None,
     ranks: Tuple[int, ...] | None = None,
+    sides: Iterable[int] | None = None,
 ) -> Iterator[Tuple[int, Tuple, Tuple, Dict[Tuple[int, int], list]]]:
     """``(S, top, bottom, decorations)`` for the weight-n k-marked symbols:
     every pair of rows once, with the decorations that complete it to
-    weight n grouped by their (r, s).
+    weight n grouped by their (r, s).  Only the sides in ``sides`` are
+    walked, in its order (1..n by default; each side in 1..n), so a caller
+    can take the listing one side at a time; the arguments are checked
+    before the first side is walked.
 
     The rows are listed block by block, the blocks `_durfee_sums` counts:
     with M_0 = 1, block j < k is the top part (M_j, j) plus free top and
@@ -440,7 +444,7 @@ def _durfee_rows(
                 for u, bottoms in sized(b, lo, hi, j, room - t):
                     yield t + u, tops, bottoms
 
-    for S in range(1, n + 1):
+    for S in range(1, n + 1) if sides is None else sides:
         groups = _decorations(S, n - S, r, s)
         if not groups:
             continue

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -309,11 +310,13 @@ def durfee_reference(capsys, k, n, text, fmt):
     want = cli._parse_durfee_filter(text) if text else {}
     rows = []
     for x in oracle.enumerate_durfee(k, n, want.get("r"), want.get("s"), want.get("ranks")):
-        if want.get("S", x.S) != x.S or want.get("full_rank", x.full_rank()) != x.full_rank():
+        ranks = x.ranks()
+        full = oracle.full_rank(ranks)  # x.full_rank(), with the rank vector formed once
+        if want.get("S", x.S) != x.S or want.get("full_rank", full) != full:
             continue
         rows.append([str(x.S), cli._fmt_marked_row(x.top), cli._fmt_marked_row(x.bottom),
                      cli._fmt_ints(x.mu), cli._fmt_ints(x.nu), *map(str, x.stats()),
-                     cli._fmt_ints(x.ranks()), str(x.full_rank())])
+                     cli._fmt_ints(ranks), str(full)])
     rows.sort()
     cli._rows_out(["S", "top", "bottom", "mu", "nu", "r", "s", "ranks", "full_rank"], rows,
                   fmt, None, footer=f"{len(rows)} symbols of weight {n} (k={k})")
@@ -327,6 +330,9 @@ def durfee_reference(capsys, k, n, text, fmt):
     (3, 8, "r=1"), (3, 8, "s=2"), (3, 8, "S=3"), (3, 8, "full_rank=-2"),
     (3, 9, "r=1,s=2,ranks=-1,-1,-1"), (2, 8, "ranks=0,0,S=4"),
     (3, 6, "r=9"), (3, 9, "ranks=-1,-1,-1,full_rank=5"),  # empty
+    (2, 12, None),  # sides 10-12 come between 1 and 2
+    (2, 11, "S=10"),
+    (2, 11, "full_rank=-16"),  # sides 1 and 2 only, with the empty 10 and 11 between them
 ])
 def test_enumerate_durfee_matches_sorted_symbol_rows(capsys, tmp_path, fmt, k, n, text):
     expected = durfee_reference(capsys, k, n, text, fmt)
@@ -359,7 +365,86 @@ def test_enumerate_durfee_weight_43_filtered(capsys):
     assert code == 0
     target = ["4", "4_3 3_2 3_1 2_1 1_1", "4_3 4_3 3_2 3_1 3_1 1_1",
               "3,2,0", "2,1", "1", "2", "-1,-1,-1", "-6"]
-    assert target in list(csv.reader(io.StringIO(out)))
+    # every row is parsed, but none is kept
+    assert sum(row == target for row in csv.reader(io.StringIO(out))) == 1
+
+
+def record_listing(monkeypatch, stdout, *argv):
+    """Run the CLI with an instance of the ``stdout`` class as sys.stdout; returns
+    its exit code and the listing's events in order: ("walk", sides) as
+    ``oracle._durfee_rows`` starts a walk, and ("write", text) for each write."""
+    events = []
+    walk = oracle._durfee_rows
+
+    def recording(*args):
+        events.append(("walk", tuple(args[5]) if len(args) > 5 else None))
+        yield from walk(*args)
+
+    class Recording(stdout):
+        def write(self, text):
+            events.append(("write", text))
+            return super().write(text)
+
+    monkeypatch.setattr(oracle, "_durfee_rows", recording)
+    monkeypatch.setattr(sys, "stdout", Recording())
+    return main(list(argv)), events
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_enumerate_durfee_writes_each_side_before_walking_the_next(monkeypatch, fmt):
+    code, events = record_listing(monkeypatch, io.StringIO, "enumerate", "durfee", "--k", "2", "--n", "12",
+                                  "--format", fmt)
+    assert code == 0
+    # every side once, in the listing's order: 1, 10, 11, 12, 2, ..., 9
+    assert [sides for kind, sides in events if kind == "walk"] == [(S,) for S in sorted(range(1, 13), key=str)]
+    runs = [kind for kind, _ in itertools.groupby(kind for kind, _ in events)]
+    if fmt == "text":  # the column widths need every cell
+        assert runs == ["walk", "write"]
+    else:  # each side's rows go out before the next side is walked; side 12 holds no symbol
+        assert runs == ["walk", "write"] * 11
+
+
+def test_enumerate_durfee_side_filter_walks_that_side_alone(monkeypatch):
+    code, events = record_listing(monkeypatch, io.StringIO, "enumerate", "durfee", "--k", "3", "--n", "8",
+                                  "--filter", "S=3", "--format", "csv")
+    assert code == 0
+    assert [sides for kind, sides in events if kind == "walk"] == [(3,)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_stops_the_walk_at_the_side_being_written(monkeypatch, tmp_path, fmt):
+    sink = os.open(tmp_path / "sink", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedAfterOneWrite(io.StringIO):
+        # _write points this fd at devnull once the pipe breaks, so it must not be the real stdout's
+        def fileno(self):
+            return sink
+
+        def write(self, text):
+            if self.getvalue():
+                raise BrokenPipeError
+            return super().write(text)
+
+    try:
+        code, events = record_listing(monkeypatch, ClosedAfterOneWrite, "enumerate", "durfee", "--k", "2",
+                                      "--n", "12", "--format", fmt)
+    finally:
+        os.close(sink)
+    assert code == 0
+    # side 1 went out; side 10's rows met the closed pipe, and sides 11, 12 and 2..9 were never walked
+    assert [sides for kind, sides in events if kind == "walk"] == [(1,), (10,)]
+    assert [kind for kind, _ in events] == ["walk", "write", "walk", "write"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+@pytest.mark.parametrize("argv", [("--k", "3", "--n", "6", "--filter", "r=1,s=2,ranks=-1,-1"),
+                                  ("--k", "1", "--n", "0"), ("--k", "1", "--n", "5", "--filter", "S=9")])
+def test_enumerate_durfee_failure_leaves_the_out_file(capsys, tmp_path, fmt, argv):
+    path = tmp_path / "listing"
+    path.write_text("an earlier listing\n")
+    code, out, err = run(capsys, "enumerate", "durfee", *argv, "--format", fmt, "--out", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert path.read_text() == "an earlier listing\n"
 
 
 # -- moments and spt ------------------------------------------------------

@@ -184,6 +184,21 @@ def test_durfee_k1_rejected():
         oracle.enumerate_durfee(1, 3)
 
 
+@pytest.mark.parametrize("k,n,filters", [(2, 11, ()), (3, 9, ()), (3, 14, (1, 2, (-1, -1, -1)))])
+def test_durfee_rows_walk_the_given_sides_in_their_order(k, n, filters):
+    rows = list(oracle._durfee_rows(k, n, *filters))
+    order = [7, 1, 10, 3, 2]
+    walked = list(oracle._durfee_rows(k, n, *filters, sides=order))
+    assert walked == [row for S in order for row in rows if row[0] == S]
+    assert list(oracle._durfee_rows(k, n, *filters, sides=())) == []
+
+
+@pytest.mark.parametrize("k,n,ranks", [(1, 0, None), (1, 5, None), (3, 5, (0, 0))])
+def test_durfee_rows_check_their_arguments_with_no_side_to_walk(k, n, ranks):
+    with pytest.raises(ValueError):
+        next(oracle._durfee_rows(k, n, ranks=ranks, sides=()))
+
+
 def test_durfee_counts_match_moments():
     table = oracle.rank_table(8)
     for n in range(9):
