@@ -1,19 +1,19 @@
 """Constructors for the named q-series of the overpartition-pair toolkit.
 
 Every builder returns a :class:`QSeries` exact to the requested order.
-Every q-Pochhammer factor ``(1 - m)^{+-e}`` goes through one kernel,
-:meth:`QSeries.mul_one_minus`, and a chain of them is one kernel call in
-integer arithmetic: the factors whose m is a rational times one
-``t = p^vec q^k`` multiply out into one polynomial in t per sign, applied
-as one product for the positive powers and one recurrence
-(``g_n = f_n - sum_j Q_j t^j g_{n-jk}``) for the negative ones, so a
-chain runs at most two passes per distinct t.  Every
+Every q-Pochhammer factor ``(1 - m)^{+-e}`` goes through one chain
+function in integer arithmetic, :func:`series._chain`: a factor whose
+``t = m / c = p^vec q^k`` no other factor of its chain shares is one pass
+of its own row, and the factors on one shared t multiply out into one
+polynomial in t per sign, applied as one product for the positive powers
+and one recurrence (``g_n = f_n - sum_j Q_j t^j g_{n-jk}``) for the
+negative ones, so a chain runs at most two passes per distinct t.  Every
 product, the prefactor ``(-dq, -eq)_inf / (q, deq)_inf`` included, is
 applied by :func:`times_poch` to the series it multiplies, all its linear
-factors as one chain, each Pochhammer symbol with its own base.  No
-builder expands a geometric series or inverts or powers a product: a
-negative-length Pochhammer symbol divides its monomial by the chain of
-factors of ``(q/a)_m``.
+factors as one chain in one :meth:`QSeries.mul_one_minus` call, each
+Pochhammer symbol with its own base.  No builder expands a geometric
+series or inverts or powers a product: a negative-length Pochhammer
+symbol divides its monomial by the chain of factors of ``(q/a)_m``.
 
 Bilateral sums never divide by Laurent terms directly: the negative
 branch is folded into the positive one with the closed rewrite
@@ -21,7 +21,10 @@ branch is folded into the positive one with the closed rewrite
 every summand has a unit denominator and nonnegative q-valuation.  The
 rank, moment, smallest-parts and marked-symbol sums are one such sum,
 :func:`_alternating_sum`.  It and every unilateral sum are one recurrence,
-:func:`_horner`, in nested form from the top term down.  The direct moment
+:func:`_horner`, in nested form from the top term down, in absolute
+exponents over one window.  A Horner sum and a :func:`lambert_sum` each
+scale their terms in once, into one int term map that every ratio or term
+runs its chain on, and build one series at the end.  The direct moment
 extraction :func:`symmetrized_moment_series` reads a built rank refinement
 at x = 1 in one :meth:`QSeries.eval_weighted` pass, each term weighed by a
 generalized binomial; it builds no derivative series.
@@ -49,12 +52,13 @@ point's rank refinement.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _integer, gbinom
-from .series import QSeries
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _integer, _layout, _within, gbinom
+from .series import QSeries, _chain, _links, _product, _reach, _scale, _series
 
 # a parameter slot: None keeps the parameter symbolic, a number fixes it
 ParamValue = Union[None, int, Fraction]
@@ -315,8 +319,12 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
     ``A < 0``, or ``A = 0`` and a slope ``s B + e max(0, -s a)`` (``s B`` if ``u = 0``) of at
     most 0.  Every other walk has a convex V that grows without bound, so it stops.  With
     ``u = 1``, a spec whose ``1 - q^M`` vanishes at an index of the domain is rejected up front
-    too, at every order, wherever that index lies.  Each term is one kernel call; the terms'
-    coefficients are added per exponent, and the series is built once at the end.
+    too, at every order, wherever that index lies.
+
+    One walk collects the terms of the window.  Each is brought over the lcm D of the terms'
+    leads' denominators, its coefficient of q^n times ``L^n`` for the lcm L of the denominators
+    of their ``1/(1 - m q^M)`` factors, and is one :func:`series._chain` pass into one
+    accumulating int map; one :func:`series._series` at the end divides by ``D L^n``.
     """
     if domain not in _DOMAINS:
         raise AlgebraError(f"unknown summation domain {domain!r}")
@@ -335,27 +343,35 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
         z = Fraction(-b) / a if a else Fraction(first)
         if z.denominator == 1 and any((z - n) * step >= 0 and (z - n) % stride == 0 for n, step in walks):
             raise AlgebraError(f"zero denominator 1 - q^0 at n={z}")
-    coeffs: dict = {}  # exponent -> the sum of the terms' coefficients
+    terms = []  # the (valuation, lead, chain) of each term in the window
     for n, step in walks:
         prev: Optional[int] = None
         while True:
-            E = A * n * n + B * n + C
+            E = (A * n + B) * n + C
             if E.denominator != 1:
                 raise AlgebraError(f"non-integral exponent {E} at n={n}")
             M = a * n + b
-            pval = sum(cf * Fraction(n) ** i for i, cf in enumerate(npoly))
-            val, lead, m = int(E), c * pval * zeta ** n, u
-            if u and M < 0:
-                # rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
-                val, lead, m, M = val - e * M, lead * (-1 / u) ** e, 1 / u, -M
+            flip = u and M < 0  # rewrite 1 - u q^M = (-u q^M)(1 - q^{-M}/u)
+            val = int(E) - e * M if flip else int(E)
             if val <= order:
-                for k, p in QSeries((), order, {val: lead}).mul_one_minus([(m, M, (), -e)]).coeffs.items():
-                    coeffs[k] = coeffs[k] + p if k in coeffs else p
+                lead = c * sum(cf * n ** i for i, cf in enumerate(npoly)) * zeta ** n
+                scalar, chain = _links((), [(1 / u, -M, (), -e)] if flip else [(u, M, (), -e)])
+                lead *= scalar * (-1 / u) ** e if flip else scalar
+                if lead:
+                    terms.append((val, lead, chain))
             elif prev is not None and val >= prev:
                 break  # V is convex: the rest of this walk lies past the window too
             prev = val
             n += step
-    return QSeries((), order, coeffs)
+    # each term over the lcm D of the leads' denominators, its coefficient of q^n times L^n
+    D = math.lcm(*(lead.denominator for _, lead, _ in terms))
+    L = math.lcm(*(m.denominator for _, _, chain in terms for m, _, _, _ in chain))
+    acc: dict = {}  # exponent -> the sum of the terms' scaled coefficients
+    for val, lead, chain in terms:
+        start = {val: {0: lead.numerator * (D // lead.denominator) * L ** val}}
+        for k, t in _chain(start, chain, L, val, order, 0)[0].items():
+            acc[k] = acc.get(k, 0) + t[0]
+    return _series((), order, {k: {0: v} for k, v in acc.items() if v}, D, L)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +389,19 @@ def _pfac(name: str, value: ParamValue, qexp: int = 0) -> Monomial:
     return Monomial(_as_fraction(value), qexp)
 
 
-def _de_plus(params: Tuple[str, ...], d: ParamValue, e: ParamValue, qexp: int, order: int) -> QSeries:
-    """The factor ``(d + q^qexp)(e + q^qexp) = de + (d + e) q^qexp + q^(2 qexp)``."""
-    dp, ep = _pfac("d", d).as_poly(params), _pfac("e", e).as_poly(params)
-    return QSeries(params, order, {0: dp * ep, qexp: dp + ep, 2 * qexp: 1} if qexp else {0: (dp + 1) * (ep + 1)})
+def _de_plus(params: Tuple[str, ...], d: ParamValue, e: ParamValue) -> Callable[[int, int], dict]:
+    """The q-polynomials ``sign (d + q^k)(e + q^k) = sign (de + (d + e) q^k + q^(2k))`` as maps from
+    q-exponents to coefficients, a function of k and the sign; each sign's coefficients are formed
+    once, at its first call."""
+    polys: dict = {}
+
+    def at(k: int, sign: int = 1) -> dict:
+        if sign not in polys:
+            dp, ep = _pfac("d", d).as_poly(params), _pfac("e", e).as_poly(params)
+            polys[sign] = (dp * ep * sign, (dp + ep) * sign, (dp + 1) * (ep + 1) * sign)
+        de, d_plus_e, at_0 = polys[sign]
+        return {0: de, k: d_plus_e, 2 * k: sign} if k else {0: at_0}
+    return at
 
 
 def _declare_de_bounds(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> QSeries:
@@ -392,23 +417,65 @@ def _prefactor(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> QSeries:
 
 
 def _horner(params: Tuple[str, ...], order: int, E: Callable[[int], int],
-            ratio: Callable[[int, QSeries], QSeries], summand: Callable[[int], list]) -> QSeries:
+            ratio: Callable[[int], Tuple[Mapping[int, object], list]], summand: Callable[[int], list]) -> QSeries:
     """``sum_{m>=1} q^{E(m)} r_1 ... r_m F_m`` over the m with ``E(m) <= order``, E increasing, in Horner's
-    form from the top term down: ``S_m = F_m + q^{E(m+1)-E(m)} r_{m+1} S_{m+1}``, each exact to ``order - E(m)``,
-    and the sum is ``q^{E(1)} r_1 S_1``, or the zero series with no term in the window.  ``ratio(m, s)`` returns
-    ``r_m * s``, and ``summand(m)`` lists F_m's factors ``(1 - mono)^power``, applied to a one-series."""
+    form from the top term down, in absolute exponents over one window: ``W_m = q^{E(m)} F_m + r_{m+1} W_{m+1}``
+    from ``W_top = q^{E(top)} F_top``, and the sum is ``r_1 W_1``, or the zero series with no term in the
+    window.  ``ratio(m)`` gives r_m as data, ``(mult, factors)``: a q-polynomial ``{qexp: coefficient}``
+    times the factors ``(mono, power)`` of ``prod (1 - mono)^power``; ``summand(m)`` lists F_m's factors.
+
+    The sum is one int term map from its first term to its last: the coefficient of q^n times ``K L^n``,
+    for L the lcm of every factor's c over the factors with a q-power, and K a running integer.  A ratio
+    is one product pass by its multiplier's numerators, q^j's times L^j, whose content's denominator,
+    with that of the ratio's q^0 scalars, joins K; then its factors are one :func:`series._chain` pass,
+    whose integer joins K too.  F_m starts at ``K L^E(m)`` and takes its chain the same way, and the
+    one :func:`series._series` at the end divides each coefficient by ``K L^n``."""
     top = 0
     while E(top + 1) <= order:
         top += 1
     if not top:
         return QSeries.zero(params, order)
-    def F(m: int) -> QSeries:  # a summand with no factor is the one-series itself, with no kernel call
-        one, factors = QSeries.one(params, order - E(m)), summand(m)
-        return _times(one, *factors) if factors else one
-    S = F(top)
-    for m in range(top - 1, 0, -1):
-        S = F(m) + ratio(m + 1, S).shift(E(m + 1) - E(m))
-    return ratio(1, S).shift(E(1))
+
+    def links(factors: list) -> Tuple[Fraction, list]:
+        return _links(params, [(mono.c, mono.qexp, mono.pexps, power) for mono, power in factors])
+
+    ratios = [(mult, *links(factors)) for mult, factors in map(ratio, range(1, top + 1))]
+    summands = [links(summand(m)) for m in range(1, top + 1)]
+    L = math.lcm(*(c.denominator for _, _, chain in ratios for c, qexp, _, _ in chain if qexp),
+                 *(c.denominator for _, chain in summands for c, qexp, _, _ in chain if qexp))
+    zero = _layout(len(params))[0]
+    W, K, reach = {}, 1, 0
+    for m in range(top, 0, -1):  # W is r_(m+1) W_(m+1), or nothing at the top: add q^E(m) F_m, then take r_m
+        scalar, chain = summands[m - 1]
+        if scalar:
+            F, reach_F, b = _chain({E(m): {zero: K * L ** E(m) * scalar.numerator}}, chain, L, E(m), order, 0)
+            b *= scalar.denominator
+            if b != 1:  # F is over K b: so is W from here on
+                W, K = {n: {v: a * b for v, a in t.items()} for n, t in W.items()}, K * b
+            reach = max(reach, reach_F)
+            for n, t in F.items():
+                w = W.setdefault(n, t)
+                if w is not t:
+                    for v, a in t.items():
+                        w[v] = w.get(v, 0) + a
+                    if 0 in w.values():
+                        W[n] = w = {v: a for v, a in w.items() if a}
+                        if not w:
+                            del W[n]
+        mult, scalar, chain = ratios[m - 1]
+        if not (W and scalar):
+            W = {}
+            continue
+        mult = QSeries(params, order, mult)
+        D, maps = _scale(mult, L)
+        K *= D * scalar.denominator
+        reach = _within(reach + _reach(mult), "a product")
+        if maps != {0: {zero: 1}} or scalar.numerator != 1:  # a multiplier other than 1
+            W = _product(W, maps, zero, order, scalar.numerator)
+        if W:
+            W, reach, b = _chain(W, chain, L, min(W), order, reach)
+            K *= b
+    return _series(params, order, W, K, L, reach=reach)
 
 
 def _alternating_sum(params: Tuple[str, ...], d: ParamValue, e: ParamValue, order: int, base: int, lin: int,
@@ -416,9 +483,10 @@ def _alternating_sum(params: Tuple[str, ...], d: ParamValue, e: ParamValue, orde
     """``sum_{m>=1} (-1)^{m-1} q^{E_m} R_m (1 + Q^m) chain(Q^m)``, Q = q^base, the folded bilateral
     sum of the rank family: ``E_m = base * (m(m+1)/2 + lin*m)``, ``R_m = prod_{k<m} (d + Q^k)(e + Q^k)
     / (-dQ, -eQ; Q)_m``, and ``chain(Q^m)`` lists term m's other factors ``(1 - mono)^power``; a :func:`_horner` sum."""
-    def ratio(m: int, s: QSeries) -> QSeries:  # (-1)^(m-1) R_m / R_(m-1): the sign rides on the three-term factor
-        de = _de_plus(params, d, e, base * (m - 1), s.order)
-        return _times(s * (de if m == 1 else -de), (-_pfac("d", d, base * m), -1), (-_pfac("e", e, base * m), -1))
+    de_plus = _de_plus(params, d, e)
+
+    def ratio(m: int) -> Tuple[dict, list]:  # (-1)^(m-1) R_m / R_(m-1): the sign rides on the three-term factor
+        return de_plus(base * (m - 1), 1 if m == 1 else -1), [(-_pfac("d", d, base * m), -1), (-_pfac("e", e, base * m), -1)]
     return _horner(params, order, lambda m: base * (m * (m + 1) // 2 + lin * m), ratio,
                    lambda m: [(Monomial.make(-1, base * m), 1), *chain(Monomial.make(1, base * m))])
 
@@ -450,10 +518,11 @@ def rank_gf(
     d, e (Laurent in x).  Symbolic d, e carry validated degree bounds.
     """
     params = _sym_params(("d", d), ("e", e), ("x", x))
-    xm = _xvar("x", x)
-    def ratio(n: int, s: QSeries) -> QSeries:  # summand n over summand n - 1, less the shift q^base
-        return _times(s * _de_plus(params, d, e, base * (n - 1), s.order),
-                      (xm.times_q(base * n), -1), (xm.inverse().times_q(base * n), -1))
+    xm, de_plus = _xvar("x", x), _de_plus(params, d, e)
+    xinv = xm.inverse()
+
+    def ratio(n: int) -> Tuple[dict, list]:  # summand n over summand n - 1, less the shift q^base
+        return de_plus(base * (n - 1)), [(xm.times_q(base * n), -1), (xinv.times_q(base * n), -1)]
     return _declare_de_bounds(1 + _horner(params, order, lambda n: base * n, ratio, lambda n: []), d, e, base)
 
 
@@ -509,9 +578,9 @@ def spt_gf_direct(order: int, d: ParamValue = None, e: ParamValue = None) -> QSe
     """Smallest-parts generating function as a single unilateral sum:
     ``P * sum_{n>=1} (q, deq)_n q^n / ((1-q^n)^2 (-dq, -eq)_n)``, the sum in :func:`_horner`."""
     params = _sym_params(("d", d), ("e", e))
-    def ratio(n: int, s: QSeries) -> QSeries:  # (1 - q^n)(1 - deq^n) / ((1 + dq^n)(1 + eq^n))
+    def ratio(n: int) -> Tuple[dict, list]:  # (1 - q^n)(1 - deq^n) / ((1 + dq^n)(1 + eq^n))
         dn = _pfac("d", d, n)
-        return _times(s, (Monomial.make(1, n), 1), (dn * _pfac("e", e), 1), (-dn, -1), (-_pfac("e", e, n), -1))
+        return {0: 1}, [(Monomial.make(1, n), 1), (dn * _pfac("e", e), 1), (-dn, -1), (-_pfac("e", e, n), -1)]
     A = _horner(params, order, lambda n: n, ratio, lambda n: [(Monomial.make(1, n), -2)])
     return _declare_de_bounds(_prefactor(A, d, e, 1), d, e, 1)
 
@@ -607,9 +676,9 @@ def phi65_pair(b, order: int) -> Tuple[QSeries, QSeries]:
     b = _as_fraction(b)
     if b == 0:
         raise AlgebraError("b = 0 makes the reciprocal argument undefined")
-    def ratio(n: int, s: QSeries) -> QSeries:  # -(1 - bq^(2n-2))(1 - q^(2n-2)/b) / ((1 - bq^(2n))(1 - q^(2n)/b))
-        return _times(-s, (Monomial(b, 2 * n - 2), 1), (Monomial(1 / b, 2 * n - 2), 1),
-                      (Monomial(b, 2 * n), -1), (Monomial(1 / b, 2 * n), -1))
+    def ratio(n: int) -> Tuple[dict, list]:  # -(1 - bq^(2n-2))(1 - q^(2n-2)/b) / ((1 - bq^(2n))(1 - q^(2n)/b))
+        return {0: -1}, [(Monomial(b, 2 * n - 2), 1), (Monomial(1 / b, 2 * n - 2), 1),
+                         (Monomial(b, 2 * n), -1), (Monomial(1 / b, 2 * n), -1)]
     lhs = 1 + _horner((), order, lambda n: n * n + n, ratio, lambda n: [(Monomial.make(-1, 2 * n), 1)])
     rhs = times_poch(QSeries.one((), order), (Monomial.make(1, 2), 2, 2), (Monomial(b, 2), -1, 2),
                      (Monomial(1 / b, 2), -1, 2))

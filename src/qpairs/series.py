@@ -19,10 +19,18 @@ coefficient of q^n by ``L^n``, for the lcm L of its factors'
 denominators, and ``invert`` by ``a^n``, for its leading coefficient a);
 ``_recur`` stores no zero; and :func:`_series` divides out one gcd per
 coefficient, of its numerators and its factor, so each poly is stored in
-lowest terms as it comes, with no Fraction per term.  The q^0 factors of
-a chain leave one rational scalar, applied in that division, and the
-factors that share a monomial multiply out into one int polynomial per
-sign, so a chain runs at most two passes per distinct monomial.
+lowest terms as it comes, with no Fraction per term.
+
+A chain of factors ``(1 - m)^power`` is one function on term maps,
+:func:`_chain`, after :func:`_links` has checked the factors and taken the
+parameter-free q^0 ones out as one rational scalar, applied in that
+division: a factor whose monomial no other factor shares is one pass of
+its own row, and the factors that share a monomial multiply out into one
+int polynomial per sign, so a chain runs at most two passes per distinct
+monomial.  :meth:`QSeries.mul_one_minus` is :func:`_links`, :func:`_scale`,
+:func:`_chain` and :func:`_series`.  The builders' Horner and Lambert sums
+call :func:`_chain` and :func:`_product` on one term map of their own,
+scaled in once, and build one series per sum at the end.
 
 Range rule (poly.py): every stored exponent lies in ``|e| <= 2^(S-2)``.
 No key is rechecked; each operation derives a bound before it forms a key
@@ -66,7 +74,7 @@ from json.encoder import encode_basestring_ascii
 from operator import lshift
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import (_OFFSET, _SLOT, EXP_LIMIT, SLOT_BITS, AlgebraError, ParamPoly, Scalar, _as_fraction, _canon,
+from .poly import (_OFFSET, _SLOT, SLOT_BITS, AlgebraError, ParamPoly, Scalar, _as_fraction, _canon,
                    _index, _integer, _layout, _powers, _rational, _unpack, _value, _within)
 
 CoeffLike = Union[int, Fraction, ParamPoly]
@@ -106,6 +114,14 @@ def _recur(start: dict, steps: list, src: Optional[dict], lo: int, order: int) -
         if acc:
             out[n] = acc
     return out
+
+
+def _product(src: dict, step: dict, zero: int, order: int, k: int = 1) -> dict:
+    """The term maps of k times the product of the term maps ``src`` and ``step``, in the window
+    ``order``, for keys whose zero vector is ``zero`` (a key plus a step's key less ``zero`` is
+    the product's key): one :func:`_recur` pass, with the terms of ``step`` as its steps."""
+    steps = [(j, v - zero, b * k) for j, t in sorted(step.items()) for v, b in t.items()]
+    return _recur({}, steps, src, min(src) + steps[0][0], order) if src and steps else {}
 
 
 def _reach(s: "QSeries") -> int:
@@ -159,6 +175,88 @@ def _series(params: Tuple[str, ...], order: int, terms: dict, D: int, L: int = 1
             t = {v: a * c for v, a in t.items()}
         out.coeffs[n] = ParamPoly._raw(params, t, k, reach)
     return out
+
+
+def _links(params: Tuple[str, ...], factors) -> Tuple[Fraction, list]:
+    """``(S, chain)`` for the factors ``(c, qexp, pexps, power)`` of ``prod (1 - m)^power`` (see
+    :meth:`QSeries.mul_one_minus`): S the product of the scalars ``(1 - c)^power`` of the
+    parameter-free q^0 factors, and every other factor as ``(c, qexp, vec, power)``, vec its
+    exponent vector over ``params``.  A factor 1 (``c = 0`` or ``power = 0``) is left out, and
+    the first factor that cannot be applied raises AlgebraError."""
+    scalar, chain, arity = Fraction(1), [], len(params)
+    for c, qexp, pexps, power in factors:
+        vec = [0] * arity
+        for name, x in dict(pexps).items():
+            vec[_index(params, name)] = int(x)
+        if c and (qexp < 0 or (power < 0 and qexp == 0 and (any(vec) or c == 1))):
+            raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {tuple(vec)}")
+        if not (c and power):
+            continue
+        if qexp == 0 and not any(vec):
+            scalar *= (1 - Fraction(c)) ** power
+            continue
+        chain.append((c, qexp, vec, power))
+    return scalar, chain
+
+
+def _chain(terms: dict, chain: list, L: int, lo: int, order: int, reach: int) -> Tuple[dict, int, int]:
+    """``(maps, reach, b)``: the int term maps ``terms`` of a series from q^lo, its coefficient
+    of q^n times ``L^n`` and one more factor common to all, multiplied by a :func:`_links`
+    chain in the window ``order``, in the same scale times the integer b; and ``reach`` plus
+    what the chain can add to it.  L is a multiple of each c with ``qexp >= 1``.
+
+    A factor is ``(1 + u t)^e`` for the monomial ``t = m / c`` and the integer ``u = -c L^qexp``;
+    a q^0 factor (a power e > 0 and parameters) with ``c = a/b`` is ``(b - a t)^e / b^e``, and
+    its b^e joins b.  A factor stacks at most ``min(e, room)`` j-steps of t^j on a term for a
+    power e > 0, and a division as many as fit in the window, ``room = (order - lo) // qexp``,
+    so each row stops at degree room (a q^0 row at e) and the bound is checked before one is
+    formed.  A factor whose monomial no other factor shares is one pass of its row
+    ``C(e, j) u^j b^(e - j)``: a product, from j = 0 on an empty start when b > 1, or, for a
+    negative power, a division with the steps ``-C(e, j) u^j``.  The factors on a shared
+    monomial multiply out into one int polynomial per sign, cut at degree room (not at q^0),
+    each other than 1 one such pass, so a chain runs at most two passes per distinct
+    monomial."""
+    if not chain:
+        return terms, reach, 1
+    shifts, groups = _layout(len(chain[0][2]))[1], {}
+    for c, qexp, vec, power in chain:
+        room = (order - lo) // qexp if qexp else abs(power)
+        reach += max(map(abs, vec), default=0) * (min(abs(power), room) if power > 0 else room)
+        groups.setdefault((qexp, sum(map(lshift, vec, shifts))), []).append((c, power))
+    _within(reach, "a (1 - m)^power chain")
+    scale = 1
+    for (qexp, w), links in groups.items():
+        cut = (order - lo) // qexp + 1 if qexp else None
+        pair = [[1], [1]]  # the positive powers' polynomial in t, and the negative powers'
+        for c, power in links:
+            e = abs(power)
+            u, b = (-c.numerator * (L ** qexp // c.denominator), 1) if qexp else (-c.numerator, c.denominator)
+            if not qexp:
+                scale *= b ** e
+            p, top = pair[power < 0], min(e, cut - 1) if qexp else e
+            if e == 1 and p != [1]:  # times b + u t, in place from the top down, with no row
+                p.append(0)
+                for i in range(len(p) - 1, 0, -1):
+                    p[i] = b * p[i] + u * p[i - 1]
+                p[0] *= b
+                del p[cut or len(p):]
+                continue
+            row = [b, u][:top + 1] if e == 1 else [math.comb(e, j) * u ** j * b ** (e - j) for j in range(top + 1)]
+            if p == [1]:  # the first factor of its sign on t, as every factor of a monomial met once
+                pair[power < 0] = row
+                continue
+            prod = [0] * (len(p) + top)
+            for i, x in enumerate(p):
+                for j, y in enumerate(row):
+                    prod[i + j] += x * y
+            pair[power < 0] = prod[:cut]
+        num, den = pair
+        if len(num) > 1 or num[0] != 1:  # a product, from j = 0 on an empty start unless P_0 = 1
+            steps = [(j * qexp, j * w, a) for j, a in enumerate(num) if a][num[0] == 1:]
+            terms = _recur(terms if num[0] == 1 else {}, steps, terms, lo, order)
+        if len(den) > 1:
+            terms = _recur(terms, [(j * qexp, j * w, -a) for j, a in enumerate(den) if a][1:], None, lo, order)
+    return terms, reach, scale
 
 
 class TruncationError(AlgebraError):
@@ -309,9 +407,7 @@ class QSeries:
         # each operand times the lcm of its own denominators: the convolution is in integers
         (Ds, step), (Dt, src) = sorted(map(_scale, (self, other)),
                                        key=lambda scaled: sum(map(len, scaled[1].values())))
-        zero = _layout(len(self.params))[0]  # key + step key - zero is the product's key
-        steps = [(j, v - zero, b) for j, t in sorted(step.items()) for v, b in t.items()]
-        terms = _recur({}, steps, src, self.valuation + other.valuation, order)
+        terms = _product(src, step, _layout(len(self.params))[0], order)
         return _series(self.params, order, terms, Ds * Dt, reach=reach)
 
     __rmul__ = __mul__
@@ -351,77 +447,21 @@ class QSeries:
         parameter-free ``m != 1``; one factor that fails this rejects the chain.  The result keeps
         ``self.order`` and has no bounds.
 
-        A parameter-free q^0 factor is the scalar ``(1 - c)^power``.  All of them multiply into
-        one rational S, applied once at the end; ``S = 0`` gives the zero series.  The other
-        factors work on plain term maps, in integers: with ``lo`` the entry valuation (no factor
-        lowers it), ``D`` the lcm of the coefficient denominators and ``L`` that of ``c`` over
-        the factors with ``qexp >= 1``, the chain works on ``g_n * D * L^(n - lo)``, and a factor
-        is ``(1 + u t)^e`` for ``t = m / c`` and the integer ``u = -c * L^qexp``.  A
-        q^0 factor with parameters (and a power e > 0) and ``c = a/b`` is ``(b - a t)^e / b^e``,
-        and its ``1/b^e`` joins S.  The factors on one monomial t multiply out into one int
-        polynomial in t per sign, cut at the degree ``(self.order - lo) // qexp`` past which no
-        coefficient reads (not cut at q^0), and each polynomial other than 1 is one pass: the
-        positive powers' P a product, from j = 0 on an empty start when ``P_0 != 1`` (some
-        b > 1), and the negative powers' Q a division with the steps ``-Q_j``.  So a chain runs
-        at most two passes per distinct monomial.  The end divides by ``D * L^(n - lo)`` and
-        the denominator of S, times its numerator."""
-        scalar, chain, arity = Fraction(1), [], len(self.params)
-        for c, qexp, pexps, power in factors:
-            vec = [0] * arity
-            for name, x in dict(pexps).items():
-                vec[_index(self.params, name)] = int(x)
-            if c and (qexp < 0 or (power < 0 and qexp == 0 and (any(vec) or c == 1))):
-                raise AlgebraError(f"cannot apply (1 - m)^{power} for m = {c}*q^{qexp} with exponents {tuple(vec)}")
-            if not (c and power):
-                continue
-            if qexp == 0 and not any(vec):
-                scalar *= (1 - Fraction(c)) ** power
-                continue
-            chain.append((c, qexp, vec, power))
+        A parameter-free q^0 factor is the scalar ``(1 - c)^power``: :func:`_links` multiplies
+        all of them into one rational S, applied once at the end, and ``S = 0`` gives the zero
+        series.  The other factors are one :func:`_chain` pass on the term maps of ``self``
+        brought over the lcm D of their denominators and times ``L^(n - lo)`` at q^n, for ``lo``
+        the entry valuation and L the lcm of ``c`` over the factors with ``qexp >= 1``; the end
+        divides by ``D * L^(n - lo)``, the chain's own factor and the denominator of S, times its
+        numerator."""
+        scalar, chain = _links(self.params, factors)
         if not (scalar and self.coeffs):
             return QSeries(self.params, self.order)
         lo = min(self.coeffs)
         L = math.lcm(*(c.denominator for c, qexp, _, _ in chain if qexp))
-        # per monomial t = p^vec q^qexp, one int polynomial in t for the positive-power factors
-        # (b + u t)^e and one for the negative-power ones (1 + u t)^e, each cut at the window;
-        # a factor stacks at most min(e, room) j-steps of m^j on a term for a power e > 0, and for
-        # a division as many as fit in the window
-        reach, shifts, polys = _reach(self), _layout(arity)[1], {}
-        for c, qexp, vec, power in chain:
-            e = abs(power)
-            room = (self.order - lo) // qexp if qexp else e
-            top, cut = min(e, room), room + 1 if qexp else None
-            reach += max(map(abs, vec), default=0) * (top if power > 0 else room)
-            if reach > EXP_LIMIT:  # rejected below; a q^0 row, of e + 1 entries, and b^e could be vast
-                continue
-            if not qexp:  # (1 - c m)^e = (b - a m)^e / b^e for c = a/b
-                scalar /= c.denominator ** power
-            u, b = (-c.numerator * (L ** qexp // c.denominator), 1) if qexp else (-c.numerator, c.denominator)
-            pair = polys.setdefault((qexp, sum(map(lshift, vec, shifts))), [[1], [1]])
-            p = pair[power < 0]
-            if e == 1:  # most factors: times b + u t, in place from the top down, with no row
-                p.append(0)
-                for i in range(len(p) - 1, 0, -1):
-                    p[i] = b * p[i] + u * p[i - 1]
-                p[0] *= b
-                del p[cut or len(p):]
-                continue
-            row = [math.comb(e, j) * u ** j * b ** (e - j) for j in range(top + 1)]
-            prod = [0] * (len(p) + top)
-            for i, x in enumerate(p):
-                for j, y in enumerate(row):
-                    prod[i + j] += x * y
-            pair[power < 0] = prod[:cut]
-        _within(reach, "a (1 - m)^power chain")
         D, terms = _scale(self, L, lo)
-        for (qexp, w), (num, den) in polys.items():
-            steps = [(j * qexp, j * w, a) for j, a in enumerate(num) if a][num[0] == 1:]
-            if steps:  # from j = 0, on an empty start, unless the constant is 1
-                terms = _recur(terms if num[0] == 1 else {}, steps, terms, lo, self.order)
-            steps = [(j * qexp, j * w, -a) for j, a in enumerate(den) if a][1:]
-            if steps:
-                terms = _recur(terms, steps, None, lo, self.order)
-        return _series(self.params, self.order, terms, D * scalar.denominator, L, lo, scalar.numerator, reach)
+        terms, reach, b = _chain(terms, chain, L, lo, self.order, _reach(self))
+        return _series(self.params, self.order, terms, D * b * scalar.denominator, L, lo, scalar.numerator, reach)
 
     # -- reshaping ------------------------------------------------------
 
@@ -458,16 +498,14 @@ class QSeries:
                 raise AlgebraError(f"degree bound for {p!r}, which is not a parameter of {self.params}")
             if slope < 0:  # it would claim that every coefficient above q^0 vanishes
                 raise AlgebraError(f"degree bound for {p} has negative slope {slope}")
+            s = SLOT_BITS * (len(self.params) - 1 - self.params.index(p))  # p's slot, as _layout places it
             for n, c in self.coeffs.items():
-                if c.min_degree(p) < 0:
-                    raise AlgebraError(
-                        f"bound violated: negative {p}-exponent in coeff of q^{n}"
-                    )
-                if c.degree(p) > slope * n:
-                    raise AlgebraError(
-                        f"bound violated: deg_{p} of coeff of q^{n} is "
-                        f"{c.degree(p)} > {slope}*{n}"
-                    )
+                slots = [(v >> s) & _SLOT for v in c.num]  # p's exponents, each plus 2^(S-1)
+                if min(slots, default=_OFFSET) < _OFFSET:
+                    raise AlgebraError(f"bound violated: negative {p}-exponent in coeff of q^{n}")
+                if max(slots, default=_OFFSET) - _OFFSET > slope * n:
+                    raise AlgebraError(f"bound violated: deg_{p} of coeff of q^{n} is "
+                                       f"{max(slots) - _OFFSET} > {slope}*{n}")
         out = QSeries(self.params, self.order, self.coeffs)
         out.bounds = {**self.bounds, **declared}
         return out

@@ -77,6 +77,14 @@ def canonical(s: QSeries) -> bool:
     return all(canonical_poly(p) for p in s.coeffs.values())
 
 
+def one_at_a_time(s: QSeries, factors) -> QSeries:
+    """``s.mul_one_minus(factors)`` as one kernel call per factor, in the order given: the
+    reference for a chain, whose factors the kernel groups by monomial."""
+    for f in factors:
+        s = s.mul_one_minus([f])
+    return s
+
+
 def check_ring_axioms(rng: random.Random, rounds: int) -> int:
     done = 0
     for _ in range(rounds):

@@ -6,8 +6,9 @@ from math import comb, factorial
 import pytest
 
 import _props
-from qpairs import AlgebraError, ParamPoly, QSeries, cli
+from qpairs import AlgebraError, ParamPoly, QSeries, cli, series
 from qpairs import builders as B
+from qpairs import harness as H
 from qpairs.builders import Monomial
 
 
@@ -276,6 +277,49 @@ def test_lambert_sum_matches_a_brute_force_sum(form):
     for o in range(11):
         s = B.lambert_sum(o, **form)
         assert [const(s, n) for n in range(o + 1)] == _lambert_brute(o, **form), o
+
+
+def _lambert_by_terms(order, **spec):
+    """``B.lambert_sum`` with a kernel call per term, each term's series added as it comes: the
+    same walks, stop rule and checks, with the checks on the arguments left to ``B.lambert_sum``."""
+    B.lambert_sum(-1, **spec)
+    first, first_neg, stride = B._DOMAINS[spec.get("domain", "Z")]
+    c, zeta, A, B_, C, u = (F(spec.get(k, v)) for k, v in (("c", 1), ("zeta", 1), ("A", 0), ("B", 0), ("C", 0),
+                                                             ("den", 0)))
+    npoly, a, b, e = spec.get("npoly", (1,)), spec.get("a", 0), spec.get("b", 0), spec.get("e", 1)
+    acc = QSeries.zero((), order)
+    for n, step in ((first, stride),) if first_neg is None else ((first, stride), (first_neg, -stride)):
+        prev = None
+        while True:
+            E, M = A * n * n + B_ * n + C, a * n + b
+            val, lead, m = int(E), c * sum(F(cf) * F(n) ** i for i, cf in enumerate(npoly)) * zeta ** n, u
+            if u and M < 0:
+                val, lead, m, M = val - e * M, lead * (-1 / u) ** e, 1 / u, -M
+            if val <= order:
+                acc = acc + QSeries((), order, {val: lead}).mul_one_minus([(m, M, (), -e)])
+            elif prev is not None and val >= prev:
+                break
+            prev = val
+            n += step
+    return acc
+
+
+@pytest.mark.parametrize("domain", B._DOMAINS)
+def test_lambert_sum_is_the_per_term_sum(domain):
+    # zeta = -3 puts denominators 3^|n| on the negative walk alone; a = 1, b = -1 puts
+    # the q^0 scalar (1 - u)^-e at n = 1 and rewrites every term with n <= 0
+    for e in (1, 2):
+        for den in (F(2, 3), -1, 1, 2, F(-1, 2)):
+            for spec in (dict(zeta=-3, A=1, B=1, npoly=(1, 1), a=2, b=1),
+                         dict(c=F(3, 5), zeta=F(1, 2), A=1, a=1, b=-1)):
+                spec = dict(spec, den=den, e=e, domain=domain)
+                if den == 1 and spec["b"] == -1:  # 1 - q^0 at n = 1
+                    with pytest.raises(AlgebraError, match="zero denominator"):
+                        B.lambert_sum(4, **spec)
+                    continue
+                for o in range(17):
+                    got, want = B.lambert_sum(o, **spec), _lambert_by_terms(o, **spec)
+                    assert got == want and got.order == o and _props.canonical(got), (spec, o)
 
 
 @pytest.mark.parametrize("form", [
@@ -626,14 +670,17 @@ def test_build_reads_a_zero_q_monomial_as_the_rational_zero(monkeypatch, capsys)
 
 
 def _horner_by_terms(params, order, E, ratio, summand):
-    """``B._horner``'s sum added term by term: term m starts from a one-series at
-    ``order - E(m)``, takes r_1 .. r_m, then F_m's factors, then the shift by E(m)."""
+    """``B._horner``'s sum added term by term, in series operations: term m starts from a
+    one-series at ``order - E(m)``, takes r_1 .. r_m, each its multiplier as a series times
+    the term and then one kernel call for its factors, then F_m's factors, then the shift
+    by E(m)."""
     acc = QSeries.zero(params, order)
     m = 1
     while E(m) <= order:
         term = QSeries.one(params, order - E(m))
         for k in range(1, m + 1):
-            term = ratio(k, term)
+            mult, factors = ratio(k)
+            term = B._times(QSeries(params, term.order, mult) * term, *factors)
         acc = acc + B._times(term, *summand(m)).shift(E(m))
         m += 1
     return acc
@@ -643,9 +690,13 @@ def _horner_by_terms(params, order, E, ratio, summand):
 HORNER_SUMS = {
     "rank_gf": (lambda o, b: B.rank_gf(o, base=b), (1, 2, 3)),
     "rank_gf at d=-2, e=1/2, x=2": (lambda o, b: B.rank_gf(o, -2, Fraction(1, 2), 2, b), (1, 2)),
+    "rank_gf at x=1/2": (lambda o, b: B.rank_gf(o, x=Fraction(1, 2), base=b), (1, 2)),
+    "rank_gf at d=1/2, e=1/3": (lambda o, b: B.rank_gf(o, Fraction(1, 2), Fraction(1, 3), base=b), (2,)),
     "_alternating_sum of n2v": (lambda o, b: B.n2v(1, o, base=b), (1, 2, 3)),
     "_alternating_sum of rank_gf_lambert": (lambda o, b: B.rank_gf_lambert(o, 2, None, Fraction(1, 3), b), (1, 2)),
     "_alternating_sum of durfee_rhs": (lambda o, b: B.durfee_rhs(2, o, (2, None), Fraction(1, 2)), (1,)),
+    "_alternating_sum of durfee_rhs at k=3": (lambda o, b: B.durfee_rhs(3, o, H.DURFEE_POINTS_3[0]), (1,)),
+    "_alternating_sum of spt_gf": (lambda o, b: B.spt_gf(o), (1,)),
     "spt_gf_direct": (lambda o, b: B.spt_gf_direct(o), (1,)),
     "spt_gf_direct at d=1, e=-1": (lambda o, b: B.spt_gf_direct(o, 1, -1), (1,)),
     "phi65_pair at b=3": (lambda o, b: B.phi65_pair(3, o), (1,)),
@@ -678,8 +729,9 @@ def test_horner_sum_is_the_term_by_term_sum(monkeypatch, name):
 
 
 def test_horner_summand_without_factors_makes_no_kernel_call(monkeypatch):
-    # rank_gf's summands list no factor, so its only kernel calls are the 8 ratio divisions;
-    # test_horner_sum_is_the_term_by_term_sum checks the sum against the one with a call per summand
+    # rank_gf's Horner sum runs its ratios as chains on one term map, and its summands list no
+    # factor, so it makes no kernel call at all; test_horner_sum_is_the_term_by_term_sum checks
+    # the sum against the one with a call per ratio and summand
     chains = []
     real = QSeries.mul_one_minus
 
@@ -689,7 +741,42 @@ def test_horner_summand_without_factors_makes_no_kernel_call(monkeypatch):
 
     monkeypatch.setattr(QSeries, "mul_one_minus", spy)
     B.rank_gf(8, x=2)
-    assert len(chains) == 8 and all(chains)
+    assert chains == []
+
+
+def test_horner_sum_builds_one_series_at_any_order(monkeypatch):
+    # the sum lives in one term map from its first term to its last: one series at the end
+    calls = []
+    real = series._series
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in (series, B):
+        monkeypatch.setattr(module, "_series", counted)
+    counts = []
+    for order in (8, 16):
+        calls.clear()
+        B.rank_gf(order, x=2)
+        counts.append(len(calls))
+    assert counts == [1, 1]
+
+
+def test_horner_reach_grows_by_each_ratio():
+    # r_m = x, and r_m = 1 - x/2 as a q^0 factor: the sums reach x^top at q^top, so the bound
+    # on their exponents is tight and one ratio's share left out of it is seen
+    params = ("x",)
+    x = ParamPoly.var(params, "x")
+    for order in range(6):
+        for ratio, r in [(lambda m: ({0: x}, []), x),
+                         (lambda m: ({0: 1}, [(Monomial.make(F(1, 2), 0, x=1), 1)]), 1 - x * F(1, 2))]:
+            want, power = {}, ParamPoly.const(params, 1)
+            for m in range(1, order + 1):
+                want[m] = power = power * r
+            got = B._horner(params, order, lambda m: m, ratio, lambda m: [])
+            assert got == QSeries(params, order, want)
+            assert _props.canonical(got) and max((p.reach for p in got.coeffs.values()), default=0) == order
 
 
 def test_bounds_declared_by_builders():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _props
 from qpairs import builders as B
 from qpairs.builders import Monomial
 
@@ -63,7 +64,7 @@ CONTRACT = settings(max_examples=25, deadline=None, database=None, derandomize=T
 @example(n=6, k=3)
 def test_build_is_exact_at_the_requested_order(spec, n, k):
     low = B.build(spec, n)
-    assert low.order == n
+    assert low.order == n and _props.canonical(low)
     assert low.to_json() == B.build(spec, n + k).truncate(n).to_json()
 
 
@@ -86,4 +87,5 @@ DIRECT = {
 @pytest.mark.parametrize("name", sorted(DIRECT))
 def test_builder_functions_return_the_requested_order(name):
     for n in range(7):
-        assert DIRECT[name](n).order == n
+        s = DIRECT[name](n)
+        assert s.order == n and _props.canonical(s)

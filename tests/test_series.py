@@ -323,6 +323,29 @@ def test_json_bounds_are_checked_on_load():
         QSeries.from_json(text)
 
 
+def test_the_first_bound_violation_is_the_one_raised():
+    # names in declared order, then coefficients in stored order, a negative exponent before a
+    # degree past the slope; q^1 breaks the slope in d and has a negative e, q^2 the other way
+    P = ("d", "e", "x")
+    s = QSeries(P, 4, {1: ParamPoly(P, {(3, -1, 0): 1}), 2: ParamPoly(P, {(-1, 5, 0): 2, (0, 0, 1): 1})})
+    both = QSeries(P, 4, {1: ParamPoly(P, {(3, 0, 0): 1, (-1, 2, 0): 1})})  # both rules for d at q^1
+    for series, bounds, text in [
+        (s, {"d": 1, "e": 1}, "bound violated: deg_d of coeff of q^1 is 3 > 1*1"),
+        (s, {"e": 1, "d": 1}, "bound violated: negative e-exponent in coeff of q^1"),
+        (s, {"d": 3, "e": 1}, "bound violated: negative d-exponent in coeff of q^2"),
+        (s, {"e": Fraction(1, 2), "x": 1}, "bound violated: negative e-exponent in coeff of q^1"),
+        (s, {"x": Fraction(1, 4), "d": 1}, "bound violated: deg_x of coeff of q^2 is 1 > 1/4*2"),
+        (s, {"d": 1, "z": 1}, "bound violated: deg_d of coeff of q^1 is 3 > 1*1"),
+        (s, {"z": 1, "d": 1}, "degree bound for 'z', which is not a parameter of ('d', 'e', 'x')"),
+        (s, {"x": 0, "e": -1}, "bound violated: deg_x of coeff of q^2 is 1 > 0*2"),
+        (both, {"d": 1, "e": 1}, "bound violated: negative d-exponent in coeff of q^1"),
+        (both, {"e": 1, "d": 1}, "bound violated: deg_e of coeff of q^1 is 2 > 1*1"),
+    ]:
+        with pytest.raises(AlgebraError) as raised:
+            series.with_bounds(bounds)
+        assert str(raised.value) == text, bounds
+
+
 def test_negative_bound_slope_rejected():
     # a slope below 0 would certify 1 + O(q^12) under e -> q^-3 from data known to q^2
     text = '{"params":["e"],"order":2,"coeffs":{"0":[[[0],"1/1"]]},"bounds":{"e":"-1"}}'

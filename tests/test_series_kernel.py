@@ -262,13 +262,10 @@ def test_chains_on_shared_monomials_match_factors_one_call_at_a_time():
         s = bounded(rng) if rng.random() < 0.15 else operand(rng)
         pool = rng.sample(MONOMIALS, rng.choice([3, 4]))
         factors = [shared_factor(rng, pool) for _ in range(rng.randint(6, 12))]
-        one_at_a_time = s
-        for f in factors:
-            one_at_a_time = one_at_a_time.mul_one_minus([f])
         shuffled = rng.sample(factors, len(factors))
         got = s.mul_one_minus(factors)
         assert got.order == s.order and not got.bounds and _props.canonical(got)
-        assert got.coeffs == one_at_a_time.coeffs == s.mul_one_minus(shuffled).coeffs, (s, factors)
+        assert got.coeffs == _props.one_at_a_time(s, factors).coeffs == s.mul_one_minus(shuffled).coeffs, (s, factors)
         # the factors that share a monomial and a sign, and the degree they reach together
         groups: dict = {}
         for c, k, pexps, power in factors:
@@ -282,6 +279,40 @@ def test_chains_on_shared_monomials_match_factors_one_call_at_a_time():
         seen["cut"] += not s.is_zero() and any(k and degree > room // k for (k, _, _), (_, degree) in groups.items())
         seen["q0_rational"] += any(k == 0 and Fraction(c).denominator > 1 for c, k, _, _ in factors)
         seen["zero_c"] += any(not c for c, _, _, _ in factors)
+        seen["laurent"] += s.valuation < 0
+    assert all(seen.values()), seen
+
+
+@pytest.mark.usefixtures("int_kernel")
+def test_chains_mixing_singleton_and_shared_monomials_match_factors_one_call_at_a_time(monkeypatch):
+    """A factor whose monomial no other factor of the chain shares is one pass of its own row,
+    none where its monomial lies past the window, and the factors on a shared monomial keep
+    their one polynomial per sign: the chain equals the factors applied one call at a time."""
+    rng = random.Random(20261022)
+    passes = passes_of(monkeypatch)
+    seen = {"single_product": 0, "single_division": 0, "single_q0": 0, "single_past": 0, "shared": 0,
+            "laurent": 0}
+    for _ in range(200):
+        s = bounded(rng) if rng.random() < 0.15 else operand(rng)
+        pool = rng.sample(MONOMIALS, 5)
+        factors = [shared_factor(rng, pool[:2]) for _ in range(rng.randint(2, 6))]
+        factors += [shared_factor(rng, [t]) for t in pool[2:]]
+        rng.shuffle(factors)
+        del passes[:]
+        got = s.mul_one_minus(factors)
+        made = len(passes)
+        assert got.order == s.order and not got.bounds and _props.canonical(got)
+        assert got.coeffs == _props.one_at_a_time(s, factors).coeffs, (s, factors)
+        # a monomial met once makes one pass unless it lies past the window; each other one at most two
+        live = [(k, tuple(sorted(p.items()))) for c, k, p, power in factors if c and power]
+        room = s.order - s.valuation
+        single = [k for k, p in live if live.count((k, p)) == 1 and (k == 0 or k <= room)]
+        assert s.is_zero() or len(single) <= made <= len(single) + 2 * len(set(live) - set(single)), factors
+        for c, k, p, power in factors:
+            if c and power and live.count((k, tuple(sorted(p.items())))) == 1 and not s.is_zero():
+                seen["single_q0" if k == 0 else "single_past" if k > room else
+                     "single_product" if power > 0 else "single_division"] += 1
+        seen["shared"] += any(live.count(t) > 1 for t in live)
         seen["laurent"] += s.valuation < 0
     assert all(seen.values()), seen
 
@@ -332,27 +363,14 @@ def test_a_theta_quotient_is_two_passes_per_q_exponent(monkeypatch):
     assert len(qexps) == 300 and set(qexps) == set(range(1, 21))
     assert len(passes) <= 2 * 20
     monkeypatch.undo()
-    one_at_a_time = QSeries.one((), 20)
-    for f in factors:
-        one_at_a_time = one_at_a_time.mul_one_minus([f])
-    assert got == one_at_a_time
+    assert got == _props.one_at_a_time(QSeries.one((), 20), factors)
 
 
 def test_rank_ratios_divide_in_one_pass(monkeypatch):
     """``rank_gf(8, x=2)`` divides each Horner ratio by (1 - 2Q^n)(1 - Q^n/2), one monomial,
     in one pass, and skips the division where Q^n lies past the window."""
-    divisions = []
-    real = QSeries.mul_one_minus
-
-    def counted(s, factors):
-        before = sum(passes)
-        out = real(s, factors)
-        if factors:  # not the empty chain of a Horner summand
-            divisions.append(sum(passes) - before)
-        return out
-
     passes = passes_of(monkeypatch)
-    monkeypatch.setattr(QSeries, "mul_one_minus", counted)
     B.rank_gf(8, x=2)
-    assert len(divisions) == 8 and max(divisions) == 1
-    assert len(passes) == 12  # 8 products by (d + Q^(n-1))(e + Q^(n-1)) and 4 divisions
+    # from the top ratio down: 8 products by (d + Q^(n-1))(e + Q^(n-1)), each of the 4 with
+    # Q^n inside the window followed by its division
+    assert passes == [False] * 4 + [False, True] * 4
