@@ -22,9 +22,10 @@ every summand has a unit denominator and nonnegative q-valuation.  The
 rank, moment, smallest-parts and marked-symbol sums are one such sum,
 :func:`_alternating_sum`.  It and every unilateral sum are one recurrence,
 :func:`_horner`, in nested form from the top term down, in absolute
-exponents over one window.  A Horner sum and a :func:`lambert_sum` each
-scale their terms in once, into one int term map that every ratio or term
-runs its chain on, and build one series at the end.  The direct moment
+exponents over one window.  A Horner sum and a :func:`lambert_sum` give
+their ratios and terms as data to one :func:`series.horner_sum`, which
+scales them in once, runs every ratio and term on one int term map and
+builds one series at the end.  The direct moment
 extraction :func:`symmetrized_moment_series` reads a built rank refinement
 at x = 1 in one :meth:`QSeries.eval_weighted` pass, each term weighed by a
 generalized binomial; it builds no derivative series.
@@ -52,13 +53,12 @@ point's rank refinement.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
-from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _integer, _layout, _within, gbinom
-from .series import QSeries, _chain, _links, _product, _reach, _scale, _series
+from .poly import AlgebraError, ParamPoly, Scalar, _as_fraction, _integer, gbinom
+from .series import QSeries, horner_sum
 
 # a parameter slot: None keeps the parameter symbolic, a number fixes it
 ParamValue = Union[None, int, Fraction]
@@ -165,9 +165,15 @@ def parse_monomial(text: str) -> Monomial:
 # product primitives
 
 
+def _factors(pairs: Sequence[Tuple[Monomial, int]]) -> list:
+    """The ``(m, power)`` pairs of ``prod (1 - m)^power`` as the factors ``(c, qexp, pexps, power)`` of
+    :meth:`QSeries.mul_one_minus` and :func:`series.horner_sum`."""
+    return [(m.c, m.qexp, m.pexps, power) for m, power in pairs]
+
+
 def _times(s: QSeries, *factors: Tuple[Monomial, int]) -> QSeries:
     """``s * prod (1 - m)^power`` over the ``(m, power)`` factors, in one kernel call."""
-    return s.mul_one_minus([(m.c, m.qexp, m.pexps, power) for m, power in factors])
+    return s.mul_one_minus(_factors(factors))
 
 
 def geometric_inverse(params: Sequence[str], mono: Monomial, order: int, power: int = 1) -> QSeries:
@@ -321,10 +327,8 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
     ``u = 1``, a spec whose ``1 - q^M`` vanishes at an index of the domain is rejected up front
     too, at every order, wherever that index lies.
 
-    One walk collects the terms of the window.  Each is brought over the lcm D of the terms'
-    leads' denominators, its coefficient of q^n times ``L^n`` for the lcm L of the denominators
-    of their ``1/(1 - m q^M)`` factors, and is one :func:`series._chain` pass into one
-    accumulating int map; one :func:`series._series` at the end divides by ``D L^n``.
+    One walk collects the terms of the window, each as its valuation, lead and factor, and
+    :func:`series.horner_sum` adds them, with no ratio, in one int term map scaled in once.
     """
     if domain not in _DOMAINS:
         raise AlgebraError(f"unknown summation domain {domain!r}")
@@ -343,7 +347,7 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
         z = Fraction(-b) / a if a else Fraction(first)
         if z.denominator == 1 and any((z - n) * step >= 0 and (z - n) % stride == 0 for n, step in walks):
             raise AlgebraError(f"zero denominator 1 - q^0 at n={z}")
-    terms = []  # the (valuation, lead, chain) of each term in the window
+    terms = []  # the (valuation, lead, factors) of each term in the window
     for n, step in walks:
         prev: Optional[int] = None
         while True:
@@ -355,23 +359,14 @@ def lambert_sum(order: int, *, c=1, zeta=1, A=0, B=0, C=0, npoly=(1,), den=0, a=
             val = int(E) - e * M if flip else int(E)
             if val <= order:
                 lead = c * sum(cf * n ** i for i, cf in enumerate(npoly)) * zeta ** n
-                scalar, chain = _links((), [(1 / u, -M, (), -e)] if flip else [(u, M, (), -e)])
-                lead *= scalar * (-1 / u) ** e if flip else scalar
                 if lead:
-                    terms.append((val, lead, chain))
+                    terms.append((val, lead * (-1 / u) ** e, [(1 / u, -M, (), -e)]) if flip else
+                                 (val, lead, [(u, M, (), -e)]))
             elif prev is not None and val >= prev:
                 break  # V is convex: the rest of this walk lies past the window too
             prev = val
             n += step
-    # each term over the lcm D of the leads' denominators, its coefficient of q^n times L^n
-    D = math.lcm(*(lead.denominator for _, lead, _ in terms))
-    L = math.lcm(*(m.denominator for _, _, chain in terms for m, _, _, _ in chain))
-    acc: dict = {}  # exponent -> the sum of the terms' scaled coefficients
-    for val, lead, chain in terms:
-        start = {val: {0: lead.numerator * (D // lead.denominator) * L ** val}}
-        for k, t in _chain(start, chain, L, val, order, 0)[0].items():
-            acc[k] = acc.get(k, 0) + t[0]
-    return _series((), order, {k: {0: v} for k, v in acc.items() if v}, D, L)
+    return horner_sum((), order, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -418,64 +413,17 @@ def _prefactor(s: QSeries, d: ParamValue, e: ParamValue, base: int) -> QSeries:
 
 def _horner(params: Tuple[str, ...], order: int, E: Callable[[int], int],
             ratio: Callable[[int], Tuple[Mapping[int, object], list]], summand: Callable[[int], list]) -> QSeries:
-    """``sum_{m>=1} q^{E(m)} r_1 ... r_m F_m`` over the m with ``E(m) <= order``, E increasing, in Horner's
-    form from the top term down, in absolute exponents over one window: ``W_m = q^{E(m)} F_m + r_{m+1} W_{m+1}``
-    from ``W_top = q^{E(top)} F_top``, and the sum is ``r_1 W_1``, or the zero series with no term in the
-    window.  ``ratio(m)`` gives r_m as data, ``(mult, factors)``: a q-polynomial ``{qexp: coefficient}``
-    times the factors ``(mono, power)`` of ``prod (1 - mono)^power``; ``summand(m)`` lists F_m's factors.
-
-    The sum is one int term map from its first term to its last: the coefficient of q^n times ``K L^n``,
-    for L the lcm of every factor's c over the factors with a q-power, and K a running integer.  A ratio
-    is one product pass by its multiplier's numerators, q^j's times L^j, whose content's denominator,
-    with that of the ratio's q^0 scalars, joins K; then its factors are one :func:`series._chain` pass,
-    whose integer joins K too.  F_m starts at ``K L^E(m)`` and takes its chain the same way, and the
-    one :func:`series._series` at the end divides each coefficient by ``K L^n``."""
+    """``sum_{m>=1} q^{E(m)} r_1 ... r_m F_m`` over the m with ``E(m) <= order``, E increasing, as one
+    :func:`series.horner_sum`: in Horner's form from the top term down, in absolute exponents over one
+    window, scaled in once and built into one series at the end.  ``ratio(m)`` gives r_m as data,
+    ``(mult, factors)``: a q-polynomial ``{qexp: coefficient}`` times the factors ``(mono, power)`` of
+    ``prod (1 - mono)^power``; ``summand(m)`` lists F_m's factors."""
     top = 0
     while E(top + 1) <= order:
         top += 1
-    if not top:
-        return QSeries.zero(params, order)
-
-    def links(factors: list) -> Tuple[Fraction, list]:
-        return _links(params, [(mono.c, mono.qexp, mono.pexps, power) for mono, power in factors])
-
-    ratios = [(mult, *links(factors)) for mult, factors in map(ratio, range(1, top + 1))]
-    summands = [links(summand(m)) for m in range(1, top + 1)]
-    L = math.lcm(*(c.denominator for _, _, chain in ratios for c, qexp, _, _ in chain if qexp),
-                 *(c.denominator for _, chain in summands for c, qexp, _, _ in chain if qexp))
-    zero = _layout(len(params))[0]
-    W, K, reach = {}, 1, 0
-    for m in range(top, 0, -1):  # W is r_(m+1) W_(m+1), or nothing at the top: add q^E(m) F_m, then take r_m
-        scalar, chain = summands[m - 1]
-        if scalar:
-            F, reach_F, b = _chain({E(m): {zero: K * L ** E(m) * scalar.numerator}}, chain, L, E(m), order, 0)
-            b *= scalar.denominator
-            if b != 1:  # F is over K b: so is W from here on
-                W, K = {n: {v: a * b for v, a in t.items()} for n, t in W.items()}, K * b
-            reach = max(reach, reach_F)
-            for n, t in F.items():
-                w = W.setdefault(n, t)
-                if w is not t:
-                    for v, a in t.items():
-                        w[v] = w.get(v, 0) + a
-                    if 0 in w.values():
-                        W[n] = w = {v: a for v, a in w.items() if a}
-                        if not w:
-                            del W[n]
-        mult, scalar, chain = ratios[m - 1]
-        if not (W and scalar):
-            W = {}
-            continue
-        mult = QSeries(params, order, mult)
-        D, maps = _scale(mult, L)
-        K *= D * scalar.denominator
-        reach = _within(reach + _reach(mult), "a product")
-        if maps != {0: {zero: 1}} or scalar.numerator != 1:  # a multiplier other than 1
-            W = _product(W, maps, zero, order, scalar.numerator)
-        if W:
-            W, reach, b = _chain(W, chain, L, min(W), order, reach)
-            K *= b
-    return _series(params, order, W, K, L, reach=reach)
+    ms = range(1, top + 1)
+    return horner_sum(params, order, [(E(m), 1, _factors(summand(m))) for m in ms],
+                      [(mult, _factors(factors)) for mult, factors in map(ratio, ms)])
 
 
 def _alternating_sum(params: Tuple[str, ...], d: ParamValue, e: ParamValue, order: int, base: int, lin: int,

@@ -117,7 +117,7 @@ def _layout(arity: int) -> Tuple[int, Tuple[int, ...]]:
     """``(zero, shifts)`` for keys of this arity: the key of the zero vector, and the bit
     offset of each entry's slot, the first entry's highest."""
     shifts = tuple(range(SLOT_BITS * (arity - 1), -1, -SLOT_BITS))
-    return sum(_OFFSET << s for s in shifts), shifts
+    return _OFFSET * ((1 << SLOT_BITS * arity) - 1) // _SLOT, shifts  # _OFFSET in every slot
 
 
 def _unpack(key: int, arity: int) -> ExpVec:

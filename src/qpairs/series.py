@@ -28,9 +28,11 @@ division: a factor whose monomial no other factor shares is one pass of
 its own row, and the factors that share a monomial multiply out into one
 int polynomial per sign, so a chain runs at most two passes per distinct
 monomial.  :meth:`QSeries.mul_one_minus` is :func:`_links`, :func:`_scale`,
-:func:`_chain` and :func:`_series`.  The builders' Horner and Lambert sums
-call :func:`_chain` and :func:`_product` on one term map of their own,
-scaled in once, and build one series per sum at the end.
+:func:`_chain` and :func:`_series`.  :func:`horner_sum` runs each of the
+builders' Horner and Lambert sums in one term map of its own, scaled in
+once: each term and each ratio's factors are one :func:`_chain` pass, each
+ratio's multiplier one :func:`_product` pass, and one :func:`_series`
+builds the sum at the end.
 
 Range rule (poly.py): every stored exponent lies in ``|e| <= 2^(S-2)``.
 No key is rechecked; each operation derives a bound before it forms a key
@@ -257,6 +259,71 @@ def _chain(terms: dict, chain: list, L: int, lo: int, order: int, reach: int) ->
         if len(den) > 1:
             terms = _recur(terms, [(j * qexp, j * w, -a) for j, a in enumerate(den) if a][1:], None, lo, order)
     return terms, reach, scale
+
+
+def horner_sum(params: Tuple[str, ...], order: int, terms: Sequence[Tuple[int, Scalar, list]],
+               ratios: Optional[Sequence[Tuple[Mapping[int, CoeffLike], list]]] = None) -> "QSeries":
+    """``sum_m r_1 ... r_m T_m`` in the window ``order``, in Horner's form from the last term down:
+    ``W_m = T_m + r_(m+1) W_(m+1)``, and the sum is ``r_1 W_1``.  Each term ``(val, lead, factors)``
+    is ``T_m = lead q^val prod (1 - m)^power`` over factors as in :meth:`QSeries.mul_one_minus`,
+    and each ratio ``(mult, factors)`` is r_m as data: a q-polynomial ``{qexp >= 0: coefficient}``
+    times such factors.  ``ratios = None`` makes every r_m 1: a plain sum of the terms.  A term
+    above the window adds nothing.
+
+    The sum is one int term map from its first term to its last: the coefficient of q^n times
+    ``K L^(n - lo)``, for lo the least val, L the lcm of every factor's c over the factors with a
+    q-power, and K a running integer, at first the lcm of the leads' denominators.  T_m starts at
+    ``K lead L^(val - lo)`` and is one :func:`_chain` pass, whose integer joins K.  A ratio is one
+    :func:`_product` pass by its multiplier's numerators, q^j's times L^j, whose content's
+    denominator, with that of the ratio's q^0 scalars, joins K; then its factors are one
+    :func:`_chain` pass.  The one :func:`_series` at the end divides each coefficient by
+    ``K L^(n - lo)``."""
+    linked = []  # (val, lead, chain) of each term, its q^0 scalars in its lead
+    for val, lead, factors in terms:
+        scalar, chain = _links(params, factors)
+        linked.append((val, lead * scalar, chain))
+    steps = [(mult, *_links(params, factors)) for mult, factors in ratios or ()]
+    if not linked:
+        return QSeries(params, order)
+    lo = min(val for val, _, _ in linked)
+    L = math.lcm(*(c.denominator for *_, chain in linked + steps for c, qexp, _, _ in chain if qexp))
+    K = math.lcm(*(lead.denominator for _, lead, _ in linked))
+    zero, W, reach = _layout(len(params))[0], {}, 0
+    for m in range(len(linked) - 1, -1, -1):  # W is r_(m+1) W_(m+1), or nothing: add T_m, then take r_m
+        val, lead, chain = linked[m]
+        if lead and val <= order:
+            T, reach_T, b = _chain({val: {zero: K // lead.denominator * lead.numerator * L ** (val - lo)}},
+                                   chain, L, val, order, 0)
+            if b != 1:  # T is over K b: so is W from here on
+                W, K = {n: {v: a * b for v, a in t.items()} for n, t in W.items()}, K * b
+            reach = max(reach, reach_T)
+            for n, t in T.items():  # W + T, in place, with no zero kept
+                w = W.setdefault(n, t)
+                if w is not t:
+                    for v, a in t.items():
+                        w[v] = w.get(v, 0) + a
+                    if 0 in w.values():
+                        W[n] = {v: a for v, a in w.items() if a}
+                        if not W[n]:
+                            del W[n]
+        if ratios is None:
+            continue
+        mult, scalar, chain = steps[m]
+        if not (W and scalar):
+            W = {}
+            continue
+        mult = QSeries(params, order - min(W), mult)  # each q^j that lands in the window
+        if mult.valuation < 0:
+            raise AlgebraError(f"a ratio's multiplier has the term q^{mult.valuation}: it must be a q-polynomial")
+        D, maps = _scale(mult, L)
+        K *= D * scalar.denominator
+        reach = _within(reach + _reach(mult), "a product")
+        if maps != {0: {zero: 1}} or scalar.numerator != 1:  # a multiplier other than 1
+            W = _product(W, maps, zero, order, scalar.numerator)
+        if W:
+            W, reach, b = _chain(W, chain, L, min(W), order, reach)
+            K *= b
+    return _series(params, order, W, K, L, lo, reach=reach)
 
 
 class TruncationError(AlgebraError):
@@ -498,7 +565,7 @@ class QSeries:
                 raise AlgebraError(f"degree bound for {p!r}, which is not a parameter of {self.params}")
             if slope < 0:  # it would claim that every coefficient above q^0 vanishes
                 raise AlgebraError(f"degree bound for {p} has negative slope {slope}")
-            s = SLOT_BITS * (len(self.params) - 1 - self.params.index(p))  # p's slot, as _layout places it
+            s = _layout(len(self.params))[1][_index(self.params, p)]
             for n, c in self.coeffs.items():
                 slots = [(v >> s) & _SLOT for v in c.num]  # p's exponents, each plus 2^(S-1)
                 if min(slots, default=_OFFSET) < _OFFSET:

@@ -307,11 +307,13 @@ def _lambert_by_terms(order, **spec):
 @pytest.mark.parametrize("domain", B._DOMAINS)
 def test_lambert_sum_is_the_per_term_sum(domain):
     # zeta = -3 puts denominators 3^|n| on the negative walk alone; a = 1, b = -1 puts
-    # the q^0 scalar (1 - u)^-e at n = 1 and rewrites every term with n <= 0
+    # the q^0 scalar (1 - u)^-e at n = 1 and rewrites every term with n <= 0; B = -3 puts
+    # the terms at n = 1 and 2 at q^-2, below q^0
     for e in (1, 2):
         for den in (F(2, 3), -1, 1, 2, F(-1, 2)):
             for spec in (dict(zeta=-3, A=1, B=1, npoly=(1, 1), a=2, b=1),
-                         dict(c=F(3, 5), zeta=F(1, 2), A=1, a=1, b=-1)):
+                         dict(c=F(3, 5), zeta=F(1, 2), A=1, a=1, b=-1),
+                         dict(c=F(1, 3), A=1, B=-3, a=2, b=1)):
                 spec = dict(spec, den=den, e=e, domain=domain)
                 if den == 1 and spec["b"] == -1:  # 1 - q^0 at n = 1
                     with pytest.raises(AlgebraError, match="zero denominator"):
@@ -753,14 +755,34 @@ def test_horner_sum_builds_one_series_at_any_order(monkeypatch):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    for module in (series, B):
-        monkeypatch.setattr(module, "_series", counted)
+    monkeypatch.setattr(series, "_series", counted)
     counts = []
     for order in (8, 16):
         calls.clear()
         B.rank_gf(order, x=2)
         counts.append(len(calls))
     assert counts == [1, 1]
+
+
+def test_horner_sum_takes_terms_below_q0():
+    # E(m) = m - 3 puts the first terms at q^-2 and q^-1, and the factors' c = 2/3 and 1/2 make
+    # the scale L^(n - lo) a power of 6 from the least exponent up
+    params = ("x",)
+    x = ParamPoly.var(params, "x")
+
+    def ratio(m):
+        return {0: x, 1: F(1, 2)}, [(Monomial(F(2, 3), m), -1), (Monomial.make(1, 0, x=1), 1)]
+    for order in range(-3, 10):
+        summand = lambda m: [(Monomial(F(1, 2), m, (("x", -1),)), 1)]
+        got = B._horner(params, order, lambda m: m - 3, ratio, summand)
+        want = _horner_by_terms(params, order, lambda m: m - 3, ratio, summand)
+        assert got == want and got.order == order and _props.canonical(got), order
+        assert got.valuation == (-2 if order >= -2 else order + 1)
+    # a term above the window adds nothing, and a multiplier is a q-polynomial: a term below
+    # q^0 could not be scaled in by L^j
+    assert series.horner_sum(params, 2, [(3, 1, [])]) == QSeries(params, 2)
+    with pytest.raises(AlgebraError, match="q-polynomial"):
+        series.horner_sum(params, 4, [(1, 1, [])], [({-1: 1}, [(F(2, 3), 1, (), -1)])])
 
 
 def test_horner_reach_grows_by_each_ratio():
